@@ -10,9 +10,11 @@ determinants), never from the same sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import qnum, xfer
 from .opart import (
+    Blocks,
     OrderedPartition,
     form,
     format_partition,
@@ -22,7 +24,7 @@ from .opart import (
 )
 from .qnum import q_poly_from_exponent_counts
 from .ring import DEFAULT
-from .stats import Summary, coord, monomial_exponents
+from .stats import WALK_EXPONENTS, Summary, coord, evaluator
 from .walks import (
     EAST,
     NORTH,
@@ -51,6 +53,27 @@ SIX_STATS = (
 
 #: The three empirically checked distributions (block-major-index based).
 BMAJ_STATS = ("mak+bMaj", "lmak+bMaj", "cmajLSB")
+
+#: The pointwise identities of the audit sweep, as (check, AuditReport field,
+#: (lhs, rhs) pairs): Proposition 2.2's dualities, Lemma 3.10's rewrites that
+#: match statistics to walk weights, and the restrictions to open(pi).
+POINTWISE = (
+    ("prop22", "prop22", (("mak", "lmakP"), ("makP", "lmak"))),
+    ("lemma310", "lemma310", (
+        ("mak+bInv", "lcs+rcs+rsb_tc+inv"),
+        ("lmak+bInv", "nk1-lcsrcs_tc-lsb_tc-cinv"),
+        ("cinvLSB", "lsbrsb_op+lsb_tc+inv+2*cinv"),
+    )),
+    ("restriction-identities", "restrictions", (
+        ("bInv", "rcs_op"), ("inv", "ros_op"), ("bExc", "lcs_op"), ("cinv", "los_op"),
+    )),
+)
+
+#: The two classes of equidistributed coordinate statistics.
+EQUIDIST = (("rob", "lob", "rcs", "lcs"), ("ros", "los", "rcb", "lcb"))
+
+#: On inversion-free partitions each of these gives S_q(n,k): label -> statistic.
+SECT23 = {"mak": "mak", "lmak": "lmak", "lsb+C(k,2)": "lsb+k2"}
 
 
 @dataclass
@@ -82,22 +105,18 @@ def _target(n: int, k: int):
     return qnum.q_factorial(k) * qnum.q_stirling(n, k)
 
 
-def _six_values(s: Summary) -> tuple[int, ...]:
-    k2 = s.k * (s.k - 1) // 2
-    mak = s.ros + s.lcs
-    lmak = s.n * (s.k - 1) - s.los - s.rcs
-    spread = s.inv - (k2 - s.inv)  # inv - cinv
-    v1 = mak + s.binv
-    v3 = lmak + s.binv
-    v5 = s.lsb + (k2 - s.binv) + k2
-    return (v1, v1 - spread, v3, v3 - spread, v5, v5 + spread)
-
-
-def _bmaj_values(s: Summary) -> tuple[int, int, int]:
-    k2 = s.k * (s.k - 1) // 2
-    mak = s.ros + s.lcs
-    lmak = s.n * (s.k - 1) - s.los - s.rcs
-    return (mak + s.bmaj, lmak + s.bmaj, s.lsb + (k2 - s.bmaj) + k2)
+def _distribution_results(check: str, n: int, k: int, labels, counts, target) -> list[CheckResult]:
+    """One result per statistic: its exponent counts against ``target``."""
+    out = []
+    for label, c in zip(labels, counts):
+        got = q_poly_from_exponent_counts(c)
+        out.append(
+            CheckResult(
+                check, f"n={n} k={k} stat={label}", got == target,
+                "" if got == target else f"got={got} want={target}",
+            )
+        )
+    return out
 
 
 # -- recurrence-level identities ------------------------------------------------
@@ -147,154 +166,61 @@ def run_audit(n_max: int = 8, equidist_n_max: int = 7) -> AuditReport:
     coordinate-statistic distributions for the two equidistribution classes.
     """
     report = AuditReport(n_max, equidist_n_max)
-    eq_left = ("rob", "lob", "rcs", "lcs")
-    eq_right = ("ros", "los", "rcb", "lcb")
+    coords = EQUIDIST[0] + EQUIDIST[1]
+    values = evaluator(SIX_STATS + BMAJ_STATS + coords)
+    pointwise = [(check, evaluator(pairs)) for check, _, pairs in POINTWISE]
     for n in range(1, n_max + 1):
-        six_counts: dict[int, list[dict[int, int]]] = {}
-        bmaj_counts: dict[int, list[dict[int, int]]] = {}
-        eq_counts: dict[int, dict[str, dict[int, int]]] = {}
-        prop22_bad = lemma310_bad = restr_bad = None
-        do_eq = n <= equidist_n_max
+        # the coordinate values are counted only when zip reaches them
+        width = len(SIX_STATS) + len(BMAJ_STATS) + (len(coords) if n <= equidist_n_max else 0)
+        counts: dict[int, list[dict[int, int]]] = {}
+        first_bad: dict[str, Blocks] = {}
         for blocks in iter_blocks_all(n):
             s = Summary(blocks)
-            k = s.k
-            k2 = k * (k - 1) // 2
-            if k not in six_counts:
-                six_counts[k] = [{} for _ in SIX_STATS]
-                bmaj_counts[k] = [{} for _ in BMAJ_STATS]
-                if do_eq:
-                    eq_counts[k] = {nm: {} for nm in eq_left + eq_right}
-            for c, v in zip(six_counts[k], _six_values(s)):
+            ck = counts.get(s.k)
+            if ck is None:
+                ck = counts[s.k] = [{} for _ in range(width)]
+            for c, v in zip(ck, values(s)):
                 c[v] = c.get(v, 0) + 1
-            for c, v in zip(bmaj_counts[k], _bmaj_values(s)):
-                c[v] = c.get(v, 0) + 1
-            if do_eq:
-                ek = eq_counts[k]
-                for nm in eq_left + eq_right:
-                    v = getattr(s, nm)
-                    ek[nm][v] = ek[nm].get(v, 0) + 1
-            # pointwise identities
-            mak = s.ros + s.lcs
-            lmak = s.n * (k - 1) - s.los - s.rcs
-            if prop22_bad is None:
-                if mak != s.n * (k - 1) - s.lcb - s.rob or s.lob + s.rcb != lmak:
-                    prop22_bad = blocks
-            if lemma310_bad is None:
-                cinv = k2 - s.inv
-                ok = (
-                    mak + s.binv == (s.lcs + s.rcs) + s.rsb_tc + s.inv
-                    and lmak + s.binv
-                    == s.n * (k - 1) - s.lcsrcs_tc - s.lsb_tc - cinv
-                    and s.lsb + (k2 - s.binv) + k2
-                    == s.lsbrsb_op + s.lsb_tc + s.inv + 2 * cinv
-                )
-                if not ok:
-                    lemma310_bad = blocks
-            if restr_bad is None:
-                ok = (
-                    s.binv == s.rcs_op
-                    and s.inv == s.ros_op
-                    and s.bexc == s.lcs_op
-                    and k2 - s.inv == s.los_op
-                )
-                if not ok:
-                    restr_bad = blocks
-        for k in sorted(six_counts):
+            for check, differences in pointwise:
+                if check not in first_bad and any(differences(s)):
+                    first_bad[check] = blocks
+        for k in sorted(counts):
             target = _target(n, k)
-            for label, counts in zip(SIX_STATS, six_counts[k]):
-                got = q_poly_from_exponent_counts(counts)
-                report.six.append(
-                    CheckResult(
-                        "thm25", f"n={n} k={k} stat={label}", got == target,
-                        "" if got == target else f"got={got} want={target}",
-                    )
-                )
-            for label, counts in zip(BMAJ_STATS, bmaj_counts[k]):
-                got = q_poly_from_exponent_counts(counts)
-                report.bmaj.append(
-                    CheckResult(
-                        "conjecture-bmaj", f"n={n} k={k} stat={label}",
-                        got == target,
-                        "" if got == target else f"got={got} want={target}",
-                    )
-                )
+            ck = counts[k]
+            report.six += _distribution_results("thm25", n, k, SIX_STATS, ck, target)
+            report.bmaj += _distribution_results(
+                "conjecture-bmaj", n, k, BMAJ_STATS, ck[len(SIX_STATS):], target
+            )
             if n <= equidist_n_max:
-                base = eq_counts[k][eq_left[0]]
-                ok = all(eq_counts[k][nm] == base for nm in eq_left[1:])
-                report.equidist.append(
-                    CheckResult("equidist", f"n={n} k={k} class={{rob,lob,rcs,lcs}}", ok)
+                dist = dict(zip(coords, ck[len(SIX_STATS) + len(BMAJ_STATS):]))
+                for cls in EQUIDIST:
+                    ok = all(dist[nm] == dist[cls[0]] for nm in cls[1:])
+                    report.equidist.append(
+                        CheckResult("equidist", f"n={n} k={k} class={{{','.join(cls)}}}", ok)
+                    )
+        for check, field_name, _ in POINTWISE:
+            bad = first_bad.get(check)
+            getattr(report, field_name).append(
+                CheckResult(
+                    check, f"n={n} all partitions", bad is None,
+                    "" if bad is None else f"fails at {format_partition(bad)}",
                 )
-                base = eq_counts[k][eq_right[0]]
-                ok = all(eq_counts[k][nm] == base for nm in eq_right[1:])
-                report.equidist.append(
-                    CheckResult("equidist", f"n={n} k={k} class={{ros,los,rcb,lcb}}", ok)
-                )
-        report.prop22.append(
-            CheckResult(
-                "prop22", f"n={n} all partitions", prop22_bad is None,
-                "" if prop22_bad is None else f"fails at {format_partition(prop22_bad)}",
             )
-        )
-        report.lemma310.append(
-            CheckResult(
-                "lemma310", f"n={n} all partitions", lemma310_bad is None,
-                "" if lemma310_bad is None else f"fails at {format_partition(lemma310_bad)}",
-            )
-        )
-        report.restrictions.append(
-            CheckResult(
-                "restriction-identities", f"n={n} all partitions", restr_bad is None,
-                "" if restr_bad is None else f"fails at {format_partition(restr_bad)}",
-            )
-        )
     return report
-
-
-def check_thm25(n_max: int = 8) -> list[CheckResult]:
-    return run_audit(n_max, equidist_n_max=0).six
-
-
-def check_prop22(n_max: int = 8) -> list[CheckResult]:
-    return run_audit(n_max, equidist_n_max=0).prop22
-
-
-def check_lemma310(n_max: int = 8) -> list[CheckResult]:
-    return run_audit(n_max, equidist_n_max=0).lemma310
-
-
-def check_equidist(n_max: int = 7) -> list[CheckResult]:
-    return run_audit(n_max, equidist_n_max=n_max).equidist
-
-
-def conjecture_report(n_max: int = 8) -> list[CheckResult]:
-    """EMPIRICAL: the three bMaj-based distributions against [k]_q! S_q(n,k)."""
-    return run_audit(n_max, equidist_n_max=0).bmaj
 
 
 def check_sect23(n_max: int = 8) -> list[CheckResult]:
     """On inversion-free partitions: sum q^mak = sum q^lmak
     = sum q^(lsb + C(k,2)) = S_q(n,k)."""
+    values = evaluator(SECT23.values())
     out = []
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
-            counts = [dict(), dict(), dict()]
+            counts = [{} for _ in SECT23]
             for blocks in iter_blocks_p(n, k):
-                s = Summary(blocks)
-                k2 = k * (k - 1) // 2
-                for c, v in zip(
-                    counts,
-                    (s.ros + s.lcs, s.n * (k - 1) - s.los - s.rcs, s.lsb + k2),
-                ):
+                for c, v in zip(counts, values(Summary(blocks))):
                     c[v] = c.get(v, 0) + 1
-            target = qnum.q_stirling(n, k)
-            for label, c in zip(("mak", "lmak", "lsb+C(k,2)"), counts):
-                got = q_poly_from_exponent_counts(c)
-                out.append(
-                    CheckResult(
-                        "sect23", f"n={n} k={k} stat={label}", got == target,
-                        "" if got == target else f"got={got} want={target}",
-                    )
-                )
+            out += _distribution_results("sect23", n, k, SECT23, counts, qnum.q_stirling(n, k))
     return out
 
 
@@ -391,12 +317,13 @@ def check_transfer_enum(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
     enumerated monomial sum, for k <= k_max, n <= n_max."""
     out = []
     prefix = _t_index_prefix()
+    exponents = evaluator(WALK_EXPONENTS)
     for k in range(0, k_max + 1):
         series = xfer.q_gf_transfer(k, xfer.WeightSpec.seven_variable(), n_max)
         for n in range(0, n_max + 1):
             counts: dict[tuple[int, ...], int] = {}
             for blocks in iter_blocks(n, k):
-                e = monomial_exponents(Summary(blocks))
+                e = exponents(Summary(blocks))
                 counts[e] = counts.get(e, 0) + 1
             want = DEFAULT.poly({(0,) * prefix + e: c for e, c in counts.items()})
             got = series.coefficient(n)
@@ -427,6 +354,8 @@ def check_thm24(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
     enumeration sums."""
     out = []
     ix, iy, it, iu, iz = (DEFAULT.index(v) for v in "xytuz")
+    # phi weighs x^(mak+bInv) y^cinvLSB t^inv u^cinv, varphi z^(lmak+bInv) t^inv u^cinv
+    values = evaluator(("makBInv", "cinvLSB", "inv", "cinv", "lmakBInv"))
     for k in range(0, k_max + 1):
         phi = xfer.closed_phi(k, n_max)
         varphi = xfer.closed_varphi(k, n_max)
@@ -434,18 +363,13 @@ def check_thm24(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
             phi_counts: dict[tuple[int, ...], int] = {}
             var_counts: dict[tuple[int, ...], int] = {}
             for blocks in iter_blocks(n, k):
-                s = Summary(blocks)
-                k2 = k * (k - 1) // 2
-                mak_binv = s.ros + s.lcs + s.binv
-                cinvlsb = s.lsb + (k2 - s.binv) + k2
-                lmak_binv = s.n * (k - 1) - s.los - s.rcs + s.binv
-                cinv = k2 - s.inv
+                x, y, t, u, z = values(Summary(blocks))
                 key = [0] * (iu + 1)
-                key[ix], key[iy], key[it], key[iu] = mak_binv, cinvlsb, s.inv, cinv
+                key[ix], key[iy], key[it], key[iu] = x, y, t, u
                 key = tuple(key)
                 phi_counts[key] = phi_counts.get(key, 0) + 1
                 key = [0] * (iz + 1)
-                key[it], key[iu], key[iz] = s.inv, cinv, lmak_binv
+                key[it], key[iu], key[iz] = t, u, z
                 key = tuple(key)
                 var_counts[key] = var_counts.get(key, 0) + 1
             want_phi = DEFAULT.poly(phi_counts)
@@ -557,43 +481,85 @@ def check_conj_det(n_max: int = 4) -> list[CheckResult]:
 
 # -- named dispatch ------------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class Check:
+    """How ``verify`` runs one check.  ``run`` is called with no arguments, or
+    with its n bound as the keyword ``bound`` (None: the check has no n bound).
+    An audit check instead reads the AuditReport field ``audit`` of the sweep
+    it shares with the other audit checks; ``n_default`` is its n bound."""
+
+    run: Callable[..., list[CheckResult]] | None = None
+    bound: str | None = "n_max"
+    audit: str | None = None
+    n_default: int = 8
+
+
 CHECKS = {
-    "zz": check_zz,
-    "thm25": check_thm25,
-    "thm25-series": check_thm25_series,
-    "prop22": check_prop22,
-    "lemma310": check_lemma310,
-    "equidist": check_equidist,
-    "sect23": check_sect23,
-    "conjecture-bmaj": conjecture_report,
-    "bij": check_bijection,
-    "path-counts": check_path_counts,
-    "transfer": check_transfer_enum,
-    "cor39": check_cor39,
-    "thm24": check_thm24,
-    "eulerian": check_eulerian_bruteforce,
-    "detm": check_det_m,
-    "detn": check_det_n,
-    "minor1": check_minor1,
-    "minor2": check_minor2,
-    "main1": check_main1,
-    "key": check_lemma_key,
-    "eigen": check_eigen,
-    "conj": check_conj_det,
+    "zz": Check(check_zz),
+    "thm25": Check(audit="six"),
+    "thm25-series": Check(check_thm25_series, bound=None),
+    "prop22": Check(audit="prop22"),
+    "lemma310": Check(audit="lemma310"),
+    "equidist": Check(audit="equidist", n_default=7),
+    "sect23": Check(check_sect23),
+    "conjecture-bmaj": Check(audit="bmaj"),
+    "bij": Check(check_bijection),
+    "path-counts": Check(check_path_counts),
+    "transfer": Check(check_transfer_enum),
+    "cor39": Check(check_cor39, bound=None),
+    "thm24": Check(check_thm24),
+    "eulerian": Check(check_eulerian_bruteforce),
+    "detm": Check(check_det_m),
+    "detn": Check(check_det_n),
+    "minor1": Check(check_minor1),
+    "minor2": Check(check_minor2),
+    "main1": Check(check_main1),
+    "key": Check(check_lemma_key),
+    "eigen": Check(check_eigen),
+    "conj": Check(check_conj_det),
 }
 
 
-def run_check(name: str, n_max: int | None = None) -> list[CheckResult]:
-    try:
-        fn = CHECKS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}"
-        ) from None
-    if n_max is None:
-        return fn()
-    import inspect
+class Verification:
+    """The checks of one ``verify`` call, resolved before any of them runs.
 
-    if "n_max" not in inspect.signature(fn).parameters:
-        raise ValueError(f"check {name!r} does not take --n-max")
-    return fn(n_max=n_max)
+    ``bounds`` lists each name with the n bound it runs at (None: its
+    default).  ``["all"]`` names every check and gives n_max only to those
+    with an n bound.  The audit checks share one run_audit sweep, made when
+    the first of them runs and kept only by this object.
+    """
+
+    def __init__(self, names: list[str], n_max: int | None = None):
+        every = names == ["all"]
+        self.bounds: list[tuple[str, int | None]] = []
+        for name in sorted(CHECKS) if every else names:
+            check = CHECKS.get(name)
+            if check is None:
+                raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
+            if n_max is not None and check.bound is None and not every:
+                raise ValueError(f"check {name!r} does not take --n-max")
+            self.bounds.append((name, None if check.bound is None else n_max))
+        audit = {
+            name: CHECKS[name].n_default if bound is None else bound
+            for name, bound in self.bounds if CHECKS[name].audit
+        }
+        self._sweep = (max(audit.values(), default=0), audit.get("equidist", 0))
+        self._report: AuditReport | None = None
+
+    def audit(self) -> AuditReport:
+        if self._report is None:
+            self._report = run_audit(*self._sweep)
+        return self._report
+
+
+def run_check(name: str, n_max: int | None = None,
+              shared: Verification | None = None) -> list[CheckResult]:
+    """Run one check at n bound ``n_max`` (None: its default).  An audit check
+    reads the sweep of ``shared``, or makes its own."""
+    if shared is None:
+        shared = Verification([name], n_max)
+    check = CHECKS[name]
+    if check.audit:
+        return getattr(shared.audit(), check.audit)
+    return check.run() if n_max is None else check.run(**{check.bound: n_max})

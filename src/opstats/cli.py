@@ -50,6 +50,7 @@ def _qnum_cmd(args) -> int:
 
 def _enum_cmd(args) -> int:
     n = args.n
+    opart.check_range(n, args.k)
     if args.count_only:
         ks = [args.k] if args.k is not None else list(range(0, n + 1))
         total = 0
@@ -189,12 +190,10 @@ def _emit_results(results, fmt: str) -> int:
 
 
 def _verify_cmd(args) -> int:
-    names = list(args.checks)
-    if names == ["all"]:
-        names = sorted(checks.CHECKS)
+    plan = checks.Verification(list(args.checks), args.n_max)
     status = 0
-    for name in names:
-        results = checks.run_check(name, args.n_max)
+    for name, n_max in plan.bounds:
+        results = checks.run_check(name, n_max, plan)
         code = _emit_results(results, args.format)
         if code:
             status = 1
@@ -209,7 +208,7 @@ def _conjecture_cmd(args) -> int:
         "[k]_q! S_q(n,k); a MATCH line is evidence, not a proof.",
         file=sys.stderr,
     )
-    results = checks.conjecture_report(args.n_max)
+    results = checks.run_check("conjecture-bmaj", args.n_max)
     ok = True
     for r in results:
         if args.format == "records":

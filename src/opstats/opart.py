@@ -174,11 +174,16 @@ def _check_bound(n: int, force_large: bool):
         )
 
 
+def check_range(n: int, k: int | None = None) -> None:
+    """Reject n < 0 and a block count outside 0..n (k None: every k)."""
+    if n < 0 or (k is not None and not 0 <= k <= n):
+        raise ValueError(f"no ordered partitions for n={n}, k={k}")
+
+
 def enumerate_op(n: int, k: int | None = None, force_large: bool = False
                  ) -> Iterator[OrderedPartition]:
     """Each element of OP_n^k exactly once (all k when k is None)."""
-    if n < 0 or (k is not None and not 0 <= k <= n):
-        raise ValueError(f"no ordered partitions for n={n}, k={k}")
+    check_range(n, k)
     _check_bound(n, force_large)
     raw = iter_blocks_all(n) if k is None else iter_blocks(n, k)
     return map(OrderedPartition._unchecked, raw)
@@ -186,8 +191,7 @@ def enumerate_op(n: int, k: int | None = None, force_large: bool = False
 
 def enumerate_p(n: int, k: int, force_large: bool = False) -> Iterator[OrderedPartition]:
     """Unordered partitions of [n] with k blocks, canonical block order."""
-    if n < 0 or not 0 <= k <= n:
-        raise ValueError(f"no partitions for n={n}, k={k}")
+    check_range(n, k)
     _check_bound(n, force_large)
     return map(OrderedPartition._unchecked, iter_blocks_p(n, k))
 

@@ -275,8 +275,12 @@ class LaurentPoly:
         return self.registry is other.registry and self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes like the integer it equals
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = (
+                hash(self.constant_value()) if self.is_constant()
+                else hash(frozenset(self.terms.items()))
+            )
         return self._hash
 
     # -- structure -----------------------------------------------------------

@@ -2,8 +2,12 @@
 
 import json
 
-from opstats.checks import CheckResult
+from opstats import checks, stats
+from opstats.checks import CHECKS, CheckResult
 from opstats.cli import _emit_results, main
+from opstats.opart import format_partition, iter_blocks_all
+from opstats.ring import DEFAULT
+from opstats.stats import block_stats
 
 
 def run(capsys, *argv):
@@ -58,6 +62,14 @@ def test_enum_and_counts(capsys):
     assert sorted(out.splitlines()) == ["1,2/3", "1,3/2", "1/2,3"]
 
 
+def test_enum_count_only_range(capsys):
+    for argv in (["--n", "-1"], ["--n", "3", "--k", "5"]):
+        for extra in (["--count-only"], []):
+            code, out, err = run(capsys, "enum", *argv, *extra)
+            assert code == 2 and out == "", argv + extra
+            assert "no ordered partitions" in err
+
+
 def test_enum_bound_exit_code(capsys):
     code, _, err = run(capsys, "enum", "--n", "11")
     assert code == 2
@@ -102,6 +114,61 @@ def test_verify_pass_and_exit_codes(capsys):
     assert "unknown check" in err
 
 
+def test_verify_resolves_every_name_first(capsys):
+    code, out, err = run(capsys, "verify", "thm25", "nosuch")
+    assert (code, out) == (2, "")
+    assert "unknown check 'nosuch'" in err
+    for name in ("cor39", "thm25-series"):
+        code, out, err = run(capsys, "verify", "zz", name, "--n-max", "3")
+        assert (code, out) == (2, "")
+        assert f"check {name!r} does not take --n-max" in err
+
+
+def test_verify_all_n_max_skips_unbounded_checks(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--n-max", "2")
+    assert code == 0
+    expected = ""
+    for name in sorted(CHECKS):
+        bound = [] if name in ("cor39", "thm25-series") else ["--n-max", "2"]
+        expected += run(capsys, "verify", name, *bound)[1]
+    assert out == expected
+
+
+def test_verify_audit_checks_share_one_sweep(capsys, monkeypatch):
+    names = ("thm25", "prop22", "lemma310", "conjecture-bmaj", "equidist")
+    sweeps = []
+    run_audit = checks.run_audit
+    monkeypatch.setattr(checks, "run_audit", lambda *a: sweeps.append(a) or run_audit(*a))
+    code, together, _ = run(capsys, "verify", *names, "--n-max", "5")
+    assert code == 0 and sweeps == [(5, 5)]
+    singles = "".join(run(capsys, "verify", name, "--n-max", "5")[1] for name in names)
+    assert together == singles
+
+
+def test_thm25_checker_can_fail(capsys, monkeypatch):
+    target = checks._target
+    monkeypatch.setattr(checks, "_target", lambda n, k: target(n, k) * DEFAULT.var("q"))
+    code, out, err = run(capsys, "verify", "thm25", "--n-max", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines and all(line.startswith("FAIL thm25") for line in lines)
+    assert "first failing instance: FAIL thm25 n=1 k=1 stat=mak+bInv" in err
+
+
+def test_prop22_checker_can_fail(capsys, monkeypatch):
+    # lmakP + bInv differs from mak exactly where the partition has a block inversion
+    monkeypatch.setitem(stats.TABLE, "lmakP", stats.TABLE["lmakP"] + "+bInv")
+    code, out, err = run(capsys, "verify", "prop22", "--n-max", "4")
+    assert code == 1
+    first = next(
+        format_partition(b) for n in range(1, 5) for b in iter_blocks_all(n) if block_stats(b)[0]
+    )
+    lines = out.splitlines()
+    assert lines[0] == "PASS prop22 n=1 all partitions"
+    assert lines[1] == f"FAIL prop22 n=2 all partitions  [fails at {first}]"
+    assert f"first failing instance: {lines[1]}" in err
+
+
 def test_verify_records_format(capsys):
     code, out, _ = run(capsys, "verify", "minor1", "--n-max", "2",
                        "--format", "records")
@@ -142,8 +209,6 @@ def test_parse_error_exit(capsys):
 
 
 def test_all_contract_check_names_exist():
-    from opstats.checks import CHECKS
-
     contract = (
         "minor1", "minor2", "main1", "key", "eigen", "conj",
         "thm24", "thm25", "cor39", "zz", "prop22", "lemma310",

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opstats.ring import (
+    DEFAULT,
     InexactDivision,
     SeriesInA,
     VarRegistry,
@@ -43,6 +44,13 @@ def test_add_examples():
     assert (ONE + Q) + Q == ONE + 2 * Q
     # [2]_{x,y} + [1]_{x,y} = (x + y) + 1
     assert (X + Y) + ONE == 1 + X + Y
+
+
+def test_constant_hashes_like_its_integer():
+    assert DEFAULT.one == 1 and hash(DEFAULT.one) == hash(1)
+    assert hash(DEFAULT.const(3)) == hash(3)
+    assert len({DEFAULT.const(3), 3}) == 1
+    assert hash(DEFAULT.zero) == hash(0)
 
 
 def test_registry_mismatch_rejected():

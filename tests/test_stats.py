@@ -2,7 +2,8 @@
 
 import pytest
 
-from opstats.opart import OrderedPartition, iter_blocks_all, parse
+from opstats import stats
+from opstats.opart import OrderedPartition, cinv, inv, iter_blocks_all, parse
 from opstats.qnum import q_factorial, q_stirling
 from opstats.ring import DEFAULT
 from opstats.stats import (
@@ -12,7 +13,7 @@ from opstats.stats import (
     composite,
     coord,
     distribution,
-    eval_stat_expr,
+    evaluator,
     monomial_exponents,
     parse_stat_expr,
     per_element_sums_ok,
@@ -99,29 +100,81 @@ def test_summary_matches_slow_route():
 def test_open_restriction_identities():
     # bInv = rcs(openers), inv = ros(openers), bExc = lcs(openers),
     # cinv = los(openers)
+    value = evaluator(("cinv",))
     for blocks in iter_blocks_all(5):
         s = summarize(blocks)
+        (s_cinv,) = value(s)
         assert s.binv == s.rcs_op
         assert s.inv == s.ros_op
         assert s.bexc == s.lcs_op
-        assert s.cinv == s.los_op
+        assert s_cinv == s.los_op
 
 
 def test_mak_lmak_dualities():
+    values = evaluator(("mak", "lmakP", "makP", "lmak"))
     for blocks in iter_blocks_all(5):
-        s = summarize(blocks)
-        assert s.mak == s.lmakp
-        assert s.makp == s.lmak
+        mak, lmakp, makp, lmak = values(summarize(blocks))
+        assert mak == lmakp
+        assert makp == lmak
+
+
+REWRITE_NAMES = ("mak", "lmak", "cinv", "rsb_tc", "lsb_tc", "lcsrcs_tc", "lsbrsb_op")
+
+
+def assert_rewrites(s, values):
+    mak, lmak, cinv_, rsb_tc, lsb_tc, lcsrcs_tc, lsbrsb_op = values(s)
+    k2 = s.k * (s.k - 1) // 2
+    assert mak + s.binv == (s.lcs + s.rcs) + rsb_tc + s.inv
+    assert lmak + s.binv == s.n * (s.k - 1) - lcsrcs_tc - lsb_tc - cinv_
+    assert s.lsb + (k2 - s.binv) + k2 == lsbrsb_op + lsb_tc + s.inv + 2 * cinv_
 
 
 def test_rewrite_identities():
     # the three rewrites used to match the walk weights
+    values = evaluator(REWRITE_NAMES)
     for blocks in iter_blocks_all(5):
-        s = summarize(blocks)
-        k2 = s.k * (s.k - 1) // 2
-        assert s.mak + s.binv == (s.lcs + s.rcs) + s.rsb_tc + s.inv
-        assert s.lmak + s.binv == s.n * (s.k - 1) - s.lcsrcs_tc - s.lsb_tc - s.cinv
-        assert s.lsb + (k2 - s.binv) + k2 == s.lsbrsb_op + s.lsb_tc + s.inv + 2 * s.cinv
+        assert_rewrites(summarize(blocks), values)
+
+
+def definition_values(blocks) -> dict[str, int]:
+    """inv and every row of the composite table, from the definition routes
+    alone: coord sums and restrictions, block_stats and the induced
+    permutation."""
+    pi = OrderedPartition._unchecked(blocks)
+    n, k = pi.n, pi.k
+    total = {nm: aggregate(blocks, nm) for nm in COORD_NAMES}
+    openers = {b[0] for b in blocks}
+    op = {nm: restricted(blocks, nm, openers) for nm in COORD_NAMES}
+    tc = {nm: restricted(blocks, nm, set(range(1, n + 1)) - openers) for nm in COORD_NAMES}
+    binv, bexc, bmaj = block_stats(blocks)
+    k2 = k * (k - 1) // 2
+    mak = total["ros"] + total["lcs"]
+    lmak = n * (k - 1) - total["los"] - total["rcs"]
+    return {
+        "inv": inv(pi), "cinv": cinv(pi), "bInv": binv, "bExc": bexc, "bMaj": bmaj,
+        "mak": mak, "lmak": lmak,
+        "makP": total["lob"] + total["rcb"],
+        "lmakP": n * (k - 1) - total["lcb"] - total["rob"],
+        "cinvLSB": total["lsb"] + (k2 - binv) + k2,
+        "cmajLSB": total["lsb"] + (k2 - bmaj) + k2,
+        "makBInv": mak + binv, "lmakBInv": lmak + binv,
+        "makBMaj": mak + bmaj, "lmakBMaj": lmak + bmaj,
+        "lsb_tc": tc["lsb"], "rsb_tc": tc["rsb"],
+        "lcsrcs_tc": tc["lcs"] + tc["rcs"], "lsbrsb_op": op["lsb"] + op["rsb"],
+        "t1": op["lcs"] + op["rcs"], "t2": tc["lcs"] + tc["rcs"],
+        "t3": tc["rsb"], "t4": tc["lsb"], "t5": op["ros"], "t6": op["los"],
+        "t7": op["lsb"] + op["rsb"],
+    }
+
+
+def test_table_matches_definition_route():
+    names = ("inv", *stats.TABLE)
+    values = evaluator(names)
+    assert set(definition_values(PI.blocks)) == set(names)
+    for n in range(1, 6):
+        for blocks in iter_blocks_all(n):
+            got = dict(zip(names, values(summarize(blocks))))
+            assert got == definition_values(blocks), blocks
 
 
 def test_q_monomial_examples():
@@ -161,8 +214,7 @@ def test_parse_stat_expr():
         parse_stat_expr("nosuch")
     with pytest.raises(ValueError):
         parse_stat_expr("mak bInv")
-    s = summarize(parse("2/1"))
-    assert eval_stat_expr(s, parse_stat_expr("inv-cinv")) == 1
+    assert composite(parse("2/1"), "inv-cinv") == 1
 
 
 def test_stat_table_contains_paper_rows():
@@ -224,11 +276,9 @@ def test_random_partition_invariants(blocks):
         assert getattr(s, name) == aggregate(blocks, name)
     assert (s.binv, s.bexc, s.bmaj) == block_stats(blocks)
     # dualities and rewrites
-    k2 = s.k * (s.k - 1) // 2
-    assert s.mak == s.lmakp and s.makp == s.lmak
-    assert s.mak + s.binv == (s.lcs + s.rcs) + s.rsb_tc + s.inv
-    assert s.lmak + s.binv == s.n * (s.k - 1) - s.lcsrcs_tc - s.lsb_tc - s.cinv
-    assert s.lsb + (k2 - s.binv) + k2 == s.lsbrsb_op + s.lsb_tc + s.inv + 2 * s.cinv
+    mak, lmakp, makp, lmak = evaluator(("mak", "lmakP", "makP", "lmak"))(s)
+    assert mak == lmakp and makp == lmak
+    assert_rewrites(s, evaluator(REWRITE_NAMES))
 
 
 @settings(max_examples=60, deadline=None)
