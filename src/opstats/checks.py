@@ -313,26 +313,31 @@ def _t_index_prefix() -> int:
 
 
 def check_transfer_enum(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
-    """a^n coefficient of the seven-variable transfer series against the
-    enumerated monomial sum, for k <= k_max, n <= n_max."""
+    """a^n coefficient of the seven-variable transfer series, by the
+    determinant ratio and by the walk iteration, against the enumerated
+    monomial sum, for k <= k_max, n <= n_max.  The detail of a failure names
+    each route that disagrees with the enumeration."""
     out = []
     prefix = _t_index_prefix()
     exponents = evaluator(WALK_EXPONENTS)
+    w = xfer.WeightSpec.seven_variable()
     for k in range(0, k_max + 1):
-        series = xfer.q_gf_transfer(k, xfer.WeightSpec.seven_variable(), n_max)
+        routes = (
+            ("determinant", xfer.q_gf_transfer(k, w, n_max)),
+            ("walk", xfer.walk_series(k, w, n_max)),
+        )
         for n in range(0, n_max + 1):
             counts: dict[tuple[int, ...], int] = {}
             for blocks in iter_blocks(n, k):
                 e = exponents(Summary(blocks))
                 counts[e] = counts.get(e, 0) + 1
             want = DEFAULT.poly({(0,) * prefix + e: c for e, c in counts.items()})
-            got = series.coefficient(n)
-            out.append(
-                CheckResult(
-                    "transfer", f"k={k} n={n}", got == want,
-                    "" if got == want else f"got={got} want={want}",
-                )
-            )
+            wrong = [
+                f"{route} got={series.coefficient(n)} want={want}"
+                for route, series in routes
+                if series.coefficient(n) != want
+            ]
+            out.append(CheckResult("transfer", f"k={k} n={n}", not wrong, "; ".join(wrong)))
     return out
 
 

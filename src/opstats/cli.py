@@ -13,6 +13,7 @@ Progress/diagnostics go to stderr, results to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -118,20 +119,19 @@ def _bij_cmd(args) -> int:
     return 0
 
 
+#: The transfer-series families of ``gf``, computed by the walk iteration.
+WALK_FAMILIES = {
+    "Q": xfer.WeightSpec.seven_variable,
+    "Qxy": xfer.WeightSpec.xytu,
+    "Qz": xfer.WeightSpec.ztu,
+}
+
+
 def _gf_cmd(args) -> int:
     k, order = args.k, args.order
-    if args.family == "Q":
-        series = xfer.q_gf_transfer(
-            k, xfer.WeightSpec.seven_variable(), order, force_large=args.force_large
-        )
-    elif args.family == "Qxy":
-        series = xfer.q_gf_transfer(
-            k, xfer.WeightSpec.xytu(), order, force_large=args.force_large
-        )
-    elif args.family == "Qz":
-        series = xfer.q_gf_transfer(
-            k, xfer.WeightSpec.ztu(), order, force_large=args.force_large
-        )
+    if args.family in WALK_FAMILIES:
+        spec = WALK_FAMILIES[args.family]()
+        series = xfer.walk_series(k, spec, order, force_large=args.force_large)
     elif args.family == "f":
         series = xfer.closed_f(k, order)
     elif args.family == "g":
@@ -228,7 +228,9 @@ def _conjecture_cmd(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="opstats",
         description="Exact statistics on ordered set partitions and their "

@@ -108,16 +108,22 @@ def q_binomial(n: int, k: int, registry: VarRegistry | None = None) -> LaurentPo
 
 @lru_cache(maxsize=None)
 def q_stirling(n: int, k: int) -> LaurentPoly:
+    """S_q(n,k) by the recurrence, filled row by row (no recursion, so any n
+    works).  Row m keeps only the columns S_q(n,k) depends on, k-(n-m)..k."""
     if n < 0 or k < 0:
         raise ValueError("n, k must be nonnegative")
     ctx = q_context()
     reg = ctx.registry
-    if n == 0 or k == 0:
-        return reg.one if n == k else reg.zero
     if k > n:
         return reg.zero
     q = ctx.q
-    return q ** (k - 1) * q_stirling(n - 1, k - 1) + pq_int(k, ctx) * q_stirling(n - 1, k)
+    row = [reg.one] + [reg.zero] * k  # S_q(0, j)
+    for m in range(1, n + 1):
+        lo = max(1, k - (n - m))
+        row = [reg.zero] * lo + [
+            q ** (j - 1) * row[j - 1] + pq_int(j, ctx) * row[j] for j in range(lo, k + 1)
+        ]
+    return row[k]
 
 
 @lru_cache(maxsize=None)
@@ -179,14 +185,15 @@ def check_zz_identity(n: int, k: int) -> ZZResult:
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
-    """Integer Stirling numbers of the second kind (independent of q_stirling)."""
-    if n < 0 or k < 0:
+    """Integer Stirling numbers of the second kind (independent of q_stirling),
+    filled row by row like it."""
+    if n < 0 or k < 0 or k > n:
         return 0
-    if n == 0 or k == 0:
-        return 1 if n == k else 0
-    if k > n:
-        return 0
-    return stirling2(n - 1, k - 1) + k * stirling2(n - 1, k)
+    row = [1] + [0] * k  # S(0, j)
+    for m in range(1, n + 1):
+        lo = max(1, k - (n - m))
+        row = [0] * lo + [row[j - 1] + j * row[j] for j in range(lo, k + 1)]
+    return row[k]
 
 
 def ordered_partition_count(n: int, k: int | None = None) -> int:

@@ -36,7 +36,9 @@ from typing import Iterable, Sequence
 from . import qnum
 from .qnum import PQContext, pq_factorial, pq_int, pq_binomial
 from .ring import DEFAULT, LaurentPoly, SeriesInA, VarRegistry, ensure_f, series_from_rational
-from .walks import EAST, NORTH, NULL, SOUTH_EAST, step_allowed, step_target, vertex_count, vertex_order
+from .walks import (
+    EAST, NORTH, NULL, SOUTH_EAST, Vertex, step_allowed, step_target, vertex_count, vertex_order,
+)
 
 #: Symbolic transfer matrices stay tractable up to k = 4 with the full seven
 #: weight variables (15 x 15) and k = 5 under specializations (21 x 21).
@@ -113,10 +115,6 @@ class SymbolicMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def density(self) -> float:
-        nz = sum(1 for row in self.entries for e in row if not e.is_zero())
-        return nz / (self.rows * self.cols)
-
     def __eq__(self, other):
         if not isinstance(other, SymbolicMatrix):
             return NotImplemented
@@ -139,18 +137,16 @@ def identity_matrix(n: int, registry: VarRegistry | None = None) -> SymbolicMatr
 # -- determinants --------------------------------------------------------------
 
 
-def det(m: SymbolicMatrix, method: str = "auto") -> LaurentPoly:
+def det(m: SymbolicMatrix, method: str = "laplace") -> LaurentPoly:
     """Exact symbolic determinant.
 
     "laplace" expands along the sparsest remaining row or column with
     sub-determinant memoization (fast on the near-triangular matrices here);
-    "bareiss" is fraction-free elimination with exact division, better on
-    dense matrices.  "auto" picks by density.  The empty 0x0 determinant is 1.
+    "bareiss" is fraction-free elimination with exact division, kept as an
+    independent cross-check of the expansion.  The empty 0x0 determinant is 1.
     """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    if method == "auto":
-        method = "bareiss" if m.rows > 8 and m.density() > 0.5 else "laplace"
     if method == "laplace":
         return _det_laplace(m)
     if method == "bareiss":
@@ -307,17 +303,27 @@ class WeightSpec:
         return self.close_weight(*v)
 
 
+def out_edges(k: int, w: WeightSpec) -> dict[Vertex, list[tuple[Vertex, LaurentPoly]]]:
+    """Each vertex of D_k, in the canonical order, with its weighted out-edges
+    as (target, step weight) pairs."""
+    return {
+        v: [
+            (step_target(v, kind), w.step_weight(v, kind))
+            for kind in (NORTH, EAST, NULL, SOUTH_EAST)
+            if step_allowed(v, kind, k)
+        ]
+        for v in vertex_order(k)
+    }
+
+
 def adjacency(k: int, w: WeightSpec) -> SymbolicMatrix:
     """Weighted adjacency matrix of D_k in the canonical vertex order."""
-    reg = w.registry
-    order = vertex_order(k)
-    index = {v: i for i, v in enumerate(order)}
-    nv = vertex_count(k)
-    grid = [[reg.zero] * nv for _ in range(nv)]
-    for v in order:
-        for kind in (NORTH, EAST, NULL, SOUTH_EAST):
-            if step_allowed(v, kind, k):
-                grid[index[v]][index[step_target(v, kind)]] = w.step_weight(v, kind)
+    edges = out_edges(k, w)
+    index = {v: i for i, v in enumerate(edges)}
+    grid = [[w.registry.zero] * len(index) for _ in index]
+    for v, out in edges.items():
+        for u, weight in out:
+            grid[index[v]][index[u]] = weight
     return SymbolicMatrix(grid)
 
 
@@ -334,6 +340,17 @@ def transfer_matrix(k: int, w: WeightSpec) -> SymbolicMatrix:
     return SymbolicMatrix(rows)
 
 
+def _check_k_bound(k: int, w: WeightSpec, force_large: bool) -> None:
+    """Reject k < 0, and k above the symbolic desk bound unless forced."""
+    bound = GENERIC_K_BOUND if w.generic else SPECIALIZED_K_BOUND
+    if k > bound and not force_large:
+        raise ValueError(
+            f"k={k} exceeds the symbolic desk bound {bound}; pass force_large=True"
+        )
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+
+
 def q_gf_transfer(k: int, w: WeightSpec, order: int, force_large: bool = False) -> SeriesInA:
     """The walk generating function of depth k as a series in a:
 
@@ -342,13 +359,7 @@ def q_gf_transfer(k: int, w: WeightSpec, order: int, force_large: bool = False) 
     Its a^n coefficient is the sum of the seven-variable monomials over all
     ordered partitions of [n] with k blocks.
     """
-    bound = GENERIC_K_BOUND if w.generic else SPECIALIZED_K_BOUND
-    if k > bound and not force_large:
-        raise ValueError(
-            f"k={k} exceeds the symbolic desk bound {bound}; pass force_large=True"
-        )
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_k_bound(k, w, force_large)
     m = transfer_matrix(k, w)
     nv = vertex_count(k)
     denom = det(m)
@@ -359,6 +370,44 @@ def q_gf_transfer(k: int, w: WeightSpec, order: int, force_large: bool = False) 
     if nv % 2 == 0:
         numer = -numer
     return series_from_rational(numer, denom, order)
+
+
+def walk_series(k: int, w: WeightSpec, order: int, force_large: bool = False) -> SeriesInA:
+    """The series of q_gf_transfer without determinants: its a^n coefficient
+    is the (k,0) entry of e_(0,0) A_k^n, the weight sum of the length-n walks
+    from (0,0) to (k,0).
+
+    The row vector is pushed along the out-edges one step at a time and kept
+    sparse: a vertex (i,j) is dropped once k - i, the East/South-East steps
+    it still needs, exceeds the steps left.  Steps sharing a weight (North
+    and East, Null and South-East) share one product.
+    """
+    _check_k_bound(k, w, force_large)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    reg = w.registry
+    target = (k, 0)
+    moves: dict[Vertex, list[tuple[LaurentPoly, list[Vertex]]]] = {}
+    for v, out in out_edges(k, w).items():
+        by_weight: dict[LaurentPoly, list[Vertex]] = {}
+        for u, weight in out:
+            by_weight.setdefault(weight, []).append(u)
+        moves[v] = list(by_weight.items())
+    row = {(0, 0): reg.one}
+    coeffs = [row.get(target, reg.zero)]
+    for left in range(order - 1, -1, -1):
+        pushed: dict[Vertex, LaurentPoly] = {}
+        for v, value in row.items():
+            for weight, targets in moves[v]:
+                live = [u for u in targets if k - u[0] <= left]
+                if not live:
+                    continue
+                term = value * weight
+                for u in live:
+                    pushed[u] = pushed[u] + term if u in pushed else term
+        row = pushed
+        coeffs.append(row.get(target, reg.zero))
+    return SeriesInA(reg, coeffs)
 
 
 # -- closed forms ----------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 import json
 
-from opstats import checks, stats
+import pytest
+
+from opstats import checks, stats, xfer
 from opstats.checks import CHECKS, CheckResult
-from opstats.cli import _emit_results, main
+from opstats.cli import _emit_results, build_parser, main
 from opstats.opart import format_partition, iter_blocks_all
-from opstats.ring import DEFAULT
+from opstats.ring import DEFAULT, format_poly
 from opstats.stats import block_stats
+from opstats.xfer import WeightSpec
 
 
 def run(capsys, *argv):
@@ -70,6 +73,11 @@ def test_enum_count_only_range(capsys):
             assert "no ordered partitions" in err
 
 
+def test_enum_count_only_deep_rows(capsys):
+    code, out, _ = run(capsys, "enum", "--n", "1500", "--k", "1", "--count-only")
+    assert (code, out) == (0, "1\t1\n")
+
+
 def test_enum_bound_exit_code(capsys):
     code, _, err = run(capsys, "enum", "--n", "11")
     assert code == 2
@@ -101,6 +109,24 @@ def test_gf_and_det(capsys):
     assert out.strip() == "1*a"
     code, _, err = run(capsys, "det", "Pk", "--n", "2")
     assert code == 2 and "--k" in err
+
+
+def test_gf_transfer_families_match_determinant_route(capsys):
+    specs = {"Q": WeightSpec.seven_variable(), "Qxy": WeightSpec.xytu(), "Qz": WeightSpec.ztu()}
+    for family, spec in specs.items():
+        for k in range(4):
+            code, out, _ = run(capsys, "gf", family, "--k", str(k), "--order", "5")
+            want = [f"a^{n}\t{format_poly(c)}"
+                    for n, c in enumerate(xfer.q_gf_transfer(k, spec, 5).coeffs)]
+            assert (code, out.splitlines()) == (0, want), (family, k)
+
+
+def test_gf_transfer_bounds_exit_2(capsys):
+    for argv in (["Q", "--k", "5"], ["Qxy", "--k", "6"], ["Qz", "--k", "6"],
+                 ["Q", "--k", "2", "--order", "-1"], ["Qz", "--k", "-1"]):
+        code, out, err = run(capsys, "gf", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ")
 
 
 def test_verify_pass_and_exit_codes(capsys):
@@ -169,6 +195,23 @@ def test_prop22_checker_can_fail(capsys, monkeypatch):
     assert f"first failing instance: {lines[1]}" in err
 
 
+def test_transfer_checker_can_fail(capsys, monkeypatch):
+    walk = xfer.walk_series
+    t1 = DEFAULT.var("t1")
+
+    def perturbed(*args, **kwargs):
+        return walk(*args, **kwargs).map_coeffs(lambda n, c: c * t1 if n else c)
+
+    monkeypatch.setattr(xfer, "walk_series", perturbed)
+    code, out, err = run(capsys, "verify", "transfer", "--n-max", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:4] == [f"PASS transfer k=0 n={n}" for n in range(4)]
+    assert lines[4] == "PASS transfer k=1 n=0"
+    assert lines[5] == "FAIL transfer k=1 n=1  [walk got=1*t1 want=1]"
+    assert f"first failing instance: {lines[5]}" in err
+
+
 def test_verify_records_format(capsys):
     code, out, _ = run(capsys, "verify", "minor1", "--n-max", "2",
                        "--format", "records")
@@ -200,6 +243,19 @@ def test_determinism(capsys):
     code1, out1, _ = run(capsys, "enum", "--n", "5")
     code2, out2, _ = run(capsys, "enum", "--n", "5")
     assert out1 == out2
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_usage_error_leaves_parser_reusable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stats"])
+    assert exc.value.code == 2
+    assert "required" in capsys.readouterr().err
+    code, out, _ = run(capsys, "stats", "6,8/5/1,4,7/3,9/2")
+    assert code == 0 and "inv=8" in out and "cinv=2" in out
 
 
 def test_parse_error_exit(capsys):

@@ -26,6 +26,7 @@ from opstats.xfer import (
     q_gf_transfer,
     q_specialized_series,
     transfer_matrix,
+    walk_series,
 )
 
 REG = DEFAULT
@@ -212,6 +213,31 @@ def test_transfer_bound():
         q_gf_transfer(5, WeightSpec.seven_variable(), 2)
     with pytest.raises(ValueError):
         q_gf_transfer(6, WeightSpec.ztu(), 2)
+
+
+#: Each weight spec with its symbolic desk bound on k.
+SPECS = (
+    (WeightSpec.seven_variable(), xfer.GENERIC_K_BOUND),
+    (WeightSpec.xytu(), xfer.SPECIALIZED_K_BOUND),
+    (WeightSpec.ztu(), xfer.SPECIALIZED_K_BOUND),
+)
+
+
+def test_walk_series_matches_determinant_route():
+    for w, bound in SPECS:
+        for k in range(bound + 1):
+            assert walk_series(k, w, 6) == q_gf_transfer(k, w, 6), (w.t, k)
+
+
+def test_walk_series_bound():
+    for w, bound in SPECS:
+        with pytest.raises(ValueError, match="desk bound"):
+            walk_series(bound + 1, w, 2)
+        assert walk_series(bound + 1, w, 0, force_large=True).coefficient(0).is_zero()
+        with pytest.raises(ValueError, match="order"):
+            walk_series(1, w, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            walk_series(-1, w, 2)
 
 
 def test_closed_forms_low_order():
