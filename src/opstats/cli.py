@@ -95,7 +95,7 @@ def _stats_cmd(args) -> int:
 
 def _dist_cmd(args) -> int:
     poly = stats.distribution(args.n, args.k, args.stat, force_large=args.force_large)
-    if any(v < 0 for e in poly.terms for v in e):
+    if any(v < 0 for e, _ in poly.sorted_terms() for v in e):
         print("note: distribution has negative Laurent exponents", file=sys.stderr)
     print(format_poly(poly))
     return 0
@@ -133,13 +133,13 @@ def _gf_cmd(args) -> int:
         spec = WALK_FAMILIES[args.family]()
         series = xfer.walk_series(k, spec, order, force_large=args.force_large)
     elif args.family == "f":
-        series = xfer.closed_f(k, order)
+        series = xfer.closed_f(k, order, force_large=args.force_large)
     elif args.family == "g":
-        series = xfer.closed_g(k, order)
+        series = xfer.closed_g(k, order, force_large=args.force_large)
     elif args.family == "phi":
-        series = xfer.closed_phi(k, order)
+        series = xfer.closed_phi(k, order, force_large=args.force_large)
     else:  # varphi
-        series = xfer.closed_varphi(k, order)
+        series = xfer.closed_varphi(k, order, force_large=args.force_large)
     for n, c in enumerate(series.coeffs):
         print(f"a^{n}\t{format_poly(c)}")
     return 0

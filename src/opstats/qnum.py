@@ -79,11 +79,13 @@ def pq_int(n: int, ctx: PQContext) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def pq_factorial(n: int, ctx: PQContext) -> LaurentPoly:
+    """[1][2]...[n], multiplied out in order (no recursion, so any n works)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return ctx.registry.one
-    return pq_factorial(n - 1, ctx) * pq_int(n, ctx)
+    out = ctx.registry.one
+    for m in range(1, n + 1):
+        out = out * pq_int(m, ctx)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -128,6 +130,8 @@ def q_stirling(n: int, k: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def q_eulerian(n: int, k: int) -> LaurentPoly:
+    """A_q(n,k) by the recurrence, filled row by row like q_stirling.  Row m
+    keeps the columns k-(n-m)..k, and A_q(m,j) = 0 for j >= m."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 0:
@@ -136,13 +140,17 @@ def q_eulerian(n: int, k: int) -> LaurentPoly:
     reg = ctx.registry
     if k >= n:
         return reg.zero
-    if n == 1:
-        return reg.one  # k == 0 after the guard above
     q = ctx.q
-    left = reg.zero
-    if k >= 1:
-        left = q ** k * pq_int(n - k, ctx) * q_eulerian(n - 1, k - 1)
-    return left + pq_int(k + 1, ctx) * q_eulerian(n - 1, k)
+    row = [reg.one] + [reg.zero] * k  # A_q(1, j)
+    for m in range(2, n + 1):
+        lo = max(0, k - (n - m))
+        new = [reg.zero] * (k + 1)
+        for j in range(lo, min(k, m - 1) + 1):
+            new[j] = pq_int(j + 1, ctx) * row[j]
+            if j:
+                new[j] = q ** j * pq_int(m - j, ctx) * row[j - 1] + new[j]
+        row = new
+    return row[k]
 
 
 EULERIAN_DESK_BOUND = 9

@@ -2,9 +2,19 @@
 
 A polynomial is a mapping from exponent vectors to nonzero arbitrary-precision
 integer coefficients.  Exponents may be negative (Laurent), one slot per
-variable registered in a :class:`VarRegistry`.  Exponent vectors are stored
-trimmed of trailing zeros, so values built before and after the registry grows
-compare equal.
+variable registered in a :class:`VarRegistry`.
+
+Each exponent vector is stored packed into one integer key,
+``sum(e_i << (64 * i))``, with balanced (signed) digits.  The packing is
+linear: the key of a product term is the sum of the two keys, the key of an
+inverse is the negated key, and the constant term has key 0.  Trailing zero
+exponents contribute nothing, so values built before and after the registry
+grows compare equal.  The digits decode uniquely while every exponent stays
+in the range ``|e| < 2**62``; each polynomial carries an upper bound on its
+largest ``|e|`` (max under ``+``, sum under ``*``), and an operation whose
+bound would leave the range raises :class:`ValueError` rather than return a
+wrong value.  :meth:`LaurentPoly.sorted_terms` is the public way to read the
+terms as exponent tuples.
 
 On top of the ring sits :class:`SeriesInA`, a truncated power series in a
 distinguished size-marker variable (``a`` by default) whose coefficients are
@@ -18,6 +28,9 @@ function, so values may be freely shared between threads.
 
 from __future__ import annotations
 
+import functools
+import struct
+import threading
 from typing import Iterable, Mapping
 
 
@@ -25,54 +38,95 @@ class InexactDivision(ArithmeticError):
     """Raised when an exact Laurent division has a nonzero remainder."""
 
 
-def _trim(exps: Iterable[int]) -> tuple[int, ...]:
-    out = list(exps)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+_DIGIT = 64  # bits per exponent slot of a packed key
+_MASK = (1 << _DIGIT) - 1
+_HALF = 1 << (_DIGIT - 1)
+
+#: Every exponent of every polynomial stays strictly below this in absolute
+#: value, so that the sum of two exponents still fits one signed digit.
+EXPONENT_LIMIT = 1 << 62
 
 
-def _exp_add(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
-    if len(e1) < len(e2):
-        e1, e2 = e2, e1
-    out = list(e1)
-    for i, v in enumerate(e2):
-        out[i] += v
-    return _trim(out)
+def _check_bound(bound: int) -> int:
+    if bound >= EXPONENT_LIMIT:
+        raise ValueError(f"an exponent could reach {bound}, past the range |e| < 2**62")
+    return bound
 
 
-def _exp_sub(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
-    out = list(e1) + [0] * (len(e2) - len(e1))
-    for i, v in enumerate(e2):
-        out[i] -= v
-    return _trim(out)
+def _pack(exps: tuple[int, ...]) -> int:
+    return sum(e << (_DIGIT * i) for i, e in enumerate(exps))
+
+
+@functools.cache
+def _layout(width: int) -> tuple[int, struct.Struct]:
+    # Half a digit in each of ``width`` slots.  Adding it leaves every slot
+    # nonnegative, so no borrow crosses a slot; flipping it back leaves each
+    # slot holding its exponent in two's complement.
+    half = _HALF * (((1 << (_DIGIT * width)) - 1) // _MASK)
+    return half, struct.Struct(f"<{width}q")
+
+
+def _digits(key: int, width: int) -> tuple[int, ...]:
+    """The exponents of variables 0..width-1 of a packed key that has no others."""
+    half, layout = _layout(width)
+    return layout.unpack(((key + half) ^ half).to_bytes(layout.size, "little"))
+
+
+def _trim(exps: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(exps)
+    while n and not exps[n - 1]:
+        n -= 1
+    return exps[:n]
+
+
+def _unpack(key: int) -> tuple[int, ...]:
+    """The exponent vector of a packed key, without trailing zeros."""
+    return _trim(_digits(key, key.bit_length() // _DIGIT + 1))
+
+
+def _digit(key: int, i: int) -> int:
+    """Exponent of variable ``i`` in a packed key (which may have others)."""
+    half = _layout(i + 1)[0]
+    return (((key + half) >> (_DIGIT * i)) & _MASK) - _HALF
 
 
 class VarRegistry:
-    """Ordered set of variable names; the index of a name never changes."""
+    """Ordered set of variable names; the index of a name never changes.
+    Registration holds a lock, so threads may grow a shared registry."""
 
-    __slots__ = ("_names", "_index")
+    __slots__ = ("_names", "_index", "_lock")
 
     def __init__(self, names: Iterable[str] = ()):
         self._names: list[str] = []
         self._index: dict[str, int] = {}
+        self._lock = threading.Lock()
         for name in names:
             self.add(name)
 
     def add(self, name: str) -> int:
-        if name in self._index:
-            raise ValueError(f"variable {name!r} already registered")
-        if not name or not isinstance(name, str):
-            raise ValueError(f"bad variable name {name!r}")
-        self._index[name] = len(self._names)
-        self._names.append(name)
-        return self._index[name]
+        with self._lock:
+            if name in self._index:
+                raise ValueError(f"variable {name!r} already registered")
+            return self._register(name)
 
     def ensure(self, name: str) -> int:
         """Index of ``name``, registering it first if necessary."""
-        if name in self._index:
-            return self._index[name]
-        return self.add(name)
+        index = self._index.get(name)
+        if index is not None:
+            return index
+        with self._lock:
+            if name in self._index:
+                return self._index[name]
+            return self._register(name)
+
+    def _register(self, name: str) -> int:
+        # caller holds the lock; the name goes in before its index, so a
+        # reader that finds the index also finds the name
+        if not name or not isinstance(name, str):
+            raise ValueError(f"bad variable name {name!r}")
+        self._names.append(name)
+        self._index[name] = len(self._names) - 1
+        return self._index[name]
 
     def index(self, name: str) -> int:
         try:
@@ -97,20 +151,19 @@ class VarRegistry:
 
     def const(self, c: int) -> "LaurentPoly":
         if c == 0:
-            return LaurentPoly._raw(self, {})
-        return LaurentPoly._raw(self, {(): int(c)})
+            return LaurentPoly._raw(self, {}, 0)
+        return LaurentPoly._raw(self, {0: int(c)}, 0)
 
     @property
     def zero(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self, {})
+        return LaurentPoly._raw(self, {}, 0)
 
     @property
     def one(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self, {(): 1})
+        return LaurentPoly._raw(self, {0: 1}, 0)
 
     def var(self, name: str) -> "LaurentPoly":
-        i = self.index(name)
-        return LaurentPoly._raw(self, {(0,) * i + (1,): 1})
+        return LaurentPoly._raw(self, {1 << (_DIGIT * self.index(name)): 1}, 1)
 
     def monomial(self, coeff: int = 1, **exps: int) -> "LaurentPoly":
         """Monomial builder, e.g. ``reg.monomial(2, q=3, x=-1)`` is 2*q^3*x^-1."""
@@ -119,39 +172,52 @@ class VarRegistry:
         vec = [0] * len(self._names)
         for name, e in exps.items():
             vec[self.index(name)] = int(e)
-        return LaurentPoly._raw(self, {_trim(vec): int(coeff)})
+        return LaurentPoly(self, {tuple(vec): coeff})
 
     def poly(self, terms: Mapping[tuple[int, ...], int]) -> "LaurentPoly":
         return LaurentPoly(self, terms)
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial over a fixed registry."""
+    """Immutable sparse Laurent polynomial over a fixed registry.
 
-    __slots__ = ("registry", "terms", "_hash")
+    ``terms`` maps packed exponent keys to coefficients; read it as exponent
+    tuples through :meth:`sorted_terms`.
+    """
+
+    __slots__ = ("registry", "terms", "_bound", "_hash")
 
     def __init__(self, registry: VarRegistry, terms: Mapping[tuple[int, ...], int]):
-        clean: dict[tuple[int, ...], int] = {}
+        clean: dict[int, int] = {}
+        bound = 0
+        width = len(registry)
         for exps, coeff in terms.items():
             c = int(coeff)
             if c == 0:
                 continue
-            key = _trim(exps)
-            if len(key) > len(registry):
+            exps = tuple(int(e) for e in exps)
+            if any(exps[width:]):
                 raise ValueError("exponent vector longer than registry")
-            clean[key] = clean.get(key, 0) + c
-            if clean[key] == 0:
+            bound = max(bound, max(map(abs, exps), default=0))
+            key = _pack(exps)
+            v = clean.get(key, 0) + c
+            if v:
+                clean[key] = v
+            else:
                 del clean[key]
         self.registry = registry
         self.terms = clean
+        self._bound = _check_bound(bound)
         self._hash = None
 
     @classmethod
-    def _raw(cls, registry: VarRegistry, terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
-        # internal: terms already canonical (trimmed keys, no zeros)
+    def _raw(cls, registry: VarRegistry, terms: dict[int, int], bound: int) -> "LaurentPoly":
+        # internal: terms already canonical (packed keys, no zeros), and no
+        # exponent exceeds ``bound`` in absolute value
         self = object.__new__(cls)
         self.registry = registry
         self.terms = terms
+        self._bound = bound
         self._hash = None
         return self
 
@@ -161,7 +227,7 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(): 1}
+        return self.terms == {0: 1}
 
     def is_unit_monomial(self) -> bool:
         """True iff the value is invertible in the Laurent ring: one term, coefficient +-1."""
@@ -170,13 +236,13 @@ class LaurentPoly:
         return next(iter(self.terms.values())) in (1, -1)
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self) -> int:
         if not self.terms:
             return 0
         if self.is_constant():
-            return self.terms[()]
+            return self.terms[0]
         raise ValueError("polynomial is not constant")
 
     def min_exponent(self, name: str) -> int:
@@ -184,7 +250,7 @@ class LaurentPoly:
         i = self.registry.index(name)
         if not self.terms:
             return 0
-        return min(e[i] if i < len(e) else 0 for e in self.terms)
+        return min(_digit(e, i) for e in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -201,19 +267,24 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return LaurentPoly._raw(self.registry, out)
+        # copy the larger operand and add the smaller one in
+        small, large = self.terms, other.terms
+        if len(small) > len(large):
+            small, large = large, small
+        out = dict(large)
+        get = out.get
+        for e, c in small.items():
+            out[e] = get(e, 0) + c
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return LaurentPoly._raw(self.registry, out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw(self.registry, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw(
+            self.registry, {e: -c for e, c in self.terms.items()}, self._bound
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -231,18 +302,25 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return LaurentPoly._raw(self.registry, {})
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = _exp_add(e1, e2)
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return LaurentPoly._raw(self.registry, out)
+        small, large = self.terms, other.terms
+        if len(small) > len(large):
+            small, large = large, small
+        if not small:
+            return LaurentPoly._raw(self.registry, {}, 0)
+        bound = _check_bound(self._bound + other._bound)
+        # the smaller operand runs outside and its first row seeds the sums;
+        # zero coefficients are dropped once at the end
+        rows = iter(small.items())
+        e1, c1 = next(rows)
+        out = {e1 + e2: c1 * c2 for e2, c2 in large.items()}
+        get = out.get
+        for e1, c1 in rows:
+            for e2, c2 in large.items():
+                key = e1 + e2
+                out[key] = get(key, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return LaurentPoly._raw(self.registry, out, bound)
 
     __rmul__ = __mul__
 
@@ -251,13 +329,15 @@ class LaurentPoly:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
+        _check_bound(self._bound * n)
         result = self.registry.one
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # a last square would be unused, and could leave the range
+                base = base * base
         return result
 
     def inverse(self) -> "LaurentPoly":
@@ -265,7 +345,7 @@ class LaurentPoly:
         if not self.is_unit_monomial():
             raise InexactDivision("only unit monomials are invertible")
         (e, c), = self.terms.items()
-        return LaurentPoly._raw(self.registry, {_trim(-v for v in e): c})
+        return LaurentPoly._raw(self.registry, {-e: c}, self._bound)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -288,17 +368,12 @@ class LaurentPoly:
     def split_by(self, name: str) -> dict[int, "LaurentPoly"]:
         """Bucket terms by the exponent of ``name``; buckets are free of it."""
         i = self.registry.index(name)
-        buckets: dict[int, dict[tuple[int, ...], int]] = {}
+        shift = _DIGIT * i
+        buckets: dict[int, dict[int, int]] = {}
         for e, c in self.terms.items():
-            d = e[i] if i < len(e) else 0
-            if d:
-                rest = list(e)
-                rest[i] = 0
-                key = _trim(rest)
-            else:
-                key = e
-            buckets.setdefault(d, {})[key] = c
-        return {d: LaurentPoly._raw(self.registry, t) for d, t in buckets.items()}
+            d = _digit(e, i)
+            buckets.setdefault(d, {})[e - (d << shift)] = c
+        return {d: LaurentPoly._raw(self.registry, t, self._bound) for d, t in buckets.items()}
 
     def coefficient_of(self, name: str, exponent: int) -> "LaurentPoly":
         return self.split_by(name).get(exponent, self.registry.zero)
@@ -317,7 +392,7 @@ class LaurentPoly:
         pow_cache: dict[tuple[int, int], LaurentPoly] = {}
         for e, c in self.terms.items():
             term = reg.const(c)
-            for i, exp in enumerate(e):
+            for i, exp in enumerate(_unpack(e)):
                 if exp == 0:
                     continue
                 key = (i, exp)
@@ -325,7 +400,7 @@ class LaurentPoly:
                 if p is None:
                     base = vals.get(i)
                     if base is None:
-                        base = LaurentPoly._raw(reg, {(0,) * i + (1,): 1})
+                        base = LaurentPoly._raw(reg, {1 << (_DIGIT * i): 1}, 1)
                     p = base ** exp if exp > 0 else base.inverse() ** (-exp)
                     pow_cache[key] = p
                 term = term * p
@@ -345,22 +420,23 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self.registry.zero
-        width = max(max(len(e) for e in self.terms), max(len(e) for e in other.terms))
+        num_e = [_unpack(e) for e in self.terms]
+        den_e = [_unpack(e) for e in other.terms]
+        width = max(map(len, num_e + den_e))
 
-        def normalize(p: LaurentPoly) -> tuple[dict[tuple[int, ...], int], tuple[int, ...]]:
-            shift = [min(e[i] if i < len(e) else 0 for e in p.terms) for i in range(width)]
-            shifted = {}
-            for e, c in p.terms.items():
-                v = tuple((e[i] if i < len(e) else 0) - shift[i] for i in range(width))
-                shifted[v] = c
-            return shifted, tuple(shift)
+        def normalize(es: list[tuple[int, ...]], coeffs: Iterable[int]
+                      ) -> tuple[dict[tuple[int, ...], int], tuple[int, ...]]:
+            padded = [e + (0,) * (width - len(e)) for e in es]
+            shift = tuple(min(col) for col in zip(*padded))
+            shifted = {tuple(a - b for a, b in zip(e, shift)): c for e, c in zip(padded, coeffs)}
+            return shifted, shift
 
         # Shift both operands to ordinary polynomials (componentwise minimum
         # exponent 0); minimal exponents are additive under multiplication, so
         # divisibility is preserved and the quotient of the shifted parts is an
         # ordinary polynomial.
-        num, shift_n = normalize(self)
-        den, shift_d = normalize(other)
+        num, shift_n = normalize(num_e, self.terms.values())
+        den, shift_d = normalize(den_e, other.terms.values())
 
         def grlex(e: tuple[int, ...]):
             return (sum(e), e)
@@ -385,22 +461,24 @@ class LaurentPoly:
                 elif key in rem:
                     del rem[key]
         shift = tuple(a - b for a, b in zip(shift_n, shift_d))
-        out = {_exp_add(_trim(e), shift): c for e, c in quot.items()}
-        return LaurentPoly._raw(self.registry, out)
+        return LaurentPoly(
+            self.registry,
+            {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()},
+        )
 
     # -- text form -----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in canonical order: ascending total degree, then exponent on
-        the earliest registry variable descending."""
+        """Terms as (exponent tuple without trailing zeros, coefficient), in
+        canonical order: ascending total degree, then exponent on the earliest
+        registry variable descending."""
         width = len(self.registry)
-
-        def key(item):
-            e = item[0]
-            padded = e + (0,) * (width - len(e))
-            return (sum(e), tuple(-v for v in padded))
-
-        return sorted(self.terms.items(), key=key)
+        rows = []
+        for e, c in self.terms.items():
+            exps = _digits(e, width)
+            rows.append((-sum(exps), exps, c))
+        rows.sort(reverse=True)  # exponent vectors are distinct: c never compared
+        return [(_trim(exps), c) for _, exps, c in rows]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -446,7 +524,7 @@ class SeriesInA:
         for c in coeffs:
             if c.registry is not registry:
                 raise ValueError("coefficient from a different registry")
-            if any(idx < len(e) and e[idx] for e in c.terms):
+            if any(_digit(e, idx) for e in c.terms):
                 raise ValueError(f"series coefficient contains the marker {var!r}")
         if not coeffs:
             raise ValueError("a series needs at least the order-0 coefficient")

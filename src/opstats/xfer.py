@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import qnum
+from .opart import BoundExceeded
 from .qnum import PQContext, pq_factorial, pq_int, pq_binomial
 from .ring import DEFAULT, LaurentPoly, SeriesInA, VarRegistry, ensure_f, series_from_rational
 from .walks import (
@@ -44,6 +45,9 @@ from .walks import (
 #: weight variables (15 x 15) and k = 5 under specializations (21 x 21).
 GENERIC_K_BOUND = 4
 SPECIALIZED_K_BOUND = 5
+#: The closed forms f, g, phi and varphi multiply out k factors of growing
+#: size: k = 16 takes about a second, k = 20 over ten.
+CLOSED_K_BOUND = 16
 
 
 class SymbolicMatrix:
@@ -425,8 +429,17 @@ def _z_ctx(reg):
     return PQContext(reg.one, reg.var("z"))
 
 
-def closed_f(k: int, order: int, registry: VarRegistry | None = None) -> SeriesInA:
+def _check_closed_k_bound(k: int, force_large: bool) -> None:
+    if k > CLOSED_K_BOUND and not force_large:
+        raise BoundExceeded(
+            f"k={k} exceeds the closed-form desk bound {CLOSED_K_BOUND}; pass force_large=True"
+        )
+
+
+def closed_f(k: int, order: int, registry: VarRegistry | None = None,
+             force_large: bool = False) -> SeriesInA:
     """a^k x^C(k,2) [k]_{t,u}! / prod_{i=1..k} (1 - a [i]_{x,y})."""
+    _check_closed_k_bound(k, force_large)
     reg = registry if registry is not None else DEFAULT
     a, x = reg.var("a"), reg.var("x")
     numer = a ** k * x ** math.comb(k, 2) * pq_factorial(k, _tu_ctx(reg))
@@ -436,8 +449,10 @@ def closed_f(k: int, order: int, registry: VarRegistry | None = None) -> SeriesI
     return series_from_rational(numer, denom, order)
 
 
-def closed_g(k: int, order: int, registry: VarRegistry | None = None) -> SeriesInA:
+def closed_g(k: int, order: int, registry: VarRegistry | None = None,
+             force_large: bool = False) -> SeriesInA:
     """a^k [k]_{t,u}! / prod_{i=1..k} (1 - a z^(k-i) [i]_z)."""
+    _check_closed_k_bound(k, force_large)
     reg = registry if registry is not None else DEFAULT
     a, z = reg.var("a"), reg.var("z")
     numer = a ** k * pq_factorial(k, _tu_ctx(reg))
@@ -448,15 +463,17 @@ def closed_g(k: int, order: int, registry: VarRegistry | None = None) -> SeriesI
     return series_from_rational(numer, denom, order)
 
 
-def closed_phi(k: int, order: int, registry: VarRegistry | None = None) -> SeriesInA:
+def closed_phi(k: int, order: int, registry: VarRegistry | None = None,
+               force_large: bool = False) -> SeriesInA:
     """The (mak+bInv, cinvLSB, inv, cinv) generating function with k blocks:
     obtained from closed_f by the substitution t -> x y t, u -> u y^2."""
     reg = registry if registry is not None else DEFAULT
     x, y, t, u = (reg.var(v) for v in "xytu")
-    return closed_f(k, order, reg).subs({"t": x * y * t, "u": u * y * y})
+    return closed_f(k, order, reg, force_large).subs({"t": x * y * t, "u": u * y * y})
 
 
-def closed_varphi(k: int, order: int, registry: VarRegistry | None = None) -> SeriesInA:
+def closed_varphi(k: int, order: int, registry: VarRegistry | None = None,
+                  force_large: bool = False) -> SeriesInA:
     """The (lmak+bInv, inv, cinv) generating function with k blocks: closed_g
     with a -> a z^(k-1), z -> 1/z, u -> u/z, applied at the series level.
 
@@ -466,7 +483,7 @@ def closed_varphi(k: int, order: int, registry: VarRegistry | None = None) -> Se
     """
     reg = registry if registry is not None else DEFAULT
     z, u = reg.var("z"), reg.var("u")
-    base = closed_g(k, order, reg)
+    base = closed_g(k, order, reg, force_large)
     zi = z.inverse()
     out = base.subs({"z": zi, "u": u * zi}).map_coeffs(
         lambda n, c: z ** (n * (k - 1)) * c

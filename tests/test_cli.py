@@ -129,6 +129,25 @@ def test_gf_transfer_bounds_exit_2(capsys):
         assert err.startswith("error: ")
 
 
+def test_gf_closed_forms_bound_exit_2(capsys, monkeypatch):
+    # k = 1100 raised RecursionError (exit 1) before the bound existed
+    code, out, err = run(capsys, "gf", "f", "--k", "1100", "--order", "0")
+    assert (code, out) == (2, "") and "closed-form desk bound 16" in err
+    monkeypatch.setattr(xfer, "CLOSED_K_BOUND", 2)
+    for family in ("f", "g", "phi", "varphi"):
+        code, out, err = run(capsys, "gf", family, "--k", "3", "--order", "4")
+        assert (code, out) == (2, ""), family
+        code, out, _ = run(capsys, "gf", family, "--k", "3", "--order", "4", "--force-large")
+        closed = getattr(xfer, f"closed_{family}")(3, 4, force_large=True)
+        assert (code, out.splitlines()) == (0, [f"a^{n}\t{c}" for n, c in enumerate(closed.coeffs)])
+
+
+def test_exponent_range_exits_2(capsys):
+    # a^(2^62) leaves the exponent range: an error, never a wrapped polynomial
+    code, out, err = run(capsys, "gf", "f", "--k", str(2 ** 62), "--order", "0", "--force-large")
+    assert (code, out) == (2, "") and "2**62" in err
+
+
 def test_verify_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "zz", "--n-max", "4")
     assert code == 0
@@ -210,6 +229,17 @@ def test_transfer_checker_can_fail(capsys, monkeypatch):
     assert lines[4] == "PASS transfer k=1 n=0"
     assert lines[5] == "FAIL transfer k=1 n=1  [walk got=1*t1 want=1]"
     assert f"first failing instance: {lines[5]}" in err
+
+
+def test_determinant_checkers_can_fail(capsys, monkeypatch):
+    det = xfer.det
+    a = DEFAULT.var("a")
+    monkeypatch.setattr(xfer, "det", lambda m, method="laplace": det(m, method) * (1 + a))
+    code, out, err = run(capsys, "verify", "detm", "minor1", "--n-max", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines == ["FAIL detm n=1", "FAIL detm n=2", "FAIL minor1 n=1", "FAIL minor1 n=2"]
+    assert "first failing instance: FAIL detm n=1" in err
 
 
 def test_verify_records_format(capsys):

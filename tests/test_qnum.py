@@ -138,6 +138,7 @@ def test_context_registry_mismatch():
 def test_stirling_deep_rows():
     # the rows are filled in order, so n is not limited by the recursion depth
     assert q_stirling(1500, 1) == 1
+    assert q_eulerian(1200, 0) == 1
     assert stirling2(1500, 1) == 1
     assert stirling2(1500, 1500) == 1
     assert stirling2(1500, 1499) == 1500 * 1499 // 2

@@ -1,5 +1,9 @@
 """Laurent-polynomial arithmetic and truncated series."""
 
+import sys
+import threading
+from itertools import zip_longest
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +40,7 @@ def test_registry_growth_keeps_old_values_comparable():
     p = reg.var("x") + 1
     reg.add("y")
     assert p == reg.var("x") + 1
-    assert (p * reg.var("y")).terms == {(1, 1): 1, (0, 1): 1}
+    assert dict((p * reg.var("y")).sorted_terms()) == {(1, 1): 1, (0, 1): 1}
 
 
 def test_add_examples():
@@ -176,6 +180,49 @@ def test_ensure_f():
     assert ensure_f(3, reg) == fs  # idempotent
 
 
+def test_ensure_f_is_thread_safe():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            reg = VarRegistry(("a",))
+            start = threading.Barrier(8)
+            results, errors = [], []
+
+            def work():
+                start.wait(timeout=10)
+                try:
+                    results.append(ensure_f(6, reg))
+                except Exception as exc:  # collected and asserted below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert reg.names == ("a", "F1", "F2", "F3", "F4", "F5", "F6")
+            assert len(results) == 8 and all(r == results[0] for r in results)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_exponent_range():
+    assert format_poly(X ** (2 ** 40)) == "1*x^1099511627776"
+    assert format_poly(X ** -(2 ** 40) * Y ** 3) == "1*x^-1099511627776*y^3"
+    big = X ** (2 ** 61)
+    assert dict(big.sorted_terms()) == {(0, 2 ** 61): 1}
+    assert big.divexact(X ** (2 ** 61 - 1)) == X
+    for overflow in (lambda: big * big, lambda: big ** 2, lambda: X ** (2 ** 62),
+                     lambda: X ** -(2 ** 62), lambda: (1 + big.inverse()) ** 2,
+                     lambda: REG.poly({(0, 0, 2 ** 62): 1}),
+                     lambda: REG.monomial(1, q=-(2 ** 62))):
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            overflow()
+
+
 # -- randomized ring properties -------------------------------------------------
 
 exps = st.tuples(
@@ -218,3 +265,104 @@ def test_series_times_denominator(numer_xq, denom_tail, order):
     prod = s * SeriesInA.from_poly(denom, order)
     back = SeriesInA.from_poly(numer, order)
     assert prod.agrees_with(back, order)
+
+
+# -- the packed kernel against a tuple-keyed reference ---------------------------
+
+
+def _ref_trim(e):
+    e = list(e)
+    while e and e[-1] == 0:
+        e.pop()
+    return tuple(e)
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            key = _ref_trim(a + b for a, b in zip_longest(e1, e2, fillvalue=0))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_pow(p, n):
+    out = {(): 1}
+    for _ in range(n):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _ref_subs(p, i, value):
+    """Substitute the unit monomial ``value`` for variable ``i``."""
+    (ev, cv), = value.items()
+    out = {}
+    for e, c in p.items():
+        d = e[i] if i < len(e) else 0
+        rest = _ref_trim(v if j != i else 0 for j, v in enumerate(e))
+        shifted = _ref_trim(a + d * b for a, b in zip_longest(rest, ev, fillvalue=0))
+        out = _ref_add(out, {shifted: c * cv ** abs(d)})
+    return out
+
+
+def _ref_str(p, names):
+    """The text form: ascending total degree, then the exponent of the
+    earliest variable descending."""
+    def order(item):
+        e = item[0] + (0,) * (len(names) - len(item[0]))
+        return (sum(e), tuple(-v for v in e))
+
+    text = ""
+    for e, c in sorted(p.items(), key=order):
+        body = "".join(f"*{names[i]}" if v == 1 else f"*{names[i]}^{v}"
+                       for i, v in enumerate(e) if v)
+        text += (" - " if c < 0 else " + ") + f"{abs(c)}{body}"
+    if not text:
+        return "0"
+    return ("-" if text.startswith(" - ") else "") + text[3:]
+
+
+def _terms(width):
+    exponent = st.integers(-3, 3) | st.sampled_from([-(2 ** 40), 2 ** 40])
+    vec = st.lists(exponent, min_size=width, max_size=width).map(_ref_trim)
+    return st.dictionaries(vec, st.integers(-4, 4).filter(bool), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_kernel_matches_tuple_reference(data):
+    reg = VarRegistry(("x", "y"))
+    pt, qt = data.draw(_terms(2)), data.draw(_terms(2))
+    p, q = reg.poly(pt), reg.poly(qt)
+    reg.add("z")  # the registry grows mid-test
+    rt = data.draw(_terms(3))
+    r = reg.poly(rt)
+    assert reg.poly(pt) == p and hash(reg.poly(pt)) == hash(p)
+
+    def same(poly, ref):
+        assert dict(poly.sorted_terms()) == ref
+        assert str(poly) == _ref_str(ref, reg.names)
+
+    same(p, pt)
+    same(r, rt)
+    same(p * q, _ref_mul(pt, qt))
+    same(p * r, _ref_mul(pt, rt))
+    same(r * p + q, _ref_add(_ref_mul(rt, pt), qt))
+    same(r - p, _ref_add(rt, {e: -c for e, c in pt.items()}))
+    n = data.draw(st.integers(0, 3))
+    same(r ** n, _ref_pow(rt, n))
+    unit = {(1, 0, -2): -1}
+    same(r.subs({"y": reg.poly(unit)}), _ref_subs(rt, 1, unit))
+    for d, bucket in r.split_by("y").items():
+        want = {_ref_trim(v if j != 1 else 0 for j, v in enumerate(e)): c
+                for e, c in rt.items() if (e[1] if len(e) > 1 else 0) == d}
+        same(bucket, want)
+    if rt:
+        same((p * r).divexact(r), pt)
