@@ -24,7 +24,7 @@ from .opart import (
 )
 from .qnum import q_poly_from_exponent_counts
 from .ring import DEFAULT
-from .stats import WALK_EXPONENTS, Summary, coord, evaluator
+from .stats import WALK_EXPONENTS, Summary, coord_rows, evaluator
 from .walks import (
     EAST,
     NORTH,
@@ -34,7 +34,7 @@ from .walks import (
     path_vertices,
     psi,
     psi_inverse,
-    step_properties,
+    step_predictions,
 )
 
 #: The six distributions that must all equal [k]_q! S_q(n,k).  The signed
@@ -242,25 +242,18 @@ def check_bijection(n_max: int = 7) -> list[CheckResult]:
             if tuple(path_vertices(d.steps)) != form(pi):
                 bad = f"form/path mismatch at {pi}"
                 break
-            ok = True
-            for i in range(1, n + 1):
-                pred = step_properties(d, i)
-                if pred["lcs+rcs"] != coord(pi, i, "lcs") + coord(pi, i, "rcs"):
-                    ok = False
-                if pred["lsb+rsb"] != coord(pi, i, "lsb") + coord(pi, i, "rsb"):
-                    ok = False
-                if d.steps[i - 1] in (NORTH, EAST):
-                    if pred["los"] != coord(pi, i, "los"):
-                        ok = False
-                    if pred["ros"] != coord(pi, i, "ros"):
-                        ok = False
+            rows = coord_rows(pi)
+            los, ros, lcs, rcs, lsb, rsb = (
+                rows[name] for name in ("los", "ros", "lcs", "rcs", "lsb", "rsb")
+            )
+            for x, (kind, pred) in enumerate(zip(d.steps, step_predictions(d))):
+                if kind in (NORTH, EAST):
+                    ok = pred["los"] == los[x] and pred["ros"] == ros[x]
                 else:
-                    if pred["lsb"] != coord(pi, i, "lsb"):
-                        ok = False
-                    if pred["rsb"] != coord(pi, i, "rsb"):
-                        ok = False
-                if not ok:
-                    bad = f"step prediction fails at {pi}, i={i}"
+                    ok = pred["lsb"] == lsb[x] and pred["rsb"] == rsb[x]
+                if not (ok and pred["lcs+rcs"] == lcs[x] + rcs[x]
+                        and pred["lsb+rsb"] == lsb[x] + rsb[x]):
+                    bad = f"step prediction fails at {pi}, i={x + 1}"
                     break
             if bad:
                 break

@@ -239,12 +239,21 @@ def trace(pi: OrderedPartition, i: int) -> tuple[tuple[tuple[int, ...], bool], .
 
 
 def form(pi: OrderedPartition) -> tuple[tuple[int, int], ...]:
-    """(closed, opened) block counts of the traces, i = 0..n."""
+    """(closed, opened) block counts of the traces, i = 0..n.  A block's
+    restriction to {1..i} is nonempty once its opener is <= i and closed once
+    its closer is <= i, so the counts step up at openers and closers."""
+    n = pi.n
+    starts = [0] * (n + 1)
+    ends = [0] * (n + 1)
+    for b in pi.blocks:
+        starts[b[0]] += 1
+        ends[b[-1]] += 1
     out = [(0, 0)]
-    for i in range(1, pi.n + 1):
-        t = trace(pi, i)
-        closed = sum(1 for _, done in t if done)
-        out.append((closed, len(t) - closed))
+    nonempty = closed = 0
+    for i in range(1, n + 1):
+        nonempty += starts[i]
+        closed += ends[i]
+        out.append((closed, nonempty - closed))
     return tuple(out)
 
 

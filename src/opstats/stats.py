@@ -25,10 +25,11 @@ constants nk1 = n(k-1) and k2 = C(k,2).  Expressions such as ``mak+bInv-inv``
 are compiled through the table into field coefficients (``linear_form``) and
 then into one function of a Summary (``evaluator``).
 
-Two computation routes are kept deliberately separate: coord()/stat_vector()
-follow the definitions element by element, while summarize() accumulates all
-aggregates in one pass over block pairs (the form used by the exhaustive
-sweeps).  Tests pin the two routes against each other.
+Two computation routes are kept deliberately separate: coord_rows() follows
+the definitions element by element (coord(), stat_vector() and the bijection
+check read its rows), while summarize() accumulates all aggregates in one pass
+over block pairs (the form used by the exhaustive sweeps).  Tests pin the two
+routes against each other.
 """
 
 from __future__ import annotations
@@ -86,33 +87,53 @@ def _blocks_of(pi) -> Blocks:
 # -- definition-faithful per-element route ------------------------------------
 
 
-def coord(pi, i: int, name: str) -> int:
-    """One coordinate statistic straight from its definition."""
+def coord_rows(pi) -> dict[str, list[int]]:
+    """All ten coordinate rows straight from their definitions, in one pass
+    over (element, other block) pairs; ``rows[name][i - 1]`` is name_i."""
     blocks = _blocks_of(pi)
     n = sum(len(b) for b in blocks)
+    rows = {name: [0] * n for name in COORD_NAMES}
+    right = (rows["ros"], rows["rob"], rows["rcs"], rows["rcb"], rows["rsb"])
+    left = (rows["los"], rows["lob"], rows["lcs"], rows["lcb"], rows["lsb"])
+    for p, B in enumerate(blocks):
+        o, c = B[0], B[-1]
+        for r, A in enumerate(blocks):
+            if r == p:
+                continue
+            # B lies left of the elements of A when p < r, right of them otherwise
+            os_, ob, cs, cb, sb = left if p < r else right
+            for i in A:
+                x = i - 1
+                if o < i:
+                    os_[x] += 1
+                    if i < c:
+                        sb[x] += 1
+                else:
+                    ob[x] += 1
+                if c < i:
+                    cs[x] += 1
+                else:
+                    cb[x] += 1
+    return rows
+
+
+def _lookup(rows: dict[str, list[int]], i: int, name: str) -> int:
+    n = len(rows["ros"])
     if not 1 <= i <= n:
         raise ValueError(f"element {i} out of range 1..{n}")
-    home = next(pos for pos, b in enumerate(blocks) if i in b)
-    if name in ("lsb", "rsb"):
-        side = blocks[:home] if name == "lsb" else blocks[home + 1:]
-        return sum(1 for b in side if b[0] < i < b[-1])
-    if name not in COORD_NAMES:
+    if name not in rows:
         raise ValueError(f"unknown coordinate statistic {name!r}")
-    left = name[0] == "l"
-    opener = name[1] == "o"
-    smaller = name[2] == "s"
-    side = blocks[:home] if left else blocks[home + 1:]
-    total = 0
-    for b in side:
-        j = b[0] if opener else b[-1]
-        total += (j < i) if smaller else (j > i)
-    return total
+    return rows[name][i - 1]
+
+
+def coord(pi, i: int, name: str) -> int:
+    """One coordinate statistic straight from its definition."""
+    return _lookup(coord_rows(pi), i, name)
 
 
 def coord_values(pi, name: str) -> dict[int, int]:
-    blocks = _blocks_of(pi)
-    n = sum(len(b) for b in blocks)
-    return {i: coord(pi, i, name) for i in range(1, n + 1)}
+    rows = coord_rows(pi)
+    return {i: _lookup(rows, i, name) for i in range(1, len(rows["ros"]) + 1)}
 
 
 def aggregate(pi, name: str) -> int:
@@ -122,7 +143,8 @@ def aggregate(pi, name: str) -> int:
 
 def restricted(pi, name: str, elements: Iterable[int]) -> int:
     """stat(A): the coordinate sum restricted to a set of elements."""
-    return sum(coord(pi, i, name) for i in set(elements))
+    rows = coord_rows(pi)
+    return sum(_lookup(rows, i, name) for i in set(elements))
 
 
 def block_stats(pi) -> tuple[int, int, int]:
@@ -345,7 +367,7 @@ def q_monomial(pi, registry: VarRegistry | None = None) -> LaurentPoly:
 
 def stat_vector(pi: OrderedPartition) -> dict[str, dict[int, int]]:
     """All ten coordinate rows, keyed by statistic name."""
-    return {name: coord_values(pi, name) for name in COORD_NAMES}
+    return {name: dict(enumerate(row, 1)) for name, row in coord_rows(pi).items()}
 
 
 ROW_ORDER = ("los", "ros", "lob", "rob", "lcs", "rcs", "lcb", "rcb", "lsb", "rsb")
@@ -384,12 +406,8 @@ def stat_table(pi: OrderedPartition) -> str:
 def per_element_sums_ok(pi) -> bool:
     """Every element must see k-1 openings and k-1 closings:
     (los+lob+ros+rob)_i = (lcs+lcb+rcs+rcb)_i = k-1 for all i."""
-    blocks = _blocks_of(pi)
-    k = len(blocks)
-    n = sum(len(b) for b in blocks)
-    for i in range(1, n + 1):
-        if sum(coord(blocks, i, nm) for nm in ("los", "lob", "ros", "rob")) != k - 1:
-            return False
-        if sum(coord(blocks, i, nm) for nm in ("lcs", "lcb", "rcs", "rcb")) != k - 1:
-            return False
-    return True
+    rows = coord_rows(pi)
+    k1 = len(_blocks_of(pi)) - 1
+    opens = zip(rows["los"], rows["lob"], rows["ros"], rows["rob"])
+    closes = zip(rows["lcs"], rows["lcb"], rows["rcs"], rows["rcb"])
+    return all(sum(o) == k1 and sum(c) == k1 for o, c in zip(opens, closes))

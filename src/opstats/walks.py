@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .opart import OrderedPartition, classify
-from .stats import coord
+from .stats import coord_rows
 
 NORTH, EAST, SOUTH_EAST, NULL = "N", "E", "S", "O"
 STEP_KINDS = (NORTH, EAST, SOUTH_EAST, NULL)
@@ -121,18 +121,16 @@ class PathDiagram:
     def length(self) -> int:
         return len(self.steps)
 
-    @property
-    def depth(self) -> int:
-        v = path_vertices(self.steps)[-1]
-        return v[0]
-
     def validate(self, k: int | None = None):
-        """Check path validity (within D_k) and the choice bounds."""
-        if k is None:
-            k = self.depth
-        if not is_path(self.steps, k):
-            raise ValueError(f"not a walk to ({k},0): {''.join(self.steps)}")
+        """Check path validity (within D_k; k defaults to the number of blocks
+        the walk closes) and the choice bounds."""
+        if not _MOVES.keys() >= set(self.steps):
+            raise ValueError(f"not a walk: {''.join(self.steps)}")
         vs = path_vertices(self.steps)
+        if k is None:
+            k = vs[-1][0]
+        if vs[-1] != (k, 0) or not all(step_allowed(v, s, k) for v, s in zip(vs, self.steps)):
+            raise ValueError(f"not a walk to ({k},0): {''.join(self.steps)}")
         for idx, (kind, x) in enumerate(zip(self.steps, self.xi)):
             bound = choice_bound(vs[idx], kind)
             if not 1 <= x <= bound:
@@ -188,6 +186,8 @@ def psi_inverse(pi: OrderedPartition) -> PathDiagram:
     """The unique diagram mapping to pi: step kinds from the element classes,
     choices from los_i + 1 (openers, singletons) or lsb_i + 1 (the rest)."""
     t = classify(pi)
+    rows = coord_rows(pi)
+    los, lsb = rows["los"], rows["lsb"]
     steps = []
     xi = []
     for i in range(1, pi.n + 1):
@@ -201,36 +201,37 @@ def psi_inverse(pi: OrderedPartition) -> PathDiagram:
             kind = NULL
         steps.append(kind)
         if kind in (NORTH, EAST):
-            xi.append(coord(pi, i, "los") + 1)
+            xi.append(los[i - 1] + 1)
         else:
-            xi.append(coord(pi, i, "lsb") + 1)
+            xi.append(lsb[i - 1] + 1)
     return PathDiagram(tuple(steps), tuple(xi))
 
 
-def step_properties(diagram: PathDiagram, i: int) -> dict[str, int]:
-    """Predicted coordinate statistics of psi(diagram) at element i, read off
-    the i-th step alone: its start vertex (p,q), and
+def step_predictions(diagram: PathDiagram) -> list[dict[str, int]]:
+    """Predicted coordinate statistics of psi(diagram) at every element, in
+    one walk along the path; entry i-1 is read off the i-th step alone: its
+    start vertex (p,q), and
 
       North/East:        (lcs+rcs)_i = p, (lsb+rsb)_i = q,
                          los_i = xi-1, ros_i = p+q+1-xi
       Null/South-East:   (lcs+rcs)_i = p, (lsb+rsb)_i = q-1,
                          lsb_i = xi-1, rsb_i = q-xi
     """
+    out = []
+    for (p, q), kind, x in zip(path_vertices(diagram.steps), diagram.steps, diagram.xi):
+        if kind in (NORTH, EAST):
+            pred = {"p": p, "q": q, "lcs+rcs": p, "lsb+rsb": q, "los": x - 1, "ros": p + q + 1 - x}
+        else:
+            pred = {"p": p, "q": q, "lcs+rcs": p, "lsb+rsb": q - 1, "lsb": x - 1, "rsb": q - x}
+        out.append(pred)
+    return out
+
+
+def step_properties(diagram: PathDiagram, i: int) -> dict[str, int]:
+    """The prediction of ``step_predictions`` at element i."""
     if not 1 <= i <= diagram.length:
         raise ValueError(f"step index {i} out of range 1..{diagram.length}")
-    p, q = path_vertices(diagram.steps)[i - 1]
-    kind = diagram.steps[i - 1]
-    x = diagram.xi[i - 1]
-    out = {"p": p, "q": q, "lcs+rcs": p}
-    if kind in (NORTH, EAST):
-        out["lsb+rsb"] = q
-        out["los"] = x - 1
-        out["ros"] = p + q + 1 - x
-    else:
-        out["lsb+rsb"] = q - 1
-        out["lsb"] = x - 1
-        out["rsb"] = q - x
-    return out
+    return step_predictions(diagram)[i - 1]
 
 
 def parse_steps(text: str) -> tuple[str, ...]:

@@ -349,7 +349,8 @@ def _check_k_bound(k: int, w: WeightSpec, force_large: bool) -> None:
     bound = GENERIC_K_BOUND if w.generic else SPECIALIZED_K_BOUND
     if k > bound and not force_large:
         raise ValueError(
-            f"k={k} exceeds the symbolic desk bound {bound}; pass force_large=True"
+            f"k={k} exceeds the symbolic desk bound {bound}; "
+            "pass force_large=True (CLI: --force-large)"
         )
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -432,7 +433,8 @@ def _z_ctx(reg):
 def _check_closed_k_bound(k: int, force_large: bool) -> None:
     if k > CLOSED_K_BOUND and not force_large:
         raise BoundExceeded(
-            f"k={k} exceeds the closed-form desk bound {CLOSED_K_BOUND}; pass force_large=True"
+            f"k={k} exceeds the closed-form desk bound {CLOSED_K_BOUND}; "
+            "pass force_large=True (CLI: --force-large)"
         )
 
 

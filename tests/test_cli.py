@@ -7,7 +7,7 @@ import pytest
 from opstats import checks, stats, xfer
 from opstats.checks import CHECKS, CheckResult
 from opstats.cli import _emit_results, build_parser, main
-from opstats.opart import format_partition, iter_blocks_all
+from opstats.opart import OrderedPartition, format_partition, iter_blocks_all
 from opstats.ring import DEFAULT, format_poly
 from opstats.stats import block_stats
 from opstats.xfer import WeightSpec
@@ -129,6 +129,13 @@ def test_gf_transfer_bounds_exit_2(capsys):
         assert err.startswith("error: ")
 
 
+def test_gf_bound_errors_name_the_flag(capsys):
+    for argv in (["f", "--k", "17"], ["Q", "--k", "5"]):
+        code, out, err = run(capsys, "gf", *argv, "--order", "0")
+        assert (code, out) == (2, ""), argv
+        assert "--force-large" in err, argv
+
+
 def test_gf_closed_forms_bound_exit_2(capsys, monkeypatch):
     # k = 1100 raised RecursionError (exit 1) before the bound existed
     code, out, err = run(capsys, "gf", "f", "--k", "1100", "--order", "0")
@@ -229,6 +236,41 @@ def test_transfer_checker_can_fail(capsys, monkeypatch):
     assert lines[4] == "PASS transfer k=1 n=0"
     assert lines[5] == "FAIL transfer k=1 n=1  [walk got=1*t1 want=1]"
     assert f"first failing instance: {lines[5]}" in err
+
+
+def test_bij_checker_can_fail(capsys, monkeypatch):
+    predictions = checks.step_predictions
+
+    def shifted(key):
+        return lambda d: [{**p, key: p[key] + 1} if key in p else p for p in predictions(d)]
+
+    monkeypatch.setattr(checks, "step_predictions", shifted("ros"))
+    code, out, err = run(capsys, "verify", "bij", "--n-max", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL bij n=1 partitions  [step prediction fails at 1, i=1]"
+    assert lines[1] == "PASS bij n=1 diagrams"
+    assert f"first failing instance: {lines[0]}" in err
+    # every predicted statistic is compared: a shift in any one of them fails
+    for key in ("los", "lsb", "rsb", "lcs+rcs", "lsb+rsb"):
+        monkeypatch.setattr(checks, "step_predictions", shifted(key))
+        code, out, _ = run(capsys, "verify", "bij", "--n-max", "2")
+        assert code == 1 and "step prediction fails" in out, key
+
+
+def test_bij_checker_reports_round_trip_failures(capsys, monkeypatch):
+    # a psi that reverses the block order is the identity only for one block
+    psi = checks.psi
+    monkeypatch.setattr(checks, "psi", lambda d: OrderedPartition(psi(d).blocks[::-1]))
+    code, out, err = run(capsys, "verify", "bij", "--n-max", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS bij n=1 partitions",
+        "PASS bij n=1 diagrams",
+        "FAIL bij n=2 partitions  [psi(psi_inverse) != id at 2/1]",
+        "FAIL bij n=2 diagrams  [psi_inverse(psi) != id at EE 1,1]",
+    ]
+    assert "first failing instance: FAIL bij n=2 partitions" in err
 
 
 def test_determinant_checkers_can_fail(capsys, monkeypatch):

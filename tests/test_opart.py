@@ -137,6 +137,19 @@ def test_trace_and_form_example():
         trace(pi, 11)
 
 
+def test_form_matches_trace_definition():
+    # form counts openers and closers; trace restricts the blocks one by one
+    for n in range(7):
+        for blocks in iter_blocks_all(n):
+            pi = OrderedPartition._unchecked(blocks)
+            want = []
+            for i in range(n + 1):
+                t = trace(pi, i)
+                closed = sum(1 for _, done in t if done)
+                want.append((closed, len(t) - closed))
+            assert form(pi) == tuple(want), pi
+
+
 def test_form_follows_class_moves():
     # the four moves: opener (c,o)->(c,o+1), singleton -> (c+1,o),
     # transient -> (c,o), closer -> (c+1,o-1)

@@ -12,6 +12,7 @@ from opstats.stats import (
     block_stats,
     composite,
     coord,
+    coord_rows,
     distribution,
     evaluator,
     monomial_exponents,
@@ -95,6 +96,20 @@ def test_summary_matches_slow_route():
         assert s.lcs_op == restricted(blocks, "lcs", openers)
         assert s.lsb_op == restricted(blocks, "lsb", openers)
         assert s.rsb_op == restricted(blocks, "rsb", openers)
+
+
+def test_coord_rows_match_summary():
+    # the definition rows and the one-pass aggregates are independent routes
+    for n in range(7):
+        for blocks in iter_blocks_all(n):
+            rows = coord_rows(blocks)
+            s = summarize(blocks)
+            openers = [b[0] for b in blocks]
+            for name, row in rows.items():
+                assert len(row) == n
+                assert sum(row) == getattr(s, name), (blocks, name)
+            for name in ("ros", "rcs", "los", "lcs", "lsb", "rsb"):
+                assert sum(rows[name][o - 1] for o in openers) == getattr(s, name + "_op")
 
 
 def test_open_restriction_identities():

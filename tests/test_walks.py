@@ -19,6 +19,7 @@ from opstats.walks import (
     path_vertices,
     psi,
     psi_inverse,
+    step_predictions,
     step_properties,
     vertex_count,
     vertex_order,
@@ -141,6 +142,17 @@ def test_step_predictions_match_statistics():
                         assert pred["rsb"] == coord(pi, i, "rsb")
 
 
+def test_step_predictions_are_the_per_step_properties():
+    d = PathDiagram(STEPS, XI)
+    preds = step_predictions(d)
+    assert len(preds) == d.length
+    assert preds == [step_properties(d, i) for i in range(1, d.length + 1)]
+    assert step_predictions(PathDiagram((), ())) == []
+    for i in (0, d.length + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            step_properties(d, i)
+
+
 def test_choice_weighted_path_counts():
     for n in range(1, 7):
         for k in range(0, n + 1):
@@ -152,6 +164,12 @@ def test_choice_weighted_path_counts():
                     w *= choice_bound(vs[i], kind)
                 total += w
             assert total == ordered_partition_count(n, k)
+
+
+def test_validation_rejects_bad_step_letters():
+    for k in (None, 1):
+        with pytest.raises(ValueError, match="not a walk"):
+            PathDiagram(("N", "X"), (1, 1)).validate(k)
 
 
 def test_diagram_validation():
