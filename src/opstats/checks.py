@@ -24,10 +24,11 @@ from .opart import (
 )
 from .qnum import q_poly_from_exponent_counts
 from .ring import DEFAULT
-from .stats import WALK_EXPONENTS, Summary, coord_rows, evaluator
+from .stats import WALK_EXPONENTS, Summary, coord_rows, enumerated_gf, evaluator
 from .walks import (
     EAST,
     NORTH,
+    _diagram_of,
     choice_bound,
     enumerate_diagrams,
     enumerate_paths,
@@ -75,6 +76,13 @@ EQUIDIST = (("rob", "lob", "rcs", "lcs"), ("ros", "los", "rcb", "lcb"))
 #: On inversion-free partitions each of these gives S_q(n,k): label -> statistic.
 SECT23 = {"mak": "mak", "lmak": "lmak", "lsb+C(k,2)": "lsb+k2"}
 
+#: The weights of Theorem 2.4's enumeration sums: phi weighs
+#: x^(mak+bInv) y^cinvLSB t^inv u^cinv, varphi z^(lmak+bInv) t^inv u^cinv.
+THM24 = (
+    ("phi", {"x": "makBInv", "y": "cinvLSB", "t": "inv", "u": "cinv"}),
+    ("varphi", {"z": "lmakBInv", "t": "inv", "u": "cinv"}),
+)
+
 
 @dataclass
 class CheckResult:
@@ -89,10 +97,6 @@ class CheckResult:
         return f"{text}  [{self.detail}]" if self.detail else text
 
 
-def all_ok(results: list[CheckResult]) -> bool:
-    return all(r.ok for r in results)
-
-
 def first_failure(results: list[CheckResult]) -> CheckResult | None:
     for r in results:
         if not r.ok:
@@ -105,11 +109,10 @@ def _target(n: int, k: int):
     return qnum.q_factorial(k) * qnum.q_stirling(n, k)
 
 
-def _distribution_results(check: str, n: int, k: int, labels, counts, target) -> list[CheckResult]:
-    """One result per statistic: its exponent counts against ``target``."""
+def _gf_results(check: str, n: int, k: int, labels, polys, target) -> list[CheckResult]:
+    """One result per statistic: its enumerated polynomial against ``target``."""
     out = []
-    for label, c in zip(labels, counts):
-        got = q_poly_from_exponent_counts(c)
+    for label, got in zip(labels, polys):
         out.append(
             CheckResult(
                 check, f"n={n} k={k} stat={label}", got == target,
@@ -187,10 +190,9 @@ def run_audit(n_max: int = 8, equidist_n_max: int = 7) -> AuditReport:
         for k in sorted(counts):
             target = _target(n, k)
             ck = counts[k]
-            report.six += _distribution_results("thm25", n, k, SIX_STATS, ck, target)
-            report.bmaj += _distribution_results(
-                "conjecture-bmaj", n, k, BMAJ_STATS, ck[len(SIX_STATS):], target
-            )
+            polys = [q_poly_from_exponent_counts(c) for c in ck[:len(SIX_STATS) + len(BMAJ_STATS)]]
+            report.six += _gf_results("thm25", n, k, SIX_STATS, polys, target)
+            report.bmaj += _gf_results("conjecture-bmaj", n, k, BMAJ_STATS, polys[len(SIX_STATS):], target)
             if n <= equidist_n_max:
                 dist = dict(zip(coords, ck[len(SIX_STATS) + len(BMAJ_STATS):]))
                 for cls in EQUIDIST:
@@ -212,15 +214,12 @@ def run_audit(n_max: int = 8, equidist_n_max: int = 7) -> AuditReport:
 def check_sect23(n_max: int = 8) -> list[CheckResult]:
     """On inversion-free partitions: sum q^mak = sum q^lmak
     = sum q^(lsb + C(k,2)) = S_q(n,k)."""
-    values = evaluator(SECT23.values())
+    weights = [{"q": expr} for expr in SECT23.values()]
     out = []
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
-            counts = [{} for _ in SECT23]
-            for blocks in iter_blocks_p(n, k):
-                for c, v in zip(counts, values(Summary(blocks))):
-                    c[v] = c.get(v, 0) + 1
-            out += _distribution_results("sect23", n, k, SECT23, counts, qnum.q_stirling(n, k))
+            polys = enumerated_gf(map(Summary, iter_blocks_p(n, k)), *weights)
+            out += _gf_results("sect23", n, k, SECT23, polys, qnum.q_stirling(n, k))
     return out
 
 
@@ -235,14 +234,14 @@ def check_bijection(n_max: int = 7) -> list[CheckResult]:
         bad = None
         for blocks in iter_blocks_all(n):
             pi = OrderedPartition._unchecked(blocks)
-            d = psi_inverse(pi)
+            rows = coord_rows(pi)
+            d = _diagram_of(pi, rows)
             if psi(d) != pi:
                 bad = f"psi(psi_inverse) != id at {pi}"
                 break
             if tuple(path_vertices(d.steps)) != form(pi):
                 bad = f"form/path mismatch at {pi}"
                 break
-            rows = coord_rows(pi)
             los, ros, lcs, rcs, lsb, rsb = (
                 rows[name] for name in ("los", "ros", "lcs", "rcs", "lsb", "rsb")
             )
@@ -301,18 +300,13 @@ def check_path_counts(n_max: int = 8) -> list[CheckResult]:
 # -- transfer matrix vs enumeration ----------------------------------------------
 
 
-def _t_index_prefix() -> int:
-    return DEFAULT.index("t1")
-
-
 def check_transfer_enum(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
     """a^n coefficient of the seven-variable transfer series, by the
     determinant ratio and by the walk iteration, against the enumerated
     monomial sum, for k <= k_max, n <= n_max.  The detail of a failure names
     each route that disagrees with the enumeration."""
     out = []
-    prefix = _t_index_prefix()
-    exponents = evaluator(WALK_EXPONENTS)
+    walk = {t: t for t in WALK_EXPONENTS}
     w = xfer.WeightSpec.seven_variable()
     for k in range(0, k_max + 1):
         routes = (
@@ -320,11 +314,7 @@ def check_transfer_enum(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
             ("walk", xfer.walk_series(k, w, n_max)),
         )
         for n in range(0, n_max + 1):
-            counts: dict[tuple[int, ...], int] = {}
-            for blocks in iter_blocks(n, k):
-                e = exponents(Summary(blocks))
-                counts[e] = counts.get(e, 0) + 1
-            want = DEFAULT.poly({(0,) * prefix + e: c for e, c in counts.items()})
+            (want,) = enumerated_gf(map(Summary, iter_blocks(n, k)), walk)
             wrong = [
                 f"{route} got={series.coefficient(n)} want={want}"
                 for route, series in routes
@@ -351,41 +341,18 @@ def check_thm24(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
     """closed_phi / closed_varphi against the four- and three-variable
     enumeration sums."""
     out = []
-    ix, iy, it, iu, iz = (DEFAULT.index(v) for v in "xytuz")
-    # phi weighs x^(mak+bInv) y^cinvLSB t^inv u^cinv, varphi z^(lmak+bInv) t^inv u^cinv
-    values = evaluator(("makBInv", "cinvLSB", "inv", "cinv", "lmakBInv"))
     for k in range(0, k_max + 1):
-        phi = xfer.closed_phi(k, n_max)
-        varphi = xfer.closed_varphi(k, n_max)
+        series = (xfer.closed_phi(k, n_max), xfer.closed_varphi(k, n_max))
         for n in range(0, n_max + 1):
-            phi_counts: dict[tuple[int, ...], int] = {}
-            var_counts: dict[tuple[int, ...], int] = {}
-            for blocks in iter_blocks(n, k):
-                x, y, t, u, z = values(Summary(blocks))
-                key = [0] * (iu + 1)
-                key[ix], key[iy], key[it], key[iu] = x, y, t, u
-                key = tuple(key)
-                phi_counts[key] = phi_counts.get(key, 0) + 1
-                key = [0] * (iz + 1)
-                key[it], key[iu], key[iz] = t, u, z
-                key = tuple(key)
-                var_counts[key] = var_counts.get(key, 0) + 1
-            want_phi = DEFAULT.poly(phi_counts)
-            want_var = DEFAULT.poly(var_counts)
-            ok = phi.coefficient(n) == want_phi
-            out.append(
-                CheckResult(
-                    "thm24", f"phi k={k} n={n}", ok,
-                    "" if ok else f"got={phi.coefficient(n)} want={want_phi}",
+            wants = enumerated_gf(map(Summary, iter_blocks(n, k)), *(w for _, w in THM24))
+            for (label, _), gf, want in zip(THM24, series, wants):
+                got = gf.coefficient(n)
+                out.append(
+                    CheckResult(
+                        "thm24", f"{label} k={k} n={n}", got == want,
+                        "" if got == want else f"got={got} want={want}",
+                    )
                 )
-            )
-            ok = varphi.coefficient(n) == want_var
-            out.append(
-                CheckResult(
-                    "thm24", f"varphi k={k} n={n}", ok,
-                    "" if ok else f"got={varphi.coefficient(n)} want={want_var}",
-                )
-            )
     return out
 
 
@@ -482,13 +449,13 @@ def check_conj_det(n_max: int = 4) -> list[CheckResult]:
 
 @dataclass(frozen=True)
 class Check:
-    """How ``verify`` runs one check.  ``run`` is called with no arguments, or
-    with its n bound as the keyword ``bound`` (None: the check has no n bound).
-    An audit check instead reads the AuditReport field ``audit`` of the sweep
-    it shares with the other audit checks; ``n_default`` is its n bound."""
+    """How ``verify`` runs one check.  ``run`` is called with no arguments, or,
+    if ``bound``, with its n bound as the keyword ``n_max``.  An audit check
+    instead reads the AuditReport field ``audit`` of the sweep it shares with
+    the other audit checks; ``n_default`` is its n bound."""
 
     run: Callable[..., list[CheckResult]] | None = None
-    bound: str | None = "n_max"
+    bound: bool = True
     audit: str | None = None
     n_default: int = 8
 
@@ -496,7 +463,7 @@ class Check:
 CHECKS = {
     "zz": Check(check_zz),
     "thm25": Check(audit="six"),
-    "thm25-series": Check(check_thm25_series, bound=None),
+    "thm25-series": Check(check_thm25_series, bound=False),
     "prop22": Check(audit="prop22"),
     "lemma310": Check(audit="lemma310"),
     "equidist": Check(audit="equidist", n_default=7),
@@ -505,7 +472,7 @@ CHECKS = {
     "bij": Check(check_bijection),
     "path-counts": Check(check_path_counts),
     "transfer": Check(check_transfer_enum),
-    "cor39": Check(check_cor39, bound=None),
+    "cor39": Check(check_cor39, bound=False),
     "thm24": Check(check_thm24),
     "eulerian": Check(check_eulerian_bruteforce),
     "detm": Check(check_det_m),
@@ -535,9 +502,9 @@ class Verification:
             check = CHECKS.get(name)
             if check is None:
                 raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
-            if n_max is not None and check.bound is None and not every:
+            if n_max is not None and not check.bound and not every:
                 raise ValueError(f"check {name!r} does not take --n-max")
-            self.bounds.append((name, None if check.bound is None else n_max))
+            self.bounds.append((name, n_max if check.bound else None))
         audit = {
             name: CHECKS[name].n_default if bound is None else bound
             for name, bound in self.bounds if CHECKS[name].audit
@@ -560,4 +527,4 @@ def run_check(name: str, n_max: int | None = None,
     check = CHECKS[name]
     if check.audit:
         return getattr(shared.audit(), check.audit)
-    return check.run() if n_max is None else check.run(**{check.bound: n_max})
+    return check.run() if n_max is None else check.run(n_max=n_max)

@@ -226,9 +226,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {0: 1}
-
     def is_unit_monomial(self) -> bool:
         """True iff the value is invertible in the Laurent ring: one term, coefficient +-1."""
         if len(self.terms) != 1:
@@ -374,9 +371,6 @@ class LaurentPoly:
             d = _digit(e, i)
             buckets.setdefault(d, {})[e - (d << shift)] = c
         return {d: LaurentPoly._raw(self.registry, t, self._bound) for d, t in buckets.items()}
-
-    def coefficient_of(self, name: str, exponent: int) -> "LaurentPoly":
-        return self.split_by(name).get(exponent, self.registry.zero)
 
     def subs(self, mapping: Mapping[str, "LaurentPoly | int"]) -> "LaurentPoly":
         """Simultaneous substitution of variables by polynomials.
@@ -548,11 +542,6 @@ class SeriesInA:
             raise ValueError(f"negative power of {var!r} in a series")
         reg = poly.registry
         return cls(reg, [buckets.get(d, reg.zero) for d in range(order + 1)], var)
-
-    def truncate(self, order: int) -> "SeriesInA":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return SeriesInA(self.registry, self.coeffs[: order + 1], self.var)
 
     def map_coeffs(self, fn) -> "SeriesInA":
         return SeriesInA(self.registry, [fn(n, c) for n, c in enumerate(self.coeffs)], self.var)

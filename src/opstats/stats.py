@@ -38,7 +38,6 @@ import re
 from typing import Callable, Iterable, Mapping
 
 from .opart import Blocks, OrderedPartition, iter_blocks
-from .qnum import q_poly_from_exponent_counts
 from .ring import DEFAULT, LaurentPoly, VarRegistry
 
 COORD_NAMES = ("ros", "rob", "rcs", "rcb", "los", "lob", "lcs", "lcb", "lsb", "rsb")
@@ -332,6 +331,36 @@ def evaluator(exprs: Iterable[str | tuple[str, str]]) -> Callable[[Summary], tup
     return eval(f"lambda s: ({', '.join(values)},)", {})
 
 
+def enumerated_gf(summaries: Iterable[Summary], *weights: Mapping[str, str],
+                  registry: VarRegistry | None = None) -> list[LaurentPoly]:
+    """One polynomial per ``weights`` mapping of variable names to statistic
+    expressions: the sum over ``summaries`` of prod_v v^(stat_v).  One pass
+    counts the tuples of all the values; each mapping then reads its own slice
+    of every tuple."""
+    reg = registry if registry is not None else DEFAULT
+    values = evaluator([expr for w in weights for expr in w.values()])
+    counts: dict[tuple[int, ...], int] = {}
+    for s in summaries:
+        v = values(s)
+        counts[v] = counts.get(v, 0) + 1
+    out = []
+    start = 0
+    for w in weights:
+        index = [reg.index(name) for name in w]
+        stop = start + len(index)
+        width = max(index) + 1
+        terms: dict[tuple[int, ...], int] = {}
+        for v, c in counts.items():
+            key = [0] * width
+            for i, e in zip(index, v[start:stop]):
+                key[i] = e
+            key = tuple(key)
+            terms[key] = terms.get(key, 0) + c
+        out.append(reg.poly(terms))
+        start = stop
+    return out
+
+
 def distribution(n: int, k: int, expr: str, registry: VarRegistry | None = None,
                  force_large: bool = False) -> LaurentPoly:
     """sum over OP_n^k of q^(expr); negative totals land in negative Laurent
@@ -340,26 +369,14 @@ def distribution(n: int, k: int, expr: str, registry: VarRegistry | None = None,
 
     check_range(n, k)
     _check_bound(n, force_large)
-    value = evaluator((expr,))
-    counts: dict[int, int] = {}
-    for blocks in iter_blocks(n, k):
-        (v,) = value(Summary(blocks))
-        counts[v] = counts.get(v, 0) + 1
-    return q_poly_from_exponent_counts(counts, registry if registry is not None else DEFAULT)
-
-
-# -- the seven-variable walk monomial -----------------------------------------
-
-
-def monomial_exponents(s: Summary) -> tuple[int, ...]:
-    """Exponents of (t1..t7) for one partition (rows t1..t7 of TABLE)."""
-    return evaluator(WALK_EXPONENTS)(s)
+    return enumerated_gf(map(Summary, iter_blocks(n, k)), {"q": expr}, registry=registry)[0]
 
 
 def q_monomial(pi, registry: VarRegistry | None = None) -> LaurentPoly:
-    reg = registry if registry is not None else DEFAULT
-    exps = monomial_exponents(summarize(pi))
-    return reg.monomial(1, **{t: e for t, e in zip(WALK_EXPONENTS, exps) if e})
+    """The seven-variable walk monomial of one partition: each of t1..t7
+    raised to its row of TABLE."""
+    walk = {t: t for t in WALK_EXPONENTS}
+    return enumerated_gf((summarize(pi),), walk, registry=registry)[0]
 
 
 # -- display -------------------------------------------------------------------

@@ -69,16 +69,6 @@ def path_vertices(steps: tuple[str, ...]) -> list[Vertex]:
     return out
 
 
-def is_path(steps: tuple[str, ...], k: int) -> bool:
-    """Valid walk in D_k from (0,0) to (k,0)."""
-    v = (0, 0)
-    for s in steps:
-        if s not in _MOVES or not step_allowed(v, s, k):
-            return False
-        v = step_target(v, s)
-    return v == (k, 0)
-
-
 def enumerate_paths(n: int, k: int) -> Iterator[tuple[str, ...]]:
     """All length-n walks (0,0) -> (k,0) in D_k, depth-first in step order
     N, E, O, S."""
@@ -185,8 +175,12 @@ def psi(diagram: PathDiagram) -> OrderedPartition:
 def psi_inverse(pi: OrderedPartition) -> PathDiagram:
     """The unique diagram mapping to pi: step kinds from the element classes,
     choices from los_i + 1 (openers, singletons) or lsb_i + 1 (the rest)."""
+    return _diagram_of(pi, coord_rows(pi))
+
+
+def _diagram_of(pi: OrderedPartition, rows: dict[str, list[int]]) -> PathDiagram:
+    # psi_inverse(pi), given the coordinate rows of pi
     t = classify(pi)
-    rows = coord_rows(pi)
     los, lsb = rows["los"], rows["lsb"]
     steps = []
     xi = []

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import qnum
 from .opart import BoundExceeded
 from .qnum import PQContext, pq_factorial, pq_int, pq_binomial
 from .ring import DEFAULT, LaurentPoly, SeriesInA, VarRegistry, ensure_f, series_from_rational
@@ -861,17 +860,3 @@ def q_specialized_series(k: int, order: int, registry: VarRegistry | None = None
     numer = a ** k * q ** math.comb(k, 2) * pq_factorial(k, qq)
     denom = prod_poly((reg.one - a * pq_int(i, qq) for i in range(1, k + 1)), reg)
     return series_from_rational(numer, denom, order)
-
-
-def stirling_series_check(k: int, order: int) -> bool:
-    """Cross-check q_specialized_series against the recurrence values."""
-    s = q_specialized_series(k, order)
-    for n in range(order + 1):
-        expected = (
-            qnum.q_factorial(k) * qnum.q_stirling(n, k)
-            if n >= k
-            else DEFAULT.zero
-        )
-        if s.coefficient(n) != expected:
-            return False
-    return True

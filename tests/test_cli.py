@@ -238,6 +238,28 @@ def test_transfer_checker_can_fail(capsys, monkeypatch):
     assert f"first failing instance: {lines[5]}" in err
 
 
+def test_sect23_checker_can_fail(capsys, monkeypatch):
+    q_stirling = checks.qnum.q_stirling
+    monkeypatch.setattr(checks.qnum, "q_stirling", lambda n, k: q_stirling(n, k) * DEFAULT.var("q"))
+    code, out, err = run(capsys, "verify", "sect23", "--n-max", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL sect23 n=1 k=1 stat=mak  [got=1 want=1*q]"
+    assert f"first failing instance: {lines[0]}" in err
+
+
+def test_thm24_checker_can_fail(capsys, monkeypatch):
+    # x and y swapped in phi's enumeration weights
+    (label, phi), varphi = checks.THM24
+    swapped = {{"x": "y", "y": "x"}.get(v, v): expr for v, expr in phi.items()}
+    monkeypatch.setattr(checks, "THM24", ((label, swapped), varphi))
+    code, out, err = run(capsys, "verify", "thm24", "--n-max", "3")
+    assert code == 1
+    first = next(line for line in out.splitlines() if line.startswith("FAIL"))
+    assert first == "FAIL thm24 phi k=2 n=2  [got=1*x^2*y*t + 1*x*y^2*u want=1*x^2*y*u + 1*x*y^2*t]"
+    assert f"first failing instance: {first}" in err
+
+
 def test_bij_checker_can_fail(capsys, monkeypatch):
     predictions = checks.step_predictions
 

@@ -3,19 +3,20 @@
 import pytest
 
 from opstats import stats
-from opstats.opart import OrderedPartition, cinv, inv, iter_blocks_all, parse
+from opstats.opart import OrderedPartition, cinv, enumerate_op, inv, iter_blocks_all, parse
 from opstats.qnum import q_factorial, q_stirling
 from opstats.ring import DEFAULT
 from opstats.stats import (
     COORD_NAMES,
+    WALK_EXPONENTS,
     aggregate,
     block_stats,
     composite,
     coord,
     coord_rows,
     distribution,
+    enumerated_gf,
     evaluator,
-    monomial_exponents,
     parse_stat_expr,
     per_element_sums_ok,
     q_monomial,
@@ -198,7 +199,7 @@ def test_q_monomial_examples():
     assert q_monomial(parse("2/1")) == reg.monomial(1, t1=1, t5=1)
     assert q_monomial(parse("1")) == reg.one
     assert q_monomial(parse("1,2")) == reg.one
-    assert monomial_exponents(summarize(parse("1/2"))) == (1, 0, 0, 0, 0, 1, 0)
+    assert evaluator(WALK_EXPONENTS)(summarize(parse("1/2"))) == (1, 0, 0, 0, 0, 1, 0)
 
 
 def test_distribution_examples():
@@ -215,6 +216,25 @@ def test_distribution_allows_negative_exponents():
     # inv - cinv alone goes negative on canonical partitions with k >= 2
     poly = distribution(3, 2, "inv-cinv")
     assert any(v < 0 for e, _ in poly.sorted_terms() for v in e)
+
+
+def test_enumerated_gf_matches_definition_route():
+    reg = DEFAULT
+    exprs = ("mak+bInv", "2*inv-cinv", "lsb+rsb")  # the second goes negative
+    for n in range(6):
+        for k in range(n + 1):
+            parts = list(enumerate_op(n, k))
+            summaries = [summarize(pi) for pi in parts]
+            singles = [enumerated_gf(summaries, {"q": e})[0] for e in exprs]
+            for e, got in zip(exprs, singles):
+                want = sum((reg.monomial(1, q=composite(pi, e)) for pi in parts), reg.zero)
+                assert got == want, (n, k, e)
+            assert enumerated_gf(summaries, *({"q": e} for e in exprs)) == singles
+            (joint,) = enumerated_gf(summaries, {"x": "mak", "y": "bInv"})
+            assert joint == sum(
+                (reg.monomial(1, x=composite(pi, "mak"), y=composite(pi, "bInv")) for pi in parts),
+                reg.zero,
+            )
 
 
 def test_parse_stat_expr():

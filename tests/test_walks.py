@@ -14,7 +14,6 @@ from opstats.walks import (
     choice_bound,
     enumerate_diagrams,
     enumerate_paths,
-    is_path,
     parse_steps,
     path_vertices,
     psi,
@@ -58,13 +57,15 @@ def test_omega_2_2_matches_distinct_forms():
 
 
 def test_worked_example_path_is_valid():
-    assert is_path(STEPS, 5)
+    PathDiagram(STEPS, (1,) * len(STEPS)).validate(5)
     assert path_vertices(STEPS) == [
         (0, 0), (0, 1), (0, 2), (0, 3), (0, 3), (0, 3),
         (1, 3), (2, 2), (3, 1), (4, 1), (5, 0),
     ]
-    assert not is_path(STEPS, 6)  # wrong depth
-    assert not is_path(("S",), 1)  # south-east needs an opened block
+    with pytest.raises(ValueError):
+        PathDiagram(STEPS, (1,) * len(STEPS)).validate(6)  # wrong depth
+    with pytest.raises(ValueError):
+        PathDiagram(("S",), (1,)).validate(1)  # south-east needs an opened block
 
 
 def test_psi_worked_example():

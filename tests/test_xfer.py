@@ -6,7 +6,7 @@ from opstats import xfer
 from opstats.opart import iter_blocks
 from opstats.qnum import pq_context, pq_int, q_factorial, q_stirling
 from opstats.ring import DEFAULT, ensure_f, series_from_rational
-from opstats.stats import Summary, monomial_exponents
+from opstats.stats import WALK_EXPONENTS, Summary, evaluator
 from opstats.xfer import (
     SymbolicMatrix,
     WeightSpec,
@@ -186,10 +186,11 @@ def test_transfer_series_k2_matches_monomials():
     t1, t5, t6 = REG.var("t1"), REG.var("t5"), REG.var("t6")
     assert s.coefficient(2) == t1 * (t5 + t6)
     prefix = REG.index("t1")
+    exponents = evaluator(WALK_EXPONENTS)
     for n in range(5):
         counts = {}
         for blocks in iter_blocks(n, 2):
-            e = monomial_exponents(Summary(blocks))
+            e = exponents(Summary(blocks))
             counts[e] = counts.get(e, 0) + 1
         want = REG.poly({(0,) * prefix + e: c for e, c in counts.items()})
         assert s.coefficient(n) == want
@@ -199,10 +200,11 @@ def test_transfer_series_k4_matches_monomials():
     # the largest seven-variable matrix within the desk bound (15 x 15)
     s = q_gf_transfer(4, WeightSpec.seven_variable(), 6)
     prefix = REG.index("t1")
+    exponents = evaluator(WALK_EXPONENTS)
     for n in range(4, 7):
         counts = {}
         for blocks in iter_blocks(n, 4):
-            e = monomial_exponents(Summary(blocks))
+            e = exponents(Summary(blocks))
             counts[e] = counts.get(e, 0) + 1
         want = REG.poly({(0,) * prefix + e: c for e, c in counts.items()})
         assert s.coefficient(n) == want
