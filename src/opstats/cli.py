@@ -119,53 +119,61 @@ def _bij_cmd(args) -> int:
     return 0
 
 
-#: The transfer-series families of ``gf``, computed by the walk iteration.
-WALK_FAMILIES = {
-    "Q": xfer.WeightSpec.seven_variable,
-    "Qxy": xfer.WeightSpec.xytu,
-    "Qz": xfer.WeightSpec.ztu,
+def _walk_family(spec):
+    """The transfer series under the weights ``spec()``, by the walk iteration."""
+    return lambda k, order, force_large: xfer.walk_series(k, spec(), order, force_large)
+
+
+#: The series of ``gf``, each a function of (k, order, force_large).  Like
+#: every entry of ``DET_MATRICES``, each looks its ``xfer`` function up when
+#: called, so a patched or wrapped function is the one that runs.
+GF_FAMILIES = {
+    "Q": _walk_family(xfer.WeightSpec.seven_variable),
+    "Qxy": _walk_family(xfer.WeightSpec.xytu),
+    "Qz": _walk_family(xfer.WeightSpec.ztu),
+    "f": lambda k, order, force_large: xfer.closed_f(k, order, force_large),
+    "g": lambda k, order, force_large: xfer.closed_g(k, order, force_large),
+    "phi": lambda k, order, force_large: xfer.closed_phi(k, order, force_large),
+    "varphi": lambda k, order, force_large: xfer.closed_varphi(k, order, force_large),
 }
 
 
 def _gf_cmd(args) -> int:
-    k, order = args.k, args.order
-    if args.family in WALK_FAMILIES:
-        spec = WALK_FAMILIES[args.family]()
-        series = xfer.walk_series(k, spec, order, force_large=args.force_large)
-    elif args.family == "f":
-        series = xfer.closed_f(k, order, force_large=args.force_large)
-    elif args.family == "g":
-        series = xfer.closed_g(k, order, force_large=args.force_large)
-    elif args.family == "phi":
-        series = xfer.closed_phi(k, order, force_large=args.force_large)
-    else:  # varphi
-        series = xfer.closed_varphi(k, order, force_large=args.force_large)
+    series = GF_FAMILIES[args.family](args.k, args.order, args.force_large)
     for n, c in enumerate(series.coeffs):
         print(f"a^{n}\t{format_poly(c)}")
     return 0
 
 
+def _transfer(spec):
+    """I - a A_n under the weights ``spec()``."""
+    return lambda n, k: xfer.transfer_matrix(n, spec())
+
+
+def _p_k(n, k):
+    if k is None:
+        raise ValueError("det Pk needs --k")
+    return xfer.build_p_k(n, k)
+
+
+#: M_n is the transfer matrix under the (x,y,t,u) weights.
+_M = _transfer(xfer.WeightSpec.xytu)
+
+#: The matrices of ``det``, each a function of (n, k).
+DET_MATRICES = {
+    "M": _M,
+    "N": lambda n, k: xfer.build_n(n),
+    "P": lambda n, k: xfer.build_p(n),
+    "Pk": _p_k,
+    "ndot": lambda n, k: xfer.build_ndot(n),
+    "A": _transfer(xfer.WeightSpec.seven_variable),
+    "Axy": _M,
+    "Az": _transfer(xfer.WeightSpec.ztu),
+}
+
+
 def _det_cmd(args) -> int:
-    n, k = args.n, args.k
-    if args.matrix == "M":
-        m = xfer.build_m(n)
-    elif args.matrix == "N":
-        m = xfer.build_n(n)
-    elif args.matrix == "P":
-        m = xfer.build_p(n)
-    elif args.matrix == "Pk":
-        if k is None:
-            raise ValueError("det Pk needs --k")
-        m = xfer.build_p_k(n, k)
-    elif args.matrix == "ndot":
-        m = xfer.build_ndot(n)
-    elif args.matrix == "A":
-        m = xfer.transfer_matrix(n, xfer.WeightSpec.seven_variable())
-    elif args.matrix == "Axy":
-        m = xfer.transfer_matrix(n, xfer.WeightSpec.xytu())
-    else:  # Az
-        m = xfer.transfer_matrix(n, xfer.WeightSpec.ztu())
-    print(format_poly(xfer.det(m)))
+    print(format_poly(xfer.det(DET_MATRICES[args.matrix](args.n, args.k))))
     return 0
 
 
@@ -273,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_bij_cmd)
 
     p = sub.add_parser("gf", help="generating-function series, one a^n per line")
-    p.add_argument("family", choices=["Q", "Qxy", "Qz", "f", "g", "phi", "varphi"])
+    p.add_argument("family", choices=list(GF_FAMILIES))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--force-large", action="store_true")
     p.set_defaults(fn=_gf_cmd)
 
     p = sub.add_parser("det", help="symbolic determinant of a named matrix")
-    p.add_argument("matrix", choices=["M", "N", "P", "Pk", "ndot", "A", "Axy", "Az"])
+    p.add_argument("matrix", choices=list(DET_MATRICES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(fn=_det_cmd)

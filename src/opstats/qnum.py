@@ -51,18 +51,15 @@ class PQContext:
         return self.p.registry
 
 
-def pq_context(p: str | LaurentPoly = "p", q: str | LaurentPoly = "q",
-               registry: VarRegistry | None = None) -> PQContext:
-    reg = registry if registry is not None else DEFAULT
-    pv = reg.var(p) if isinstance(p, str) else p
-    qv = reg.var(q) if isinstance(q, str) else q
+def pq_context(p: str | LaurentPoly = "p", q: str | LaurentPoly = "q") -> PQContext:
+    pv = DEFAULT.var(p) if isinstance(p, str) else p
+    qv = DEFAULT.var(q) if isinstance(q, str) else q
     return PQContext(pv, qv)
 
 
-def q_context(registry: VarRegistry | None = None) -> PQContext:
+def q_context() -> PQContext:
     """The single-variable specialization p = 1."""
-    reg = registry if registry is not None else DEFAULT
-    return PQContext(reg.one, reg.var("q"))
+    return PQContext(DEFAULT.one, DEFAULT.var("q"))
 
 
 @lru_cache(maxsize=None)
@@ -96,16 +93,16 @@ def pq_binomial(n: int, k: int, ctx: PQContext) -> LaurentPoly:
     return pq_factorial(n, ctx).divexact(pq_factorial(k, ctx) * pq_factorial(n - k, ctx))
 
 
-def q_int(n: int, registry: VarRegistry | None = None) -> LaurentPoly:
-    return pq_int(n, q_context(registry))
+def q_int(n: int) -> LaurentPoly:
+    return pq_int(n, q_context())
 
 
-def q_factorial(n: int, registry: VarRegistry | None = None) -> LaurentPoly:
-    return pq_factorial(n, q_context(registry))
+def q_factorial(n: int) -> LaurentPoly:
+    return pq_factorial(n, q_context())
 
 
-def q_binomial(n: int, k: int, registry: VarRegistry | None = None) -> LaurentPoly:
-    return pq_binomial(n, k, q_context(registry))
+def q_binomial(n: int, k: int) -> LaurentPoly:
+    return pq_binomial(n, k, q_context())
 
 
 @lru_cache(maxsize=None)
@@ -162,14 +159,13 @@ def q_eulerian_bruteforce(n: int, k: int, bound: int = EULERIAN_DESK_BOUND) -> L
         raise ValueError("n must be >= 1")
     if n > bound:
         raise ValueError(f"n={n} exceeds the desk bound {bound}")
-    reg = DEFAULT
     counts: dict[int, int] = {}
     for sigma in itertools.permutations(range(1, n + 1)):
         descents = [i + 1 for i in range(n - 1) if sigma[i] > sigma[i + 1]]
         if len(descents) == k:
             maj = sum(descents)
             counts[maj] = counts.get(maj, 0) + 1
-    return q_poly_from_exponent_counts(counts, reg)
+    return q_poly_from_exponent_counts(counts)
 
 
 class ZZResult(NamedTuple):
@@ -213,9 +209,7 @@ def ordered_partition_count(n: int, k: int | None = None) -> int:
     return sum(ordered_partition_count(n, j) for j in range(n + 1))
 
 
-def q_poly_from_exponent_counts(counts: Mapping[int, int],
-                                registry: VarRegistry | None = None) -> LaurentPoly:
+def q_poly_from_exponent_counts(counts: Mapping[int, int]) -> LaurentPoly:
     """Build sum_e counts[e] * q^e (exponents may be negative)."""
-    reg = registry if registry is not None else DEFAULT
-    i = reg.index("q")
-    return reg.poly({(0,) * i + (e,): c for e, c in counts.items() if c})
+    i = DEFAULT.index("q")
+    return DEFAULT.poly({(0,) * i + (e,): c for e, c in counts.items() if c})

@@ -38,7 +38,7 @@ import re
 from typing import Callable, Iterable, Mapping
 
 from .opart import Blocks, OrderedPartition, iter_blocks
-from .ring import DEFAULT, LaurentPoly, VarRegistry
+from .ring import DEFAULT, LaurentPoly
 
 COORD_NAMES = ("ros", "rob", "rcs", "rcb", "los", "lob", "lcs", "lcb", "lsb", "rsb")
 
@@ -328,16 +328,14 @@ def evaluator(exprs: Iterable[str | tuple[str, str]]) -> Callable[[Summary], tup
             for f, c in form.items() if c
         )
         values.append(terms.lstrip("+") or "0")
-    return eval(f"lambda s: ({', '.join(values)},)", {})
+    return eval(f"lambda s: ({''.join(v + ', ' for v in values)})", {})
 
 
-def enumerated_gf(summaries: Iterable[Summary], *weights: Mapping[str, str],
-                  registry: VarRegistry | None = None) -> list[LaurentPoly]:
+def enumerated_gf(summaries: Iterable[Summary], *weights: Mapping[str, str]) -> list[LaurentPoly]:
     """One polynomial per ``weights`` mapping of variable names to statistic
     expressions: the sum over ``summaries`` of prod_v v^(stat_v).  One pass
     counts the tuples of all the values; each mapping then reads its own slice
     of every tuple."""
-    reg = registry if registry is not None else DEFAULT
     values = evaluator([expr for w in weights for expr in w.values()])
     counts: dict[tuple[int, ...], int] = {}
     for s in summaries:
@@ -346,7 +344,7 @@ def enumerated_gf(summaries: Iterable[Summary], *weights: Mapping[str, str],
     out = []
     start = 0
     for w in weights:
-        index = [reg.index(name) for name in w]
+        index = [DEFAULT.index(name) for name in w]
         stop = start + len(index)
         width = max(index) + 1
         terms: dict[tuple[int, ...], int] = {}
@@ -356,27 +354,26 @@ def enumerated_gf(summaries: Iterable[Summary], *weights: Mapping[str, str],
                 key[i] = e
             key = tuple(key)
             terms[key] = terms.get(key, 0) + c
-        out.append(reg.poly(terms))
+        out.append(DEFAULT.poly(terms))
         start = stop
     return out
 
 
-def distribution(n: int, k: int, expr: str, registry: VarRegistry | None = None,
-                 force_large: bool = False) -> LaurentPoly:
+def distribution(n: int, k: int, expr: str, force_large: bool = False) -> LaurentPoly:
     """sum over OP_n^k of q^(expr); negative totals land in negative Laurent
     exponents rather than failing."""
     from .opart import _check_bound, check_range
 
     check_range(n, k)
     _check_bound(n, force_large)
-    return enumerated_gf(map(Summary, iter_blocks(n, k)), {"q": expr}, registry=registry)[0]
+    return enumerated_gf(map(Summary, iter_blocks(n, k)), {"q": expr})[0]
 
 
-def q_monomial(pi, registry: VarRegistry | None = None) -> LaurentPoly:
+def q_monomial(pi) -> LaurentPoly:
     """The seven-variable walk monomial of one partition: each of t1..t7
     raised to its row of TABLE."""
     walk = {t: t for t in WALK_EXPONENTS}
-    return enumerated_gf((summarize(pi),), walk, registry=registry)[0]
+    return enumerated_gf((summarize(pi),), walk)[0]
 
 
 # -- display -------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .opart import OrderedPartition, classify
 from .stats import coord_rows
 
 NORTH, EAST, SOUTH_EAST, NULL = "N", "E", "S", "O"
-STEP_KINDS = (NORTH, EAST, SOUTH_EAST, NULL)
 
 Vertex = tuple[int, int]
 

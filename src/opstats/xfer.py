@@ -14,11 +14,13 @@ t2=t4=z, t5=t, t6=u).  In the canonical vertex order every edge points
 forward, so I - a*A_k is upper triangular; the interesting determinant is the
 minor dropping the last row and first column.
 
-Matrix families (square, built by block recursion; sizes arc(n) = (n+1)(n+2)/2):
+Matrix families, each read off the out-edges of D_n as the pencil
+diag*I - a*A_n(w) (sizes vertex_count(n) = (n+1)(n+2)/2):
 
-    M_n:   I - a*A_n under the (x,y,t,u) weights
-    N_n(x,a):   x on the diagonal, band -a*q^(i-1)[n+1-i]_q, upper blocks
-                -a*F_n against a generic nonvanishing sequence F1, F2, ...
+    M_n:   I - a*A_n under the (x,y,t,u) weights, i.e.
+           transfer_matrix(n, WeightSpec.xytu())
+    N_n(x,a):   x*I - a*A_n with open weight F_(i+j+1), against a generic
+                nonvanishing sequence F1, F2, ..., and close weight q^i [j]_q
                 (x = 1, F_m = [m]_{t,u}, q = z recovers I - a*A_n under the
                 (z,t,u) weights)
     P_n:   M_n minus its last row and first column
@@ -31,11 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .opart import BoundExceeded
-from .qnum import PQContext, pq_factorial, pq_int, pq_binomial
-from .ring import DEFAULT, LaurentPoly, SeriesInA, VarRegistry, ensure_f, series_from_rational
+from .qnum import pq_binomial, pq_context, pq_factorial, pq_int, q_context
+from .ring import DEFAULT, LaurentPoly, SeriesInA, ensure_f, series_from_rational
 from .walks import (
     EAST, NORTH, NULL, SOUTH_EAST, Vertex, step_allowed, step_target, vertex_count, vertex_order,
 )
@@ -84,21 +86,6 @@ class SymbolicMatrix:
             ]
         )
 
-    def replace_column(self, j: int, column: Sequence[LaurentPoly]) -> "SymbolicMatrix":
-        if len(column) != self.rows:
-            raise ValueError("column length mismatch")
-        return SymbolicMatrix(
-            [
-                tuple(column[ri] if cj == j else e for cj, e in enumerate(row))
-                for ri, row in enumerate(self.entries)
-            ]
-        )
-
-    def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "SymbolicMatrix":
-        rows = tuple(rows)
-        cols = tuple(cols)
-        return SymbolicMatrix([[self.entries[r][c] for c in cols] for r in rows])
-
     def row_mul(self, vector: Sequence[LaurentPoly]) -> list[LaurentPoly]:
         """vector (length rows) times the matrix, as a row vector."""
         if len(vector) != self.rows:
@@ -130,10 +117,9 @@ class SymbolicMatrix:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
 
 
-def identity_matrix(n: int, registry: VarRegistry | None = None) -> SymbolicMatrix:
-    reg = registry if registry is not None else DEFAULT
+def identity_matrix(n: int) -> SymbolicMatrix:
     return SymbolicMatrix(
-        [[reg.one if i == j else reg.zero for j in range(n)] for i in range(n)]
+        [[DEFAULT.one if i == j else DEFAULT.zero for j in range(n)] for i in range(n)]
     )
 
 
@@ -244,61 +230,60 @@ def _det_bareiss(m: SymbolicMatrix) -> LaurentPoly:
     return -d if sign < 0 else d
 
 
-def prod_poly(factors: Iterable[LaurentPoly], registry: VarRegistry | None = None) -> LaurentPoly:
-    reg = registry if registry is not None else DEFAULT
-    out = reg.one
-    for f in factors:
-        out = out * f
-    return out
-
-
 # -- weighted adjacency of D_k --------------------------------------------------
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """The seven step-weight values (generic variables or a specialization)."""
+    """The seven step-weight values (generic variables or a specialization).
+    A sequence ``f`` = (F_1, F_2, ...), if given, stands in the open weight
+    in place of [m]_{t5,t6}, and t5, t6 are then unused."""
 
     t: tuple[LaurentPoly, ...]
     generic: bool = False
+    f: tuple[LaurentPoly, ...] | None = None
 
     def __post_init__(self):
         if len(self.t) != 7:
             raise ValueError("a weight spec has exactly seven entries")
 
     @classmethod
-    def seven_variable(cls, registry: VarRegistry | None = None) -> "WeightSpec":
-        reg = registry if registry is not None else DEFAULT
-        return cls(tuple(reg.var(f"t{i}") for i in range(1, 8)), generic=True)
+    def seven_variable(cls) -> "WeightSpec":
+        return cls(tuple(DEFAULT.var(f"t{i}") for i in range(1, 8)), generic=True)
 
     @classmethod
-    def xytu(cls, registry: VarRegistry | None = None) -> "WeightSpec":
+    def xytu(cls) -> "WeightSpec":
         """t1=t2=t3=x, t4=y, t5=t, t6=u, t7=y: the M-matrix weights."""
-        reg = registry if registry is not None else DEFAULT
-        x, y, t, u = (reg.var(v) for v in "xytu")
+        x, y, t, u = (DEFAULT.var(v) for v in "xytu")
         return cls((x, x, x, y, t, u, y))
 
     @classmethod
-    def ztu(cls, registry: VarRegistry | None = None) -> "WeightSpec":
-        """t1=t3=t7=1, t2=t4=z, t5=t, t6=u: the N-matrix weights."""
-        reg = registry if registry is not None else DEFAULT
-        z, t, u = (reg.var(v) for v in "ztu")
-        one = reg.one
+    def ztu(cls) -> "WeightSpec":
+        """t1=t3=t7=1, t2=t4=z, t5=t, t6=u: the specialization of N_n(x,a)
+        at x = 1, F_m = [m]_{t,u}, q = z."""
+        z, t, u = (DEFAULT.var(v) for v in "ztu")
+        one = DEFAULT.one
         return cls((one, z, one, z, t, u, one))
 
-    @property
-    def registry(self) -> VarRegistry:
-        return self.t[0].registry
+    @classmethod
+    def f_sequence(cls, n: int) -> "WeightSpec":
+        """The weights of N_n(x,a): open F_(i+j+1), close q^i [j]_q
+        (t1=t3=t7=1, t2=t4=q, and F_1..F_n for the open factor)."""
+        q, one = DEFAULT.var("q"), DEFAULT.one
+        return cls((one, q, one, q, one, one, one), f=tuple(ensure_f(n)))
 
     def open_weight(self, i: int, j: int) -> LaurentPoly:
-        """North/East step leaving (i,j): t1^i t7^j [i+j+1]_{t5,t6}."""
-        ctx = PQContext(self.t[4], self.t[5])
-        return self.t[0] ** i * self.t[6] ** j * pq_int(i + j + 1, ctx)
+        """North/East step leaving (i,j): t1^i t7^j [i+j+1]_{t5,t6}, or
+        t1^i t7^j F_(i+j+1) when ``f`` is given."""
+        if self.f is None:
+            factor = pq_int(i + j + 1, pq_context(self.t[4], self.t[5]))
+        else:
+            factor = self.f[i + j]
+        return self.t[0] ** i * self.t[6] ** j * factor
 
     def close_weight(self, i: int, j: int) -> LaurentPoly:
         """Null/South-East step leaving (i,j): t2^i [j]_{t3,t4}."""
-        ctx = PQContext(self.t[2], self.t[3])
-        return self.t[1] ** i * pq_int(j, ctx)
+        return self.t[1] ** i * pq_int(j, pq_context(self.t[2], self.t[3]))
 
     def step_weight(self, v: tuple[int, int], kind: str) -> LaurentPoly:
         if kind in (NORTH, EAST):
@@ -323,24 +308,28 @@ def adjacency(k: int, w: WeightSpec) -> SymbolicMatrix:
     """Weighted adjacency matrix of D_k in the canonical vertex order."""
     edges = out_edges(k, w)
     index = {v: i for i, v in enumerate(edges)}
-    grid = [[w.registry.zero] * len(index) for _ in index]
+    grid = [[DEFAULT.zero] * len(index) for _ in index]
     for v, out in edges.items():
         for u, weight in out:
             grid[index[v]][index[u]] = weight
     return SymbolicMatrix(grid)
 
 
-def transfer_matrix(k: int, w: WeightSpec) -> SymbolicMatrix:
-    """I - a * A_k; upper triangular in the canonical vertex order."""
-    reg = w.registry
-    a = reg.var("a")
+def _pencil(k: int, w: WeightSpec, diag: LaurentPoly) -> SymbolicMatrix:
+    """diag * I - a * A_k(w); upper triangular in the canonical vertex order."""
+    a = DEFAULT.var("a")
     adj = adjacency(k, w)
     rows = []
     for i in range(adj.rows):
         row = [-(a * e) if not e.is_zero() else e for e in adj.entries[i]]
-        row[i] = row[i] + reg.one
+        row[i] = row[i] + diag
         rows.append(row)
     return SymbolicMatrix(rows)
+
+
+def transfer_matrix(k: int, w: WeightSpec) -> SymbolicMatrix:
+    """I - a * A_k; upper triangular in the canonical vertex order."""
+    return _pencil(k, w, DEFAULT.one)
 
 
 def _check_k_bound(k: int, w: WeightSpec, force_large: bool) -> None:
@@ -358,7 +347,7 @@ def _check_k_bound(k: int, w: WeightSpec, force_large: bool) -> None:
 def q_gf_transfer(k: int, w: WeightSpec, order: int, force_large: bool = False) -> SeriesInA:
     """The walk generating function of depth k as a series in a:
 
-        (-1)^(1 + arc(k)) det(I - a A_k ; last row, first column) / det(I - a A_k)
+        (-1)^(1 + vertex_count(k)) det(I - a A_k ; last row, first column) / det(I - a A_k)
 
     Its a^n coefficient is the sum of the seven-variable monomials over all
     ordered partitions of [n] with k blocks.
@@ -368,7 +357,7 @@ def q_gf_transfer(k: int, w: WeightSpec, order: int, force_large: bool = False) 
     nv = vertex_count(k)
     denom = det(m)
     if nv == 1:
-        numer = m.registry.one  # empty minor
+        numer = DEFAULT.one  # empty minor
     else:
         numer = det(m.minor(nv - 1, 0))
     if nv % 2 == 0:
@@ -389,7 +378,6 @@ def walk_series(k: int, w: WeightSpec, order: int, force_large: bool = False) ->
     _check_k_bound(k, w, force_large)
     if order < 0:
         raise ValueError("order must be nonnegative")
-    reg = w.registry
     target = (k, 0)
     moves: dict[Vertex, list[tuple[LaurentPoly, list[Vertex]]]] = {}
     for v, out in out_edges(k, w).items():
@@ -397,8 +385,8 @@ def walk_series(k: int, w: WeightSpec, order: int, force_large: bool = False) ->
         for u, weight in out:
             by_weight.setdefault(weight, []).append(u)
         moves[v] = list(by_weight.items())
-    row = {(0, 0): reg.one}
-    coeffs = [row.get(target, reg.zero)]
+    row = {(0, 0): DEFAULT.one}
+    coeffs = [row.get(target, DEFAULT.zero)]
     for left in range(order - 1, -1, -1):
         pushed: dict[Vertex, LaurentPoly] = {}
         for v, value in row.items():
@@ -410,23 +398,11 @@ def walk_series(k: int, w: WeightSpec, order: int, force_large: bool = False) ->
                 for u in live:
                     pushed[u] = pushed[u] + term if u in pushed else term
         row = pushed
-        coeffs.append(row.get(target, reg.zero))
-    return SeriesInA(reg, coeffs)
+        coeffs.append(row.get(target, DEFAULT.zero))
+    return SeriesInA(DEFAULT, coeffs)
 
 
 # -- closed forms ----------------------------------------------------------------
-
-
-def _xy_ctx(reg):
-    return PQContext(reg.var("x"), reg.var("y"))
-
-
-def _tu_ctx(reg):
-    return PQContext(reg.var("t"), reg.var("u"))
-
-
-def _z_ctx(reg):
-    return PQContext(reg.one, reg.var("z"))
 
 
 def _check_closed_k_bound(k: int, force_large: bool) -> None:
@@ -437,44 +413,39 @@ def _check_closed_k_bound(k: int, force_large: bool) -> None:
         )
 
 
-def closed_f(k: int, order: int, registry: VarRegistry | None = None,
-             force_large: bool = False) -> SeriesInA:
+def closed_f(k: int, order: int, force_large: bool = False) -> SeriesInA:
     """a^k x^C(k,2) [k]_{t,u}! / prod_{i=1..k} (1 - a [i]_{x,y})."""
     _check_closed_k_bound(k, force_large)
-    reg = registry if registry is not None else DEFAULT
-    a, x = reg.var("a"), reg.var("x")
-    numer = a ** k * x ** math.comb(k, 2) * pq_factorial(k, _tu_ctx(reg))
-    denom = prod_poly(
-        (reg.one - a * pq_int(i, _xy_ctx(reg)) for i in range(1, k + 1)), reg
+    a, x = DEFAULT.var("a"), DEFAULT.var("x")
+    numer = a ** k * x ** math.comb(k, 2) * pq_factorial(k, pq_context("t", "u"))
+    xy = pq_context("x", "y")
+    denom = math.prod(
+        (DEFAULT.one - a * pq_int(i, xy) for i in range(1, k + 1)), start=DEFAULT.one
     )
     return series_from_rational(numer, denom, order)
 
 
-def closed_g(k: int, order: int, registry: VarRegistry | None = None,
-             force_large: bool = False) -> SeriesInA:
+def closed_g(k: int, order: int, force_large: bool = False) -> SeriesInA:
     """a^k [k]_{t,u}! / prod_{i=1..k} (1 - a z^(k-i) [i]_z)."""
     _check_closed_k_bound(k, force_large)
-    reg = registry if registry is not None else DEFAULT
-    a, z = reg.var("a"), reg.var("z")
-    numer = a ** k * pq_factorial(k, _tu_ctx(reg))
-    denom = prod_poly(
-        (reg.one - a * z ** (k - i) * pq_int(i, _z_ctx(reg)) for i in range(1, k + 1)),
-        reg,
+    a, z = DEFAULT.var("a"), DEFAULT.var("z")
+    numer = a ** k * pq_factorial(k, pq_context("t", "u"))
+    zz = pq_context(DEFAULT.one, "z")
+    denom = math.prod(
+        (DEFAULT.one - a * z ** (k - i) * pq_int(i, zz) for i in range(1, k + 1)),
+        start=DEFAULT.one,
     )
     return series_from_rational(numer, denom, order)
 
 
-def closed_phi(k: int, order: int, registry: VarRegistry | None = None,
-               force_large: bool = False) -> SeriesInA:
+def closed_phi(k: int, order: int, force_large: bool = False) -> SeriesInA:
     """The (mak+bInv, cinvLSB, inv, cinv) generating function with k blocks:
     obtained from closed_f by the substitution t -> x y t, u -> u y^2."""
-    reg = registry if registry is not None else DEFAULT
-    x, y, t, u = (reg.var(v) for v in "xytu")
-    return closed_f(k, order, reg, force_large).subs({"t": x * y * t, "u": u * y * y})
+    x, y, t, u = (DEFAULT.var(v) for v in "xytu")
+    return closed_f(k, order, force_large).subs({"t": x * y * t, "u": u * y * y})
 
 
-def closed_varphi(k: int, order: int, registry: VarRegistry | None = None,
-                  force_large: bool = False) -> SeriesInA:
+def closed_varphi(k: int, order: int, force_large: bool = False) -> SeriesInA:
     """The (lmak+bInv, inv, cinv) generating function with k blocks: closed_g
     with a -> a z^(k-1), z -> 1/z, u -> u/z, applied at the series level.
 
@@ -482,9 +453,8 @@ def closed_varphi(k: int, order: int, registry: VarRegistry | None = None,
     series must come out polynomial in z, which is asserted here rather than
     assumed.
     """
-    reg = registry if registry is not None else DEFAULT
-    z, u = reg.var("z"), reg.var("u")
-    base = closed_g(k, order, reg, force_large)
+    z, u = DEFAULT.var("z"), DEFAULT.var("u")
+    base = closed_g(k, order, force_large)
     zi = z.inverse()
     out = base.subs({"z": zi, "u": u * zi}).map_coeffs(
         lambda n, c: z ** (n * (k - 1)) * c
@@ -497,200 +467,125 @@ def closed_varphi(k: int, order: int, registry: VarRegistry | None = None,
     return out
 
 
-# -- the recursive matrix families ------------------------------------------------
+# -- the matrix families ---------------------------------------------------------
 
 
-def arc(n: int) -> int:
-    """(n+1)(n+2)/2, the matrix size at level n."""
-    return vertex_count(n)
+def build_n(n: int) -> SymbolicMatrix:
+    """N_n(x, a) = x I - a A_n under the F-sequence weights."""
+    return _pencil(n, WeightSpec.f_sequence(n), DEFAULT.var("x"))
 
 
-def build_m(n: int, registry: VarRegistry | None = None) -> SymbolicMatrix:
-    """M_n by block recursion: M_0 = (1);
-
-        M_n = [ M_{n-1}  Mbar ]      Mbar: zero except its last n rows,
-              [ 0        Mhat ]            -a x^(i-1) y^(n-i) [n]_{t,u} at
-                                           (i, i), (i, i+1)
-        Mhat (n+1 square): delta_ij - a x^(i-1) [n+1-i]_{x,y}
-                           (delta_ij + delta_{i+1,j})
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    reg = registry if registry is not None else DEFAULT
-    a, x, y = reg.var("a"), reg.var("x"), reg.var("y")
-    tu = _tu_ctx(reg)
-    xy = _xy_ctx(reg)
-    grid = [[reg.one]]
-    for m in range(1, n + 1):
-        size_prev = arc(m - 1)
-        size = arc(m)
-        new = [[reg.zero] * size for _ in range(size)]
-        for i in range(size_prev):
-            for j in range(size_prev):
-                new[i][j] = grid[i][j]
-        band = a * pq_int(m, tu)
-        for i in range(1, m + 1):  # rows of the upper-right block, 1-based
-            w = x ** (i - 1) * y ** (m - i) * band
-            row = size_prev - m - 1 + i
-            new[row][size_prev + i - 1] = -w
-            new[row][size_prev + i] = -w
-        for i in range(1, m + 2):  # diagonal block, 1-based
-            w = a * x ** (i - 1) * pq_int(m + 1 - i, xy)
-            new[size_prev + i - 1][size_prev + i - 1] = reg.one - w
-            if i <= m:
-                new[size_prev + i - 1][size_prev + i] = -w
-        grid = new
-    return SymbolicMatrix(grid)
-
-
-def build_n(n: int, registry: VarRegistry | None = None) -> SymbolicMatrix:
-    """N_n(x, a) by the same block recursion: N_0 = (x); the diagonal block is
-    x delta_ij - a q^(i-1) [n+1-i]_q (delta_ij + delta_{i+1,j}) and the
-    upper-right band is -a F_n at (i,i), (i,i+1) for the generic sequence F."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    reg = registry if registry is not None else DEFAULT
-    ensure_f(max(n, 1), reg)
-    a, x, q = reg.var("a"), reg.var("x"), reg.var("q")
-    qq = PQContext(reg.one, q)
-    grid = [[x]]
-    for m in range(1, n + 1):
-        size_prev = arc(m - 1)
-        size = arc(m)
-        new = [[reg.zero] * size for _ in range(size)]
-        for i in range(size_prev):
-            for j in range(size_prev):
-                new[i][j] = grid[i][j]
-        band = a * reg.var(f"F{m}")
-        for i in range(1, m + 1):
-            row = size_prev - m - 1 + i
-            new[row][size_prev + i - 1] = -band
-            new[row][size_prev + i] = -band
-        for i in range(1, m + 2):
-            w = a * q ** (i - 1) * pq_int(m + 1 - i, qq)
-            new[size_prev + i - 1][size_prev + i - 1] = x - w
-            if i <= m:
-                new[size_prev + i - 1][size_prev + i] = -w
-        grid = new
-    return SymbolicMatrix(grid)
-
-
-def build_p(n: int, registry: VarRegistry | None = None) -> SymbolicMatrix:
+def build_p(n: int) -> SymbolicMatrix:
     """P_n: M_n with the last row and first column removed."""
-    return build_m(n, registry).minor(arc(n) - 1, 0)
+    m = transfer_matrix(n, WeightSpec.xytu())
+    return m.minor(m.rows - 1, 0)
 
 
-def build_pbar(n: int, registry: VarRegistry | None = None) -> SymbolicMatrix:
-    """The block of P_{n+1} above its new diagonal block: the first
-    arc(n)-1 rows of the last n+2 columns."""
-    p_next = build_p(n + 1, registry)
-    kn = arc(n) - 1
-    return p_next.submatrix(range(kn), range(kn, p_next.cols))
-
-
-def build_p_k(n: int, k: int, registry: VarRegistry | None = None) -> SymbolicMatrix:
+def build_p_k(n: int, k: int) -> SymbolicMatrix:
     """P_n^k: P_n with its right-most column replaced by the k-th column
-    (1-based, 1 <= k <= n+2) of build_pbar(n)."""
+    (1-based, 1 <= k <= n+2) of the block of P_{n+1} above its new diagonal
+    block.  P_n is the top-left block of P_{n+1}, so both are read from one
+    P_{n+1}."""
     if not 1 <= k <= n + 2:
         raise ValueError(f"need 1 <= k <= {n + 2}")
-    p = build_p(n, registry)
-    col = [build_pbar(n, registry).entry(i, k - 1) for i in range(p.rows)]
-    return p.replace_column(p.cols - 1, col)
+    p_next = build_p(n + 1)
+    size = vertex_count(n) - 1  # P_n is size x size
+    cols = [*range(size - 1), size + k - 1]
+    return SymbolicMatrix([[row[c] for c in cols] for row in p_next.entries[:size]])
 
 
-def build_ndot(n: int, registry: VarRegistry | None = None) -> SymbolicMatrix:
+def build_ndot(n: int) -> SymbolicMatrix:
     """N_n(x,a) with the last row and first column removed."""
-    return build_n(n, registry).minor(arc(n) - 1, 0)
+    m = build_n(n)
+    return m.minor(m.rows - 1, 0)
 
 
 # -- determinant identity verifiers ------------------------------------------------
 
 
-def verify_det_m(n: int, registry: VarRegistry | None = None) -> bool:
+def verify_det_m(n: int) -> bool:
     """det M_n = prod_{m=1..n} prod_{i=0..m} (1 - a x^i [m-i]_{x,y})."""
-    reg = registry if registry is not None else DEFAULT
-    a, x = reg.var("a"), reg.var("x")
-    xy = _xy_ctx(reg)
-    lhs = det(build_m(n, reg))
-    rhs = prod_poly(
+    a, x = DEFAULT.var("a"), DEFAULT.var("x")
+    xy = pq_context("x", "y")
+    lhs = det(transfer_matrix(n, WeightSpec.xytu()))
+    rhs = math.prod(
         (
-            reg.one - a * x ** i * pq_int(m - i, xy)
+            DEFAULT.one - a * x ** i * pq_int(m - i, xy)
             for m in range(1, n + 1)
             for i in range(m + 1)
         ),
-        reg,
+        start=DEFAULT.one,
     )
     return lhs == rhs
 
 
-def verify_det_n(n: int, registry: VarRegistry | None = None) -> bool:
+def verify_det_n(n: int) -> bool:
     """det(I - a A_n) under the (z,t,u) weights
     = prod_{m=1..n} prod_{k=0..n-m} (1 - a z^k [m]_z)."""
-    reg = registry if registry is not None else DEFAULT
-    a, z = reg.var("a"), reg.var("z")
-    zz = _z_ctx(reg)
-    lhs = det(transfer_matrix(n, WeightSpec.ztu(reg)))
-    rhs = prod_poly(
+    a, z = DEFAULT.var("a"), DEFAULT.var("z")
+    zz = pq_context(DEFAULT.one, "z")
+    lhs = det(transfer_matrix(n, WeightSpec.ztu()))
+    rhs = math.prod(
         (
-            reg.one - a * z ** k * pq_int(m, zz)
+            DEFAULT.one - a * z ** k * pq_int(m, zz)
             for m in range(1, n + 1)
             for k in range(n - m + 1)
         ),
-        reg,
+        start=DEFAULT.one,
     )
     return lhs == rhs
 
 
-def verify_minor1(n: int, registry: VarRegistry | None = None) -> bool:
+def verify_minor1(n: int) -> bool:
     """det(M_n; last, first) = (-1)^C(n,2) a^n x^C(n,2) [n]_{t,u}!
     prod_{m=1..n-1} prod_{i=1..m} (1 - a x^i [m-i+1]_{x,y})."""
-    reg = registry if registry is not None else DEFAULT
-    a, x = reg.var("a"), reg.var("x")
-    lhs = det(build_p(n, reg))
+    a, x = DEFAULT.var("a"), DEFAULT.var("x")
+    xy = pq_context("x", "y")
+    lhs = det(build_p(n))
     sign = -1 if math.comb(n, 2) % 2 else 1
     rhs = (
-        reg.const(sign)
+        DEFAULT.const(sign)
         * a ** n
         * x ** math.comb(n, 2)
-        * pq_factorial(n, _tu_ctx(reg))
-        * prod_poly(
+        * pq_factorial(n, pq_context("t", "u"))
+        * math.prod(
             (
-                reg.one - a * x ** i * pq_int(m - i + 1, _xy_ctx(reg))
+                DEFAULT.one - a * x ** i * pq_int(m - i + 1, xy)
                 for m in range(1, n)
                 for i in range(1, m + 1)
             ),
-            reg,
+            start=DEFAULT.one,
         )
     )
     return lhs == rhs
 
 
-def verify_minor2(n: int, registry: VarRegistry | None = None) -> bool:
+def verify_minor2(n: int) -> bool:
     """det(I - a A_n ; last, first) under the (z,t,u) weights
     = (-1)^C(n,2) a^n [n]_{t,u}! prod_{m=1..n-1} prod_{k=1..n-m}
       (1 - a z^(k-1) [m]_z)."""
-    reg = registry if registry is not None else DEFAULT
-    a, z = reg.var("a"), reg.var("z")
-    m = transfer_matrix(n, WeightSpec.ztu(reg))
-    lhs = det(m.minor(arc(n) - 1, 0))
+    a, z = DEFAULT.var("a"), DEFAULT.var("z")
+    zz = pq_context(DEFAULT.one, "z")
+    m = transfer_matrix(n, WeightSpec.ztu())
+    lhs = det(m.minor(m.rows - 1, 0))
     sign = -1 if math.comb(n, 2) % 2 else 1
     rhs = (
-        reg.const(sign)
+        DEFAULT.const(sign)
         * a ** n
-        * pq_factorial(n, _tu_ctx(reg))
-        * prod_poly(
+        * pq_factorial(n, pq_context("t", "u"))
+        * math.prod(
             (
-                reg.one - a * z ** (k - 1) * pq_int(mm, _z_ctx(reg))
+                DEFAULT.one - a * z ** (k - 1) * pq_int(mm, zz)
                 for mm in range(1, n)
                 for k in range(1, n - mm + 1)
             ),
-            reg,
+            start=DEFAULT.one,
         )
     )
     return lhs == rhs
 
 
-def verify_main1(n: int, registry: VarRegistry | None = None) -> bool:
+def verify_main1(n: int) -> bool:
     """The P-family ratio identities, verified in cleared form:
 
       det P_n = (-1)^(n-1) a x^(n-1) [n]_{t,u}
@@ -706,24 +601,24 @@ def verify_main1(n: int, registry: VarRegistry | None = None) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    reg = registry if registry is not None else DEFAULT
-    a, x, y = reg.var("a"), reg.var("x"), reg.var("y")
-    tu, xy = _tu_ctx(reg), _xy_ctx(reg)
-    det_p = det(build_p(n, reg))
+    a, x, y = (DEFAULT.var(v) for v in "axy")
+    tu, xy = pq_context("t", "u"), pq_context("x", "y")
+    det_p = det(build_p(n))
     # P_0 is the empty matrix: its determinant is 1
-    det_p_prev = det(build_p(n - 1, reg)) if n >= 2 else reg.one
-    sign = reg.const(-1 if (n - 1) % 2 else 1)
+    det_p_prev = det(build_p(n - 1)) if n >= 2 else DEFAULT.one
+    sign = DEFAULT.const(-1 if (n - 1) % 2 else 1)
     step = (
         sign
         * a
         * x ** (n - 1)
         * pq_int(n, tu)
-        * prod_poly((reg.one - a * x ** i * pq_int(n - i, xy) for i in range(1, n)), reg)
+        * math.prod((DEFAULT.one - a * x ** i * pq_int(n - i, xy) for i in range(1, n)),
+                    start=DEFAULT.one)
     )
     if det_p != step * det_p_prev:
         return False
     for k in range(1, n + 1):
-        lhs = det(build_p_k(n, k, reg)) * x ** (n * (n - 1) // 2)
+        lhs = det(build_p_k(n, k)) * x ** (n * (n - 1) // 2)
         rhs = (
             det_p
             * a
@@ -734,12 +629,12 @@ def verify_main1(n: int, registry: VarRegistry | None = None) -> bool:
         )
         if lhs != rhs:
             return False
-    if det(build_p_k(n, n + 1, reg)) != a * y * pq_int(n + 1, tu) * pq_int(n, xy) * det_p:
+    if det(build_p_k(n, n + 1)) != a * y * pq_int(n + 1, tu) * pq_int(n, xy) * det_p:
         return False
-    return det(build_p_k(n, n + 2, reg)).is_zero()
+    return det(build_p_k(n, n + 2)).is_zero()
 
 
-def verify_lemma_key(n: int, m: int, registry: VarRegistry | None = None) -> bool:
+def verify_lemma_key(n: int, m: int) -> bool:
     """The alternating-sum identity behind the P-family induction:
 
       sum_{k=0..m} (-1)^(m-k) x^C(k,2) y^C(n-k,2) binom(n,k)_{x,y}
@@ -749,39 +644,37 @@ def verify_lemma_key(n: int, m: int, registry: VarRegistry | None = None) -> boo
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    reg = registry if registry is not None else DEFAULT
-    a, x, y = reg.var("a"), reg.var("x"), reg.var("y")
-    xy = _xy_ctx(reg)
+    a, x, y = (DEFAULT.var(v) for v in "axy")
+    xy = pq_context("x", "y")
 
     def factor(i):
-        return reg.one - a * x ** i * pq_int(n - i, xy)
+        return DEFAULT.one - a * x ** i * pq_int(n - i, xy)
 
     def neg_factor(i):
         return -(a * x ** i * pq_int(n - i, xy))
 
-    lhs = reg.zero
+    lhs = DEFAULT.zero
     for k in range(m + 1):
-        sign = reg.const(-1 if (m - k) % 2 else 1)
+        sign = DEFAULT.const(-1 if (m - k) % 2 else 1)
         term = (
             sign
             * x ** math.comb(k, 2)
             * y ** math.comb(n - k, 2)
             * pq_binomial(n, k, xy)
-            * prod_poly((factor(i) for i in range(k)), reg)
-            * prod_poly((neg_factor(i) for i in range(k, m)), reg)
+            * math.prod((factor(i) for i in range(k)), start=DEFAULT.one)
+            * math.prod((neg_factor(i) for i in range(k, m)), start=DEFAULT.one)
         )
         lhs = lhs + term
     rhs = (
         x ** math.comb(m, 2)
         * y ** math.comb(n - m, 2)
         * pq_binomial(n, m, xy)
-        * prod_poly((factor(i) for i in range(1, m + 1)), reg)
+        * math.prod((factor(i) for i in range(1, m + 1)), start=DEFAULT.one)
     )
     return lhs == rhs
 
 
-def eigen_row_vector(n: int, m: int, k: int, registry: VarRegistry | None = None
-                     ) -> list[LaurentPoly]:
+def eigen_row_vector(n: int, m: int, k: int) -> list[LaurentPoly]:
     """The left eigenvector of N_n(x,a) for eigenvalue x - a q^(k-1) [m]_q,
     scaled by [n+1-m-k]_q! so every entry is a Laurent polynomial.
 
@@ -794,20 +687,19 @@ def eigen_row_vector(n: int, m: int, k: int, registry: VarRegistry | None = None
 
     and 0 whenever i < m+k or j-k is outside 0..m.
     """
-    reg = registry if registry is not None else DEFAULT
-    ensure_f(max(n, 1), reg)
-    q = reg.var("q")
-    qq = PQContext(reg.one, q)
+    ensure_f(max(n, 1))
+    q = DEFAULT.var("q")
+    qq = q_context()
     out = []
     for i in range(1, n + 2):
         for j in range(1, i + 1):
             if i < m + k or j - k < 0 or j - k > m:
-                out.append(reg.zero)
+                out.append(DEFAULT.zero)
                 continue
-            sign = reg.const(-1 if (i + m + k) % 2 else 1)
+            sign = DEFAULT.const(-1 if (i + m + k) % 2 else 1)
             val = sign * q ** (-(m + k - 1) * (i - m - k) + math.comb(j - k, 2))
             for ell in range(m + k, i):
-                val = val * reg.var(f"F{ell}")
+                val = val * DEFAULT.var(f"F{ell}")
             for ell in range(i - m - k + 1, n + 2 - m - k):
                 val = val * pq_int(ell, qq)
             val = val * pq_binomial(m, j - k, qq)
@@ -815,48 +707,47 @@ def eigen_row_vector(n: int, m: int, k: int, registry: VarRegistry | None = None
     return out
 
 
-def verify_eigen(n: int, m: int, k: int, registry: VarRegistry | None = None) -> bool:
+def verify_eigen(n: int, m: int, k: int) -> bool:
     """Check X * N_n(x,a) = (x - a q^(k-1) [m]_q) * X for the row vector above."""
     if not (1 <= m <= n - 1 and 1 <= k <= n - m):
         raise ValueError("need 1 <= m <= n-1 and 1 <= k <= n-m")
-    reg = registry if registry is not None else DEFAULT
-    a, x, q = reg.var("a"), reg.var("x"), reg.var("q")
-    vec = eigen_row_vector(n, m, k, reg)
-    matrix = build_n(n, reg)
+    a, x, q = (DEFAULT.var(v) for v in "axq")
+    vec = eigen_row_vector(n, m, k)
+    matrix = build_n(n)
     lhs = matrix.row_mul(vec)
-    eigenvalue = x - a * q ** (k - 1) * pq_int(m, PQContext(reg.one, q))
+    eigenvalue = x - a * q ** (k - 1) * pq_int(m, q_context())
     return all(l == eigenvalue * v for l, v in zip(lhs, vec))
 
 
-def verify_conj(n: int, registry: VarRegistry | None = None) -> bool:
+def verify_conj(n: int) -> bool:
     """det ndot_n = (-1)^(n(n-1)/2) a^n F_n! x^n
     prod_{m=1..n-1} prod_{k=1..n-m} (x - a q^(k-1) [m]_q)."""
-    reg = registry if registry is not None else DEFAULT
-    ensure_f(max(n, 1), reg)
-    a, x, q = reg.var("a"), reg.var("x"), reg.var("q")
-    qq = PQContext(reg.one, q)
-    lhs = det(build_ndot(n, reg))
-    sign = reg.const(-1 if (n * (n - 1) // 2) % 2 else 1)
+    ensure_f(max(n, 1))
+    a, x, q = (DEFAULT.var(v) for v in "axq")
+    qq = q_context()
+    lhs = det(build_ndot(n))
+    sign = DEFAULT.const(-1 if (n * (n - 1) // 2) % 2 else 1)
     rhs = sign * a ** n * x ** n
     for i in range(1, n + 1):
-        rhs = rhs * reg.var(f"F{i}")
-    rhs = rhs * prod_poly(
+        rhs = rhs * DEFAULT.var(f"F{i}")
+    rhs = rhs * math.prod(
         (
             x - a * q ** (kk - 1) * pq_int(mm, qq)
             for mm in range(1, n)
             for kk in range(1, n - mm + 1)
         ),
-        reg,
+        start=DEFAULT.one,
     )
     return lhs == rhs
 
 
-def q_specialized_series(k: int, order: int, registry: VarRegistry | None = None) -> SeriesInA:
+def q_specialized_series(k: int, order: int) -> SeriesInA:
     """a^k q^C(k,2) [k]_q! / prod_{i=1..k}(1 - a [i]_q): by the q-Stirling
     recurrence its a^n coefficient is [k]_q! S_q(n,k)."""
-    reg = registry if registry is not None else DEFAULT
-    a, q = reg.var("a"), reg.var("q")
-    qq = PQContext(reg.one, q)
+    a, q = DEFAULT.var("a"), DEFAULT.var("q")
+    qq = q_context()
     numer = a ** k * q ** math.comb(k, 2) * pq_factorial(k, qq)
-    denom = prod_poly((reg.one - a * pq_int(i, qq) for i in range(1, k + 1)), reg)
+    denom = math.prod(
+        (DEFAULT.one - a * pq_int(i, qq) for i in range(1, k + 1)), start=DEFAULT.one
+    )
     return series_from_rational(numer, denom, order)

@@ -304,6 +304,26 @@ def test_determinant_checkers_can_fail(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines == ["FAIL detm n=1", "FAIL detm n=2", "FAIL minor1 n=1", "FAIL minor1 n=2"]
     assert "first failing instance: FAIL detm n=1" in err
+    # the checks on N_n(x,a), the (z,t,u) transfer matrix and the P family
+    code, out, _ = run(capsys, "verify", "detn", "minor2", "main1", "conj", "--n-max", "2")
+    assert code == 1
+    first = {}
+    for line in out.splitlines():
+        if line.startswith("FAIL"):
+            first.setdefault(line.split()[1], line)
+    assert first == {
+        "detn": "FAIL detn n=1",
+        "minor2": "FAIL minor2 n=1",
+        "main1": "FAIL main1 n=1 k=1..3",
+        "conj": "FAIL conj n=1",
+    }
+    monkeypatch.setattr(xfer, "det", det)
+    vector = xfer.eigen_row_vector
+    monkeypatch.setattr(xfer, "eigen_row_vector", lambda n, m, k: [v + 1 for v in vector(n, m, k)])
+    code, out, err = run(capsys, "verify", "eigen", "--n-max", "3")
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL eigen n=2 m=1 k=1"
+    assert "first failing instance: FAIL eigen n=2 m=1 k=1" in err
 
 
 def test_verify_records_format(capsys):

@@ -221,6 +221,7 @@ def test_distribution_allows_negative_exponents():
 def test_enumerated_gf_matches_definition_route():
     reg = DEFAULT
     exprs = ("mak+bInv", "2*inv-cinv", "lsb+rsb")  # the second goes negative
+    assert evaluator([])(summarize(PI)) == ()
     for n in range(6):
         for k in range(n + 1):
             parts = list(enumerate_op(n, k))
@@ -230,6 +231,7 @@ def test_enumerated_gf_matches_definition_route():
                 want = sum((reg.monomial(1, q=composite(pi, e)) for pi in parts), reg.zero)
                 assert got == want, (n, k, e)
             assert enumerated_gf(summaries, *({"q": e} for e in exprs)) == singles
+            assert enumerated_gf(summaries) == []
             (joint,) = enumerated_gf(summaries, {"x": "mak", "y": "bInv"})
             assert joint == sum(
                 (reg.monomial(1, x=composite(pi, "mak"), y=composite(pi, "bInv")) for pi in parts),

@@ -1,5 +1,7 @@
 """Transfer matrices, symbolic determinants, closed forms, verifiers."""
 
+import math
+
 import pytest
 
 from opstats import xfer
@@ -7,12 +9,11 @@ from opstats.opart import iter_blocks
 from opstats.qnum import pq_context, pq_int, q_factorial, q_stirling
 from opstats.ring import DEFAULT, ensure_f, series_from_rational
 from opstats.stats import WALK_EXPONENTS, Summary, evaluator
+from opstats.walks import vertex_count
 from opstats.xfer import (
     SymbolicMatrix,
     WeightSpec,
     adjacency,
-    arc,
-    build_m,
     build_n,
     build_ndot,
     build_p,
@@ -50,7 +51,6 @@ def test_adjacency_k1_matches_m1():
         [0, 1 - A, -A],
         [0, 0, 1],
     ])
-    assert m == build_m(1)
     # self-loop weight at (0,1) is [1]_{t3,t4} = 1
     adj = adjacency(1, WeightSpec.seven_variable())
     assert adj.entry(1, 1) == ONE
@@ -65,15 +65,12 @@ def test_build_m2_matches_display():
         [0, 0, 0, 0, 1 - A * X, -A * X],
         [0, 0, 0, 0, 0, 1],
     ])
-    assert build_m(2) == expected
     assert transfer_matrix(2, WeightSpec.xytu()) == expected
 
 
-def test_build_m_equals_transfer_matrix():
-    for n in range(5):
-        assert build_m(n) == transfer_matrix(n, WeightSpec.xytu())
+def test_transfer_matrix_rejects_negative_k():
     with pytest.raises(ValueError):
-        build_m(-1)
+        transfer_matrix(-1, WeightSpec.xytu())
 
 
 def test_build_n2_matches_display():
@@ -126,7 +123,7 @@ def test_p1_and_ndot1():
 
 
 def test_det_printed_values():
-    assert det(build_m(1)) == 1 - A
+    assert det(transfer_matrix(1, WeightSpec.xytu())) == 1 - A
     ensure_f(2)
     F1, F2 = REG.var("F1"), REG.var("F2")
     assert det(build_ndot(2)) == -(A ** 2) * F1 * F2 * X ** 2 * (X - A)
@@ -154,10 +151,8 @@ def test_det_methods_agree():
         m = SymbolicMatrix(entries)
         assert det(m, "laplace") == det(m, "bareiss")
     for n in range(1, 4):
-        m = build_m(n)
-        assert det(m, "laplace") == det(m, "bareiss")
-        p = build_p(n)
-        assert det(p, "laplace") == det(p, "bareiss")
+        for m in (transfer_matrix(n, WeightSpec.xytu()), build_p(n), build_n(n), build_ndot(n)):
+            assert det(m, "laplace") == det(m, "bareiss")
 
 
 def test_minor_and_identity():
@@ -255,33 +250,29 @@ def test_closed_forms_low_order():
 
 def test_closed_phi_equals_direct_expansion():
     # substitution route vs the four-variable closed form
-    import math
-
     tx_uy = pq_context(REG.var("t") * REG.var("x"), REG.var("u") * REG.var("y"))
     xy = pq_context("x", "y")
     for k in range(4):
         direct_num = (
             A ** k
             * (X * Y) ** math.comb(k, 2)
-            * xfer.prod_poly(pq_int(i, tx_uy) for i in range(1, k + 1))
+            * math.prod((pq_int(i, tx_uy) for i in range(1, k + 1)), start=ONE)
         )
-        denom = xfer.prod_poly(ONE - A * pq_int(i, xy) for i in range(1, k + 1))
+        denom = math.prod((ONE - A * pq_int(i, xy) for i in range(1, k + 1)), start=ONE)
         direct = series_from_rational(direct_num, denom, 6)
         assert closed_phi(k, 6) == direct
 
 
 def test_closed_varphi_equals_direct_expansion():
-    import math
-
     tz_u = pq_context(REG.var("t") * REG.var("z"), REG.var("u"))
     zz = pq_context(REG.one, REG.var("z"))
     for k in range(4):
         direct_num = (
             A ** k
             * Z ** math.comb(k, 2)
-            * xfer.prod_poly(pq_int(i, tz_u) for i in range(1, k + 1))
+            * math.prod((pq_int(i, tz_u) for i in range(1, k + 1)), start=ONE)
         )
-        denom = xfer.prod_poly(ONE - A * pq_int(i, zz) for i in range(1, k + 1))
+        denom = math.prod((ONE - A * pq_int(i, zz) for i in range(1, k + 1)), start=ONE)
         direct = series_from_rational(direct_num, denom, 6)
         assert closed_varphi(k, 6) == direct
 
@@ -333,5 +324,5 @@ def test_eigen_worked_example():
 
 
 def test_arc_sizes():
-    assert [arc(n) for n in range(5)] == [1, 3, 6, 10, 15]
-    assert build_p(2).rows == arc(2) - 1
+    assert [vertex_count(n) for n in range(5)] == [1, 3, 6, 10, 15]
+    assert build_p(2).rows == vertex_count(2) - 1
