@@ -9,6 +9,7 @@ determinants), never from the same sweep.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -385,32 +386,12 @@ def check_thm25_series(k_max: int = 3, order: int = 8) -> list[CheckResult]:
 # -- determinant suite -------------------------------------------------------------
 
 
-def check_det_m(n_max: int = 3) -> list[CheckResult]:
-    return [
-        CheckResult("detm", f"n={n}", xfer.verify_det_m(n))
-        for n in range(1, n_max + 1)
-    ]
-
-
-def check_det_n(n_max: int = 3) -> list[CheckResult]:
-    return [
-        CheckResult("detn", f"n={n}", xfer.verify_det_n(n))
-        for n in range(1, n_max + 1)
-    ]
-
-
-def check_minor1(n_max: int = 4) -> list[CheckResult]:
-    return [
-        CheckResult("minor1", f"n={n}", xfer.verify_minor1(n))
-        for n in range(1, n_max + 1)
-    ]
-
-
-def check_minor2(n_max: int = 4) -> list[CheckResult]:
-    return [
-        CheckResult("minor2", f"n={n}", xfer.verify_minor2(n))
-        for n in range(1, n_max + 1)
-    ]
+def check_det(name: str, n_max: int | None = None) -> list[CheckResult]:
+    """The single-determinant identity ``name`` of xfer.DET_IDENTITIES for
+    1 <= n <= n_max (None: the identity's own bound)."""
+    if n_max is None:
+        n_max = xfer.DET_IDENTITIES[name].n_max
+    return [CheckResult(name, f"n={n}", xfer.verify_det(name, n)) for n in range(1, n_max + 1)]
 
 
 def check_main1(n_max: int = 4) -> list[CheckResult]:
@@ -434,13 +415,6 @@ def check_eigen(n_max: int = 4) -> list[CheckResult]:
         for n in range(2, n_max + 1)
         for m in range(1, n)
         for k in range(1, n - m + 1)
-    ]
-
-
-def check_conj_det(n_max: int = 4) -> list[CheckResult]:
-    return [
-        CheckResult("conj", f"n={n}", xfer.verify_conj(n))
-        for n in range(1, n_max + 1)
     ]
 
 
@@ -475,14 +449,10 @@ CHECKS = {
     "cor39": Check(check_cor39, bound=False),
     "thm24": Check(check_thm24),
     "eulerian": Check(check_eulerian_bruteforce),
-    "detm": Check(check_det_m),
-    "detn": Check(check_det_n),
-    "minor1": Check(check_minor1),
-    "minor2": Check(check_minor2),
     "main1": Check(check_main1),
     "key": Check(check_lemma_key),
     "eigen": Check(check_eigen),
-    "conj": Check(check_conj_det),
+    **{name: Check(functools.partial(check_det, name)) for name in xfer.DET_IDENTITIES},
 }
 
 

@@ -125,7 +125,7 @@ def _walk_family(spec):
 
 
 #: The series of ``gf``, each a function of (k, order, force_large).  Like
-#: every entry of ``DET_MATRICES``, each looks its ``xfer`` function up when
+#: every entry of ``xfer.MATRICES``, each looks its ``xfer`` function up when
 #: called, so a patched or wrapped function is the one that runs.
 GF_FAMILIES = {
     "Q": _walk_family(xfer.WeightSpec.seven_variable),
@@ -145,35 +145,8 @@ def _gf_cmd(args) -> int:
     return 0
 
 
-def _transfer(spec):
-    """I - a A_n under the weights ``spec()``."""
-    return lambda n, k: xfer.transfer_matrix(n, spec())
-
-
-def _p_k(n, k):
-    if k is None:
-        raise ValueError("det Pk needs --k")
-    return xfer.build_p_k(n, k)
-
-
-#: M_n is the transfer matrix under the (x,y,t,u) weights.
-_M = _transfer(xfer.WeightSpec.xytu)
-
-#: The matrices of ``det``, each a function of (n, k).
-DET_MATRICES = {
-    "M": _M,
-    "N": lambda n, k: xfer.build_n(n),
-    "P": lambda n, k: xfer.build_p(n),
-    "Pk": _p_k,
-    "ndot": lambda n, k: xfer.build_ndot(n),
-    "A": _transfer(xfer.WeightSpec.seven_variable),
-    "Axy": _M,
-    "Az": _transfer(xfer.WeightSpec.ztu),
-}
-
-
 def _det_cmd(args) -> int:
-    print(format_poly(xfer.det(DET_MATRICES[args.matrix](args.n, args.k))))
+    print(format_poly(xfer.det(xfer.MATRICES[args.matrix](args.n, args.k))))
     return 0
 
 
@@ -288,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_gf_cmd)
 
     p = sub.add_parser("det", help="symbolic determinant of a named matrix")
-    p.add_argument("matrix", choices=list(DET_MATRICES))
+    p.add_argument("matrix", choices=list(xfer.MATRICES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(fn=_det_cmd)

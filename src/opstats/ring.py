@@ -549,24 +549,6 @@ class SeriesInA:
     def subs(self, mapping: Mapping[str, LaurentPoly | int]) -> "SeriesInA":
         return self.map_coeffs(lambda _n, c: c.subs(mapping))
 
-    def __add__(self, other: "SeriesInA") -> "SeriesInA":
-        self._check(other)
-        order = min(self.order, other.order)
-        return SeriesInA(
-            self.registry,
-            [self.coeffs[n] + other.coeffs[n] for n in range(order + 1)],
-            self.var,
-        )
-
-    def __sub__(self, other: "SeriesInA") -> "SeriesInA":
-        self._check(other)
-        order = min(self.order, other.order)
-        return SeriesInA(
-            self.registry,
-            [self.coeffs[n] - other.coeffs[n] for n in range(order + 1)],
-            self.var,
-        )
-
     def __mul__(self, other: "SeriesInA") -> "SeriesInA":
         self._check(other)
         order = min(self.order, other.order)

@@ -23,17 +23,24 @@ diag*I - a*A_n(w) (sizes vertex_count(n) = (n+1)(n+2)/2):
                 nonvanishing sequence F1, F2, ..., and close weight q^i [j]_q
                 (x = 1, F_m = [m]_{t,u}, q = z recovers I - a*A_n under the
                 (z,t,u) weights)
-    P_n:   M_n minus its last row and first column
+    P_n:   M_n minus its last row and first column, its ``corner``
     P_n^k: P_n with its last column replaced by the k-th column of the block
            that sits above the new diagonal block inside P_{n+1}
-    ndot_n: N_n(x,a) minus its last row and first column
+    ndot_n: the corner of N_n(x,a)
+
+``MATRICES`` names them, with the transfer matrices A, Axy and Az, for the
+``det`` command and for ``DET_IDENTITIES``: one row per single-determinant
+identity, pairing a matrix (or its corner) with a named closed product such
+as ``minor1_product``, which ``verify_det`` compares.  The corner of a 1x1
+matrix is the 0x0 matrix, whose determinant is 1, so P_0 and ndot_0 need no
+special case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .opart import BoundExceeded
 from .qnum import pq_binomial, pq_context, pq_factorial, pq_int, q_context
@@ -52,16 +59,15 @@ CLOSED_K_BOUND = 16
 
 
 class SymbolicMatrix:
-    """Dense grid of Laurent polynomials over one registry."""
+    """Dense grid of Laurent polynomials over one registry; ``SymbolicMatrix(())``
+    is the 0x0 matrix."""
 
     __slots__ = ("rows", "cols", "entries", "registry")
 
     def __init__(self, entries: Sequence[Sequence[LaurentPoly]]):
         entries = tuple(tuple(row) for row in entries)
-        if not entries or not entries[0]:
-            raise ValueError("matrix needs at least one entry")
-        reg = entries[0][0].registry
-        width = len(entries[0])
+        width = len(entries[0]) if entries else 0
+        reg = entries[0][0].registry if width else DEFAULT
         for row in entries:
             if len(row) != width:
                 raise ValueError("ragged matrix")
@@ -72,9 +78,6 @@ class SymbolicMatrix:
         self.rows = len(entries)
         self.cols = width
         self.registry = reg
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
 
     def minor(self, i: int, j: int) -> "SymbolicMatrix":
         """Matrix with row i and column j removed (0-based)."""
@@ -102,25 +105,37 @@ class SymbolicMatrix:
             out.append(acc)
         return out
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def __eq__(self, other):
         if not isinstance(other, SymbolicMatrix):
             return NotImplemented
         return self.entries == other.entries
 
-    def __hash__(self):
-        return hash(self.entries)
-
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
 
 
-def identity_matrix(n: int) -> SymbolicMatrix:
-    return SymbolicMatrix(
-        [[DEFAULT.one if i == j else DEFAULT.zero for j in range(n)] for i in range(n)]
-    )
+def corner(m: SymbolicMatrix) -> SymbolicMatrix:
+    """m with its last row and first column removed."""
+    return m.minor(m.rows - 1, 0)
+
+
+def _leading(m: SymbolicMatrix, size: int, last: int | None = None) -> SymbolicMatrix:
+    """The top-left size x size block of m, with its last column taken from
+    column ``last`` of m if given."""
+    cols = [*range(size - 1), size - 1 if last is None else last]
+    return SymbolicMatrix([[row[c] for c in cols] for row in m.entries[:size]])
+
+
+def _sign(e: int) -> LaurentPoly:
+    """(-1)^e."""
+    return DEFAULT.const(-1 if e % 2 else 1)
+
+
+def _factors(diag: LaurentPoly, ws: Iterable[LaurentPoly]) -> LaurentPoly:
+    """prod over w in ws of (diag - a w): the eigenvalue factors of the pencils
+    diag*I - a*A_k, and the denominators of the closed forms."""
+    a = DEFAULT.var("a")
+    return math.prod((diag - a * w for w in ws), start=DEFAULT.one)
 
 
 # -- determinants --------------------------------------------------------------
@@ -134,7 +149,7 @@ def det(m: SymbolicMatrix, method: str = "laplace") -> LaurentPoly:
     "bareiss" is fraction-free elimination with exact division, kept as an
     independent cross-check of the expansion.  The empty 0x0 determinant is 1.
     """
-    if not m.is_square():
+    if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     if method == "laplace":
         return _det_laplace(m)
@@ -201,12 +216,16 @@ def _det_laplace(m: SymbolicMatrix) -> LaurentPoly:
         return acc
 
     n = m.rows
-    return rec(tuple(range(n)), tuple(range(n)))
+    result = rec(tuple(range(n)), tuple(range(n)))
+    memo.clear()  # rec refers to itself, so the memo would wait for the cyclic GC
+    return result
 
 
 def _det_bareiss(m: SymbolicMatrix) -> LaurentPoly:
     reg = m.registry
     n = m.rows
+    if n == 0:
+        return reg.one
     a = [list(row) for row in m.entries]
     sign = 1
     prev = reg.one
@@ -354,14 +373,8 @@ def q_gf_transfer(k: int, w: WeightSpec, order: int, force_large: bool = False) 
     """
     _check_k_bound(k, w, force_large)
     m = transfer_matrix(k, w)
-    nv = vertex_count(k)
     denom = det(m)
-    if nv == 1:
-        numer = DEFAULT.one  # empty minor
-    else:
-        numer = det(m.minor(nv - 1, 0))
-    if nv % 2 == 0:
-        numer = -numer
+    numer = _sign(1 + m.rows) * det(corner(m))
     return series_from_rational(numer, denom, order)
 
 
@@ -419,9 +432,7 @@ def closed_f(k: int, order: int, force_large: bool = False) -> SeriesInA:
     a, x = DEFAULT.var("a"), DEFAULT.var("x")
     numer = a ** k * x ** math.comb(k, 2) * pq_factorial(k, pq_context("t", "u"))
     xy = pq_context("x", "y")
-    denom = math.prod(
-        (DEFAULT.one - a * pq_int(i, xy) for i in range(1, k + 1)), start=DEFAULT.one
-    )
+    denom = _factors(DEFAULT.one, (pq_int(i, xy) for i in range(1, k + 1)))
     return series_from_rational(numer, denom, order)
 
 
@@ -431,10 +442,7 @@ def closed_g(k: int, order: int, force_large: bool = False) -> SeriesInA:
     a, z = DEFAULT.var("a"), DEFAULT.var("z")
     numer = a ** k * pq_factorial(k, pq_context("t", "u"))
     zz = pq_context(DEFAULT.one, "z")
-    denom = math.prod(
-        (DEFAULT.one - a * z ** (k - i) * pq_int(i, zz) for i in range(1, k + 1)),
-        start=DEFAULT.one,
-    )
+    denom = _factors(DEFAULT.one, (z ** (k - i) * pq_int(i, zz) for i in range(1, k + 1)))
     return series_from_rational(numer, denom, order)
 
 
@@ -477,112 +485,138 @@ def build_n(n: int) -> SymbolicMatrix:
 
 def build_p(n: int) -> SymbolicMatrix:
     """P_n: M_n with the last row and first column removed."""
-    m = transfer_matrix(n, WeightSpec.xytu())
-    return m.minor(m.rows - 1, 0)
+    return corner(transfer_matrix(n, WeightSpec.xytu()))
 
 
-def build_p_k(n: int, k: int) -> SymbolicMatrix:
+def build_p_k(n: int, k: int | None) -> SymbolicMatrix:
     """P_n^k: P_n with its right-most column replaced by the k-th column
     (1-based, 1 <= k <= n+2) of the block of P_{n+1} above its new diagonal
     block.  P_n is the top-left block of P_{n+1}, so both are read from one
     P_{n+1}."""
-    if not 1 <= k <= n + 2:
-        raise ValueError(f"need 1 <= k <= {n + 2}")
-    p_next = build_p(n + 1)
+    if n < 1 or k is None or not 1 <= k <= n + 2:
+        raise ValueError(f"P_n^k needs n >= 1 and 1 <= k <= n+2, got n={n}, k={k} (CLI: --n, --k)")
     size = vertex_count(n) - 1  # P_n is size x size
-    cols = [*range(size - 1), size + k - 1]
-    return SymbolicMatrix([[row[c] for c in cols] for row in p_next.entries[:size]])
+    return _leading(build_p(n + 1), size, size + k - 1)
 
 
 def build_ndot(n: int) -> SymbolicMatrix:
     """N_n(x,a) with the last row and first column removed."""
-    m = build_n(n)
-    return m.minor(m.rows - 1, 0)
+    return corner(build_n(n))
+
+
+#: The named matrices, each a function of (n, k) of which only Pk reads k.
+#: ``det`` prints their determinants and DET_IDENTITIES reads them.  Like
+#: every row of DET_IDENTITIES, each looks its builder up when called, so a
+#: patched or wrapped function is the one that runs.
+MATRICES: dict[str, Callable[..., SymbolicMatrix]] = {
+    "M": lambda n, k=None: transfer_matrix(n, WeightSpec.xytu()),
+    "N": lambda n, k=None: build_n(n),
+    "P": lambda n, k=None: build_p(n),
+    "Pk": lambda n, k=None: build_p_k(n, k),
+    "ndot": lambda n, k=None: build_ndot(n),
+    "A": lambda n, k=None: transfer_matrix(n, WeightSpec.seven_variable()),
+    "Axy": lambda n, k=None: MATRICES["M"](n),
+    "Az": lambda n, k=None: transfer_matrix(n, WeightSpec.ztu()),
+}
+
+
+# -- the closed products of the determinant identities ---------------------------
+
+
+def det_m_product(n: int) -> LaurentPoly:
+    """det M_n = prod_{m=1..n} prod_{i=0..m} (1 - a x^i [m-i]_{x,y})."""
+    x, xy = DEFAULT.var("x"), pq_context("x", "y")
+    return _factors(
+        DEFAULT.one, (x ** i * pq_int(m - i, xy) for m in range(1, n + 1) for i in range(m + 1))
+    )
+
+
+def det_n_product(n: int) -> LaurentPoly:
+    """det(I - a A_n) under the (z,t,u) weights
+    = prod_{m=1..n} prod_{k=0..n-m} (1 - a z^k [m]_z)."""
+    z, zz = DEFAULT.var("z"), pq_context(DEFAULT.one, "z")
+    return _factors(
+        DEFAULT.one, (z ** k * pq_int(m, zz) for m in range(1, n + 1) for k in range(n - m + 1))
+    )
+
+
+def minor1_product(n: int) -> LaurentPoly:
+    """det P_n = det(M_n ; last, first) = (-1)^C(n,2) a^n x^C(n,2) [n]_{t,u}!
+    prod_{m=1..n-1} prod_{i=1..m} (1 - a x^i [m-i+1]_{x,y})."""
+    a, x, xy = DEFAULT.var("a"), DEFAULT.var("x"), pq_context("x", "y")
+    return (
+        _sign(math.comb(n, 2))
+        * a ** n
+        * x ** math.comb(n, 2)
+        * pq_factorial(n, pq_context("t", "u"))
+        * _factors(
+            DEFAULT.one,
+            (x ** i * pq_int(m - i + 1, xy) for m in range(1, n) for i in range(1, m + 1)),
+        )
+    )
+
+
+def minor2_product(n: int) -> LaurentPoly:
+    """det(I - a A_n ; last, first) under the (z,t,u) weights
+    = (-1)^C(n,2) a^n [n]_{t,u}! prod_{m=1..n-1} prod_{k=1..n-m}
+      (1 - a z^(k-1) [m]_z)."""
+    a, z, zz = DEFAULT.var("a"), DEFAULT.var("z"), pq_context(DEFAULT.one, "z")
+    return (
+        _sign(math.comb(n, 2))
+        * a ** n
+        * pq_factorial(n, pq_context("t", "u"))
+        * _factors(
+            DEFAULT.one,
+            (z ** (k - 1) * pq_int(m, zz) for m in range(1, n) for k in range(1, n - m + 1)),
+        )
+    )
+
+
+def conj_product(n: int) -> LaurentPoly:
+    """det ndot_n = (-1)^C(n,2) a^n F_n! x^n
+    prod_{m=1..n-1} prod_{k=1..n-m} (x - a q^(k-1) [m]_q)."""
+    a, x, q = (DEFAULT.var(v) for v in "axq")
+    qq = q_context()
+    return (
+        _sign(math.comb(n, 2))
+        * a ** n
+        * math.prod(ensure_f(n), start=DEFAULT.one)
+        * x ** n
+        * _factors(
+            x, (q ** (k - 1) * pq_int(m, qq) for m in range(1, n) for k in range(1, n - m + 1))
+        )
+    )
+
+
+@dataclass(frozen=True)
+class DetIdentity:
+    """det of ``MATRICES[matrix](n)``, or of its corner if ``corner``, equals
+    ``product(n)``; its check runs 1 <= n <= ``n_max`` by default."""
+
+    matrix: str
+    product: Callable[[int], LaurentPoly]
+    n_max: int
+    corner: bool = False
+
+
+#: The single-determinant identities, each with its closed product.
+DET_IDENTITIES = {
+    "detm": DetIdentity("M", lambda n: det_m_product(n), 3),
+    "detn": DetIdentity("Az", lambda n: det_n_product(n), 3),
+    "minor1": DetIdentity("M", lambda n: minor1_product(n), 4, corner=True),
+    "minor2": DetIdentity("Az", lambda n: minor2_product(n), 4, corner=True),
+    "conj": DetIdentity("N", lambda n: conj_product(n), 4, corner=True),
+}
 
 
 # -- determinant identity verifiers ------------------------------------------------
 
 
-def verify_det_m(n: int) -> bool:
-    """det M_n = prod_{m=1..n} prod_{i=0..m} (1 - a x^i [m-i]_{x,y})."""
-    a, x = DEFAULT.var("a"), DEFAULT.var("x")
-    xy = pq_context("x", "y")
-    lhs = det(transfer_matrix(n, WeightSpec.xytu()))
-    rhs = math.prod(
-        (
-            DEFAULT.one - a * x ** i * pq_int(m - i, xy)
-            for m in range(1, n + 1)
-            for i in range(m + 1)
-        ),
-        start=DEFAULT.one,
-    )
-    return lhs == rhs
-
-
-def verify_det_n(n: int) -> bool:
-    """det(I - a A_n) under the (z,t,u) weights
-    = prod_{m=1..n} prod_{k=0..n-m} (1 - a z^k [m]_z)."""
-    a, z = DEFAULT.var("a"), DEFAULT.var("z")
-    zz = pq_context(DEFAULT.one, "z")
-    lhs = det(transfer_matrix(n, WeightSpec.ztu()))
-    rhs = math.prod(
-        (
-            DEFAULT.one - a * z ** k * pq_int(m, zz)
-            for m in range(1, n + 1)
-            for k in range(n - m + 1)
-        ),
-        start=DEFAULT.one,
-    )
-    return lhs == rhs
-
-
-def verify_minor1(n: int) -> bool:
-    """det(M_n; last, first) = (-1)^C(n,2) a^n x^C(n,2) [n]_{t,u}!
-    prod_{m=1..n-1} prod_{i=1..m} (1 - a x^i [m-i+1]_{x,y})."""
-    a, x = DEFAULT.var("a"), DEFAULT.var("x")
-    xy = pq_context("x", "y")
-    lhs = det(build_p(n))
-    sign = -1 if math.comb(n, 2) % 2 else 1
-    rhs = (
-        DEFAULT.const(sign)
-        * a ** n
-        * x ** math.comb(n, 2)
-        * pq_factorial(n, pq_context("t", "u"))
-        * math.prod(
-            (
-                DEFAULT.one - a * x ** i * pq_int(m - i + 1, xy)
-                for m in range(1, n)
-                for i in range(1, m + 1)
-            ),
-            start=DEFAULT.one,
-        )
-    )
-    return lhs == rhs
-
-
-def verify_minor2(n: int) -> bool:
-    """det(I - a A_n ; last, first) under the (z,t,u) weights
-    = (-1)^C(n,2) a^n [n]_{t,u}! prod_{m=1..n-1} prod_{k=1..n-m}
-      (1 - a z^(k-1) [m]_z)."""
-    a, z = DEFAULT.var("a"), DEFAULT.var("z")
-    zz = pq_context(DEFAULT.one, "z")
-    m = transfer_matrix(n, WeightSpec.ztu())
-    lhs = det(m.minor(m.rows - 1, 0))
-    sign = -1 if math.comb(n, 2) % 2 else 1
-    rhs = (
-        DEFAULT.const(sign)
-        * a ** n
-        * pq_factorial(n, pq_context("t", "u"))
-        * math.prod(
-            (
-                DEFAULT.one - a * z ** (k - 1) * pq_int(mm, zz)
-                for mm in range(1, n)
-                for k in range(1, n - mm + 1)
-            ),
-            start=DEFAULT.one,
-        )
-    )
-    return lhs == rhs
+def verify_det(name: str, n: int) -> bool:
+    """The identity DET_IDENTITIES[name] at n."""
+    identity = DET_IDENTITIES[name]
+    m = MATRICES[identity.matrix](n)
+    return det(corner(m) if identity.corner else m) == identity.product(n)
 
 
 def verify_main1(n: int) -> bool:
@@ -596,29 +630,33 @@ def verify_main1(n: int) -> bool:
       det P_n^(n+1) = a y [n+1]_{t,u} [n]_{x,y} * det P_n
       det P_n^(n+2) = 0
 
-    Clearing by x^(n(n-1)/2) keeps everything inside the Laurent ring even
-    though the stated ratio has a negative x-exponent for small k.
+    P_{n-1}, P_n and every P_n^k are read out of one P_{n+1}: P_{n-1} and
+    P_n are its top-left blocks (P_0 is the 0x0 matrix).  Clearing by
+    x^(n(n-1)/2) keeps everything inside the Laurent ring even though the
+    stated ratio has a negative x-exponent for small k.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a, x, y = (DEFAULT.var(v) for v in "axy")
     tu, xy = pq_context("t", "u"), pq_context("x", "y")
-    det_p = det(build_p(n))
-    # P_0 is the empty matrix: its determinant is 1
-    det_p_prev = det(build_p(n - 1)) if n >= 2 else DEFAULT.one
-    sign = DEFAULT.const(-1 if (n - 1) % 2 else 1)
+    p_next = build_p(n + 1)
+    size = vertex_count(n) - 1
+    det_p = det(_leading(p_next, size))
     step = (
-        sign
+        _sign(n - 1)
         * a
         * x ** (n - 1)
         * pq_int(n, tu)
-        * math.prod((DEFAULT.one - a * x ** i * pq_int(n - i, xy) for i in range(1, n)),
-                    start=DEFAULT.one)
+        * _factors(DEFAULT.one, (x ** i * pq_int(n - i, xy) for i in range(1, n)))
     )
-    if det_p != step * det_p_prev:
+    if det_p != step * det(_leading(p_next, vertex_count(n - 1) - 1)):
         return False
+
+    def det_p_k(k):
+        return det(_leading(p_next, size, size + k - 1))
+
     for k in range(1, n + 1):
-        lhs = det(build_p_k(n, k)) * x ** (n * (n - 1) // 2)
+        lhs = det_p_k(k) * x ** (n * (n - 1) // 2)
         rhs = (
             det_p
             * a
@@ -629,9 +667,9 @@ def verify_main1(n: int) -> bool:
         )
         if lhs != rhs:
             return False
-    if det(build_p_k(n, n + 1)) != a * y * pq_int(n + 1, tu) * pq_int(n, xy) * det_p:
+    if det_p_k(n + 1) != a * y * pq_int(n + 1, tu) * pq_int(n, xy) * det_p:
         return False
-    return det(build_p_k(n, n + 2)).is_zero()
+    return det_p_k(n + 2).is_zero()
 
 
 def verify_lemma_key(n: int, m: int) -> bool:
@@ -644,32 +682,28 @@ def verify_lemma_key(n: int, m: int) -> bool:
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    a, x, y = (DEFAULT.var(v) for v in "axy")
+    x, y = DEFAULT.var("x"), DEFAULT.var("y")
     xy = pq_context("x", "y")
 
-    def factor(i):
-        return DEFAULT.one - a * x ** i * pq_int(n - i, xy)
-
-    def neg_factor(i):
-        return -(a * x ** i * pq_int(n - i, xy))
+    def ws(i, j):  # x^l [n-l]_{x,y} for i <= l < j
+        return (x ** ell * pq_int(n - ell, xy) for ell in range(i, j))
 
     lhs = DEFAULT.zero
     for k in range(m + 1):
-        sign = DEFAULT.const(-1 if (m - k) % 2 else 1)
         term = (
-            sign
+            _sign(m - k)
             * x ** math.comb(k, 2)
             * y ** math.comb(n - k, 2)
             * pq_binomial(n, k, xy)
-            * math.prod((factor(i) for i in range(k)), start=DEFAULT.one)
-            * math.prod((neg_factor(i) for i in range(k, m)), start=DEFAULT.one)
+            * _factors(DEFAULT.one, ws(0, k))
+            * _factors(DEFAULT.zero, ws(k, m))
         )
         lhs = lhs + term
     rhs = (
         x ** math.comb(m, 2)
         * y ** math.comb(n - m, 2)
         * pq_binomial(n, m, xy)
-        * math.prod((factor(i) for i in range(1, m + 1)), start=DEFAULT.one)
+        * _factors(DEFAULT.one, ws(1, m + 1))
     )
     return lhs == rhs
 
@@ -696,8 +730,7 @@ def eigen_row_vector(n: int, m: int, k: int) -> list[LaurentPoly]:
             if i < m + k or j - k < 0 or j - k > m:
                 out.append(DEFAULT.zero)
                 continue
-            sign = DEFAULT.const(-1 if (i + m + k) % 2 else 1)
-            val = sign * q ** (-(m + k - 1) * (i - m - k) + math.comb(j - k, 2))
+            val = _sign(i + m + k) * q ** (-(m + k - 1) * (i - m - k) + math.comb(j - k, 2))
             for ell in range(m + k, i):
                 val = val * DEFAULT.var(f"F{ell}")
             for ell in range(i - m - k + 1, n + 2 - m - k):
@@ -719,35 +752,11 @@ def verify_eigen(n: int, m: int, k: int) -> bool:
     return all(l == eigenvalue * v for l, v in zip(lhs, vec))
 
 
-def verify_conj(n: int) -> bool:
-    """det ndot_n = (-1)^(n(n-1)/2) a^n F_n! x^n
-    prod_{m=1..n-1} prod_{k=1..n-m} (x - a q^(k-1) [m]_q)."""
-    ensure_f(max(n, 1))
-    a, x, q = (DEFAULT.var(v) for v in "axq")
-    qq = q_context()
-    lhs = det(build_ndot(n))
-    sign = DEFAULT.const(-1 if (n * (n - 1) // 2) % 2 else 1)
-    rhs = sign * a ** n * x ** n
-    for i in range(1, n + 1):
-        rhs = rhs * DEFAULT.var(f"F{i}")
-    rhs = rhs * math.prod(
-        (
-            x - a * q ** (kk - 1) * pq_int(mm, qq)
-            for mm in range(1, n)
-            for kk in range(1, n - mm + 1)
-        ),
-        start=DEFAULT.one,
-    )
-    return lhs == rhs
-
-
 def q_specialized_series(k: int, order: int) -> SeriesInA:
     """a^k q^C(k,2) [k]_q! / prod_{i=1..k}(1 - a [i]_q): by the q-Stirling
     recurrence its a^n coefficient is [k]_q! S_q(n,k)."""
     a, q = DEFAULT.var("a"), DEFAULT.var("q")
     qq = q_context()
     numer = a ** k * q ** math.comb(k, 2) * pq_factorial(k, qq)
-    denom = math.prod(
-        (DEFAULT.one - a * pq_int(i, qq) for i in range(1, k + 1)), start=DEFAULT.one
-    )
+    denom = _factors(DEFAULT.one, (pq_int(i, qq) for i in range(1, k + 1)))
     return series_from_rational(numer, denom, order)

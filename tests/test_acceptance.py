@@ -100,14 +100,14 @@ def test_c05_closed_forms_match_enumeration():
 
 def test_c06_determinant_suite():
     for name, results in (
-        ("detm", checks.check_det_m(n_max=3)),
-        ("detn", checks.check_det_n(n_max=3)),
-        ("minor1", checks.check_minor1(n_max=4)),
-        ("minor2", checks.check_minor2(n_max=4)),
+        ("detm", checks.check_det("detm", n_max=3)),
+        ("detn", checks.check_det("detn", n_max=3)),
+        ("minor1", checks.check_det("minor1", n_max=4)),
+        ("minor2", checks.check_det("minor2", n_max=4)),
         ("main1", checks.check_main1(n_max=4)),
         ("key", checks.check_lemma_key(n_max=5)),
         ("eigen", checks.check_eigen(n_max=4)),
-        ("conj", checks.check_conj_det(n_max=4)),
+        ("conj", checks.check_det("conj", n_max=4)),
     ):
         _report(f"criterion 6 ({name})", results)
 

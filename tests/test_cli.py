@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from opstats import checks, stats, xfer
+from opstats import checks, qnum, stats, xfer
 from opstats.checks import CHECKS, CheckResult
 from opstats.cli import _emit_results, build_parser, main
 from opstats.opart import OrderedPartition, format_partition, iter_blocks_all
@@ -109,6 +109,11 @@ def test_gf_and_det(capsys):
     assert out.strip() == "1*a"
     code, _, err = run(capsys, "det", "Pk", "--n", "2")
     assert code == 2 and "--k" in err
+    code, out, err = run(capsys, "det", "Pk", "--n", "2", "--k", "5")
+    assert (code, out) == (2, "") and "--k" in err
+    # P_0 and ndot_0 are the corners of 1x1 matrices: 0x0, determinant 1
+    for matrix in ("P", "ndot"):
+        assert run(capsys, "det", matrix, "--n", "0")[:2] == (0, "1\n"), matrix
 
 
 def test_gf_transfer_families_match_determinant_route(capsys):
@@ -181,7 +186,7 @@ def test_verify_all_n_max_skips_unbounded_checks(capsys):
     assert code == 0
     expected = ""
     for name in sorted(CHECKS):
-        bound = [] if name in ("cor39", "thm25-series") else ["--n-max", "2"]
+        bound = ["--n-max", "2"] if CHECKS[name].bound else []
         expected += run(capsys, "verify", name, *bound)[1]
     assert out == expected
 
@@ -304,19 +309,18 @@ def test_determinant_checkers_can_fail(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines == ["FAIL detm n=1", "FAIL detm n=2", "FAIL minor1 n=1", "FAIL minor1 n=2"]
     assert "first failing instance: FAIL detm n=1" in err
-    # the checks on N_n(x,a), the (z,t,u) transfer matrix and the P family
-    code, out, _ = run(capsys, "verify", "detn", "minor2", "main1", "conj", "--n-max", "2")
+    # the checks on N_n(x,a) and the (z,t,u) transfer matrix
+    code, out, _ = run(capsys, "verify", "detn", "minor2", "conj", "--n-max", "2")
     assert code == 1
     first = {}
     for line in out.splitlines():
         if line.startswith("FAIL"):
             first.setdefault(line.split()[1], line)
-    assert first == {
-        "detn": "FAIL detn n=1",
-        "minor2": "FAIL minor2 n=1",
-        "main1": "FAIL main1 n=1 k=1..3",
-        "conj": "FAIL conj n=1",
-    }
+    assert first == {"detn": "FAIL detn n=1", "minor2": "FAIL minor2 n=1", "conj": "FAIL conj n=1"}
+    # main1 compares ratios of determinants, in which a common factor cancels
+    monkeypatch.setattr(xfer, "det", lambda m, method="laplace": det(m, method) + a)
+    code, out, _ = run(capsys, "verify", "main1", "--n-max", "2")
+    assert (code, out.splitlines()) == (1, ["FAIL main1 n=1 k=1..3", "FAIL main1 n=2 k=1..4"])
     monkeypatch.setattr(xfer, "det", det)
     vector = xfer.eigen_row_vector
     monkeypatch.setattr(xfer, "eigen_row_vector", lambda n, m, k: [v + 1 for v in vector(n, m, k)])
@@ -324,6 +328,58 @@ def test_determinant_checkers_can_fail(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[0] == "FAIL eigen n=2 m=1 k=1"
     assert "first failing instance: FAIL eigen n=2 m=1 k=1" in err
+
+
+def _perturbed(module, name, change):
+    """Patch ``module.name`` to return ``change`` of its value."""
+    return lambda mp: mp.setattr(module, name, lambda *a, f=getattr(module, name): change(f(*a)))
+
+
+def _table(key, expr):
+    return lambda mp: mp.setitem(stats.TABLE, key, expr)
+
+
+Q = DEFAULT.var("q")
+
+
+def _higher_times_q(series):
+    """The a^n coefficients with n >= 1 times q."""
+    return series.map_coeffs(lambda n, c: c * Q if n else c)
+
+
+#: One row per check with no other can-fail test: the perturbation of its
+#: reference, its n bound (None: unbounded) and its expected first FAIL line.
+CAN_FAIL = [
+    ("zz", _perturbed(qnum, "q_binomial", lambda v: v * Q), 3,
+     "FAIL zz n=1 k=1  [lhs=1 rhs=1*q]"),
+    ("eulerian", _perturbed(qnum, "q_eulerian_bruteforce", lambda v: v * Q), 3,
+     "FAIL eulerian n=1 k=0"),
+    ("equidist", _table("lob", "lcb"), 3, "FAIL equidist n=3 k=2 class={rob,lob,rcs,lcs}"),
+    ("lemma310", _table("lsb_tc", stats.TABLE["lsb_tc"] + "+bInv"), 3,
+     "FAIL lemma310 n=2 all partitions  [fails at 2/1]"),
+    ("conjecture-bmaj", _table("bMaj", "bmaj+binv"), 3,
+     "FAIL conjecture-bmaj n=2 k=2 stat=mak+bMaj  [got=1*q + 1*q^3 want=1*q + 1*q^2]"),
+    ("path-counts", _perturbed(checks, "choice_bound", lambda v: v + 1), 3,
+     "FAIL path-counts n=1 k=1  [got=2 want=1]"),
+    ("cor39", _perturbed(xfer, "closed_f", _higher_times_q), None, "FAIL cor39 f k=1 order=8"),
+    ("thm25-series", _perturbed(xfer, "q_specialized_series", _higher_times_q), None,
+     "FAIL thm25-series k=1 phi(q,1,1,1)"),
+    ("key", _perturbed(xfer, "pq_binomial", lambda v: v + 1), 3, "FAIL key n=2 m=1"),
+    # the rows of xfer.DET_IDENTITIES look their closed products up when called
+    ("minor1", _perturbed(xfer, "minor1_product", lambda v: v * (1 + DEFAULT.var("a"))), 3,
+     "FAIL minor1 n=1"),
+]
+
+
+@pytest.mark.parametrize("name, perturb, n_max, first", CAN_FAIL, ids=[r[0] for r in CAN_FAIL])
+def test_checker_can_fail(capsys, monkeypatch, name, perturb, n_max, first):
+    argv = ["verify", name] + ([] if n_max is None else ["--n-max", str(n_max)])
+    assert run(capsys, *argv)[0] == 0
+    perturb(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert next(line for line in out.splitlines() if line.startswith("FAIL")) == first
+    assert f"first failing instance: {first}" in err
 
 
 def test_verify_records_format(capsys):

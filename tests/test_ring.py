@@ -163,7 +163,6 @@ def test_series_arithmetic_truncates_to_smaller():
     s3 = series_from_rational(ONE, ONE - A, 3)
     s2 = series_from_rational(ONE, ONE - A, 2)
     assert (s3 * s2).order == 2
-    assert (s3 + s2).order == 2
     assert s3.agrees_with(s2)
     assert s3 != s2  # strict equality needs equal orders
 

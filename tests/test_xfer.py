@@ -22,8 +22,8 @@ from opstats.xfer import (
     closed_g,
     closed_phi,
     closed_varphi,
+    corner,
     det,
-    identity_matrix,
     q_gf_transfer,
     q_specialized_series,
     transfer_matrix,
@@ -53,7 +53,7 @@ def test_adjacency_k1_matches_m1():
     ])
     # self-loop weight at (0,1) is [1]_{t3,t4} = 1
     adj = adjacency(1, WeightSpec.seven_variable())
-    assert adj.entry(1, 1) == ONE
+    assert adj.entries[1][1] == ONE
 
 
 def test_build_m2_matches_display():
@@ -156,11 +156,34 @@ def test_det_methods_agree():
 
 
 def test_minor_and_identity():
-    m = identity_matrix(3)
+    def identity(n):
+        return SymbolicMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    m = identity(3)
     assert det(m) == ONE
-    assert m.minor(0, 0) == identity_matrix(2)
+    assert m.minor(0, 0) == identity(2)
     with pytest.raises(ValueError):
         det(SymbolicMatrix([[ONE, ZERO]]))
+
+
+def test_empty_matrix_determinant_is_one():
+    empty = SymbolicMatrix(())
+    assert (empty.rows, empty.cols) == (0, 0)
+    assert det(empty, "laplace") == ONE
+    assert det(empty, "bareiss") == ONE
+    # the corner of a 1x1 matrix is the empty matrix: P_0 and ndot_0
+    assert corner(grid([[A]])) == empty
+    assert build_p(0) == empty and build_ndot(0) == empty
+
+
+def test_main1_builds_one_p_next(monkeypatch):
+    calls = []
+    build = xfer.build_p
+    monkeypatch.setattr(xfer, "build_p", lambda n: calls.append(n) or build(n))
+    for n in range(1, 5):
+        calls.clear()
+        assert xfer.verify_main1(n)
+        assert calls == [n + 1], n
 
 
 def test_transfer_series_k1():
@@ -286,12 +309,9 @@ def test_q_specialized_series_matches_recurrence():
 
 
 def test_verifiers_small():
-    assert xfer.verify_det_m(1) and xfer.verify_det_m(2)
-    assert xfer.verify_det_n(1) and xfer.verify_det_n(2)
-    assert xfer.verify_minor1(1) and xfer.verify_minor1(2)
-    assert xfer.verify_minor2(1) and xfer.verify_minor2(2)
+    for name in ("detm", "detn", "minor1", "minor2", "conj"):
+        assert xfer.verify_det(name, 1) and xfer.verify_det(name, 2), name
     assert xfer.verify_main1(1) and xfer.verify_main1(2)
-    assert xfer.verify_conj(1) and xfer.verify_conj(2)
     for m in range(3):
         assert xfer.verify_lemma_key(2, m)
     assert xfer.verify_lemma_key(4, 3)
