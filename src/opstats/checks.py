@@ -2,7 +2,8 @@
 
 Every suite returns a list of :class:`CheckResult`, one per checked instance,
 so callers (CLI, acceptance tests) can report the first failing case.  The
-enumeration side always recomputes statistics with the one-pass Summary; the
+enumeration side reads every partition's statistics from the insertion-tree
+sweeps of ``stats``, which compute each Summary from its parent's; the
 targets come from the independent routes (recurrences, closed forms, symbolic
 determinants), never from the same sweep.
 """
@@ -14,18 +15,18 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import qnum, xfer
-from .opart import (
-    Blocks,
-    OrderedPartition,
-    form,
-    format_partition,
-    iter_blocks,
-    iter_blocks_all,
-    iter_blocks_p,
-)
+from .opart import Blocks, OrderedPartition, form, format_partition, iter_blocks_all
 from .qnum import q_poly_from_exponent_counts
 from .ring import DEFAULT
-from .stats import WALK_EXPONENTS, Summary, coord_rows, enumerated_gf, evaluator
+from .stats import (
+    WALK_EXPONENTS,
+    coord_rows,
+    enumerated_gf,
+    evaluator,
+    sweep,
+    sweep_all,
+    sweep_p,
+)
 from .walks import (
     EAST,
     NORTH,
@@ -173,21 +174,25 @@ def run_audit(n_max: int = 8, equidist_n_max: int = 7) -> AuditReport:
     coords = EQUIDIST[0] + EQUIDIST[1]
     values = evaluator(SIX_STATS + BMAJ_STATS + coords)
     pointwise = [(check, evaluator(pairs)) for check, _, pairs in POINTWISE]
+    # all the pairs at once, so a partition on which every identity holds
+    # costs one evaluation and one comparison
+    differences = evaluator([pair for _, _, pairs in POINTWISE for pair in pairs])
+    agree = (0,) * sum(len(pairs) for _, _, pairs in POINTWISE)
     for n in range(1, n_max + 1):
         # the coordinate values are counted only when zip reaches them
         width = len(SIX_STATS) + len(BMAJ_STATS) + (len(coords) if n <= equidist_n_max else 0)
         counts: dict[int, list[dict[int, int]]] = {}
         first_bad: dict[str, Blocks] = {}
-        for blocks in iter_blocks_all(n):
-            s = Summary(blocks)
+        for blocks, s in sweep_all(n):
             ck = counts.get(s.k)
             if ck is None:
                 ck = counts[s.k] = [{} for _ in range(width)]
             for c, v in zip(ck, values(s)):
                 c[v] = c.get(v, 0) + 1
-            for check, differences in pointwise:
-                if check not in first_bad and any(differences(s)):
-                    first_bad[check] = blocks
+            if differences(s) != agree:
+                for check, differ in pointwise:
+                    if check not in first_bad and any(differ(s)):
+                        first_bad[check] = blocks
         for k in sorted(counts):
             target = _target(n, k)
             ck = counts[k]
@@ -219,7 +224,7 @@ def check_sect23(n_max: int = 8) -> list[CheckResult]:
     out = []
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
-            polys = enumerated_gf(map(Summary, iter_blocks_p(n, k)), *weights)
+            polys = enumerated_gf((s for _, s in sweep_p(n, k)), *weights)
             out += _gf_results("sect23", n, k, SECT23, polys, qnum.q_stirling(n, k))
     return out
 
@@ -315,7 +320,7 @@ def check_transfer_enum(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
             ("walk", xfer.walk_series(k, w, n_max)),
         )
         for n in range(0, n_max + 1):
-            (want,) = enumerated_gf(map(Summary, iter_blocks(n, k)), walk)
+            (want,) = enumerated_gf((s for _, s in sweep(n, k)), walk)
             wrong = [
                 f"{route} got={series.coefficient(n)} want={want}"
                 for route, series in routes
@@ -345,7 +350,7 @@ def check_thm24(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
     for k in range(0, k_max + 1):
         series = (xfer.closed_phi(k, n_max), xfer.closed_varphi(k, n_max))
         for n in range(0, n_max + 1):
-            wants = enumerated_gf(map(Summary, iter_blocks(n, k)), *(w for _, w in THM24))
+            wants = enumerated_gf((s for _, s in sweep(n, k)), *(w for _, w in THM24))
             for (label, _), gf, want in zip(THM24, series, wants):
                 got = gf.coefficient(n)
                 out.append(
@@ -466,6 +471,8 @@ class Verification:
     """
 
     def __init__(self, names: list[str], n_max: int | None = None):
+        if n_max is not None and n_max < 0:
+            raise ValueError(f"--n-max must be nonnegative, got {n_max}")
         every = names == ["all"]
         self.bounds: list[tuple[str, int | None]] = []
         for name in sorted(CHECKS) if every else names:

@@ -146,6 +146,7 @@ def _gf_cmd(args) -> int:
 
 
 def _det_cmd(args) -> int:
+    xfer.check_det_bound(args.matrix, args.n, args.force_large)
     print(format_poly(xfer.det(xfer.MATRICES[args.matrix](args.n, args.k))))
     return 0
 
@@ -264,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", choices=list(xfer.MATRICES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
+    p.add_argument("--force-large", action="store_true")
     p.set_defaults(fn=_det_cmd)
 
     p = sub.add_parser("verify", help="run named verification suites")

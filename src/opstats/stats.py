@@ -25,19 +25,24 @@ constants nk1 = n(k-1) and k2 = C(k,2).  Expressions such as ``mak+bInv-inv``
 are compiled through the table into field coefficients (``linear_form``) and
 then into one function of a Summary (``evaluator``).
 
-Two computation routes are kept deliberately separate: coord_rows() follows
-the definitions element by element (coord(), stat_vector() and the bijection
-check read its rows), while summarize() accumulates all aggregates in one pass
-over block pairs (the form used by the exhaustive sweeps).  Tests pin the two
-routes against each other.
+Three computation routes are kept deliberately separate.  coord_rows()
+follows the definitions element by element (coord(), stat_vector() and the
+bijection check read its rows).  Summary(blocks) accumulates all aggregates of
+one partition in one pass over block pairs (summarize(), composite(),
+q_monomial() and the ``stats`` table).  The exhaustive sweeps (sweep_all,
+sweep, sweep_p) walk opart's insertion tree and compute each child's Summary
+from its parent's through the two step functions add_singleton and
+add_to_block.  Tests pin coord_rows to Summary, and every swept Summary to
+Summary(blocks).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Mapping
+from bisect import bisect_right
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .opart import Blocks, OrderedPartition, iter_blocks
+from .opart import Blocks, OrderedPartition
 from .ring import DEFAULT, LaurentPoly
 
 COORD_NAMES = ("ros", "rob", "rcs", "rcb", "los", "lob", "lcs", "lcb", "lsb", "rsb")
@@ -258,6 +263,184 @@ def summarize(pi) -> Summary:
     return Summary(_blocks_of(pi))
 
 
+# -- the insertion tree ----------------------------------------------------------
+#
+# opart builds OP_n by inserting m = n into each partition of [n-1]: as a new
+# singleton in each gap, then appended to each block.  Every pair that m's
+# insertion adds or changes can be counted from the parent alone, so the two
+# step functions below give a child's Summary from its parent's, and the
+# sweeps walk that tree in opart's order without counting block pairs.  They
+# are checked against Summary(blocks), which stays the definition.
+
+_new = object.__new__
+
+
+def add_singleton(blocks: Blocks, s: Summary, g: int) -> tuple[Blocks, Summary]:
+    """The child with m = n+1 as a new singleton block at gap g (0..k) of the
+    parent ``blocks``, whose Summary is ``s``, and the child's Summary.
+
+    Each of the k-g blocks right of the gap gives m a smaller opener and
+    closer on its right, and has its opener below m: ros, rcs, their _op
+    restrictions, inv and binv gain k-g.  The g blocks left of it give los,
+    lcs, los_op, lcs_op and bexc.  The L elements left of the gap see m's
+    block as a bigger opener and closer on their right (rob, rcb); the R
+    elements right of it, on their left (lob, lcb).  The parent descents at
+    or right of g move one place right, the pair across the gap is split,
+    and m's block is a descent over the block after it.
+    """
+    k = s.k
+    n = s.n
+    left = 0
+    for B in blocks[:g]:
+        left += len(B)
+    right = k - g
+    bmaj = s.bmaj
+    if g < k:
+        bmaj += g + 1
+        if g and blocks[g - 1][0] > blocks[g][-1]:
+            bmaj -= g
+        for p in range(g, k - 1):
+            if blocks[p][0] > blocks[p + 1][-1]:
+                bmaj += 1
+    t = _new(Summary)
+    t.n = n + 1
+    t.k = k + 1
+    t.ros = s.ros + right
+    t.rob = s.rob + left
+    t.rcs = s.rcs + right
+    t.rcb = s.rcb + left
+    t.los = s.los + g
+    t.lob = s.lob + n - left
+    t.lcs = s.lcs + g
+    t.lcb = s.lcb + n - left
+    t.lsb = s.lsb
+    t.rsb = s.rsb
+    t.ros_op = s.ros_op + right
+    t.rcs_op = s.rcs_op + right
+    t.los_op = s.los_op + g
+    t.lcs_op = s.lcs_op + g
+    t.lsb_op = s.lsb_op
+    t.rsb_op = s.rsb_op
+    t.binv = s.binv + right
+    t.bexc = s.bexc + g
+    t.bmaj = bmaj
+    t.inv = s.inv + right
+    t.nk1 = (n + 1) * k
+    t.k2 = s.k2 + k
+    return blocks[:g] + ((n + 1,),) + blocks[g:], t
+
+
+def _above(blocks: Blocks, c: int) -> tuple[int, int]:
+    """The elements above c in ``blocks``, and the openers above c."""
+    elements = openers = 0
+    for A in blocks:
+        if A[-1] > c:
+            if A[0] > c:
+                openers += 1
+                elements += len(A)
+            else:
+                elements += len(A) - bisect_right(A, c)
+    return elements, openers
+
+
+def add_to_block(blocks: Blocks, s: Summary, b: int) -> tuple[Blocks, Summary]:
+    """The child with m = n+1 appended to block b (0..k-1) of the parent
+    ``blocks``, whose Summary is ``s``, and the child's Summary.
+
+    m sees the b blocks on its left and the k-1-b on its right with smaller
+    openers and closers (los, lcs, ros, rcs).  Block b's closer c becomes m:
+    every element above c in a block left of b moves from rcs to rcb and now
+    lies between block b's opener and closer (rsb); right of b it moves from
+    lcs to lcb and gains lsb.  The _op fields follow for the openers above
+    c, and those openers' blocks no longer lie above block b: binv loses the
+    ones left of b (bmaj too, by b, if that block is block b-1) and bexc the
+    ones right.
+    """
+    k = s.k
+    n = s.n
+    B = blocks[b]
+    c = B[-1]
+    left, left_op = _above(blocks[:b], c)
+    right, right_op = _above(blocks[b + 1:], c)
+    bmaj = s.bmaj
+    if b and blocks[b - 1][0] > c:
+        bmaj -= b
+    t = _new(Summary)
+    t.n = n + 1
+    t.k = k
+    t.ros = s.ros + k - 1 - b
+    t.rob = s.rob
+    t.rcs = s.rcs - left + k - 1 - b
+    t.rcb = s.rcb + left
+    t.los = s.los + b
+    t.lob = s.lob
+    t.lcs = s.lcs - right + b
+    t.lcb = s.lcb + right
+    t.lsb = s.lsb + right
+    t.rsb = s.rsb + left
+    t.ros_op = s.ros_op
+    t.rcs_op = s.rcs_op - left_op
+    t.los_op = s.los_op
+    t.lcs_op = s.lcs_op - right_op
+    t.lsb_op = s.lsb_op + right_op
+    t.rsb_op = s.rsb_op + left_op
+    t.binv = s.binv - left_op
+    t.bexc = s.bexc - right_op
+    t.bmaj = bmaj
+    t.inv = s.inv
+    t.nk1 = (n + 1) * (k - 1)
+    t.k2 = s.k2
+    return blocks[:b] + (B + (n + 1,),) + blocks[b + 1:], t
+
+
+_ROOT = ((), Summary(()))
+
+
+def sweep_all(n: int) -> Iterator[tuple[Blocks, Summary]]:
+    """Every partition of OP_n with its Summary, in the order of
+    ``opart.iter_blocks_all(n)``."""
+    if n == 0:
+        yield _ROOT
+        return
+    for blocks, s in sweep_all(n - 1):
+        k = s.k
+        for g in range(k + 1):
+            yield add_singleton(blocks, s, g)
+        for b in range(k):
+            yield add_to_block(blocks, s, b)
+
+
+def sweep(n: int, k: int) -> Iterator[tuple[Blocks, Summary]]:
+    """OP_n^k with Summaries, in the order of ``opart.iter_blocks(n, k)``."""
+    if k < 0 or k > n:
+        return
+    if n == 0:
+        yield _ROOT
+        return
+    for blocks, s in sweep(n - 1, k - 1):
+        for g in range(k):
+            yield add_singleton(blocks, s, g)
+    for blocks, s in sweep(n - 1, k):
+        for b in range(k):
+            yield add_to_block(blocks, s, b)
+
+
+def sweep_p(n: int, k: int) -> Iterator[tuple[Blocks, Summary]]:
+    """The inversion-free partitions with Summaries, in the order of
+    ``opart.iter_blocks_p(n, k)``: the subtree whose singletons only ever go
+    in the right-most gap."""
+    if k < 0 or k > n:
+        return
+    if n == 0:
+        yield _ROOT
+        return
+    for blocks, s in sweep_p(n - 1, k - 1):
+        yield add_singleton(blocks, s, k - 1)
+    for blocks, s in sweep_p(n - 1, k):
+        for b in range(k):
+            yield add_to_block(blocks, s, b)
+
+
 def composite(pi, expr: str) -> int:
     """Value of a statistic expression, e.g. ``mak`` or ``lmak+bInv``."""
     return evaluator((expr,))(summarize(pi))[0]
@@ -366,7 +549,7 @@ def distribution(n: int, k: int, expr: str, force_large: bool = False) -> Lauren
 
     check_range(n, k)
     _check_bound(n, force_large)
-    return enumerated_gf(map(Summary, iter_blocks(n, k)), {"q": expr})[0]
+    return enumerated_gf((s for _, s in sweep(n, k)), {"q": expr})[0]
 
 
 def q_monomial(pi) -> LaurentPoly:

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .opart import BoundExceeded
-from .qnum import pq_binomial, pq_context, pq_factorial, pq_int, q_context
+from .qnum import PQContext, pq_binomial, pq_context, pq_factorial, pq_int, q_context
 from .ring import DEFAULT, LaurentPoly, SeriesInA, ensure_f, series_from_rational
 from .walks import (
     EAST, NORTH, NULL, SOUTH_EAST, Vertex, step_allowed, step_target, vertex_count, vertex_order,
@@ -266,6 +267,16 @@ class WeightSpec:
         if len(self.t) != 7:
             raise ValueError("a weight spec has exactly seven entries")
 
+    # the (p, q) pairs of [m]_{t5,t6} and [j]_{t3,t4}, built once per spec so
+    # that every edge reaches pq_int's cache through the same context
+    @cached_property
+    def open_ctx(self) -> PQContext:
+        return pq_context(self.t[4], self.t[5])
+
+    @cached_property
+    def close_ctx(self) -> PQContext:
+        return pq_context(self.t[2], self.t[3])
+
     @classmethod
     def seven_variable(cls) -> "WeightSpec":
         return cls(tuple(DEFAULT.var(f"t{i}") for i in range(1, 8)), generic=True)
@@ -295,14 +306,14 @@ class WeightSpec:
         """North/East step leaving (i,j): t1^i t7^j [i+j+1]_{t5,t6}, or
         t1^i t7^j F_(i+j+1) when ``f`` is given."""
         if self.f is None:
-            factor = pq_int(i + j + 1, pq_context(self.t[4], self.t[5]))
+            factor = pq_int(i + j + 1, self.open_ctx)
         else:
             factor = self.f[i + j]
         return self.t[0] ** i * self.t[6] ** j * factor
 
     def close_weight(self, i: int, j: int) -> LaurentPoly:
         """Null/South-East step leaving (i,j): t2^i [j]_{t3,t4}."""
-        return self.t[1] ** i * pq_int(j, pq_context(self.t[2], self.t[3]))
+        return self.t[1] ** i * pq_int(j, self.close_ctx)
 
     def step_weight(self, v: tuple[int, int], kind: str) -> LaurentPoly:
         if kind in (NORTH, EAST):
@@ -504,20 +515,48 @@ def build_ndot(n: int) -> SymbolicMatrix:
     return corner(build_n(n))
 
 
-#: The named matrices, each a function of (n, k) of which only Pk reads k.
-#: ``det`` prints their determinants and DET_IDENTITIES reads them.  Like
-#: every row of DET_IDENTITIES, each looks its builder up when called, so a
-#: patched or wrapped function is the one that runs.
-MATRICES: dict[str, Callable[..., SymbolicMatrix]] = {
-    "M": lambda n, k=None: transfer_matrix(n, WeightSpec.xytu()),
-    "N": lambda n, k=None: build_n(n),
-    "P": lambda n, k=None: build_p(n),
-    "Pk": lambda n, k=None: build_p_k(n, k),
-    "ndot": lambda n, k=None: build_ndot(n),
-    "A": lambda n, k=None: transfer_matrix(n, WeightSpec.seven_variable()),
-    "Axy": lambda n, k=None: MATRICES["M"](n),
-    "Az": lambda n, k=None: transfer_matrix(n, WeightSpec.ztu()),
+class NamedMatrix:
+    """One matrix of ``det``: ``build(n, k)`` makes it (only Pk reads k), and
+    ``det`` refuses n > ``n_max`` unless forced."""
+
+    __slots__ = ("build", "n_max")
+
+    def __init__(self, build: Callable[[int, int | None], SymbolicMatrix], n_max: int):
+        self.build = build
+        self.n_max = n_max
+
+    def __call__(self, n: int, k: int | None = None) -> SymbolicMatrix:
+        return self.build(n, k)
+
+
+#: The named matrices.  ``det`` prints their determinants and DET_IDENTITIES
+#: reads them.  Like every row of DET_IDENTITIES, each looks its builder up
+#: when called, so a patched or wrapped function is the one that runs.  Each
+#: n_max is the largest n whose ``det`` takes a few seconds on a 2-core Xeon
+#: (Python 3.11, whole process): M 3.9 s at n = 8 and 30 s at 9; A 1.8 s at
+#: 6 and 21 s at 7; P 3.6 s at 6 and 57 s at 7; Pk up to 0.6 s at 5 and
+#: 8.8 s at 6; ndot 2.4 s at 8 and 12 s at 9; N and Az, triangular, 2.6 s at
+#: 13, 3.6-4.5 s at 14 and 13 s at 16.
+MATRICES: dict[str, NamedMatrix] = {
+    "M": NamedMatrix(lambda n, k: transfer_matrix(n, WeightSpec.xytu()), 8),
+    "N": NamedMatrix(lambda n, k: build_n(n), 13),
+    "P": NamedMatrix(lambda n, k: build_p(n), 6),
+    "Pk": NamedMatrix(lambda n, k: build_p_k(n, k), 5),
+    "ndot": NamedMatrix(lambda n, k: build_ndot(n), 8),
+    "A": NamedMatrix(lambda n, k: transfer_matrix(n, WeightSpec.seven_variable()), 6),
+    "Axy": NamedMatrix(lambda n, k: MATRICES["M"](n), 8),
+    "Az": NamedMatrix(lambda n, k: transfer_matrix(n, WeightSpec.ztu()), 13),
 }
+
+
+def check_det_bound(name: str, n: int, force_large: bool = False) -> None:
+    """Refuse ``det`` of MATRICES[name] at n past its n_max unless forced."""
+    bound = MATRICES[name].n_max
+    if n > bound and not force_large:
+        raise BoundExceeded(
+            f"det {name} at n={n} exceeds its desk bound n <= {bound}; "
+            "pass force_large=True (CLI: --force-large)"
+        )
 
 
 # -- the closed products of the determinant identities ---------------------------

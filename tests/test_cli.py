@@ -1,12 +1,16 @@
 """CLI contract: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opstats import checks, qnum, stats, xfer
 from opstats.checks import CHECKS, CheckResult
-from opstats.cli import _emit_results, build_parser, main
+from opstats.cli import GF_FAMILIES, _emit_results, build_parser, main
 from opstats.opart import OrderedPartition, format_partition, iter_blocks_all
 from opstats.ring import DEFAULT, format_poly
 from opstats.stats import block_stats
@@ -339,6 +343,12 @@ def _table(key, expr):
     return lambda mp: mp.setitem(stats.TABLE, key, expr)
 
 
+def _pointwise(check, pairs):
+    """Give the pointwise check ``check`` of the audit sweep these pairs."""
+    patched = tuple((c, f, pairs if c == check else p) for c, f, p in checks.POINTWISE)
+    return lambda mp: mp.setattr(checks, "POINTWISE", patched)
+
+
 Q = DEFAULT.var("q")
 
 
@@ -357,6 +367,11 @@ CAN_FAIL = [
     ("equidist", _table("lob", "lcb"), 3, "FAIL equidist n=3 k=2 class={rob,lob,rcs,lcs}"),
     ("lemma310", _table("lsb_tc", stats.TABLE["lsb_tc"] + "+bInv"), 3,
      "FAIL lemma310 n=2 all partitions  [fails at 2/1]"),
+    # mak = lmak (lmak for lmak') first fails at n = 3, where the insertion
+    # order meets 2,3/1 first; with the appends before the singletons it
+    # would be 3/1,2, with the gaps and blocks taken right to left 1/2,3
+    ("prop22", _pointwise("prop22", (("mak", "lmak"), ("makP", "lmak"))), 3,
+     "FAIL prop22 n=3 all partitions  [fails at 2,3/1]"),
     ("conjecture-bmaj", _table("bMaj", "bmaj+binv"), 3,
      "FAIL conjecture-bmaj n=2 k=2 stat=mak+bMaj  [got=1*q + 1*q^3 want=1*q + 1*q^2]"),
     ("path-counts", _perturbed(checks, "choice_bound", lambda v: v + 1), 3,
@@ -380,6 +395,36 @@ def test_checker_can_fail(capsys, monkeypatch, name, perturb, n_max, first):
     assert code == 1
     assert next(line for line in out.splitlines() if line.startswith("FAIL")) == first
     assert f"first failing instance: {first}" in err
+
+
+def test_det_refuses_past_its_bound_before_building(capsys, monkeypatch):
+    built = []
+
+    def record(n, k):
+        built.append(n)
+        return xfer.SymbolicMatrix(())  # 0x0: determinant 1
+
+    bounds = {name: m.n_max for name, m in xfer.MATRICES.items()}
+    for name, m in xfer.MATRICES.items():
+        monkeypatch.setitem(xfer.MATRICES, name, xfer.NamedMatrix(record, m.n_max))
+    for name, bound in bounds.items():
+        k = ["--k", "1"] if name == "Pk" else []
+        code, out, err = run(capsys, "det", name, "--n", str(bound + 1), *k)
+        assert (code, out) == (2, ""), name
+        assert "--force-large" in err and f"n <= {bound}" in err, name
+        assert built == [], name
+        for argv in (["--n", str(bound)], ["--n", str(bound + 1), "--force-large"]):
+            assert run(capsys, "det", name, *argv, *k)[:2] == (0, "1\n"), (name, argv)
+        assert built == [bound, bound + 1], name
+        built.clear()
+
+
+def test_verify_negative_bound_is_a_usage_error(capsys):
+    # transfer used to fail only after the checks before it had printed
+    for argv in (["all"], ["zz"], ["thm25", "transfer"]):
+        code, out, err = run(capsys, "verify", *argv, "--n-max", "-1")
+        assert (code, out) == (2, ""), argv
+        assert "--n-max must be nonnegative" in err
 
 
 def test_verify_records_format(capsys):
@@ -456,3 +501,67 @@ def test_gf_golden_bytes(capsys):
     )
     code, out, _ = run(capsys, "gf", "Q", "--k", "2", "--order", "2")
     assert out.splitlines()[-1] == "a^2\t1*t1*t5 + 1*t1*t6"
+
+
+# -- the exit-code contract over generated argument vectors ------------------------
+
+
+def call(argv):
+    """``main(argv)`` in this process: (exit code, stdout, stderr).  Argparse
+    usage errors exit through SystemExit; any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+#: Sizes in and just outside the valid ranges, and malformed numbers.
+SIZE = st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["x", "1.5", ""]))
+PARTITIONS = st.sampled_from(
+    ["1", "2/1", "1,3/2", "6,8/5/1,4,7/3,9/2", "1/1,2", "2/3", "0", "a", "1,,2", "", "1/"])
+EXPRS = st.sampled_from(
+    ["mak+bInv", "cinvLSB+inv-cinv", "2*inv-cinv", "lmak'", "k", "mak+", "nosuch", "mak bInv", ""])
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]), st.just([flag]))
+
+
+def _command(name, *parts):
+    return st.tuples(st.just([name]), *parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def _choice(values):
+    return st.sampled_from(values).map(lambda v: [v])
+
+
+FORMAT = _option("--format", st.sampled_from(["table", "records", "xml"]))
+ARGV = st.one_of(
+    _command("enum", _option("--n", SIZE), _option("--k", SIZE),
+             st.sampled_from([[], ["--inv-free"], ["--count-only"]]), FORMAT),
+    _command("stats", PARTITIONS.map(lambda p: [p])),
+    _command("dist", _option("--n", SIZE), _option("--k", SIZE), _option("--stat", EXPRS)),
+    _command("qnum", _choice(["stirling", "eulerian", "binomial", "factorial", "nosuch"]),
+             _option("--n-max", SIZE), FORMAT),
+    _command("gf", _choice([*GF_FAMILIES, "nosuch"]), _option("--k", SIZE),
+             _option("--order", SIZE)),
+    _command("det", _choice([*xfer.MATRICES, "nosuch"]), _option("--n", SIZE),
+             _option("--k", SIZE)),
+    _command("verify", st.lists(st.sampled_from([*CHECKS, "all", "nosuch"]), min_size=1,
+                                max_size=2),
+             st.integers(-1, 3).map(lambda n: ["--n-max", str(n)]), FORMAT),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ARGV)
+def test_cli_exit_code_contract(argv):
+    code, out, err = call(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert out == "", argv
+    assert call(argv)[:2] == (code, out), argv

@@ -3,12 +3,23 @@
 import pytest
 
 from opstats import stats
-from opstats.opart import OrderedPartition, cinv, enumerate_op, inv, iter_blocks_all, parse
+from opstats.opart import (
+    OrderedPartition,
+    cinv,
+    enumerate_op,
+    inv,
+    iter_blocks,
+    iter_blocks_all,
+    iter_blocks_p,
+    parse,
+)
 from opstats.qnum import q_factorial, q_stirling
 from opstats.ring import DEFAULT
 from opstats.stats import (
     COORD_NAMES,
     WALK_EXPONENTS,
+    add_singleton,
+    add_to_block,
     aggregate,
     block_stats,
     composite,
@@ -23,6 +34,9 @@ from opstats.stats import (
     restricted,
     stat_table,
     summarize,
+    sweep,
+    sweep_all,
+    sweep_p,
 )
 
 PI = parse("6,8/5/1,4,7/3,9/2")
@@ -270,8 +284,6 @@ def test_equidistribution_small():
     for n in range(1, 6):
         for k in range(1, n + 1):
             dists = {nm: Counter() for nm in COORD_NAMES}
-            from opstats.opart import iter_blocks
-
             for blocks in iter_blocks(n, k):
                 s = summarize(blocks)
                 for nm in COORD_NAMES:
@@ -286,22 +298,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
+def insert(blocks, pos):
+    """The insertion move ``pos`` of the enumeration on a partition of [m-1]
+    with k blocks: m as a new singleton in gap ``pos`` if pos <= k, else
+    appended to block pos-k-1."""
+    m = sum(map(len, blocks)) + 1
+    k = len(blocks)
+    if pos <= k:
+        return blocks[:pos] + ((m,),) + blocks[pos:]
+    i = pos - k - 1
+    return blocks[:i] + (blocks[i] + (m,),) + blocks[i + 1:]
+
+
 @st.composite
-def random_blocks(draw, max_n=8):
+def random_moves(draw, max_n=8):
+    """The insertion moves of a random ordered partition of [n], n <= max_n:
+    one ``insert`` position for each of 1..n."""
+    n = draw(st.integers(1, max_n))
+    moves = [0]
+    k = 1
+    for _ in range(2, n + 1):
+        pos = draw(st.integers(0, 2 * k))
+        moves.append(pos)
+        k += pos <= k
+    return moves
+
+
+def replay(moves):
+    blocks = ()
+    for pos in moves:
+        blocks = insert(blocks, pos)
+    return blocks
+
+
+def random_blocks(max_n=8):
     """A random ordered partition, built by the same insertion moves the
     enumeration uses: element m goes into a gap as a singleton or onto an
     existing block."""
-    n = draw(st.integers(1, max_n))
-    blocks = ((1,),)
-    for m in range(2, n + 1):
-        k = len(blocks)
-        pos = draw(st.integers(0, 2 * k))
-        if pos <= k:  # new singleton in gap `pos`
-            blocks = blocks[:pos] + ((m,),) + blocks[pos:]
-        else:  # append to block pos-k-1
-            i = pos - k - 1
-            blocks = blocks[:i] + (blocks[i] + (m,),) + blocks[i + 1:]
-    return blocks
+    return random_moves(max_n).map(replay)
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,3 +359,43 @@ def test_random_partition_round_trip(blocks):
 
     pi = OrderedPartition._unchecked(blocks)
     assert psi(psi_inverse(pi)) == pi
+
+
+# -- the insertion-tree sweeps ---------------------------------------------------
+
+FIELDS = stats.Summary.__slots__
+
+
+def fields(s):
+    return tuple(getattr(s, f) for f in FIELDS)
+
+
+def test_sweeps_follow_the_enumeration_and_match_summary():
+    for n in range(8):
+        swept = list(sweep_all(n))
+        assert [blocks for blocks, _ in swept] == list(iter_blocks_all(n)), n
+        want = {blocks: fields(summarize(blocks)) for blocks, _ in swept}
+        for blocks, s in swept:
+            assert fields(s) == want[blocks], blocks
+        for k in range(n + 1):
+            for walk, enum in ((sweep, iter_blocks), (sweep_p, iter_blocks_p)):
+                swept = list(walk(n, k))
+                assert [blocks for blocks, _ in swept] == list(enum(n, k)), (walk, n, k)
+                for blocks, s in swept:
+                    assert fields(s) == want[blocks], (walk, blocks)
+    assert list(sweep(2, 3)) == list(sweep_p(3, -1)) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_moves(max_n=10))
+def test_step_functions_replay_random_partitions(moves):
+    blocks, s = (), summarize(())
+    for pos in moves:
+        k = s.k
+        if pos <= k:
+            child = add_singleton(blocks, s, pos)
+        else:
+            child = add_to_block(blocks, s, pos - k - 1)
+        blocks, s = child
+        assert blocks == replay(moves[:s.n])
+        assert fields(s) == fields(summarize(blocks)), blocks
