@@ -173,11 +173,14 @@ def run_audit(n_max: int = 8, equidist_n_max: int = 7) -> AuditReport:
     report = AuditReport(n_max, equidist_n_max)
     coords = EQUIDIST[0] + EQUIDIST[1]
     values = evaluator(SIX_STATS + BMAJ_STATS + coords)
-    pointwise = [(check, evaluator(pairs)) for check, _, pairs in POINTWISE]
-    # all the pairs at once, so a partition on which every identity holds
-    # costs one evaluation and one comparison
+    # the lhs - rhs differences of every pair in one tuple, each check's
+    # pairs in its span [start, stop) of it
     differences = evaluator([pair for _, _, pairs in POINTWISE for pair in pairs])
-    agree = (0,) * sum(len(pairs) for _, _, pairs in POINTWISE)
+    spans = []
+    stop = 0
+    for check, _, pairs in POINTWISE:
+        spans.append((check, stop, stop + len(pairs)))
+        stop += len(pairs)
     for n in range(1, n_max + 1):
         # the coordinate values are counted only when zip reaches them
         width = len(SIX_STATS) + len(BMAJ_STATS) + (len(coords) if n <= equidist_n_max else 0)
@@ -189,9 +192,10 @@ def run_audit(n_max: int = 8, equidist_n_max: int = 7) -> AuditReport:
                 ck = counts[s.k] = [{} for _ in range(width)]
             for c, v in zip(ck, values(s)):
                 c[v] = c.get(v, 0) + 1
-            if differences(s) != agree:
-                for check, differ in pointwise:
-                    if check not in first_bad and any(differ(s)):
+            d = differences(s)
+            if any(d):
+                for check, start, stop in spans:
+                    if check not in first_bad and any(d[start:stop]):
                         first_bad[check] = blocks
         for k in sorted(counts):
             target = _target(n, k)

@@ -116,54 +116,82 @@ def format_partition(pi: OrderedPartition | Blocks) -> str:
 # singleton in each of the k+1 gaps (left to right), then appended to each of
 # the k blocks (left to right).  This gives a deterministic order that splits
 # cleanly by top-level branch for parallel consumption.
+#
+# The grow* walks lay this tree out once.  A node is whatever the two child
+# steps make of it: ``singleton(node, m, g)`` is the child with m as a new
+# singleton block at gap g, ``append(node, m, b)`` the child with m appended
+# to block b.  The iter_blocks* enumerators grow bare block tuples;
+# stats.sweep* grow (blocks, Summary) pairs.
 
 
-def _insert_singletons(blocks: Blocks, m: int) -> Iterator[Blocks]:
-    for gap in range(len(blocks) + 1):
-        yield blocks[:gap] + ((m,),) + blocks[gap:]
+def _singleton(blocks: Blocks, m: int, g: int) -> Blocks:
+    return blocks[:g] + ((m,),) + blocks[g:]
 
 
-def _appends(blocks: Blocks, m: int) -> Iterator[Blocks]:
-    for i in range(len(blocks)):
-        yield blocks[:i] + (blocks[i] + (m,),) + blocks[i + 1:]
+def _append(blocks: Blocks, m: int, b: int) -> Blocks:
+    return blocks[:b] + (blocks[b] + (m,),) + blocks[b + 1:]
+
+
+def grow_all(n: int, root, singleton, append, width=len) -> Iterator:
+    """Every node of depth n below ``root``; ``width(node)`` is its block
+    count."""
+    if n == 0:
+        yield root
+        return
+    for node in grow_all(n - 1, root, singleton, append, width):
+        k = width(node)
+        for g in range(k + 1):
+            yield singleton(node, n, g)
+        for b in range(k):
+            yield append(node, n, b)
+
+
+def grow(n: int, k: int, root, singleton, append) -> Iterator:
+    """The nodes of depth n with k blocks: singleton insertions below those
+    of depth n-1 with k-1 blocks, then appends below those with k."""
+    if k < 0 or k > n:
+        return
+    if n == 0:
+        yield root
+        return
+    for node in grow(n - 1, k - 1, root, singleton, append):
+        for g in range(k):
+            yield singleton(node, n, g)
+    for node in grow(n - 1, k, root, singleton, append):
+        for b in range(k):
+            yield append(node, n, b)
+
+
+def grow_p(n: int, k: int, root, singleton, append) -> Iterator:
+    """The inversion-free subtree of ``grow``: a new singleton only ever goes
+    in the right-most gap, so the blocks stay in increasing order of their
+    minima."""
+    if k < 0 or k > n:
+        return
+    if n == 0:
+        yield root
+        return
+    for node in grow_p(n - 1, k - 1, root, singleton, append):
+        yield singleton(node, n, k - 1)
+    for node in grow_p(n - 1, k, root, singleton, append):
+        for b in range(k):
+            yield append(node, n, b)
 
 
 def iter_blocks_all(n: int) -> Iterator[Blocks]:
     """All of OP_n as raw block tuples (every k), insertion order."""
-    if n == 0:
-        yield ()
-        return
-    for parent in iter_blocks_all(n - 1):
-        yield from _insert_singletons(parent, n)
-        yield from _appends(parent, n)
+    return grow_all(n, (), _singleton, _append)
 
 
 def iter_blocks(n: int, k: int) -> Iterator[Blocks]:
-    """OP_n^k as raw block tuples: singleton insertions into OP_{n-1}^{k-1},
-    then appends into OP_{n-1}^k."""
-    if k < 0 or k > n:
-        return
-    if n == 0:
-        yield ()
-        return
-    for parent in iter_blocks(n - 1, k - 1):
-        yield from _insert_singletons(parent, n)
-    for parent in iter_blocks(n - 1, k):
-        yield from _appends(parent, n)
+    """OP_n^k as raw block tuples."""
+    return grow(n, k, (), _singleton, _append)
 
 
 def iter_blocks_p(n: int, k: int) -> Iterator[Blocks]:
     """Inversion-free (canonically ordered) partitions: blocks by increasing
     minima; there are S(n,k) of them."""
-    if k < 0 or k > n:
-        return
-    if n == 0:
-        yield ()
-        return
-    for parent in iter_blocks_p(n - 1, k - 1):
-        yield parent + ((n,),)
-    for parent in iter_blocks_p(n - 1, k):
-        yield from _appends(parent, n)
+    return grow_p(n, k, (), _singleton, _append)
 
 
 def _check_bound(n: int, force_large: bool):

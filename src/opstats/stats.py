@@ -42,7 +42,7 @@ import re
 from bisect import bisect_right
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .opart import Blocks, OrderedPartition
+from .opart import Blocks, OrderedPartition, grow, grow_all, grow_p
 from .ring import DEFAULT, LaurentPoly
 
 COORD_NAMES = ("ros", "rob", "rcs", "rcb", "los", "lob", "lcs", "lcb", "lsb", "rsb")
@@ -269,15 +269,16 @@ def summarize(pi) -> Summary:
 # singleton in each gap, then appended to each block.  Every pair that m's
 # insertion adds or changes can be counted from the parent alone, so the two
 # step functions below give a child's Summary from its parent's, and the
-# sweeps walk that tree in opart's order without counting block pairs.  They
-# are checked against Summary(blocks), which stays the definition.
+# sweeps grow opart's tree (opart.grow*) over (blocks, Summary) nodes without
+# counting block pairs.  They are checked against Summary(blocks), which stays
+# the definition.
 
 _new = object.__new__
 
 
-def add_singleton(blocks: Blocks, s: Summary, g: int) -> tuple[Blocks, Summary]:
-    """The child with m = n+1 as a new singleton block at gap g (0..k) of the
-    parent ``blocks``, whose Summary is ``s``, and the child's Summary.
+def add_singleton(node: tuple[Blocks, Summary], m: int, g: int) -> tuple[Blocks, Summary]:
+    """The child of ``node`` = (blocks, Summary) of a partition of [m-1] with
+    m as a new singleton block at gap g (0..k), with the child's Summary.
 
     Each of the k-g blocks right of the gap gives m a smaller opener and
     closer on its right, and has its opener below m: ros, rcs, their _op
@@ -288,8 +289,8 @@ def add_singleton(blocks: Blocks, s: Summary, g: int) -> tuple[Blocks, Summary]:
     or right of g move one place right, the pair across the gap is split,
     and m's block is a descent over the block after it.
     """
+    blocks, s = node
     k = s.k
-    n = s.n
     left = 0
     for B in blocks[:g]:
         left += len(B)
@@ -303,16 +304,16 @@ def add_singleton(blocks: Blocks, s: Summary, g: int) -> tuple[Blocks, Summary]:
             if blocks[p][0] > blocks[p + 1][-1]:
                 bmaj += 1
     t = _new(Summary)
-    t.n = n + 1
+    t.n = m
     t.k = k + 1
     t.ros = s.ros + right
     t.rob = s.rob + left
     t.rcs = s.rcs + right
     t.rcb = s.rcb + left
     t.los = s.los + g
-    t.lob = s.lob + n - left
+    t.lob = s.lob + m - 1 - left
     t.lcs = s.lcs + g
-    t.lcb = s.lcb + n - left
+    t.lcb = s.lcb + m - 1 - left
     t.lsb = s.lsb
     t.rsb = s.rsb
     t.ros_op = s.ros_op + right
@@ -325,9 +326,9 @@ def add_singleton(blocks: Blocks, s: Summary, g: int) -> tuple[Blocks, Summary]:
     t.bexc = s.bexc + g
     t.bmaj = bmaj
     t.inv = s.inv + right
-    t.nk1 = (n + 1) * k
+    t.nk1 = m * k
     t.k2 = s.k2 + k
-    return blocks[:g] + ((n + 1,),) + blocks[g:], t
+    return blocks[:g] + ((m,),) + blocks[g:], t
 
 
 def _above(blocks: Blocks, c: int) -> tuple[int, int]:
@@ -343,9 +344,9 @@ def _above(blocks: Blocks, c: int) -> tuple[int, int]:
     return elements, openers
 
 
-def add_to_block(blocks: Blocks, s: Summary, b: int) -> tuple[Blocks, Summary]:
-    """The child with m = n+1 appended to block b (0..k-1) of the parent
-    ``blocks``, whose Summary is ``s``, and the child's Summary.
+def add_to_block(node: tuple[Blocks, Summary], m: int, b: int) -> tuple[Blocks, Summary]:
+    """The child of ``node`` = (blocks, Summary) of a partition of [m-1] with
+    m appended to block b (0..k-1), with the child's Summary.
 
     m sees the b blocks on its left and the k-1-b on its right with smaller
     openers and closers (los, lcs, ros, rcs).  Block b's closer c becomes m:
@@ -356,8 +357,8 @@ def add_to_block(blocks: Blocks, s: Summary, b: int) -> tuple[Blocks, Summary]:
     ones left of b (bmaj too, by b, if that block is block b-1) and bexc the
     ones right.
     """
+    blocks, s = node
     k = s.k
-    n = s.n
     B = blocks[b]
     c = B[-1]
     left, left_op = _above(blocks[:b], c)
@@ -366,7 +367,7 @@ def add_to_block(blocks: Blocks, s: Summary, b: int) -> tuple[Blocks, Summary]:
     if b and blocks[b - 1][0] > c:
         bmaj -= b
     t = _new(Summary)
-    t.n = n + 1
+    t.n = m
     t.k = k
     t.ros = s.ros + k - 1 - b
     t.rob = s.rob
@@ -388,57 +389,33 @@ def add_to_block(blocks: Blocks, s: Summary, b: int) -> tuple[Blocks, Summary]:
     t.bexc = s.bexc - right_op
     t.bmaj = bmaj
     t.inv = s.inv
-    t.nk1 = (n + 1) * (k - 1)
+    t.nk1 = m * (k - 1)
     t.k2 = s.k2
-    return blocks[:b] + (B + (n + 1,),) + blocks[b + 1:], t
+    return blocks[:b] + (B + (m,),) + blocks[b + 1:], t
 
 
 _ROOT = ((), Summary(()))
 
 
+def _width(node: tuple[Blocks, Summary]) -> int:
+    return node[1].k
+
+
 def sweep_all(n: int) -> Iterator[tuple[Blocks, Summary]]:
     """Every partition of OP_n with its Summary, in the order of
     ``opart.iter_blocks_all(n)``."""
-    if n == 0:
-        yield _ROOT
-        return
-    for blocks, s in sweep_all(n - 1):
-        k = s.k
-        for g in range(k + 1):
-            yield add_singleton(blocks, s, g)
-        for b in range(k):
-            yield add_to_block(blocks, s, b)
+    return grow_all(n, _ROOT, add_singleton, add_to_block, _width)
 
 
 def sweep(n: int, k: int) -> Iterator[tuple[Blocks, Summary]]:
     """OP_n^k with Summaries, in the order of ``opart.iter_blocks(n, k)``."""
-    if k < 0 or k > n:
-        return
-    if n == 0:
-        yield _ROOT
-        return
-    for blocks, s in sweep(n - 1, k - 1):
-        for g in range(k):
-            yield add_singleton(blocks, s, g)
-    for blocks, s in sweep(n - 1, k):
-        for b in range(k):
-            yield add_to_block(blocks, s, b)
+    return grow(n, k, _ROOT, add_singleton, add_to_block)
 
 
 def sweep_p(n: int, k: int) -> Iterator[tuple[Blocks, Summary]]:
     """The inversion-free partitions with Summaries, in the order of
-    ``opart.iter_blocks_p(n, k)``: the subtree whose singletons only ever go
-    in the right-most gap."""
-    if k < 0 or k > n:
-        return
-    if n == 0:
-        yield _ROOT
-        return
-    for blocks, s in sweep_p(n - 1, k - 1):
-        yield add_singleton(blocks, s, k - 1)
-    for blocks, s in sweep_p(n - 1, k):
-        for b in range(k):
-            yield add_to_block(blocks, s, b)
+    ``opart.iter_blocks_p(n, k)``."""
+    return grow_p(n, k, _ROOT, add_singleton, add_to_block)
 
 
 def composite(pi, expr: str) -> int:

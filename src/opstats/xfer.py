@@ -515,47 +515,37 @@ def build_ndot(n: int) -> SymbolicMatrix:
     return corner(build_n(n))
 
 
-class NamedMatrix:
-    """One matrix of ``det``: ``build(n, k)`` makes it (only Pk reads k), and
-    ``det`` refuses n > ``n_max`` unless forced."""
-
-    __slots__ = ("build", "n_max")
-
-    def __init__(self, build: Callable[[int, int | None], SymbolicMatrix], n_max: int):
-        self.build = build
-        self.n_max = n_max
-
-    def __call__(self, n: int, k: int | None = None) -> SymbolicMatrix:
-        return self.build(n, k)
-
-
-#: The named matrices.  ``det`` prints their determinants and DET_IDENTITIES
-#: reads them.  Like every row of DET_IDENTITIES, each looks its builder up
-#: when called, so a patched or wrapped function is the one that runs.  Each
-#: n_max is the largest n whose ``det`` takes a few seconds on a 2-core Xeon
-#: (Python 3.11, whole process): M 3.9 s at n = 8 and 30 s at 9; A 1.8 s at
-#: 6 and 21 s at 7; P 3.6 s at 6 and 57 s at 7; Pk up to 0.6 s at 5 and
-#: 8.8 s at 6; ndot 2.4 s at 8 and 12 s at 9; N and Az, triangular, 2.6 s at
-#: 13, 3.6-4.5 s at 14 and 13 s at 16.
-MATRICES: dict[str, NamedMatrix] = {
-    "M": NamedMatrix(lambda n, k: transfer_matrix(n, WeightSpec.xytu()), 8),
-    "N": NamedMatrix(lambda n, k: build_n(n), 13),
-    "P": NamedMatrix(lambda n, k: build_p(n), 6),
-    "Pk": NamedMatrix(lambda n, k: build_p_k(n, k), 5),
-    "ndot": NamedMatrix(lambda n, k: build_ndot(n), 8),
-    "A": NamedMatrix(lambda n, k: transfer_matrix(n, WeightSpec.seven_variable()), 6),
-    "Axy": NamedMatrix(lambda n, k: MATRICES["M"](n), 8),
-    "Az": NamedMatrix(lambda n, k: transfer_matrix(n, WeightSpec.ztu()), 13),
+#: The named matrices, each a function of (n, k) of which only Pk reads k.
+#: ``det`` prints their determinants and DET_IDENTITIES reads them.  Like
+#: every row of DET_IDENTITIES, each looks its builder up when called, so a
+#: patched or wrapped function is the one that runs.
+MATRICES: dict[str, Callable[..., SymbolicMatrix]] = {
+    "M": lambda n, k=None: transfer_matrix(n, WeightSpec.xytu()),
+    "N": lambda n, k=None: build_n(n),
+    "P": lambda n, k=None: build_p(n),
+    "Pk": lambda n, k=None: build_p_k(n, k),
+    "ndot": lambda n, k=None: build_ndot(n),
+    "A": lambda n, k=None: transfer_matrix(n, WeightSpec.seven_variable()),
+    "Axy": lambda n, k=None: MATRICES["M"](n),
+    "Az": lambda n, k=None: transfer_matrix(n, WeightSpec.ztu()),
 }
+
+#: The desk bound of the ``det`` command: the largest n it builds each matrix
+#: at without ``--force-large``, the largest whose ``det`` takes a few seconds
+#: on a 2-core Xeon (Python 3.11, whole process): M 3.9 s at n = 8 and 30 s
+#: at 9; A 1.8 s at 6 and 21 s at 7; P 3.6 s at 6 and 57 s at 7; Pk up to
+#: 0.6 s at 5 and 8.8 s at 6; ndot 2.4 s at 8 and 12 s at 9; N and Az,
+#: triangular, 2.6 s at 13, 3.6-4.5 s at 14 and 13 s at 16.
+DET_BOUNDS = {"M": 8, "N": 13, "P": 6, "Pk": 5, "ndot": 8, "A": 6, "Axy": 8, "Az": 13}
 
 
 def check_det_bound(name: str, n: int, force_large: bool = False) -> None:
-    """Refuse ``det`` of MATRICES[name] at n past its n_max unless forced."""
-    bound = MATRICES[name].n_max
+    """Refuse ``det`` of MATRICES[name] at n past DET_BOUNDS[name] unless
+    forced."""
+    bound = DET_BOUNDS[name]
     if n > bound and not force_large:
         raise BoundExceeded(
-            f"det {name} at n={n} exceeds its desk bound n <= {bound}; "
-            "pass force_large=True (CLI: --force-large)"
+            f"det {name} at n={n} exceeds its desk bound n <= {bound}; pass --force-large"
         )
 
 

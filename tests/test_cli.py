@@ -404,10 +404,9 @@ def test_det_refuses_past_its_bound_before_building(capsys, monkeypatch):
         built.append(n)
         return xfer.SymbolicMatrix(())  # 0x0: determinant 1
 
-    bounds = {name: m.n_max for name, m in xfer.MATRICES.items()}
-    for name, m in xfer.MATRICES.items():
-        monkeypatch.setitem(xfer.MATRICES, name, xfer.NamedMatrix(record, m.n_max))
-    for name, bound in bounds.items():
+    for name in xfer.MATRICES:
+        monkeypatch.setitem(xfer.MATRICES, name, record)
+    for name, bound in xfer.DET_BOUNDS.items():
         k = ["--k", "1"] if name == "Pk" else []
         code, out, err = run(capsys, "det", name, "--n", str(bound + 1), *k)
         assert (code, out) == (2, ""), name

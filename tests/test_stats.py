@@ -389,13 +389,13 @@ def test_sweeps_follow_the_enumeration_and_match_summary():
 @settings(max_examples=80, deadline=None)
 @given(random_moves(max_n=10))
 def test_step_functions_replay_random_partitions(moves):
-    blocks, s = (), summarize(())
-    for pos in moves:
-        k = s.k
+    node = (), summarize(())
+    for m, pos in enumerate(moves, 1):
+        k = node[1].k
         if pos <= k:
-            child = add_singleton(blocks, s, pos)
+            node = add_singleton(node, m, pos)
         else:
-            child = add_to_block(blocks, s, pos - k - 1)
-        blocks, s = child
+            node = add_to_block(node, m, pos - k - 1)
+        blocks, s = node
         assert blocks == replay(moves[:s.n])
         assert fields(s) == fields(summarize(blocks)), blocks
