@@ -416,6 +416,12 @@ def test_det_refuses_past_its_bound_before_building(capsys, monkeypatch):
             assert run(capsys, "det", name, *argv, *k)[:2] == (0, "1\n"), (name, argv)
         assert built == [bound, bound + 1], name
         built.clear()
+        # a negative n is refused before any build, naming --n (not the k of D_k)
+        for n in ("-1", "-2"):
+            code, out, err = run(capsys, "det", name, "--n", n, *k)
+            assert (code, out) == (2, ""), (name, n)
+            assert f"--n must be nonnegative, got {n}" in err, (name, n)
+        assert built == [], name
 
 
 def test_verify_negative_bound_is_a_usage_error(capsys):

@@ -137,22 +137,52 @@ def test_det_methods_agree():
     import random
 
     rng = random.Random(7)
-    for trial in range(20):
-        n = rng.randint(1, 5)
-        entries = [
+
+    def random_matrix(n, inside=lambda i, j: True, density=0.7):
+        return SymbolicMatrix([
             [
                 REG.poly({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)})
-                if rng.random() < 0.7
+                if inside(i, j) and rng.random() < density
                 else ZERO
-                for _ in range(n)
+                for j in range(n)
             ]
-            for _ in range(n)
-        ]
-        m = SymbolicMatrix(entries)
+            for i in range(n)
+        ])
+
+    for trial in range(20):
+        m = random_matrix(rng.randint(1, 5))
         assert det(m, "laplace") == det(m, "bareiss")
-    for n in range(1, 4):
-        for m in (transfer_matrix(n, WeightSpec.xytu()), build_p(n), build_n(n), build_ndot(n)):
-            assert det(m, "laplace") == det(m, "bareiss")
+    # upper- and lower-Hessenberg and banded, with zeros inside the band too:
+    # the shape of the corners, where memoized minors are looked up again
+    for trial in range(30):
+        n = rng.randint(2, 7)
+        band = rng.randint(1, 2)
+        for inside in (
+            lambda i, j: j >= i - 1, lambda i, j: i >= j - 1, lambda i, j: abs(i - j) <= band
+        ):
+            m = random_matrix(n, inside, density=0.8)
+            assert det(m, "laplace") == det(m, "bareiss"), (n, m)
+    cases = [(name, n, None) for name in xfer.MATRICES if name != "Pk" for n in range(4)]
+    cases += [("Pk", n, k) for n in range(1, 4) for k in range(1, n + 3)]
+    for name, n, k in cases:
+        m = xfer.MATRICES[name](n, k)
+        assert det(m, "laplace") == det(m, "bareiss"), (name, n, k)
+
+
+def test_det_memo_keeps_only_branching_minors():
+    # N_6 is triangular: a memo of every minor would keep each partial
+    # product of its diagonal alive until the end
+    import tracemalloc
+
+    m = build_n(6)
+    tracemalloc.start()
+    try:
+        d = det(m)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d == math.prod((m.entries[i][i] for i in range(m.rows)), start=ONE)  # triangular
+    assert peak <= 4 * kept, (peak, kept)
 
 
 def test_minor_and_identity():
