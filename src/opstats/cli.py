@@ -23,6 +23,8 @@ from .ring import format_poly
 
 
 def _qnum_cmd(args) -> int:
+    if args.n_max < 0:
+        raise ValueError(f"--n-max must be nonnegative, got {args.n_max}")
     rows = []
     if args.family == "stirling":
         for n in range(0, args.n_max + 1):

@@ -25,14 +25,14 @@ constants nk1 = n(k-1) and k2 = C(k,2).  Expressions such as ``mak+bInv-inv``
 are compiled through the table into field coefficients (``linear_form``) and
 then into one function of a Summary (``evaluator``).
 
-Three computation routes are kept deliberately separate.  coord_rows()
-follows the definitions element by element (coord(), stat_vector() and the
-bijection check read its rows).  Summary(blocks) accumulates all aggregates of
-one partition in one pass over block pairs (summarize(), composite(),
-q_monomial() and the ``stats`` table).  The exhaustive sweeps (sweep_all,
-sweep, sweep_p) walk opart's insertion tree and compute each child's Summary
-from its parent's through the two step functions add_singleton and
-add_to_block.  Tests pin coord_rows to Summary, and every swept Summary to
+Two computation routes are kept deliberately separate.  The definition
+route: coord_rows() counts every element's ten coordinates as defined,
+block_stats() the block statistics and opart.inv the inversions; coord() and
+the bijection check read the rows, and Summary(blocks) sums them (summarize(),
+composite(), q_monomial() and the ``stats`` table).  The sweep route:
+sweep_all, sweep and sweep_p walk opart's insertion tree and compute each
+child's Summary from its parent's through the two step functions
+add_singleton and add_to_block.  Tests pin every swept Summary to
 Summary(blocks).
 """
 
@@ -42,7 +42,7 @@ import re
 from bisect import bisect_right
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .opart import Blocks, OrderedPartition, grow, grow_all, grow_p
+from .opart import Blocks, OrderedPartition, grow, grow_all, grow_p, inv
 from .ring import DEFAULT, LaurentPoly
 
 COORD_NAMES = ("ros", "rob", "rcs", "rcb", "los", "lob", "lcs", "lcb", "lsb", "rsb")
@@ -135,14 +135,10 @@ def coord(pi, i: int, name: str) -> int:
     return _lookup(coord_rows(pi), i, name)
 
 
-def coord_values(pi, name: str) -> dict[int, int]:
-    rows = coord_rows(pi)
-    return {i: _lookup(rows, i, name) for i in range(1, len(rows["ros"]) + 1)}
-
-
 def aggregate(pi, name: str) -> int:
     """Sum of a coordinate statistic over all elements."""
-    return sum(coord_values(pi, name).values())
+    rows = coord_rows(pi)
+    return sum(_lookup(rows, i, name) for i in range(1, len(rows["ros"]) + 1))
 
 
 def restricted(pi, name: str, elements: Iterable[int]) -> int:
@@ -168,13 +164,18 @@ def block_stats(pi) -> tuple[int, int, int]:
     return binv, bexc, bmaj
 
 
-# -- one-pass aggregate route --------------------------------------------------
+# -- the aggregates of one partition ------------------------------------------
+
+# the coordinate statistics with an ``_op`` field in Summary
+_OP_ROWS = ("ros", "rcs", "los", "lcs", "lsb", "rsb")
 
 
 class Summary:
-    """All aggregate statistics of one partition, computed in a single sweep
-    over (element, other-block) pairs.  Fields with an ``_op`` suffix are the
-    restrictions to open(pi) (the openers, singletons included)."""
+    """All aggregate statistics of one partition, read off the definitions:
+    each coordinate field is its coord_rows row's sum, each ``_op`` field
+    (the restriction to open(pi), the openers, singletons included) that
+    row's sum at the openers, binv, bexc and bmaj are block_stats and inv is
+    opart.inv."""
 
     __slots__ = (
         "n", "k",
@@ -184,79 +185,24 @@ class Summary:
     )
 
     def __init__(self, blocks: Blocks):
-        k = len(blocks)
-        n = 0
-        ros = rob = rcs = rcb = los = lob = lcs = lcb = lsb = rsb = 0
-        ros_op = rcs_op = los_op = lcs_op = lsb_op = rsb_op = 0
-        binv = bexc = bmaj = pinv = 0
-        for p in range(k):
-            A = blocks[p]
-            n += len(A)
-            oA = A[0]
-            cA = A[-1]
-            for r in range(p + 1, k):
-                B = blocks[r]
-                oB = B[0]
-                cB = B[-1]
-                if oA > oB:
-                    pinv += 1
-                if oA > cB:
-                    binv += 1
-                    if r == p + 1:
-                        bmaj += p + 1
-                if cA < oB:
-                    bexc += 1
-                first = True
-                for e in A:  # B lies right of e
-                    if oB < e:
-                        ros += 1
-                        if first:
-                            ros_op += 1
-                    else:
-                        rob += 1
-                    if cB < e:
-                        rcs += 1
-                        if first:
-                            rcs_op += 1
-                    else:
-                        rcb += 1
-                    if oB < e < cB:
-                        rsb += 1
-                        if first:
-                            rsb_op += 1
-                    first = False
-                first = True
-                for e in B:  # A lies left of e
-                    if oA < e:
-                        los += 1
-                        if first:
-                            los_op += 1
-                    else:
-                        lob += 1
-                    if cA < e:
-                        lcs += 1
-                        if first:
-                            lcs_op += 1
-                    else:
-                        lcb += 1
-                    if oA < e < cA:
-                        lsb += 1
-                        if first:
-                            lsb_op += 1
-                    first = False
-        self.n = n
-        self.k = k
-        self.ros, self.rob, self.rcs, self.rcb = ros, rob, rcs, rcb
-        self.los, self.lob, self.lcs, self.lcb = los, lob, lcs, lcb
-        self.lsb, self.rsb = lsb, rsb
-        self.ros_op, self.rcs_op = ros_op, rcs_op
-        self.los_op, self.lcs_op = los_op, lcs_op
-        self.lsb_op, self.rsb_op = lsb_op, rsb_op
-        self.binv, self.bexc, self.bmaj = binv, bexc, bmaj
-        self.inv = pinv
-        # the per-partition constants of TABLE
-        self.nk1 = n * (k - 1)
-        self.k2 = k * (k - 1) // 2
+        _fill(self, blocks, coord_rows(blocks))
+
+
+def _fill(s: Summary, blocks: Blocks, rows: dict[str, list[int]]) -> None:
+    """Set every field of ``s`` from ``rows`` = coord_rows(blocks)."""
+    for name, row in rows.items():
+        setattr(s, name, sum(row))
+    openers = [B[0] - 1 for B in blocks]
+    for name in _OP_ROWS:
+        row = rows[name]
+        setattr(s, name + "_op", sum(row[o] for o in openers))
+    s.binv, s.bexc, s.bmaj = block_stats(blocks)
+    s.inv = inv(OrderedPartition._unchecked(blocks))
+    s.n = n = len(rows["ros"])
+    s.k = k = len(blocks)
+    # the per-partition constants of TABLE
+    s.nk1 = n * (k - 1)
+    s.k2 = k * (k - 1) // 2
 
 
 def summarize(pi) -> Summary:
@@ -270,8 +216,8 @@ def summarize(pi) -> Summary:
 # insertion adds or changes can be counted from the parent alone, so the two
 # step functions below give a child's Summary from its parent's, and the
 # sweeps grow opart's tree (opart.grow*) over (blocks, Summary) nodes without
-# counting block pairs.  They are checked against Summary(blocks), which stays
-# the definition.
+# counting block pairs.  They are checked against Summary(blocks), which reads
+# the definitions.
 
 _new = object.__new__
 
@@ -539,26 +485,22 @@ def q_monomial(pi) -> LaurentPoly:
 # -- display -------------------------------------------------------------------
 
 
-def stat_vector(pi: OrderedPartition) -> dict[str, dict[int, int]]:
-    """All ten coordinate rows, keyed by statistic name."""
-    return {name: dict(enumerate(row, 1)) for name, row in coord_rows(pi).items()}
-
-
 ROW_ORDER = ("los", "ros", "lob", "rob", "lcs", "rcs", "lcb", "rcb", "lsb", "rsb")
 
 
 def stat_table(pi: OrderedPartition) -> str:
     """Human-readable table: one row per coordinate statistic, elements in
     block order with | between blocks, then aggregates and composites."""
-    from .opart import cinv as _cinv, inv as _inv, perm_of
+    from .opart import perm_of
 
-    rows = stat_vector(pi)
-    s = summarize(pi)
+    rows = coord_rows(pi)
+    s = _new(Summary)
+    _fill(s, pi.blocks, rows)
 
-    def fmt(values: Mapping[int, int] | None) -> str:
+    def fmt(values: list[int] | None) -> str:
         cells = []
         for b in pi.blocks:
-            cells.append(" ".join(str(e if values is None else values[e]) for e in b))
+            cells.append(" ".join(str(e if values is None else values[e - 1]) for e in b))
         return " | ".join(cells)
 
     lines = [f"pi:     {fmt(None)}"]
@@ -568,12 +510,13 @@ def stat_table(pi: OrderedPartition) -> str:
     lines.append("  ".join(f"{name}={getattr(s, name)}" for name in ROW_ORDER))
     sigma = perm_of(pi)
     perm_text = "".join(map(str, sigma)) if pi.k <= 9 else ",".join(map(str, sigma))
+    names = ("mak", "makP", "lmak", "lmakP", "cinvLSB", "cmajLSB")
+    cinv, *values = evaluator(("cinv", *names))(s)
     lines.append(
-        f"perm={perm_text}  inv={_inv(pi)}  cinv={_cinv(pi)}  "
+        f"perm={perm_text}  inv={s.inv}  cinv={cinv}  "
         f"bInv={s.binv}  bExc={s.bexc}  bMaj={s.bmaj}"
     )
-    names = ("mak", "makP", "lmak", "lmakP", "cinvLSB", "cmajLSB")
-    lines.append("  ".join(f"{name}={v}" for name, v in zip(names, evaluator(names)(s))))
+    lines.append("  ".join(f"{name}={v}" for name, v in zip(names, values)))
     return "\n".join(lines)
 
 

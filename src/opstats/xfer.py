@@ -435,6 +435,9 @@ def walk_series(k: int, w: WeightSpec, order: int, force_large: bool = False) ->
 
 
 def _check_closed_k_bound(k: int, force_large: bool) -> None:
+    """Reject k < 0, and k above the closed-form desk bound unless forced."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if k > CLOSED_K_BOUND and not force_large:
         raise BoundExceeded(
             f"k={k} exceeds the closed-form desk bound {CLOSED_K_BOUND}; "

@@ -105,6 +105,13 @@ def test_qnum_table(capsys):
     assert "3\t1\t2*q + 2*q^2" in out.splitlines()
 
 
+def test_qnum_negative_bound_is_a_usage_error(capsys):
+    for family in ("stirling", "eulerian", "binomial", "factorial"):
+        code, out, err = run(capsys, "qnum", family, "--n-max", "-1")
+        assert (code, out) == (2, ""), family
+        assert "--n-max must be nonnegative" in err, family
+
+
 def test_gf_and_det(capsys):
     code, out, _ = run(capsys, "gf", "f", "--k", "1", "--order", "3")
     assert code == 0
@@ -130,12 +137,21 @@ def test_gf_transfer_families_match_determinant_route(capsys):
             assert (code, out.splitlines()) == (0, want), (family, k)
 
 
-def test_gf_transfer_bounds_exit_2(capsys):
+def test_gf_transfer_bounds_exit_2(capsys, monkeypatch):
+    # a negative k is refused before the closed forms build anything
+    def unbuilt(*args):
+        raise AssertionError("built a closed form for a negative k")
+
+    monkeypatch.setattr(xfer, "pq_factorial", unbuilt)
     for argv in (["Q", "--k", "5"], ["Qxy", "--k", "6"], ["Qz", "--k", "6"],
-                 ["Q", "--k", "2", "--order", "-1"], ["Qz", "--k", "-1"]):
+                 ["Q", "--k", "2", "--order", "-1"], ["Qz", "--k", "-1"],
+                 ["f", "--k", "-1"], ["g", "--k", "-1"],
+                 ["phi", "--k", "-1"], ["varphi", "--k", "-1"]):
         code, out, err = run(capsys, "gf", *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ")
+        if argv[2] == "-1":
+            assert "k must be nonnegative" in err, argv
 
 
 def test_gf_bound_errors_name_the_flag(capsys):

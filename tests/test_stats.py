@@ -24,7 +24,6 @@ from opstats.stats import (
     block_stats,
     composite,
     coord,
-    coord_rows,
     distribution,
     enumerated_gf,
     evaluator,
@@ -81,6 +80,18 @@ def test_aggregates_and_restrictions():
         coord(PI, 1, "xyz")
 
 
+def test_worked_example_summary():
+    # every Summary field from the literal table above: each aggregate is its
+    # row's sum, each _op field that row's sum at the openers 6, 5, 1, 3, 2
+    at = {e: x for x, e in enumerate(ORDER)}
+    want = {name: sum(row) for name, row in TABLE.items()}
+    for name in ("ros", "rcs", "los", "lcs", "lsb", "rsb"):
+        want[name + "_op"] = sum(TABLE[name][at[o]] for o in (6, 5, 1, 3, 2))
+    want.update(binv=4, bexc=0, bmaj=5, inv=8, n=9, k=5, nk1=36, k2=10)
+    s = summarize(PI)
+    assert {f: getattr(s, f) for f in stats.Summary.__slots__} == want
+
+
 def test_block_stats_example():
     assert block_stats(PI) == (4, 0, 5)  # bInv, bExc, bMaj
     assert block_stats(parse("1,2,3")) == (0, 0, 0)
@@ -95,36 +106,6 @@ def test_composites_example():
     assert composite(PI, "inv") == 8
     assert composite(PI, "cinv") == 2
     assert composite(PI, "cmajLSB") == 3 + (10 - 5) + 10
-
-
-def test_summary_matches_slow_route():
-    for blocks in iter_blocks_all(5):
-        s = summarize(blocks)
-        for name in COORD_NAMES:
-            assert getattr(s, name) == aggregate(blocks, name), name
-        binv, bexc, bmaj = block_stats(blocks)
-        assert (s.binv, s.bexc, s.bmaj) == (binv, bexc, bmaj)
-        openers = {b[0] for b in blocks}
-        assert s.ros_op == restricted(blocks, "ros", openers)
-        assert s.rcs_op == restricted(blocks, "rcs", openers)
-        assert s.los_op == restricted(blocks, "los", openers)
-        assert s.lcs_op == restricted(blocks, "lcs", openers)
-        assert s.lsb_op == restricted(blocks, "lsb", openers)
-        assert s.rsb_op == restricted(blocks, "rsb", openers)
-
-
-def test_coord_rows_match_summary():
-    # the definition rows and the one-pass aggregates are independent routes
-    for n in range(7):
-        for blocks in iter_blocks_all(n):
-            rows = coord_rows(blocks)
-            s = summarize(blocks)
-            openers = [b[0] for b in blocks]
-            for name, row in rows.items():
-                assert len(row) == n
-                assert sum(row) == getattr(s, name), (blocks, name)
-            for name in ("ros", "rcs", "los", "lcs", "lsb", "rsb"):
-                assert sum(rows[name][o - 1] for o in openers) == getattr(s, name + "_op")
 
 
 def test_open_restriction_identities():
@@ -343,9 +324,6 @@ def random_blocks(max_n=8):
 def test_random_partition_invariants(blocks):
     s = summarize(blocks)
     assert per_element_sums_ok(blocks)
-    for name in COORD_NAMES:
-        assert getattr(s, name) == aggregate(blocks, name)
-    assert (s.binv, s.bexc, s.bmaj) == block_stats(blocks)
     # dualities and rewrites
     mak, lmakp, makp, lmak = evaluator(("mak", "lmakP", "makP", "lmak"))(s)
     assert mak == lmakp and makp == lmak
@@ -371,6 +349,7 @@ def fields(s):
 
 
 def test_sweeps_follow_the_enumeration_and_match_summary():
+    # the step functions against Summary(blocks), which reads the definitions
     for n in range(8):
         swept = list(sweep_all(n))
         assert [blocks for blocks, _ in swept] == list(iter_blocks_all(n)), n
