@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import qnum, xfer
-from .opart import Blocks, OrderedPartition, form, format_partition, iter_blocks_all
+from .opart import BoundExceeded, Blocks, OrderedPartition, form, format_partition, iter_blocks_all
 from .qnum import q_poly_from_exponent_counts
 from .ring import DEFAULT
 from .stats import (
@@ -30,13 +30,13 @@ from .stats import (
 from .walks import (
     EAST,
     NORTH,
+    STEP_ORDER,
     _diagram_of,
     choice_bound,
     enumerate_diagrams,
     enumerate_paths,
     path_vertices,
     psi,
-    psi_inverse,
     step_predictions,
 )
 
@@ -142,7 +142,8 @@ def check_eulerian_bruteforce(n_max: int = 8) -> list[CheckResult]:
     out = []
     for n in range(1, n_max + 1):
         for k in range(0, n):
-            ok = qnum.q_eulerian(n, k) == qnum.q_eulerian_bruteforce(n, k)
+            # n_max has passed this check's n bound, or was forced past it
+            ok = qnum.q_eulerian(n, k) == qnum.q_eulerian_bruteforce(n, k, n_max)
             out.append(CheckResult("eulerian", f"n={n} k={k}", ok))
     return out
 
@@ -235,10 +236,34 @@ def check_sect23(n_max: int = 8) -> list[CheckResult]:
 
 # -- bijection -------------------------------------------------------------------
 
+#: Each step's rank in STEP_ORDER: ``enumerate_paths`` yields its paths in
+#: increasing order of their steps ranked so.
+_STEP_RANK = {kind: rank for rank, kind in enumerate(STEP_ORDER)}
+
 
 def check_bijection(n_max: int = 7) -> list[CheckResult]:
-    """Round trips both ways, form/path agreement, and the per-step statistic
-    predictions, for every partition and every diagram with n <= n_max."""
+    """The bijection psi: OP(n,k) -> Diag(n,k) between ordered partitions and
+    path diagrams of length n and depth k, for every n <= n_max.
+
+    The partition side replays psi(psi_inverse(pi)) = pi for every pi, and
+    checks pi's form against the path of psi_inverse(pi) and the per-step
+    statistic predictions.  The diagram side replays nothing: it counts the
+    diagrams of ``enumerate_diagrams(n, k)``, which are distinct because
+    each one's key (steps ranked N < E < O < S, xi) is checked to exceed the
+    one before it, and compares the count with k! S(n,k).  That proves
+    psi_inverse(psi(d)) = d for every diagram d:
+
+    * psi(psi_inverse(pi)) = pi for every pi, so psi_inverse is injective.
+    * ``psi`` validates each psi_inverse(pi) as a walk to some (k',0).  The
+      walk ends at height 0, so its North and South-East steps pair off, and
+      k' = #E + #S = #N + #E, the block count of psi(psi_inverse(pi)) = pi.
+      So psi_inverse maps OP(n,k) injectively into Diag(n,k).
+    * ``enumerate_diagrams`` takes every allowed step at every vertex and
+      every choice within its bound, so it yields all of Diag(n,k).  If it
+      yields exactly k! S(n,k) = |OP(n,k)| distinct diagrams, then
+      |Diag(n,k)| <= |OP(n,k)|, and the injection psi_inverse is a bijection
+      onto Diag(n,k).  psi is then its two-sided inverse.
+    """
     out = []
     for n in range(1, n_max + 1):
         bad = None
@@ -270,10 +295,13 @@ def check_bijection(n_max: int = 7) -> list[CheckResult]:
         bad = None
         for k in range(1, n + 1):
             seen = 0
+            last = None
             for d in enumerate_diagrams(n, k):
-                if psi_inverse(psi(d)) != d:
-                    bad = f"psi_inverse(psi) != id at {d}"
+                key = (tuple(_STEP_RANK[s] for s in d.steps), d.xi)
+                if last is not None and key <= last:
+                    bad = f"diagram {d} repeats or is out of order"
                     break
+                last = key
                 seen += 1
             if bad:
                 break
@@ -432,36 +460,55 @@ def check_eigen(n_max: int = 4) -> list[CheckResult]:
 
 @dataclass(frozen=True)
 class Check:
-    """How ``verify`` runs one check.  ``run`` is called with no arguments, or,
-    if ``bound``, with its n bound as the keyword ``n_max``.  An audit check
-    instead reads the AuditReport field ``audit`` of the sweep it shares with
-    the other audit checks; ``n_default`` is its n bound."""
+    """How ``verify`` runs one check.  ``run`` is called with no arguments, or
+    with an n bound as the keyword ``n_max``.  ``n_bound`` is the largest
+    n_max it runs at without ``--force-large``; None means it takes no n_max.
+    An audit check instead reads the AuditReport field ``audit`` of the sweep
+    it shares with the other audit checks; ``n_default`` is its n bound."""
 
     run: Callable[..., list[CheckResult]] | None = None
-    bound: bool = True
+    n_bound: int | None = None
     audit: str | None = None
     n_default: int = 8
 
 
+#: The n bound of every check that sweeps ordered partitions: run_audit(9, 7)
+#: takes 49 s over the 7 087 261 partitions at n = 9 (2-core Xeon, Python
+#: 3.11, one process); sect23, transfer and thm24 take 0.2-0.3 s at n = 9.
+SWEEP_BOUND = 9
+
+#: Each check's n bound: the largest n at which it takes under about 4 s,
+#: run alone from a fresh process on that machine, or about a minute for the
+#: partition sweeps:
+#:   zz 2.6-3.8 s at n = 20 and 4.6 s at 21;  path-counts 0.9 s at 11 and
+#:   4.2 s at 12;  bij 3.3 s at 7 and 50 s at 8, about the audit sweep's
+#:   time at 9;  eulerian, its permutations' own bound
+#:   qnum.EULERIAN_DESK_BOUND (4.5 s at 9);  main1 2.3 s at 5 (at 6 it needs
+#:   P_7, 57 s a determinant);  key 3.3 s at 15 and 4.8 s at 16;  eigen 3.0 s
+#:   at 12 and 5.5 s at 13;  the determinant checks, the n of
+#:   xfer.DET_IDENTITIES at which their determinants reach xfer.DET_BOUNDS.
 CHECKS = {
-    "zz": Check(check_zz),
-    "thm25": Check(audit="six"),
-    "thm25-series": Check(check_thm25_series, bound=False),
-    "prop22": Check(audit="prop22"),
-    "lemma310": Check(audit="lemma310"),
-    "equidist": Check(audit="equidist", n_default=7),
-    "sect23": Check(check_sect23),
-    "conjecture-bmaj": Check(audit="bmaj"),
-    "bij": Check(check_bijection),
-    "path-counts": Check(check_path_counts),
-    "transfer": Check(check_transfer_enum),
-    "cor39": Check(check_cor39, bound=False),
-    "thm24": Check(check_thm24),
-    "eulerian": Check(check_eulerian_bruteforce),
-    "main1": Check(check_main1),
-    "key": Check(check_lemma_key),
-    "eigen": Check(check_eigen),
-    **{name: Check(functools.partial(check_det, name)) for name in xfer.DET_IDENTITIES},
+    "zz": Check(check_zz, n_bound=20),
+    "thm25": Check(audit="six", n_bound=SWEEP_BOUND),
+    "thm25-series": Check(check_thm25_series),
+    "prop22": Check(audit="prop22", n_bound=SWEEP_BOUND),
+    "lemma310": Check(audit="lemma310", n_bound=SWEEP_BOUND),
+    "equidist": Check(audit="equidist", n_bound=SWEEP_BOUND, n_default=7),
+    "sect23": Check(check_sect23, n_bound=SWEEP_BOUND),
+    "conjecture-bmaj": Check(audit="bmaj", n_bound=SWEEP_BOUND),
+    "bij": Check(check_bijection, n_bound=8),
+    "path-counts": Check(check_path_counts, n_bound=11),
+    "transfer": Check(check_transfer_enum, n_bound=SWEEP_BOUND),
+    "cor39": Check(check_cor39),
+    "thm24": Check(check_thm24, n_bound=SWEEP_BOUND),
+    "eulerian": Check(check_eulerian_bruteforce, n_bound=qnum.EULERIAN_DESK_BOUND),
+    "main1": Check(check_main1, n_bound=5),
+    "key": Check(check_lemma_key, n_bound=15),
+    "eigen": Check(check_eigen, n_bound=12),
+    **{
+        name: Check(functools.partial(check_det, name), n_bound=identity.n_bound)
+        for name, identity in xfer.DET_IDENTITIES.items()
+    },
 }
 
 
@@ -470,11 +517,14 @@ class Verification:
 
     ``bounds`` lists each name with the n bound it runs at (None: its
     default).  ``["all"]`` names every check and gives n_max only to those
-    with an n bound.  The audit checks share one run_audit sweep, made when
-    the first of them runs and kept only by this object.
+    that take one.  An n_max past a check's ``n_bound`` is refused, before
+    any check runs, unless ``force_large``.  The audit checks share one
+    run_audit sweep, made when the first of them runs and kept only by this
+    object.
     """
 
-    def __init__(self, names: list[str], n_max: int | None = None):
+    def __init__(self, names: list[str], n_max: int | None = None,
+                 force_large: bool = False):
         if n_max is not None and n_max < 0:
             raise ValueError(f"--n-max must be nonnegative, got {n_max}")
         every = names == ["all"]
@@ -483,9 +533,17 @@ class Verification:
             check = CHECKS.get(name)
             if check is None:
                 raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
-            if n_max is not None and not check.bound and not every:
-                raise ValueError(f"check {name!r} does not take --n-max")
-            self.bounds.append((name, n_max if check.bound else None))
+            if check.n_bound is None:
+                if n_max is not None and not every:
+                    raise ValueError(f"check {name!r} does not take --n-max")
+                self.bounds.append((name, None))
+                continue
+            if n_max is not None and n_max > check.n_bound and not force_large:
+                raise BoundExceeded(
+                    f"check {name!r} at n={n_max} exceeds its desk bound "
+                    f"n <= {check.n_bound}; pass --force-large"
+                )
+            self.bounds.append((name, n_max))
         audit = {
             name: CHECKS[name].n_default if bound is None else bound
             for name, bound in self.bounds if CHECKS[name].audit

@@ -174,7 +174,7 @@ def _emit_results(results, fmt: str) -> int:
 
 
 def _verify_cmd(args) -> int:
-    plan = checks.Verification(list(args.checks), args.n_max)
+    plan = checks.Verification(list(args.checks), args.n_max, args.force_large)
     status = 0
     for name, n_max in plan.bounds:
         results = checks.run_check(name, n_max, plan)
@@ -187,12 +187,13 @@ def _verify_cmd(args) -> int:
 
 
 def _conjecture_cmd(args) -> int:
+    plan = checks.Verification(["conjecture-bmaj"], args.n_max, args.force_large)
     print(
         "EMPIRICAL check of the three bMaj-based distributions against "
         "[k]_q! S_q(n,k); a MATCH line is evidence, not a proof.",
         file=sys.stderr,
     )
-    results = checks.run_check("conjecture-bmaj", args.n_max)
+    results = checks.run_check("conjecture-bmaj", args.n_max, plan)
     ok = True
     for r in results:
         if args.format == "records":
@@ -275,11 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. thm25 zz minor1 main1 key eigen conj, or all")
     p.add_argument("--n-max", type=int, default=None,
                    help="override the suite's default bound")
+    p.add_argument("--force-large", action="store_true",
+                   help="run past a check's desk bound")
     p.add_argument("--format", choices=["table", "records"], default="table")
     p.set_defaults(fn=_verify_cmd)
 
     p = sub.add_parser("conjecture", help="EMPIRICAL bMaj-statistic report")
     p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--force-large", action="store_true")
     p.add_argument("--format", choices=["table", "records"], default="table")
     p.set_defaults(fn=_conjecture_cmd)
 

@@ -63,7 +63,7 @@ class OrderedPartition:
 
     @property
     def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return sum(map(len, self.blocks))
 
     @property
     def k(self) -> int:

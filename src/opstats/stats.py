@@ -95,7 +95,7 @@ def coord_rows(pi) -> dict[str, list[int]]:
     """All ten coordinate rows straight from their definitions, in one pass
     over (element, other block) pairs; ``rows[name][i - 1]`` is name_i."""
     blocks = _blocks_of(pi)
-    n = sum(len(b) for b in blocks)
+    n = sum(map(len, blocks))
     rows = {name: [0] * n for name in COORD_NAMES}
     right = (rows["ros"], rows["rob"], rows["rcs"], rows["rcb"], rows["rsb"])
     left = (rows["los"], rows["lob"], rows["lcs"], rows["lcb"], rows["lsb"])

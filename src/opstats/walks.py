@@ -21,6 +21,7 @@ Steps are encoded by single letters: N, E, S (south-east), O (null).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 from .opart import OrderedPartition, classify
@@ -31,6 +32,9 @@ NORTH, EAST, SOUTH_EAST, NULL = "N", "E", "S", "O"
 Vertex = tuple[int, int]
 
 _MOVES = {NORTH: (0, 1), EAST: (1, 0), SOUTH_EAST: (1, -1), NULL: (0, 0)}
+
+#: The order in which ``enumerate_paths`` tries the steps at each vertex.
+STEP_ORDER = (NORTH, EAST, NULL, SOUTH_EAST)
 
 
 def vertex_count(k: int) -> int:
@@ -56,21 +60,26 @@ def step_allowed(v: Vertex, kind: str, k: int) -> bool:
     i, j = v
     if kind in (SOUTH_EAST, NULL) and j <= 0:
         return False
-    ti, tj = step_target(v, kind)
+    di, dj = _MOVES[kind]
+    ti, tj = i + di, j + dj
     return ti >= 0 and tj >= 0 and ti + tj <= k
 
 
 def path_vertices(steps: tuple[str, ...]) -> list[Vertex]:
     """Vertex sequence from (0,0); length len(steps)+1."""
     out = [(0, 0)]
+    i = j = 0
     for s in steps:
-        out.append(step_target(out[-1], s))
+        di, dj = _MOVES[s]
+        i += di
+        j += dj
+        out.append((i, j))
     return out
 
 
 def enumerate_paths(n: int, k: int) -> Iterator[tuple[str, ...]]:
-    """All length-n walks (0,0) -> (k,0) in D_k, depth-first in step order
-    N, E, O, S."""
+    """All length-n walks (0,0) -> (k,0) in D_k, depth-first in STEP_ORDER
+    (N, E, O, S)."""
     if n < 0 or k < 0:
         raise ValueError("n, k must be nonnegative")
 
@@ -81,7 +90,7 @@ def enumerate_paths(n: int, k: int) -> Iterator[tuple[str, ...]]:
             return
         if k - v[0] > left:  # each remaining closed block costs >= one step
             return
-        for kind in (NORTH, EAST, NULL, SOUTH_EAST):
+        for kind in STEP_ORDER:
             if step_allowed(v, kind, k):
                 for rest in rec(step_target(v, kind), left - 1):
                     yield (kind,) + rest
@@ -118,10 +127,11 @@ class PathDiagram:
         vs = path_vertices(self.steps)
         if k is None:
             k = vs[-1][0]
-        if vs[-1] != (k, 0) or not all(step_allowed(v, s, k) for v, s in zip(vs, self.steps)):
+        if vs[-1] != (k, 0) or not all(map(step_allowed, vs, self.steps, repeat(k))):
             raise ValueError(f"not a walk to ({k},0): {''.join(self.steps)}")
-        for idx, (kind, x) in enumerate(zip(self.steps, self.xi)):
-            bound = choice_bound(vs[idx], kind)
+        for idx, (kind, x, bound) in enumerate(
+            zip(self.steps, self.xi, map(choice_bound, vs, self.steps))
+        ):
             if not 1 <= x <= bound:
                 raise ValueError(
                     f"choice xi_{idx + 1}={x} outside 1..{bound} "

@@ -633,21 +633,27 @@ def conj_product(n: int) -> LaurentPoly:
 @dataclass(frozen=True)
 class DetIdentity:
     """det of ``MATRICES[matrix](n)``, or of its corner if ``corner``, equals
-    ``product(n)``; its check runs 1 <= n <= ``n_max`` by default."""
+    ``product(n)``; its check runs 1 <= n <= ``n_max`` by default and, unless
+    forced, at n <= ``n_bound``, the n at which its determinant reaches the
+    desk bound of ``det``."""
 
     matrix: str
     product: Callable[[int], LaurentPoly]
     n_max: int
+    n_bound: int
     corner: bool = False
 
 
-#: The single-determinant identities, each with its closed product.
+#: The single-determinant identities, each with its closed product.  The
+#: corner of M_n is P_n and that of N_n is ndot_n; the corner of the
+#: triangular Az_n is Hessenberg and has no ``det`` entry: on the machine of
+#: DET_BOUNDS its check takes 3.7 s up to n = 7, its determinant 22 s at 8.
 DET_IDENTITIES = {
-    "detm": DetIdentity("M", lambda n: det_m_product(n), 3),
-    "detn": DetIdentity("Az", lambda n: det_n_product(n), 3),
-    "minor1": DetIdentity("M", lambda n: minor1_product(n), 4, corner=True),
-    "minor2": DetIdentity("Az", lambda n: minor2_product(n), 4, corner=True),
-    "conj": DetIdentity("N", lambda n: conj_product(n), 4, corner=True),
+    "detm": DetIdentity("M", lambda n: det_m_product(n), 3, DET_BOUNDS["M"]),
+    "detn": DetIdentity("Az", lambda n: det_n_product(n), 3, DET_BOUNDS["Az"]),
+    "minor1": DetIdentity("M", lambda n: minor1_product(n), 4, DET_BOUNDS["P"], corner=True),
+    "minor2": DetIdentity("Az", lambda n: minor2_product(n), 4, 7, corner=True),
+    "conj": DetIdentity("N", lambda n: conj_product(n), 4, DET_BOUNDS["ndot"], corner=True),
 }
 
 

@@ -79,7 +79,8 @@ def test_c03_bijection(audit):
     assert format_partition(psi(d)) == "6/3,5,7/1,4,10/9/2,8"
     assert psi_inverse(parse("6/3,5,7/1,4,10/9/2,8")) == d
     results = checks.check_bijection(n_max=7)
-    _report("criterion 3 (bijection round trips + step tracking, n<=7)", results)
+    _report("criterion 3 (bijection: every partition round-trips, diagrams counted, "
+            "step tracking, n<=7)", results)
     results = checks.check_path_counts(n_max=8)
     _report("criterion 3 (choice-weighted path counts, n<=8)", results)
 

@@ -1,8 +1,13 @@
 """CLI contract: outputs, determinism, exit codes."""
 
 import contextlib
+import dataclasses
+import importlib.util
+import inspect
 import io
 import json
+import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -206,7 +211,7 @@ def test_verify_all_n_max_skips_unbounded_checks(capsys):
     assert code == 0
     expected = ""
     for name in sorted(CHECKS):
-        bound = ["--n-max", "2"] if CHECKS[name].bound else []
+        bound = ["--n-max", "2"] if CHECKS[name].n_bound is not None else []
         expected += run(capsys, "verify", name, *bound)[1]
     assert out == expected
 
@@ -315,9 +320,46 @@ def test_bij_checker_reports_round_trip_failures(capsys, monkeypatch):
         "PASS bij n=1 partitions",
         "PASS bij n=1 diagrams",
         "FAIL bij n=2 partitions  [psi(psi_inverse) != id at 2/1]",
-        "FAIL bij n=2 diagrams  [psi_inverse(psi) != id at EE 1,1]",
+        # the diagram side counts the diagrams and does not call psi
+        "PASS bij n=2 diagrams",
     ]
     assert "first failing instance: FAIL bij n=2 partitions" in err
+
+
+def test_bij_checker_fails_a_psi_inverse_that_is_not_injective(capsys, monkeypatch):
+    # every partition goes to the diagram of its blocks in increasing order
+    diagram_of = checks._diagram_of
+
+    def merged(pi, rows):
+        ordered = OrderedPartition._unchecked(tuple(sorted(pi.blocks)))
+        return diagram_of(ordered, stats.coord_rows(ordered))
+
+    monkeypatch.setattr(checks, "_diagram_of", merged)
+    code, out, err = run(capsys, "verify", "bij", "--n-max", "3")
+    assert code == 1
+    first = "FAIL bij n=2 partitions  [psi(psi_inverse) != id at 2/1]"
+    assert out.splitlines()[:3] == ["PASS bij n=1 partitions", "PASS bij n=1 diagrams", first]
+    assert f"first failing instance: {first}" in err
+
+
+@pytest.mark.parametrize("change, detail", [
+    (lambda ds: ds[:2] + ds[3:], "|diagrams(n=3,k=2)| = 5, want 6"),
+    (lambda ds: ds[:3] + ds[2:], "diagram NSE 1,1,1 repeats or is out of order"),
+    # the count is right, so only the order of the keys catches the repeat
+    (lambda ds: ds[:3] + ds[2:5], "diagram NSE 1,1,1 repeats or is out of order"),
+    (lambda ds: ds[::-1], "diagram ENS 1,1,1 repeats or is out of order"),
+], ids=["drop", "repeat", "repeat-for-drop", "reverse"])
+def test_bij_checker_counts_distinct_diagrams(capsys, monkeypatch, change, detail):
+    # enumerate_diagrams yields ``change`` of its diagrams at n=3, k=2
+    enumerate_diagrams = checks.enumerate_diagrams
+    monkeypatch.setattr(checks, "enumerate_diagrams", lambda n, k: (
+        change(list(enumerate_diagrams(n, k))) if (n, k) == (3, 2) else enumerate_diagrams(n, k)
+    ))
+    code, out, err = run(capsys, "verify", "bij", "--n-max", "3")
+    assert code == 1
+    first = f"FAIL bij n=3 diagrams  [{detail}]"
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [first]
+    assert f"first failing instance: {first}" in err
 
 
 def test_determinant_checkers_can_fail(capsys, monkeypatch):
@@ -448,6 +490,71 @@ def test_verify_negative_bound_is_a_usage_error(capsys):
         assert "--n-max must be nonnegative" in err
 
 
+def test_verify_refuses_past_each_bound_before_running(capsys, monkeypatch):
+    ran = []
+
+    def record(**kwargs):
+        ran.append(kwargs)
+        return []
+
+    monkeypatch.setattr(checks, "run_audit", lambda *a: ran.append(a))
+    for name, check in CHECKS.items():
+        if check.run is not None:
+            monkeypatch.setitem(CHECKS, name, dataclasses.replace(check, run=record))
+    for name, check in CHECKS.items():
+        if check.n_bound is None:
+            continue
+        past = check.n_bound + 1
+        code, out, err = run(capsys, "verify", name, "--n-max", str(past))
+        assert (code, out) == (2, ""), name
+        assert (f"check {name!r} at n={past} exceeds its desk bound n <= {check.n_bound}; "
+                "pass --force-large") in err
+        # after a check that would run at that n, and among all checks
+        for argv in (["verify", "key", name], ["verify", "all"]):
+            assert run(capsys, *argv, "--n-max", str(past))[:2] == (2, ""), argv
+    code, out, err = run(capsys, "conjecture", "--n-max", str(checks.SWEEP_BOUND + 1))
+    assert (code, out) == (2, "") and "--force-large" in err
+    assert ran == []
+
+
+def test_force_large_runs_past_a_bound(capsys, monkeypatch):
+    wants = {argv: run(capsys, *argv, "--n-max", "3")[:2]
+             for argv in (("verify", "zz"), ("verify", "conjecture-bmaj"), ("conjecture",))}
+    for name in ("zz", "conjecture-bmaj"):
+        monkeypatch.setitem(CHECKS, name, dataclasses.replace(CHECKS[name], n_bound=2))
+    for argv, want in wants.items():
+        assert run(capsys, *argv, "--n-max", "3")[:2] == (2, ""), argv
+        assert run(capsys, *argv, "--n-max", "3", "--force-large")[:2] == want, argv
+
+
+def _bench_workloads(monkeypatch):
+    """bench/workloads.py, loaded from its path."""
+    path = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_defaults_and_bench_ops_stay_inside_the_bounds(monkeypatch):
+    for name, check in CHECKS.items():
+        if check.n_bound is None:
+            continue
+        if check.audit:
+            default = check.n_default
+        elif name in xfer.DET_IDENTITIES:
+            default = xfer.DET_IDENTITIES[name].n_max
+        else:
+            default = inspect.signature(check.run).parameters["n_max"].default
+        assert default <= check.n_bound, name
+    assert build_parser().parse_args(["conjecture"]).n_max <= CHECKS["conjecture-bmaj"].n_bound
+    wl = _bench_workloads(monkeypatch)
+    for cmd, _, _ in wl.SWEEP + wl.SYMBOLIC_VERIFY:
+        args = build_parser().parse_args(cmd.split())
+        checks.Verification(args.checks, args.n_max)  # raises past a bound
+
+
 def test_verify_records_format(capsys):
     code, out, _ = run(capsys, "verify", "minor1", "--n-max", "2",
                        "--format", "records")
@@ -539,6 +646,9 @@ def call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+#: An n_max that every check refuses, or does not take: none of them runs.
+PAST_EVERY_BOUND = 1 + max(c.n_bound for c in CHECKS.values() if c.n_bound is not None)
+
 #: Sizes in and just outside the valid ranges, and malformed numbers.
 SIZE = st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["x", "1.5", ""]))
 PARTITIONS = st.sampled_from(
@@ -573,7 +683,8 @@ ARGV = st.one_of(
              _option("--k", SIZE)),
     _command("verify", st.lists(st.sampled_from([*CHECKS, "all", "nosuch"]), min_size=1,
                                 max_size=2),
-             st.integers(-1, 3).map(lambda n: ["--n-max", str(n)]), FORMAT),
+             st.one_of(st.integers(-1, 3), st.integers(PAST_EVERY_BOUND, 10 ** 6))
+             .map(lambda n: ["--n-max", str(n)]), FORMAT),
 )
 
 

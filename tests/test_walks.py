@@ -92,6 +92,17 @@ def test_psi_inverse_identity_partition():
     assert d.xi == (1, 2, 3, 4)
 
 
+def test_psi_inverse_walks_end_at_the_block_count():
+    # validate() takes the depth from where the walk ends, so check that
+    # psi_inverse(pi) ends at (k, 0) for pi's own block count k
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for blocks in iter_blocks(n, k):
+                d = psi_inverse(OrderedPartition._unchecked(blocks))
+                assert path_vertices(d.steps)[-1] == (k, 0), blocks
+                d.validate(k)
+
+
 def test_round_trip_both_ways():
     for n in range(1, 6):
         for k in range(1, n + 1):
