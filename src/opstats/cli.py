@@ -97,7 +97,7 @@ def _stats_cmd(args) -> int:
 
 def _dist_cmd(args) -> int:
     poly = stats.distribution(args.n, args.k, args.stat, force_large=args.force_large)
-    if any(v < 0 for e, _ in poly.sorted_terms() for v in e):
+    if poly.min_exponent("q") < 0:
         print("note: distribution has negative Laurent exponents", file=sys.stderr)
     print(format_poly(poly))
     return 0

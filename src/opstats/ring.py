@@ -14,7 +14,10 @@ in the range ``|e| < 2**62``; each polynomial carries an upper bound on its
 largest ``|e|`` (max under ``+``, sum under ``*``), and an operation whose
 bound would leave the range raises :class:`ValueError` rather than return a
 wrong value.  :meth:`LaurentPoly.sorted_terms` is the public way to read the
-terms as exponent tuples.
+terms as exponent tuples.  A sum of products (a Laplace expansion step,
+a substitution, a coefficient of a series product) goes through the one
+private kernel ``_sum_of_products``, which adds every product straight into
+one dict.
 
 On top of the ring sits :class:`SeriesInA`, a truncated power series in a
 distinguished size-marker variable (``a`` by default) whose coefficients are
@@ -29,8 +32,10 @@ function, so values may be freely shared between threads.
 from __future__ import annotations
 
 import functools
+import operator
 import struct
 import threading
+from itertools import chain
 from typing import Iterable, Mapping
 
 
@@ -90,15 +95,31 @@ def _digit(key: int, i: int) -> int:
     return (((key + half) >> (_DIGIT * i)) & _MASK) - _HALF
 
 
+class _Fragments(dict):
+    """The text of one variable raised to each exponent met so far, as it
+    stands in a term of the text form: "" for 0, "*x" for 1, "*x^v" else."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__({0: "", 1: f"*{name}"})
+        self.name = name
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = f"*{self.name}^{v}"
+        return text
+
+
 class VarRegistry:
     """Ordered set of variable names; the index of a name never changes.
     Registration holds a lock, so threads may grow a shared registry."""
 
-    __slots__ = ("_names", "_index", "_lock")
+    __slots__ = ("_names", "_index", "_lock", "_fragments")
 
     def __init__(self, names: Iterable[str] = ()):
         self._names: list[str] = []
         self._index: dict[str, int] = {}
+        self._fragments: list[_Fragments] = []
         self._lock = threading.Lock()
         for name in names:
             self.add(name)
@@ -120,10 +141,11 @@ class VarRegistry:
             return self._register(name)
 
     def _register(self, name: str) -> int:
-        # caller holds the lock; the name goes in before its index, so a
-        # reader that finds the index also finds the name
+        # caller holds the lock; the text table and the name go in before
+        # the index, so a reader that finds the index also finds both
         if not name or not isinstance(name, str):
             raise ValueError(f"bad variable name {name!r}")
+        self._fragments.append(_Fragments(name))
         self._names.append(name)
         self._index[name] = len(self._names) - 1
         return self._index[name]
@@ -382,24 +404,25 @@ class LaurentPoly:
         vals: dict[int, LaurentPoly] = {}
         for name, v in mapping.items():
             vals[reg.index(name)] = reg.const(v) if isinstance(v, int) else self._coerce(v)
-        out = reg.zero
+        one = reg.one
         pow_cache: dict[tuple[int, int], LaurentPoly] = {}
-        for e, c in self.terms.items():
-            term = reg.const(c)
-            for i, exp in enumerate(_unpack(e)):
-                if exp == 0:
-                    continue
-                key = (i, exp)
-                p = pow_cache.get(key)
-                if p is None:
-                    base = vals.get(i)
-                    if base is None:
-                        base = LaurentPoly._raw(reg, {1 << (_DIGIT * i): 1}, 1)
-                    p = base ** exp if exp > 0 else base.inverse() ** (-exp)
-                    pow_cache[key] = p
-                term = term * p
-            out = out + term
-        return out
+
+        def power(i: int, exp: int) -> LaurentPoly:
+            p = pow_cache.get((i, exp))
+            if p is None:
+                base = vals.get(i)
+                if base is None:
+                    base = LaurentPoly._raw(reg, {1 << (_DIGIT * i): 1}, 1)
+                p = base ** exp if exp > 0 else base.inverse() ** (-exp)
+                pow_cache[i, exp] = p
+            return p
+
+        def products():
+            for e, c in self.terms.items():
+                *head, last = [power(i, exp) for i, exp in enumerate(_unpack(e)) if exp] or [one]
+                yield c, functools.reduce(operator.mul, head) if head else one, last
+
+        return _sum_of_products(reg, products())
 
     # -- exact division ------------------------------------------------------
 
@@ -462,38 +485,79 @@ class LaurentPoly:
 
     # -- text form -----------------------------------------------------------
 
+    def _sorted_rows(self) -> list[tuple[tuple[int, ...], int]]:
+        # (exponent of every registry variable, coefficient) per term, each
+        # key decoded once, in the order of ``sorted_terms``
+        half, layout = _layout(len(self.registry))
+        size, unpack = layout.size, layout.unpack
+        exps = [unpack(((e + half) ^ half).to_bytes(size, "little")) for e in self.terms]
+        # two sorts on C-level keys, the second one stable
+        order = sorted(range(len(exps)), key=exps.__getitem__, reverse=True)
+        order.sort(key=[*map(sum, exps)].__getitem__)
+        coeffs = list(self.terms.values())
+        return [(exps[i], coeffs[i]) for i in order]
+
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms as (exponent tuple without trailing zeros, coefficient), in
         canonical order: ascending total degree, then exponent on the earliest
         registry variable descending."""
-        width = len(self.registry)
-        rows = []
-        for e, c in self.terms.items():
-            exps = _digits(e, width)
-            rows.append((-sum(exps), exps, c))
-        rows.sort(reverse=True)  # exponent vectors are distinct: c never compared
-        return [(_trim(exps), c) for _, exps, c in rows]
+        return [(_trim(exps), c) for exps, c in self._sorted_rows()]
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        names = self.registry.names
-        parts = []
-        for e, c in self.sorted_terms():
-            body = "".join(
-                f"*{names[i]}" if v == 1 else f"*{names[i]}^{v}"
-                for i, v in enumerate(e)
-                if v
-            )
-            parts.append((c, f"{abs(c)}{body}"))
-        first_c, first_s = parts[0]
-        text = ("-" if first_c < 0 else "") + first_s
-        for c, s in parts[1:]:
-            text += (" - " if c < 0 else " + ") + s
-        return text
+        frags = self.registry._fragments
+        text = "".join([
+            f"{' - ' if c < 0 else ' + '}{-c if c < 0 else c}"
+            f"{''.join(map(operator.getitem, frags, exps))}"
+            for exps, c in self._sorted_rows()
+        ])
+        return "-" + text[3:] if text[1] == "-" else text[3:]
 
     def __repr__(self) -> str:
         return f"<LaurentPoly {self}>"
+
+
+def _sum_of_products(
+    registry: VarRegistry, products: Iterable[tuple[int, LaurentPoly, LaurentPoly]]
+) -> LaurentPoly:
+    """The sum of c * p * q over the (c, p, q) of ``products``, an integer and
+    two polynomials of ``registry`` each.
+
+    Every product adds into one dict, so no partial sum is copied or negated;
+    zero coefficients are dropped once, at the end.  ``products`` is consumed
+    lazily: a generator keeps at most one of its operand pairs alive at a
+    time.  Each product's exponent bound is checked as in ``p * q``.
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    bound = 0
+    for c, p, q in products:
+        if p.registry is not registry or q.registry is not registry:
+            raise ValueError("operands belong to different registries")
+        small, large = p.terms, q.terms
+        if len(small) > len(large):
+            small, large = large, small
+        if not small or not c:
+            continue
+        b = _check_bound(p._bound + q._bound)
+        if b > bound:
+            bound = b
+        large = large.items()
+        rows = iter(small.items())
+        if not out:  # the first row seeds the sums, as in ``p * q``
+            e1, c1 = next(rows)
+            c1 *= c
+            out = {e1 + e2: c1 * c2 for e2, c2 in large}
+            get = out.get
+        for e1, c1 in rows:
+            c1 *= c
+            for e2, c2 in large:
+                key = e1 + e2
+                out[key] = get(key, 0) + c1 * c2
+    if 0 in out.values():
+        out = {e: c for e, c in out.items() if c}
+    return LaurentPoly._raw(registry, out, bound)
 
 
 def format_poly(p: LaurentPoly) -> str:
@@ -552,15 +616,11 @@ class SeriesInA:
     def __mul__(self, other: "SeriesInA") -> "SeriesInA":
         self._check(other)
         order = min(self.order, other.order)
-        zero = self.registry.zero
-        out = [zero] * (order + 1)
-        for i, ci in enumerate(self.coeffs[: order + 1]):
-            if ci.is_zero():
-                continue
-            for j in range(order + 1 - i):
-                cj = other.coeffs[j]
-                if not cj.is_zero():
-                    out[i + j] = out[i + j] + ci * cj
+        a, b = self.coeffs, other.coeffs
+        out = [
+            _sum_of_products(self.registry, ((1, a[i], b[m - i]) for i in range(m + 1)))
+            for m in range(order + 1)
+        ]
         return SeriesInA(self.registry, out, self.var)
 
     def _check(self, other):
@@ -619,14 +679,15 @@ def series_from_rational(
     d0 = den.get(0)
     if d0 is None or not d0.is_unit_monomial():
         raise ValueError("denominator constant term is not a unit monomial")
+    # coeffs[m] = d0^-1 num_m - sum over 1 <= j <= m of (d0^-1 d_j) coeffs[m-j]
     d0_inv = d0.inverse()
+    tail = [(j, d0_inv * dj) for j, dj in den.items() if j >= 1]
     coeffs: list[LaurentPoly] = []
     for m in range(order + 1):
-        acc = num.get(m, reg.zero)
-        for j, dj in den.items():
-            if 1 <= j <= m:
-                acc = acc - dj * coeffs[m - j]
-        coeffs.append(d0_inv * acc)
+        coeffs.append(_sum_of_products(reg, chain(
+            [(1, d0_inv, num.get(m, reg.zero))],
+            ((-1, dj, coeffs[m - j]) for j, dj in tail if j <= m),
+        )))
     return SeriesInA(reg, coeffs, var)
 
 

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Sequence
 
 from .opart import BoundExceeded
 from .qnum import PQContext, pq_binomial, pq_context, pq_factorial, pq_int, q_context
-from .ring import DEFAULT, LaurentPoly, SeriesInA, ensure_f, series_from_rational
+from .ring import DEFAULT, LaurentPoly, SeriesInA, _sum_of_products, ensure_f, series_from_rational
 from .walks import (
     EAST, NORTH, NULL, SOUTH_EAST, Vertex, step_allowed, step_target, vertex_count, vertex_order,
 )
@@ -94,17 +94,9 @@ class SymbolicMatrix:
         """vector (length rows) times the matrix, as a row vector."""
         if len(vector) != self.rows:
             raise ValueError("vector length mismatch")
-        zero = self.registry.zero
-        out = []
-        for j in range(self.cols):
-            acc = zero
-            for i, v in enumerate(vector):
-                if not v.is_zero():
-                    e = self.entries[i][j]
-                    if not e.is_zero():
-                        acc = acc + v * e
-            out.append(acc)
-        return out
+        reg, entries = self.registry, self.entries
+        return [_sum_of_products(reg, ((1, v, row[j]) for v, row in zip(vector, entries)))
+                for j in range(self.cols)]
 
     def __eq__(self, other):
         if not isinstance(other, SymbolicMatrix):
@@ -196,27 +188,21 @@ def _det_laplace(m: SymbolicMatrix) -> LaurentPoly:
                         break
         if best_count == 0:
             return zero
-        acc = zero
+        # the line's nonzero entries as (sign, entry, rows and cols of its minor)
         if best_is_row:
             r = rows[best_pos]
             sub_rows = rows[:best_pos] + rows[best_pos + 1:]
-            for cj, c in enumerate(cols):
-                e = entries[r][c]
-                if e.is_zero():
-                    continue
-                sub = rec(sub_rows, cols[:cj] + cols[cj + 1:])
-                term = e * sub
-                acc = acc + (term if (best_pos + cj) % 2 == 0 else -term)
+            line = [(-1 if (best_pos + cj) % 2 else 1, entries[r][c],
+                     sub_rows, cols[:cj] + cols[cj + 1:])
+                    for cj, c in enumerate(cols) if entries[r][c].terms]
         else:
             c = cols[best_pos]
             sub_cols = cols[:best_pos] + cols[best_pos + 1:]
-            for ri, r in enumerate(rows):
-                e = entries[r][c]
-                if e.is_zero():
-                    continue
-                sub = rec(rows[:ri] + rows[ri + 1:], sub_cols)
-                term = e * sub
-                acc = acc + (term if (ri + best_pos) % 2 == 0 else -term)
+            line = [(-1 if (ri + best_pos) % 2 else 1, entries[r][c],
+                     rows[:ri] + rows[ri + 1:], sub_cols)
+                    for ri, r in enumerate(rows) if entries[r][c].terms]
+        # a generator, so that each minor is computed only as its product is summed
+        acc = _sum_of_products(reg, ((sign, e, rec(sr, sc)) for sign, e, sr, sc in line))
         if best_count > 1:
             memo[key] = acc
         return acc

@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -294,7 +295,8 @@ def test_bij_checker_can_fail(capsys, monkeypatch):
     predictions = checks.step_predictions
 
     def shifted(key):
-        return lambda d: [{**p, key: p[key] + 1} if key in p else p for p in predictions(d)]
+        return lambda d, *vs: [{**p, key: p[key] + 1} if key in p else p
+                               for p in predictions(d, *vs)]
 
     monkeypatch.setattr(checks, "step_predictions", shifted("ros"))
     code, out, err = run(capsys, "verify", "bij", "--n-max", "3")
@@ -553,6 +555,22 @@ def test_defaults_and_bench_ops_stay_inside_the_bounds(monkeypatch):
     for cmd, _, _ in wl.SWEEP + wl.SYMBOLIC_VERIFY:
         args = build_parser().parse_args(cmd.split())
         checks.Verification(args.checks, args.n_max)  # raises past a bound
+
+
+def test_symbolic_gf_text_matches_the_bench_digests(capsys, monkeypatch):
+    wl = _bench_workloads(monkeypatch)
+    assert len(wl.SYMBOLIC_GF) == 3
+    for cmd, sha in wl.SYMBOLIC_GF:
+        code, out, _ = run(capsys, *cmd.split())
+        assert code == 0 and wl.digest(out) == sha, cmd
+
+
+def test_bench_selftest_passes():
+    # the bench's output parsers can still read every text form
+    root = pathlib.Path(__file__).parent.parent
+    done = subprocess.run([sys.executable, str(root / "bench" / "selftest.py")],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_verify_records_format(capsys):

@@ -13,6 +13,7 @@ from opstats.ring import (
     InexactDivision,
     SeriesInA,
     VarRegistry,
+    _sum_of_products,
     ensure_f,
     format_poly,
     series_from_rational,
@@ -311,6 +312,20 @@ def _ref_subs(p, i, value):
     return out
 
 
+def _ref_subs_all(p, values):
+    """Substitute the term dict ``values[i]`` for variable i, for each i in
+    ``values``; every substituted exponent is nonnegative."""
+    out = {}
+    for e, c in p.items():
+        term = {_ref_trim(v if j not in values else 0 for j, v in enumerate(e)): c}
+        for i, value in values.items():
+            d = e[i] if i < len(e) else 0
+            assert d >= 0
+            term = _ref_mul(term, _ref_pow(value, d))
+        out = _ref_add(out, term)
+    return out
+
+
 def _ref_str(p, names):
     """The text form: ascending total degree, then the exponent of the
     earliest variable descending."""
@@ -365,3 +380,31 @@ def test_packed_kernel_matches_tuple_reference(data):
         same(bucket, want)
     if rt:
         same((p * r).divexact(r), pt)
+
+    # a signed sum of products in one accumulation, and one that cancels
+    same(_sum_of_products(reg, iter([(1, p, q), (-1, r, p), (3, q, r), (0, r, r)])),
+         _ref_add(_ref_add(_ref_mul(pt, qt), {e: -c for e, c in _ref_mul(rt, pt).items()}),
+                  {e: 3 * c for e, c in _ref_mul(qt, rt).items()}))
+    same(_sum_of_products(reg, [(2, p, r), (-1, r, p), (-1, p, r * reg.one)]), {})
+    same(_sum_of_products(reg, []), {})
+    # one product past the exponent range fails the whole sum
+    far = reg.poly({(2 ** 61,): 1})
+    with pytest.raises(ValueError):
+        _sum_of_products(reg, [(1, p, q), (1, far, far)])
+    with pytest.raises(ValueError):
+        _sum_of_products(reg, [(1, p, VarRegistry(("x",)).one)])
+
+    # substitution of multi-term values, and of values whose terms cancel
+    small = data.draw(st.dictionaries(
+        st.lists(st.integers(0, 2), min_size=3, max_size=3).map(_ref_trim),
+        st.integers(-4, 4).filter(bool), max_size=4))
+    s, vx, vy = reg.poly(small), data.draw(_terms(3)), data.draw(_terms(3))
+    same(s.subs({"x": reg.poly(vx), "y": reg.poly(vy)}), _ref_subs_all(small, {0: vx, 1: vy}))
+    same(s.subs({"z": q}), _ref_subs_all(small, {2: qt}))
+    swapped = reg.poly({_ref_trim((e + (0,) * 3)[1::-1] + e[2:]): c for e, c in small.items()})
+    same((s - swapped).subs({"x": reg.poly(vx), "y": reg.poly(vx)}), {})
+
+    # the text form once the registry has grown past 16 names
+    ensure_f(16, reg)
+    ft = data.draw(_terms(len(reg)))
+    same(reg.poly(ft), ft)
