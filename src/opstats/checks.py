@@ -274,14 +274,13 @@ def check_bijection(n_max: int = 7) -> list[CheckResult]:
             if psi(d) != pi:
                 bad = f"psi(psi_inverse) != id at {pi}"
                 break
-            vertices = path_vertices(d.steps)
-            if tuple(vertices) != form(pi):
+            if tuple(path_vertices(d.steps)) != form(pi):
                 bad = f"form/path mismatch at {pi}"
                 break
             los, ros, lcs, rcs, lsb, rsb = (
                 rows[name] for name in ("los", "ros", "lcs", "rcs", "lsb", "rsb")
             )
-            for x, (kind, pred) in enumerate(zip(d.steps, step_predictions(d, vertices))):
+            for x, (kind, pred) in enumerate(zip(d.steps, step_predictions(d))):
                 if kind in (NORTH, EAST):
                     ok = pred["los"] == los[x] and pred["ros"] == ros[x]
                 else:

@@ -14,10 +14,10 @@ in the range ``|e| < 2**62``; each polynomial carries an upper bound on its
 largest ``|e|`` (max under ``+``, sum under ``*``), and an operation whose
 bound would leave the range raises :class:`ValueError` rather than return a
 wrong value.  :meth:`LaurentPoly.sorted_terms` is the public way to read the
-terms as exponent tuples.  A sum of products (a Laplace expansion step,
-a substitution, a coefficient of a series product) goes through the one
-private kernel ``_sum_of_products``, which adds every product straight into
-one dict.
+terms as exponent tuples.  A product ``p * q``, and a sum of products (a
+Laplace expansion step, a substitution, a coefficient of a series product),
+goes through the one private kernel ``_sum_of_products``, which adds every
+product straight into one dict.
 
 On top of the ring sits :class:`SeriesInA`, a truncated power series in a
 distinguished size-marker variable (``a`` by default) whose coefficients are
@@ -321,25 +321,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        small, large = self.terms, other.terms
-        if len(small) > len(large):
-            small, large = large, small
-        if not small:
-            return LaurentPoly._raw(self.registry, {}, 0)
-        bound = _check_bound(self._bound + other._bound)
-        # the smaller operand runs outside and its first row seeds the sums;
-        # zero coefficients are dropped once at the end
-        rows = iter(small.items())
-        e1, c1 = next(rows)
-        out = {e1 + e2: c1 * c2 for e2, c2 in large.items()}
-        get = out.get
-        for e1, c1 in rows:
-            for e2, c2 in large.items():
-                key = e1 + e2
-                out[key] = get(key, 0) + c1 * c2
-        if 0 in out.values():
-            out = {e: c for e, c in out.items() if c}
-        return LaurentPoly._raw(self.registry, out, bound)
+        return _sum_of_products(self.registry, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -527,7 +509,7 @@ def _sum_of_products(
     Every product adds into one dict, so no partial sum is copied or negated;
     zero coefficients are dropped once, at the end.  ``products`` is consumed
     lazily: a generator keeps at most one of its operand pairs alive at a
-    time.  Each product's exponent bound is checked as in ``p * q``.
+    time.  Each product's exponent bound is checked before it is formed.
     """
     out: dict[int, int] = {}
     get = out.get
@@ -543,9 +525,11 @@ def _sum_of_products(
         b = _check_bound(p._bound + q._bound)
         if b > bound:
             bound = b
+        # the smaller operand runs outside; the first row of the first
+        # product seeds the sums
         large = large.items()
         rows = iter(small.items())
-        if not out:  # the first row seeds the sums, as in ``p * q``
+        if not out:
             e1, c1 = next(rows)
             c1 *= c
             out = {e1 + e2: c1 * c2 for e2, c2 in large}
@@ -681,7 +665,7 @@ def series_from_rational(
         raise ValueError("denominator constant term is not a unit monomial")
     # coeffs[m] = d0^-1 num_m - sum over 1 <= j <= m of (d0^-1 d_j) coeffs[m-j]
     d0_inv = d0.inverse()
-    tail = [(j, d0_inv * dj) for j, dj in den.items() if j >= 1]
+    tail = [(j, d0_inv * dj) for j, dj in den.items() if 1 <= j <= order]
     coeffs: list[LaurentPoly] = []
     for m in range(order + 1):
         coeffs.append(_sum_of_products(reg, chain(

@@ -210,13 +210,10 @@ def _diagram_of(pi: OrderedPartition, rows: dict[str, list[int]]) -> PathDiagram
     return PathDiagram(tuple(steps), tuple(xi))
 
 
-def step_predictions(
-    diagram: PathDiagram, vertices: list[Vertex] | None = None
-) -> list[dict[str, int]]:
+def step_predictions(diagram: PathDiagram) -> list[dict[str, int]]:
     """Predicted coordinate statistics of psi(diagram) at every element, in
-    one walk along the path (``vertices``, its ``path_vertices``, if the
-    caller has them); entry i-1 is read off the i-th step alone: its start
-    vertex (p,q), and
+    one walk along the path; entry i-1 is read off the i-th step alone: its
+    start vertex (p,q), and
 
       North/East:        (lcs+rcs)_i = p, (lsb+rsb)_i = q,
                          los_i = xi-1, ros_i = p+q+1-xi
@@ -224,9 +221,7 @@ def step_predictions(
                          lsb_i = xi-1, rsb_i = q-xi
     """
     out = []
-    if vertices is None:
-        vertices = path_vertices(diagram.steps)
-    for (p, q), kind, x in zip(vertices, diagram.steps, diagram.xi):
+    for (p, q), kind, x in zip(path_vertices(diagram.steps), diagram.steps, diagram.xi):
         if kind in (NORTH, EAST):
             pred = {"p": p, "q": q, "lcs+rcs": p, "lsb+rsb": q, "los": x - 1, "ros": p + q + 1 - x}
         else:

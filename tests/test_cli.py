@@ -295,8 +295,7 @@ def test_bij_checker_can_fail(capsys, monkeypatch):
     predictions = checks.step_predictions
 
     def shifted(key):
-        return lambda d, *vs: [{**p, key: p[key] + 1} if key in p else p
-                               for p in predictions(d, *vs)]
+        return lambda d: [{**p, key: p[key] + 1} if key in p else p for p in predictions(d)]
 
     monkeypatch.setattr(checks, "step_predictions", shifted("ros"))
     code, out, err = run(capsys, "verify", "bij", "--n-max", "3")

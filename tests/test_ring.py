@@ -221,6 +221,9 @@ def test_exponent_range():
                      lambda: REG.monomial(1, q=-(2 ** 62))):
         with pytest.raises(ValueError, match="2\\*\\*62"):
             overflow()
+    # a denominator term past the order is never multiplied out
+    s = series_from_rational(ONE, big + A ** 3 * big, 2)
+    assert s.coeffs == (big.inverse(), ZERO, ZERO)
 
 
 # -- randomized ring properties -------------------------------------------------
