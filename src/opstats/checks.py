@@ -17,7 +17,7 @@ from typing import Callable
 from . import qnum, xfer
 from .opart import BoundExceeded, Blocks, OrderedPartition, form, format_partition, iter_blocks_all
 from .qnum import q_poly_from_exponent_counts
-from .ring import DEFAULT
+from .ring import DEFAULT, series_from_rational
 from .stats import (
     WALK_EXPONENTS,
     coord_rows,
@@ -363,24 +363,22 @@ def check_transfer_enum(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
 
 
 def check_cor39(k_max: int = 3, order: int = 8) -> list[CheckResult]:
-    """Transfer series under the two specializations against closed_f/closed_g."""
+    """Transfer series under the two specializations against the closed forms
+    f and g."""
     out = []
     for k in range(0, k_max + 1):
-        got = xfer.q_gf_transfer(k, xfer.WeightSpec.xytu(), order)
-        ok = got.agrees_with(xfer.closed_f(k, order), order)
-        out.append(CheckResult("cor39", f"f k={k} order={order}", ok))
-        got = xfer.q_gf_transfer(k, xfer.WeightSpec.ztu(), order)
-        ok = got.agrees_with(xfer.closed_g(k, order), order)
-        out.append(CheckResult("cor39", f"g k={k} order={order}", ok))
+        for family, spec in (("f", xfer.WeightSpec.xytu()), ("g", xfer.WeightSpec.ztu())):
+            ok = xfer.q_gf_transfer(k, spec, order) == xfer.closed_series(family, k, order)
+            out.append(CheckResult("cor39", f"{family} k={k} order={order}", ok))
     return out
 
 
 def check_thm24(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
-    """closed_phi / closed_varphi against the four- and three-variable
+    """The closed forms phi and varphi against the four- and three-variable
     enumeration sums."""
     out = []
     for k in range(0, k_max + 1):
-        series = (xfer.closed_phi(k, n_max), xfer.closed_varphi(k, n_max))
+        series = (xfer.closed_series("phi", k, n_max), xfer.closed_series("varphi", k, n_max))
         for n in range(0, n_max + 1):
             wants = enumerated_gf((s for _, s in sweep(n, k)), *(w for _, w in THM24))
             for (label, _), gf, want in zip(THM24, series, wants):
@@ -396,26 +394,27 @@ def check_thm24(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
 
 def check_thm25_series(k_max: int = 3, order: int = 8) -> list[CheckResult]:
     """All six single-variable specializations of phi/varphi against the
-    q-Stirling series (the generating-function half of the master check)."""
+    q-Stirling series (the generating-function half of the master check).
+    Each specialization is substituted into the closed form's (numerator,
+    denominator) pair, which is then expanded."""
     out = []
-    reg = DEFAULT
-    q = reg.var("q")
-    one = reg.one
+    q = DEFAULT.var("q")
+    one = DEFAULT.one
     qi = q.inverse()
+    cases = [
+        ("phi(q,1,1,1)", "phi", {"x": q, "y": one, "t": one, "u": one}),
+        ("phi(1,q,1,1)", "phi", {"x": one, "y": q, "t": one, "u": one}),
+        ("phi(q,1,1/q,q)", "phi", {"x": q, "y": one, "t": qi, "u": q}),
+        ("phi(1,q,q,1/q)", "phi", {"x": one, "y": q, "t": q, "u": qi}),
+        ("varphi(q,1,1)", "varphi", {"z": q, "t": one, "u": one}),
+        ("varphi(q,1/q,q)", "varphi", {"z": q, "t": qi, "u": q}),
+    ]
     for k in range(0, k_max + 1):
         target = xfer.q_specialized_series(k, order)
-        phi = xfer.closed_phi(k, order)
-        varphi = xfer.closed_varphi(k, order)
-        cases = [
-            ("phi(q,1,1,1)", phi.subs({"x": q, "y": one, "t": one, "u": one})),
-            ("phi(1,q,1,1)", phi.subs({"x": one, "y": q, "t": one, "u": one})),
-            ("phi(q,1,1/q,q)", phi.subs({"x": q, "y": one, "t": qi, "u": q})),
-            ("phi(1,q,q,1/q)", phi.subs({"x": one, "y": q, "t": q, "u": qi})),
-            ("varphi(q,1,1)", varphi.subs({"z": q, "t": one, "u": one})),
-            ("varphi(q,1/q,q)", varphi.subs({"z": q, "t": qi, "u": q})),
-        ]
-        for label, series in cases:
-            ok = series.agrees_with(target, order)
+        pairs = {family: xfer.closed_pair(family, k) for family in ("phi", "varphi")}
+        for label, family, mapping in cases:
+            numer, denom = (p.subs(mapping) for p in pairs[family])
+            ok = series_from_rational(numer, denom, order) == target
             out.append(CheckResult("thm25-series", f"k={k} {label}", ok))
     return out
 

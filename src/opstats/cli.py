@@ -18,7 +18,6 @@ import json
 import sys
 
 from . import checks, opart, qnum, stats, walks, xfer
-from .opart import BoundExceeded
 from .ring import format_poly
 
 
@@ -126,6 +125,11 @@ def _walk_family(spec):
     return lambda k, order, force_large: xfer.walk_series(k, spec(), order, force_large)
 
 
+def _closed_family(family):
+    """The closed form ``family``, expanded from its (numerator, denominator) pair."""
+    return lambda k, order, force_large: xfer.closed_series(family, k, order, force_large)
+
+
 #: The series of ``gf``, each a function of (k, order, force_large).  Like
 #: every entry of ``xfer.MATRICES``, each looks its ``xfer`` function up when
 #: called, so a patched or wrapped function is the one that runs.
@@ -133,10 +137,7 @@ GF_FAMILIES = {
     "Q": _walk_family(xfer.WeightSpec.seven_variable),
     "Qxy": _walk_family(xfer.WeightSpec.xytu),
     "Qz": _walk_family(xfer.WeightSpec.ztu),
-    "f": lambda k, order, force_large: xfer.closed_f(k, order, force_large),
-    "g": lambda k, order, force_large: xfer.closed_g(k, order, force_large),
-    "phi": lambda k, order, force_large: xfer.closed_phi(k, order, force_large),
-    "varphi": lambda k, order, force_large: xfer.closed_varphi(k, order, force_large),
+    **{family: _closed_family(family) for family in xfer.CLOSED_FAMILIES},
 }
 
 
@@ -295,9 +296,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

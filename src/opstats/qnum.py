@@ -28,6 +28,7 @@ set partition distributions computed elsewhere in the package equal
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
@@ -203,8 +204,6 @@ def stirling2(n: int, k: int) -> int:
 def ordered_partition_count(n: int, k: int | None = None) -> int:
     """|OP_n^k| = k! S(n,k), or the Fubini number |OP_n| when k is None."""
     if k is not None:
-        import math
-
         return math.factorial(k) * stirling2(n, k)
     return sum(ordered_partition_count(n, j) for j in range(n + 1))
 

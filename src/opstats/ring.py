@@ -15,13 +15,13 @@ largest ``|e|`` (max under ``+``, sum under ``*``), and an operation whose
 bound would leave the range raises :class:`ValueError` rather than return a
 wrong value.  :meth:`LaurentPoly.sorted_terms` is the public way to read the
 terms as exponent tuples.  A product ``p * q``, and a sum of products (a
-Laplace expansion step, a substitution, a coefficient of a series product),
+Laplace expansion step, a substitution, a step of series long division),
 goes through the one private kernel ``_sum_of_products``, which adds every
 product straight into one dict.
 
-On top of the ring sits :class:`SeriesInA`, a truncated power series in a
-distinguished size-marker variable (``a`` by default) whose coefficients are
-Laurent polynomials in the remaining variables, and
+On top of the ring sits :class:`SeriesInA`, the truncated coefficients of a
+power series in the size marker ``a``, each a Laurent polynomial in the
+remaining variables, and
 :func:`series_from_rational`, exact expansion of ``numer/denom`` up to a
 truncation order.
 
@@ -550,28 +550,25 @@ def format_poly(p: LaurentPoly) -> str:
 
 
 class SeriesInA:
-    """Power series in one marker variable, truncated at ``order`` inclusive.
+    """Power series in the size marker ``a``, truncated at ``order`` inclusive.
 
-    Coefficients are Laurent polynomials free of the marker variable.
-    Arithmetic between series of different orders truncates to the smaller
-    order; equality is strict (same order and coefficients), use
-    :meth:`agrees_with` to compare up to a common order.
+    Coefficients are Laurent polynomials free of ``a``.  Equality is strict:
+    same order and coefficients.
     """
 
-    __slots__ = ("registry", "var", "coeffs")
+    __slots__ = ("registry", "coeffs")
 
-    def __init__(self, registry: VarRegistry, coeffs: Iterable[LaurentPoly], var: str = "a"):
+    def __init__(self, registry: VarRegistry, coeffs: Iterable[LaurentPoly]):
         coeffs = tuple(coeffs)
-        idx = registry.index(var)
+        idx = registry.index("a")
         for c in coeffs:
             if c.registry is not registry:
                 raise ValueError("coefficient from a different registry")
             if any(_digit(e, idx) for e in c.terms):
-                raise ValueError(f"series coefficient contains the marker {var!r}")
+                raise ValueError("series coefficient contains the marker 'a'")
         if not coeffs:
             raise ValueError("a series needs at least the order-0 coefficient")
         self.registry = registry
-        self.var = var
         self.coeffs = coeffs
 
     @property
@@ -583,72 +580,24 @@ class SeriesInA:
             raise IndexError(f"coefficient a^{n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    @classmethod
-    def from_poly(cls, poly: LaurentPoly, order: int, var: str = "a") -> "SeriesInA":
-        buckets = poly.split_by(var)
-        if any(d < 0 for d in buckets):
-            raise ValueError(f"negative power of {var!r} in a series")
-        reg = poly.registry
-        return cls(reg, [buckets.get(d, reg.zero) for d in range(order + 1)], var)
-
-    def map_coeffs(self, fn) -> "SeriesInA":
-        return SeriesInA(self.registry, [fn(n, c) for n, c in enumerate(self.coeffs)], self.var)
-
-    def subs(self, mapping: Mapping[str, LaurentPoly | int]) -> "SeriesInA":
-        return self.map_coeffs(lambda _n, c: c.subs(mapping))
-
-    def __mul__(self, other: "SeriesInA") -> "SeriesInA":
-        self._check(other)
-        order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [
-            _sum_of_products(self.registry, ((1, a[i], b[m - i]) for i in range(m + 1)))
-            for m in range(order + 1)
-        ]
-        return SeriesInA(self.registry, out, self.var)
-
-    def _check(self, other):
-        if not isinstance(other, SeriesInA):
-            raise TypeError("expected a SeriesInA")
-        if other.registry is not self.registry or other.var != self.var:
-            raise ValueError("series are not comparable")
-
     def __eq__(self, other):
         if not isinstance(other, SeriesInA):
             return NotImplemented
-        return (
-            self.registry is other.registry
-            and self.var == other.var
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.var, self.coeffs))
-
-    def agrees_with(self, other: "SeriesInA", through: int | None = None) -> bool:
-        """Coefficientwise equality up to ``through`` (default: smaller order)."""
-        self._check(other)
-        if through is None:
-            through = min(self.order, other.order)
-        if through > min(self.order, other.order):
-            raise ValueError("comparison order exceeds a truncation order")
-        return all(self.coeffs[n] == other.coeffs[n] for n in range(through + 1))
+        return self.registry is other.registry and self.coeffs == other.coeffs
 
     def __str__(self) -> str:
-        return "; ".join(f"{self.var}^{n}: {c}" for n, c in enumerate(self.coeffs))
+        return "; ".join(f"a^{n}: {c}" for n, c in enumerate(self.coeffs))
 
     def __repr__(self) -> str:
         return f"<SeriesInA order={self.order} {self}>"
 
 
-def series_from_rational(
-    numer: LaurentPoly, denom: LaurentPoly, order: int, var: str = "a"
-) -> SeriesInA:
-    """Expand ``numer/denom`` as a series in ``var`` up to ``order``.
+def series_from_rational(numer: LaurentPoly, denom: LaurentPoly, order: int) -> SeriesInA:
+    """Expand ``numer/denom`` as a series in ``a`` up to ``order``.
 
-    The constant term of ``denom`` in ``var`` must be a unit monomial in the
+    The constant term of ``denom`` in ``a`` must be a unit monomial in the
     remaining variables; the expansion is exact long division, so the
-    characteristic identity ``series * denom == numer (mod var^(order+1))``
+    characteristic identity ``series * denom == numer (mod a^(order+1))``
     holds on the nose.
     """
     if order < 0:
@@ -656,10 +605,10 @@ def series_from_rational(
     reg = numer.registry
     if denom.registry is not reg:
         raise ValueError("operands belong to different registries")
-    num = numer.split_by(var)
-    den = denom.split_by(var)
+    num = numer.split_by("a")
+    den = denom.split_by("a")
     if any(d < 0 for d in num) or any(d < 0 for d in den):
-        raise ValueError(f"negative power of {var!r} in a rational series operand")
+        raise ValueError("negative power of 'a' in a rational series operand")
     d0 = den.get(0)
     if d0 is None or not d0.is_unit_monomial():
         raise ValueError("denominator constant term is not a unit monomial")
@@ -672,7 +621,7 @@ def series_from_rational(
             [(1, d0_inv, num.get(m, reg.zero))],
             ((-1, dj, coeffs[m - j]) for j, dj in tail if j <= m),
         )))
-    return SeriesInA(reg, coeffs, var)
+    return SeriesInA(reg, coeffs)
 
 
 # Shared default registry.  The size marker a comes first; x,y and z,t,u,q are

@@ -42,7 +42,7 @@ import re
 from bisect import bisect_right
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .opart import Blocks, OrderedPartition, grow, grow_all, grow_p, inv
+from .opart import Blocks, OrderedPartition, _check_bound, check_range, grow, grow_all, grow_p, inv, perm_of
 from .ring import DEFAULT, LaurentPoly
 
 COORD_NAMES = ("ros", "rob", "rcs", "rcb", "los", "lob", "lcs", "lcb", "lsb", "rsb")
@@ -468,8 +468,6 @@ def enumerated_gf(summaries: Iterable[Summary], *weights: Mapping[str, str]) -> 
 def distribution(n: int, k: int, expr: str, force_large: bool = False) -> LaurentPoly:
     """sum over OP_n^k of q^(expr); negative totals land in negative Laurent
     exponents rather than failing."""
-    from .opart import _check_bound, check_range
-
     check_range(n, k)
     _check_bound(n, force_large)
     return enumerated_gf((s for _, s in sweep(n, k)), {"q": expr})[0]
@@ -491,8 +489,6 @@ ROW_ORDER = ("los", "ros", "lob", "rob", "lcs", "rcs", "lcb", "rcb", "lsb", "rsb
 def stat_table(pi: OrderedPartition) -> str:
     """Human-readable table: one row per coordinate statistic, elements in
     block order with | between blocks, then aggregates and composites."""
-    from .opart import perm_of
-
     rows = coord_rows(pi)
     s = _new(Summary)
     _fill(s, pi.blocks, rows)

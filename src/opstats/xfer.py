@@ -431,53 +431,48 @@ def _check_closed_k_bound(k: int, force_large: bool) -> None:
         )
 
 
-def closed_f(k: int, order: int, force_large: bool = False) -> SeriesInA:
-    """a^k x^C(k,2) [k]_{t,u}! / prod_{i=1..k} (1 - a [i]_{x,y})."""
-    _check_closed_k_bound(k, force_large)
-    a, x = DEFAULT.var("a"), DEFAULT.var("x")
-    numer = a ** k * x ** math.comb(k, 2) * pq_factorial(k, pq_context("t", "u"))
-    xy = pq_context("x", "y")
-    denom = _factors(DEFAULT.one, (pq_int(i, xy) for i in range(1, k + 1)))
-    return series_from_rational(numer, denom, order)
+#: The closed forms of ``closed_pair``, in the order ``gf`` lists them.
+CLOSED_FAMILIES = ("f", "g", "phi", "varphi")
 
 
-def closed_g(k: int, order: int, force_large: bool = False) -> SeriesInA:
-    """a^k [k]_{t,u}! / prod_{i=1..k} (1 - a z^(k-i) [i]_z)."""
+def closed_pair(family: str, k: int, force_large: bool = False) -> tuple[LaurentPoly, LaurentPoly]:
+    """The closed form ``family`` with k blocks as a (numerator, denominator)
+    pair, whose quotient expanded in a is its generating function:
+
+        f:      a^k x^C(k,2) [k]_{t,u}! / prod_{i=1..k} (1 - a [i]_{x,y})
+        g:      a^k [k]_{t,u}! / prod_{i=1..k} (1 - a z^(k-i) [i]_z)
+        phi:    f under t -> x y t, u -> u y^2, the (mak+bInv, cinvLSB,
+                inv, cinv) generating function
+        varphi: g under a -> a z^(k-1), z -> 1/z, u -> u/z at once, the
+                (lmak+bInv, inv, cinv) generating function
+
+    The substitution for varphi turns each factor of g's denominator into
+    1 - a [i]_z and leaves the numerator polynomial in z.
+    """
     _check_closed_k_bound(k, force_large)
-    a, z = DEFAULT.var("a"), DEFAULT.var("z")
+    if family not in CLOSED_FAMILIES:
+        raise ValueError(f"unknown closed form {family!r}")
+    a, x, y, z, t, u = (DEFAULT.var(v) for v in "axyztu")
+    if family in ("f", "phi"):
+        numer = a ** k * x ** math.comb(k, 2) * pq_factorial(k, pq_context("t", "u"))
+        xy = pq_context("x", "y")
+        denom = _factors(DEFAULT.one, (pq_int(i, xy) for i in range(1, k + 1)))
+        if family == "phi":  # f's denominator holds no t or u
+            return numer.subs({"t": x * y * t, "u": u * y * y}), denom
+        return numer, denom
     numer = a ** k * pq_factorial(k, pq_context("t", "u"))
     zz = pq_context(DEFAULT.one, "z")
     denom = _factors(DEFAULT.one, (z ** (k - i) * pq_int(i, zz) for i in range(1, k + 1)))
-    return series_from_rational(numer, denom, order)
+    if family == "varphi":
+        zi = z.inverse()
+        mapping = {"a": a * z ** (k - 1), "z": zi, "u": u * zi}
+        return numer.subs(mapping), denom.subs(mapping)
+    return numer, denom
 
 
-def closed_phi(k: int, order: int, force_large: bool = False) -> SeriesInA:
-    """The (mak+bInv, cinvLSB, inv, cinv) generating function with k blocks:
-    obtained from closed_f by the substitution t -> x y t, u -> u y^2."""
-    x, y, t, u = (DEFAULT.var(v) for v in "xytu")
-    return closed_f(k, order, force_large).subs({"t": x * y * t, "u": u * y * y})
-
-
-def closed_varphi(k: int, order: int, force_large: bool = False) -> SeriesInA:
-    """The (lmak+bInv, inv, cinv) generating function with k blocks: closed_g
-    with a -> a z^(k-1), z -> 1/z, u -> u/z, applied at the series level.
-
-    The rescaling introduces Laurent powers of z coefficientwise; the final
-    series must come out polynomial in z, which is asserted here rather than
-    assumed.
-    """
-    z, u = DEFAULT.var("z"), DEFAULT.var("u")
-    base = closed_g(k, order, force_large)
-    zi = z.inverse()
-    out = base.subs({"z": zi, "u": u * zi}).map_coeffs(
-        lambda n, c: z ** (n * (k - 1)) * c
-    )
-    for n, c in enumerate(out.coeffs):
-        if c.min_exponent("z") < 0:
-            raise AssertionError(
-                f"varphi coefficient a^{n} kept a negative power of z: {c}"
-            )
-    return out
+def closed_series(family: str, k: int, order: int, force_large: bool = False) -> SeriesInA:
+    """The closed form ``family`` of ``closed_pair``, expanded through a^order."""
+    return series_from_rational(*closed_pair(family, k, force_large), order)
 
 
 # -- the matrix families ---------------------------------------------------------

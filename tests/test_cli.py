@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import importlib.util
 import inspect
 import io
@@ -18,7 +19,7 @@ from opstats import checks, qnum, stats, xfer
 from opstats.checks import CHECKS, CheckResult
 from opstats.cli import GF_FAMILIES, _emit_results, build_parser, main
 from opstats.opart import OrderedPartition, format_partition, iter_blocks_all
-from opstats.ring import DEFAULT, format_poly
+from opstats.ring import DEFAULT, SeriesInA, format_poly
 from opstats.stats import block_stats
 from opstats.xfer import WeightSpec
 
@@ -176,14 +177,33 @@ def test_gf_closed_forms_bound_exit_2(capsys, monkeypatch):
         code, out, err = run(capsys, "gf", family, "--k", "3", "--order", "4")
         assert (code, out) == (2, ""), family
         code, out, _ = run(capsys, "gf", family, "--k", "3", "--order", "4", "--force-large")
-        closed = getattr(xfer, f"closed_{family}")(3, 4, force_large=True)
+        closed = xfer.closed_series(family, 3, 4, force_large=True)
         assert (code, out.splitlines()) == (0, [f"a^{n}\t{c}" for n, c in enumerate(closed.coeffs)])
 
 
-def test_exponent_range_exits_2(capsys):
-    # a^(2^62) leaves the exponent range: an error, never a wrapped polynomial
-    code, out, err = run(capsys, "gf", "f", "--k", str(2 ** 62), "--order", "0", "--force-large")
-    assert (code, out) == (2, "") and "2**62" in err
+def test_gf_closed_forms_text_is_pinned(capsys):
+    # the stdout of `gf f|g|phi|varphi` for k <= 8 at orders 0, 1, 3, 8 and 10,
+    # pinned byte for byte by its sha256
+    digest = hashlib.sha256()
+    for family in ("f", "g", "phi", "varphi"):
+        for k in range(9):
+            for order in (0, 1, 3, 8, 10):
+                code, out, _ = run(capsys, "gf", family, "--k", str(k), "--order", str(order))
+                assert code == 0, (family, k, order)
+                digest.update(f"{family} {k} {order}\n{out}".encode())
+    assert digest.hexdigest() == "cb4c8f1c66acfd6e9c12ecb8d24e3db36f20bd8b592cd78a2195d17e46f9fa2d"
+
+
+def test_exponent_range_exits_2(capsys, monkeypatch):
+    # a^(2^62) leaves the exponent range: an error, never a wrapped
+    # polynomial, and raised before [k]_{t,u}! is built
+    def unbuilt(*args):
+        raise AssertionError("built [k]! for k = 2**62")
+
+    monkeypatch.setattr(xfer, "pq_factorial", unbuilt)
+    for family in ("f", "g", "phi", "varphi"):
+        code, out, err = run(capsys, "gf", family, "--k", str(2 ** 62), "--order", "0", "--force-large")
+        assert (code, out) == (2, "") and "2**62" in err, family
 
 
 def test_verify_pass_and_exit_codes(capsys):
@@ -257,7 +277,8 @@ def test_transfer_checker_can_fail(capsys, monkeypatch):
     t1 = DEFAULT.var("t1")
 
     def perturbed(*args, **kwargs):
-        return walk(*args, **kwargs).map_coeffs(lambda n, c: c * t1 if n else c)
+        series = walk(*args, **kwargs)
+        return SeriesInA(series.registry, [c * t1 if n else c for n, c in enumerate(series.coeffs)])
 
     monkeypatch.setattr(xfer, "walk_series", perturbed)
     code, out, err = run(capsys, "verify", "transfer", "--n-max", "3")
@@ -413,7 +434,7 @@ Q = DEFAULT.var("q")
 
 def _higher_times_q(series):
     """The a^n coefficients with n >= 1 times q."""
-    return series.map_coeffs(lambda n, c: c * Q if n else c)
+    return SeriesInA(series.registry, [c * Q if n else c for n, c in enumerate(series.coeffs)])
 
 
 #: One row per check with no other can-fail test: the perturbation of its
@@ -435,7 +456,7 @@ CAN_FAIL = [
      "FAIL conjecture-bmaj n=2 k=2 stat=mak+bMaj  [got=1*q + 1*q^3 want=1*q + 1*q^2]"),
     ("path-counts", _perturbed(checks, "choice_bound", lambda v: v + 1), 3,
      "FAIL path-counts n=1 k=1  [got=2 want=1]"),
-    ("cor39", _perturbed(xfer, "closed_f", _higher_times_q), None, "FAIL cor39 f k=1 order=8"),
+    ("cor39", _perturbed(xfer, "closed_series", _higher_times_q), None, "FAIL cor39 f k=1 order=8"),
     ("thm25-series", _perturbed(xfer, "q_specialized_series", _higher_times_q), None,
      "FAIL thm25-series k=1 phi(q,1,1,1)"),
     ("key", _perturbed(xfer, "pq_binomial", lambda v: v + 1), 3, "FAIL key n=2 m=1"),

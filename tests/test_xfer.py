@@ -18,10 +18,7 @@ from opstats.xfer import (
     build_ndot,
     build_p,
     build_p_k,
-    closed_f,
-    closed_g,
-    closed_phi,
-    closed_varphi,
+    closed_series,
     corner,
     det,
     q_gf_transfer,
@@ -291,43 +288,47 @@ def test_walk_series_bound():
 
 
 def test_closed_forms_low_order():
-    s = closed_phi(1, 3)
+    s = closed_series("phi", 1, 3)
     assert [s.coefficient(n) for n in range(4)] == [ZERO, ONE, ONE, ONE]
     # phi_2 coefficient of a^3 specializes to [2]_q! S_q(3,2) at x=q
-    s = closed_phi(2, 3)
+    s = closed_series("phi", 2, 3)
     got = s.coefficient(3).subs({"x": Q, "y": 1, "t": 1, "u": 1})
     assert got == 2 * Q + 3 * Q ** 2 + Q ** 3
     # g_2 coefficient of a^2 is [2]_{t,u}!
-    assert closed_g(2, 2).coefficient(2) == TU
+    assert closed_series("g", 2, 2).coefficient(2) == TU
+    with pytest.raises(ValueError, match="unknown closed form"):
+        closed_series("h", 1, 2)
 
 
 def test_closed_phi_equals_direct_expansion():
     # substitution route vs the four-variable closed form
     tx_uy = pq_context(REG.var("t") * REG.var("x"), REG.var("u") * REG.var("y"))
     xy = pq_context("x", "y")
-    for k in range(4):
+    for k in range(7):
         direct_num = (
             A ** k
             * (X * Y) ** math.comb(k, 2)
             * math.prod((pq_int(i, tx_uy) for i in range(1, k + 1)), start=ONE)
         )
         denom = math.prod((ONE - A * pq_int(i, xy) for i in range(1, k + 1)), start=ONE)
-        direct = series_from_rational(direct_num, denom, 6)
-        assert closed_phi(k, 6) == direct
+        direct = series_from_rational(direct_num, denom, 8)
+        assert closed_series("phi", k, 8) == direct
 
 
 def test_closed_varphi_equals_direct_expansion():
     tz_u = pq_context(REG.var("t") * REG.var("z"), REG.var("u"))
     zz = pq_context(REG.one, REG.var("z"))
-    for k in range(4):
+    # the direct side is polynomial in z, so this pins that the substituted
+    # pair leaves no negative power of z in any coefficient
+    for k in range(7):
         direct_num = (
             A ** k
             * Z ** math.comb(k, 2)
             * math.prod((pq_int(i, tz_u) for i in range(1, k + 1)), start=ONE)
         )
         denom = math.prod((ONE - A * pq_int(i, zz) for i in range(1, k + 1)), start=ONE)
-        direct = series_from_rational(direct_num, denom, 6)
-        assert closed_varphi(k, 6) == direct
+        direct = series_from_rational(direct_num, denom, 8)
+        assert closed_series("varphi", k, 8) == direct
 
 
 def test_q_specialized_series_matches_recurrence():
