@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -50,6 +51,13 @@ def _qnum_cmd(args) -> int:
     return 0
 
 
+#: ``enum`` notes its progress on stderr after every this many partitions.
+PROGRESS_INTERVAL = 1_000_000
+
+#: ``enum`` writes at most this many lines to stdout at once.
+CHUNK_LINES = 10_000
+
+
 def _enum_cmd(args) -> int:
     n = args.n
     opart.check_range(n, args.k)
@@ -69,23 +77,26 @@ def _enum_cmd(args) -> int:
         if args.k is None and args.format != "records":
             print(f"total\t{total}")
         return 0
-    if args.inv_free:
-        if args.k is None:
-            raise ValueError("--inv-free enumeration needs --k")
-        stream = opart.enumerate_p(n, args.k, force_large=args.force_large)
+    if args.inv_free and args.k is None:
+        raise ValueError("--inv-free enumeration needs --k")
+    nodes = opart.iter_text(n, args.k, args.inv_free, args.force_large)
+    if args.format == "records":
+        lines = (json.dumps({"n": n, "k": len(node), "partition": "/".join(node)})
+                 for node in nodes)
     else:
-        stream = opart.enumerate_op(n, args.k, force_large=args.force_large)
+        lines = map("/".join, nodes)
+    write = sys.stdout.write
     emitted = 0
-    for pi in stream:
-        text = opart.format_partition(pi)
-        if args.format == "records":
-            print(json.dumps({"n": n, "k": pi.k, "partition": text}))
-        else:
-            print(text)
-        emitted += 1
-        if emitted % 1_000_000 == 0:
+    while True:
+        # a chunk ends at every multiple of PROGRESS_INTERVAL, where a note goes out
+        size = min(CHUNK_LINES, PROGRESS_INTERVAL - emitted % PROGRESS_INTERVAL)
+        chunk = list(itertools.islice(lines, size))
+        if not chunk:
+            return 0
+        write("\n".join(chunk) + "\n")
+        emitted += len(chunk)
+        if emitted % PROGRESS_INTERVAL == 0:
             print(f"... {emitted} partitions", file=sys.stderr)
-    return 0
 
 
 def _stats_cmd(args) -> int:

@@ -120,8 +120,8 @@ def format_partition(pi: OrderedPartition | Blocks) -> str:
 # The grow* walks lay this tree out once.  A node is whatever the two child
 # steps make of it: ``singleton(node, m, g)`` is the child with m as a new
 # singleton block at gap g, ``append(node, m, b)`` the child with m appended
-# to block b.  The iter_blocks* enumerators grow bare block tuples;
-# stats.sweep* grow (blocks, Summary) pairs.
+# to block b.  The iter_blocks* enumerators grow bare block tuples; iter_text
+# grows tuples of block texts; stats.sweep* grow (blocks, Summary) pairs.
 
 
 def _singleton(blocks: Blocks, m: int, g: int) -> Blocks:
@@ -130,6 +130,14 @@ def _singleton(blocks: Blocks, m: int, g: int) -> Blocks:
 
 def _append(blocks: Blocks, m: int, b: int) -> Blocks:
     return blocks[:b] + (blocks[b] + (m,),) + blocks[b + 1:]
+
+
+def _singleton_text(node: tuple[str, ...], m: int, g: int) -> tuple[str, ...]:
+    return node[:g] + (str(m),) + node[g:]
+
+
+def _append_text(node: tuple[str, ...], m: int, b: int) -> tuple[str, ...]:
+    return node[:b] + (f"{node[b]},{m}",) + node[b + 1:]
 
 
 def grow_all(n: int, root, singleton, append, width=len) -> Iterator:
@@ -222,6 +230,23 @@ def enumerate_p(n: int, k: int, force_large: bool = False) -> Iterator[OrderedPa
     check_range(n, k)
     _check_bound(n, force_large)
     return map(OrderedPartition._unchecked, iter_blocks_p(n, k))
+
+
+def iter_text(n: int, k: int | None = None, inv_free: bool = False,
+              force_large: bool = False) -> Iterator[tuple[str, ...]]:
+    """The machine text of each partition that ``enumerate_p(n, k)`` (when
+    ``inv_free``) or ``enumerate_op(n, k)`` yields, in the same order, as the
+    tuple of its block texts: ``"/".join`` of one is ``format_partition`` of
+    the partition, and its length is k.  The checks run on the call."""
+    check_range(n, k)
+    if inv_free and k is None:
+        raise ValueError("the inversion-free enumeration needs k")
+    _check_bound(n, force_large)
+    if inv_free:
+        return grow_p(n, k, (), _singleton_text, _append_text)
+    if k is None:
+        return grow_all(n, (), _singleton_text, _append_text)
+    return grow(n, k, (), _singleton_text, _append_text)
 
 
 # -- element classes, traces, forms -------------------------------------------

@@ -560,11 +560,13 @@ class SeriesInA:
 
     def __init__(self, registry: VarRegistry, coeffs: Iterable[LaurentPoly]):
         coeffs = tuple(coeffs)
+        # _digit(key, idx) != 0, with its layout and shift looked up once
         idx = registry.index("a")
+        half, shift = _layout(idx + 1)[0], _DIGIT * idx
         for c in coeffs:
             if c.registry is not registry:
                 raise ValueError("coefficient from a different registry")
-            if any(_digit(e, idx) for e in c.terms):
+            if any(((e + half) >> shift) & _MASK != _HALF for e in c.terms):
                 raise ValueError("series coefficient contains the marker 'a'")
         if not coeffs:
             raise ValueError("a series needs at least the order-0 coefficient")

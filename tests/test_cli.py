@@ -15,10 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opstats import checks, qnum, stats, xfer
+from opstats import checks, cli, opart, qnum, stats, xfer
 from opstats.checks import CHECKS, CheckResult
 from opstats.cli import GF_FAMILIES, _emit_results, build_parser, main
-from opstats.opart import OrderedPartition, format_partition, iter_blocks_all
+from opstats.opart import (
+    OrderedPartition,
+    enumerate_op,
+    enumerate_p,
+    format_partition,
+    iter_blocks_all,
+)
 from opstats.ring import DEFAULT, SeriesInA, format_poly
 from opstats.stats import block_stats
 from opstats.xfer import WeightSpec
@@ -93,6 +99,65 @@ def test_enum_bound_exit_code(capsys):
     code, _, err = run(capsys, "enum", "--n", "11")
     assert code == 2
     assert "force-large" in err
+
+
+def _enum_reference(n, k, inv_free, fmt):
+    """The stdout of ``enum``, built from the partition objects."""
+    stream = enumerate_p(n, k) if inv_free else enumerate_op(n, k)
+    if fmt == "records":
+        lines = [json.dumps({"n": n, "k": pi.k, "partition": format_partition(pi)})
+                 for pi in stream]
+    else:
+        lines = [format_partition(pi) for pi in stream]
+    return "".join(line + "\n" for line in lines)
+
+
+def _not_on_the_enum_path(*args, **kwargs):
+    raise AssertionError("enum builds text without partition objects")
+
+
+def test_enum_stdout_bytes(capsys, monkeypatch):
+    cases = [(n, k, inv_free, fmt)
+             for n in range(7) for fmt in ("table", "records")
+             for k in [None, *range(n + 1)] for inv_free in (False, True)
+             if not (inv_free and k is None)]
+    want = {case: _enum_reference(*case) for case in cases}
+    for name in ("enumerate_op", "enumerate_p", "format_partition"):
+        monkeypatch.setattr(opart, name, _not_on_the_enum_path)
+    for (n, k, inv_free, fmt), text in want.items():
+        argv = ["enum", "--n", str(n), "--format", fmt]
+        argv += [] if k is None else ["--k", str(k)]
+        argv += ["--inv-free"] if inv_free else []
+        assert run(capsys, *argv) == (0, text, ""), argv
+    assert want[0, None, False, "table"] == "\n"
+    assert want[0, 0, True, "records"] == '{"n": 0, "k": 0, "partition": ""}\n'
+    assert all(want[n, 0, inv_free, fmt] == ""
+               for n in range(1, 7) for inv_free in (False, True) for fmt in ("table", "records"))
+
+
+class _Writes(io.StringIO):
+    """A stdout that counts the lines of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\n"))
+        return super().write(text)
+
+
+def test_enum_progress_and_chunks(capsys, monkeypatch):
+    writes = _Writes()
+    with contextlib.redirect_stdout(writes):
+        assert main(["enum", "--n", "7"]) == 0
+    assert sum(writes.lines) == 47_293 == len(writes.getvalue().splitlines())
+    assert len(writes.lines) > 1 and max(writes.lines) <= cli.CHUNK_LINES
+    assert capsys.readouterr().err == ""
+    code, out, _ = run(capsys, "enum", "--n", "6")
+    monkeypatch.setattr(cli, "PROGRESS_INTERVAL", 1000)
+    assert run(capsys, "enum", "--n", "6") == (
+        code, out, "".join(f"... {i} partitions\n" for i in range(1000, 5000, 1000)))
 
 
 def test_dist(capsys):

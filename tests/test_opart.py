@@ -14,6 +14,7 @@ from opstats.opart import (
     inv,
     iter_blocks,
     iter_blocks_all,
+    iter_text,
     parse,
     perm_of,
     trace,
@@ -94,6 +95,27 @@ def test_enumerate_p_is_canonical():
             for pi in enumerate_p(n, k):
                 assert perm_of(pi) == tuple(range(1, k + 1))
                 assert inv(pi) == 0
+
+
+def test_iter_text_is_the_formatted_enumeration():
+    for n in range(7):
+        for k in [None, *range(n + 1)]:
+            want = [(format_partition(p), p.k) for p in enumerate_op(n, k)]
+            assert [("/".join(t), len(t)) for t in iter_text(n, k)] == want
+            if k is not None:
+                want = [(format_partition(p), p.k) for p in enumerate_p(n, k)]
+                assert [("/".join(t), len(t)) for t in iter_text(n, k, True)] == want
+
+
+def test_iter_text_checks_on_the_call():
+    with pytest.raises(ValueError, match="no ordered partitions"):
+        iter_text(3, 4)
+    with pytest.raises(ValueError, match="needs k"):
+        iter_text(3, None, inv_free=True)
+    with pytest.raises(BoundExceeded):
+        iter_text(11)
+    assert next(iter_text(11, force_large=True)) == ("11", "10", "9", "8", "7", "6", "5",
+                                                       "4", "3", "2", "1")
 
 
 def test_desk_bound():

@@ -170,6 +170,14 @@ def test_series_arithmetic_truncates_to_smaller():
 def test_series_marker_excluded_from_coeffs():
     with pytest.raises(ValueError):
         SeriesInA(REG, [A])
+    for marked in (REG.monomial(1, a=-1), X + REG.monomial(3, a=-2, y=5)):
+        with pytest.raises(ValueError, match="marker"):
+            SeriesInA(REG, [ONE, marked])
+    # the marker in a later slot, next to negative powers of the slots below it
+    reg = VarRegistry(("x", "y", "a"))
+    with pytest.raises(ValueError, match="marker"):
+        SeriesInA(reg, [reg.monomial(1, x=-1, y=-1, a=-1)])
+    assert SeriesInA(reg, [reg.monomial(1, x=-1, y=-1)]).order == 0
 
 
 def test_ensure_f():
