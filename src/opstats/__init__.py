@@ -9,7 +9,7 @@ generating functions, all in exact integer Laurent-polynomial arithmetic.
 
 from .opart import OrderedPartition, enumerate_op, enumerate_p, parse
 from .qnum import q_binomial, q_eulerian, q_factorial, q_int, q_stirling
-from .ring import DEFAULT, InexactDivision, LaurentPoly, SeriesInA, VarRegistry, series_from_rational
+from .ring import DEFAULT, InexactDivision, LaurentPoly, SeriesInA, series_from_rational
 from .stats import composite, distribution, q_monomial, summarize
 from .walks import PathDiagram, psi, psi_inverse
 
@@ -22,7 +22,6 @@ __all__ = [
     "OrderedPartition",
     "PathDiagram",
     "SeriesInA",
-    "VarRegistry",
     "composite",
     "distribution",
     "enumerate_op",

@@ -3,7 +3,8 @@
 Subcommands: qnum, enum, stats, dist, bij, gf, det, verify, conjecture.
 Exit codes: 0 success / all checks verified, 1 verification mismatch,
 2 usage error (bad arguments, malformed partition text, bound exceeded
-without --force-large).
+without --force-large) or stdout closed by its reader before the output
+ended (whatever was written is no result).
 
 Identical invocations produce byte-identical output: polynomial terms are
 serialized in canonical order and all enumerations run in a fixed order.
@@ -16,6 +17,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 
 from . import checks, opart, qnum, stats, walks, xfer
@@ -77,8 +79,6 @@ def _enum_cmd(args) -> int:
         if args.k is None and args.format != "records":
             print(f"total\t{total}")
         return 0
-    if args.inv_free and args.k is None:
-        raise ValueError("--inv-free enumeration needs --k")
     nodes = opart.iter_text(n, args.k, args.inv_free, args.force_large)
     if args.format == "records":
         lines = (json.dumps({"n": n, "k": len(node), "partition": "/".join(node)})
@@ -306,9 +306,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit cannot fail again (the recipe of the Python docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 2
 
 

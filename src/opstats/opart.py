@@ -240,7 +240,7 @@ def iter_text(n: int, k: int | None = None, inv_free: bool = False,
     the partition, and its length is k.  The checks run on the call."""
     check_range(n, k)
     if inv_free and k is None:
-        raise ValueError("the inversion-free enumeration needs k")
+        raise ValueError("the inversion-free enumeration needs k (CLI: --inv-free needs --k)")
     _check_bound(n, force_large)
     if inv_free:
         return grow_p(n, k, (), _singleton_text, _append_text)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .ring import DEFAULT, LaurentPoly, VarRegistry
+from .ring import DEFAULT, LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,6 @@ class PQContext:
 
     p: LaurentPoly
     q: LaurentPoly
-
-    def __post_init__(self):
-        if self.p.registry is not self.q.registry:
-            raise ValueError("p and q must share a registry")
-
-    @property
-    def registry(self) -> VarRegistry:
-        return self.p.registry
 
 
 def pq_context(p: str | LaurentPoly = "p", q: str | LaurentPoly = "q") -> PQContext:
@@ -68,8 +60,7 @@ def pq_int(n: int, ctx: PQContext) -> LaurentPoly:
     """[n]_{p,q} = sum_{i=0}^{n-1} p^(n-1-i) q^i; [0] = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    reg = ctx.registry
-    total = reg.zero
+    total = DEFAULT.zero
     for i in range(n):
         total = total + ctx.p ** (n - 1 - i) * ctx.q ** i
     return total
@@ -80,7 +71,7 @@ def pq_factorial(n: int, ctx: PQContext) -> LaurentPoly:
     """[1][2]...[n], multiplied out in order (no recursion, so any n works)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = ctx.registry.one
+    out = DEFAULT.one
     for m in range(1, n + 1):
         out = out * pq_int(m, ctx)
     return out
@@ -113,14 +104,13 @@ def q_stirling(n: int, k: int) -> LaurentPoly:
     if n < 0 or k < 0:
         raise ValueError("n, k must be nonnegative")
     ctx = q_context()
-    reg = ctx.registry
     if k > n:
-        return reg.zero
+        return DEFAULT.zero
     q = ctx.q
-    row = [reg.one] + [reg.zero] * k  # S_q(0, j)
+    row = [DEFAULT.one] + [DEFAULT.zero] * k  # S_q(0, j)
     for m in range(1, n + 1):
         lo = max(1, k - (n - m))
-        row = [reg.zero] * lo + [
+        row = [DEFAULT.zero] * lo + [
             q ** (j - 1) * row[j - 1] + pq_int(j, ctx) * row[j] for j in range(lo, k + 1)
         ]
     return row[k]
@@ -135,14 +125,13 @@ def q_eulerian(n: int, k: int) -> LaurentPoly:
     if k < 0:
         raise ValueError("k must be nonnegative")
     ctx = q_context()
-    reg = ctx.registry
     if k >= n:
-        return reg.zero
+        return DEFAULT.zero
     q = ctx.q
-    row = [reg.one] + [reg.zero] * k  # A_q(1, j)
+    row = [DEFAULT.one] + [DEFAULT.zero] * k  # A_q(1, j)
     for m in range(2, n + 1):
         lo = max(0, k - (n - m))
-        new = [reg.zero] * (k + 1)
+        new = [DEFAULT.zero] * (k + 1)
         for j in range(lo, min(k, m - 1) + 1):
             new[j] = pq_int(j + 1, ctx) * row[j]
             if j:
@@ -179,10 +168,9 @@ def check_zz_identity(n: int, k: int) -> ZZResult:
     """Check [k]_q! S_q(n,k) = sum_{m=1}^{k} q^(k(k-m)) binom(n-m, n-k)_q A_q(n, m-1)."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    reg = DEFAULT
-    q = reg.var("q")
+    q = DEFAULT.var("q")
     lhs = q_factorial(k) * q_stirling(n, k)
-    rhs = reg.zero
+    rhs = DEFAULT.zero
     for m in range(1, k + 1):
         rhs = rhs + q ** (k * (k - m)) * q_binomial(n - m, n - k) * q_eulerian(n, m - 1)
     return ZZResult(lhs == rhs, lhs, rhs)

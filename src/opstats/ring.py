@@ -2,7 +2,8 @@
 
 A polynomial is a mapping from exponent vectors to nonzero arbitrary-precision
 integer coefficients.  Exponents may be negative (Laurent), one slot per
-variable registered in a :class:`VarRegistry`.
+variable of :data:`DEFAULT`, the one registry of variable names: every
+generating function here lives in the one ring over those variables.
 
 Each exponent vector is stored packed into one integer key,
 ``sum(e_i << (64 * i))``, with balanced (signed) digits.  The packing is
@@ -26,7 +27,10 @@ remaining variables, and
 truncation order.
 
 All values are immutable after construction; every operation is a pure
-function, so values may be freely shared between threads.
+function, so values may be freely shared between threads.  A value holds no
+reference to the registry, so polynomials and series pickle; an ``F_i`` is
+read by its index, so a process that loads one registers it first through
+:func:`ensure_f`.
 """
 
 from __future__ import annotations
@@ -110,25 +114,20 @@ class _Fragments(dict):
         return text
 
 
-class VarRegistry:
+class _VarRegistry:
     """Ordered set of variable names; the index of a name never changes.
-    Registration holds a lock, so threads may grow a shared registry."""
+    :data:`DEFAULT` is the one instance.  Registration holds a lock, so
+    threads may grow it through :func:`ensure_f`."""
 
     __slots__ = ("_names", "_index", "_lock", "_fragments")
 
-    def __init__(self, names: Iterable[str] = ()):
+    def __init__(self, names: Iterable[str]):
         self._names: list[str] = []
         self._index: dict[str, int] = {}
         self._fragments: list[_Fragments] = []
         self._lock = threading.Lock()
         for name in names:
-            self.add(name)
-
-    def add(self, name: str) -> int:
-        with self._lock:
-            if name in self._index:
-                raise ValueError(f"variable {name!r} already registered")
-            return self._register(name)
+            self._register(name)
 
     def ensure(self, name: str) -> int:
         """Index of ``name``, registering it first if necessary."""
@@ -141,10 +140,9 @@ class VarRegistry:
             return self._register(name)
 
     def _register(self, name: str) -> int:
-        # caller holds the lock; the text table and the name go in before
-        # the index, so a reader that finds the index also finds both
-        if not name or not isinstance(name, str):
-            raise ValueError(f"bad variable name {name!r}")
+        # caller holds the lock (or is the constructor); the text table and
+        # the name go in before the index, so a reader that finds the index
+        # also finds both
         self._fragments.append(_Fragments(name))
         self._names.append(name)
         self._index[name] = len(self._names) - 1
@@ -163,56 +161,50 @@ class VarRegistry:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def __repr__(self) -> str:
-        return f"VarRegistry({self._names!r})"
-
     # -- constructors -------------------------------------------------------
 
     def const(self, c: int) -> "LaurentPoly":
         if c == 0:
-            return LaurentPoly._raw(self, {}, 0)
-        return LaurentPoly._raw(self, {0: int(c)}, 0)
+            return LaurentPoly._raw({}, 0)
+        return LaurentPoly._raw({0: int(c)}, 0)
 
     @property
     def zero(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self, {}, 0)
+        return LaurentPoly._raw({}, 0)
 
     @property
     def one(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self, {0: 1}, 0)
+        return LaurentPoly._raw({0: 1}, 0)
 
     def var(self, name: str) -> "LaurentPoly":
-        return LaurentPoly._raw(self, {1 << (_DIGIT * self.index(name)): 1}, 1)
+        return LaurentPoly._raw({1 << (_DIGIT * self.index(name)): 1}, 1)
 
     def monomial(self, coeff: int = 1, **exps: int) -> "LaurentPoly":
-        """Monomial builder, e.g. ``reg.monomial(2, q=3, x=-1)`` is 2*q^3*x^-1."""
+        """Monomial builder, e.g. ``DEFAULT.monomial(2, q=3, x=-1)`` is 2*q^3*x^-1."""
         if coeff == 0:
             return self.zero
         vec = [0] * len(self._names)
         for name, e in exps.items():
             vec[self.index(name)] = int(e)
-        return LaurentPoly(self, {tuple(vec): coeff})
+        return LaurentPoly({tuple(vec): coeff})
 
     def poly(self, terms: Mapping[tuple[int, ...], int]) -> "LaurentPoly":
-        return LaurentPoly(self, terms)
+        return LaurentPoly(terms)
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial over a fixed registry.
+    """Immutable sparse Laurent polynomial in the variables of :data:`DEFAULT`.
 
     ``terms`` maps packed exponent keys to coefficients; read it as exponent
     tuples through :meth:`sorted_terms`.
     """
 
-    __slots__ = ("registry", "terms", "_bound", "_hash")
+    __slots__ = ("terms", "_bound", "_hash")
 
-    def __init__(self, registry: VarRegistry, terms: Mapping[tuple[int, ...], int]):
+    def __init__(self, terms: Mapping[tuple[int, ...], int]):
         clean: dict[int, int] = {}
         bound = 0
-        width = len(registry)
+        width = len(DEFAULT)
         for exps, coeff in terms.items():
             c = int(coeff)
             if c == 0:
@@ -227,17 +219,15 @@ class LaurentPoly:
                 clean[key] = v
             else:
                 del clean[key]
-        self.registry = registry
         self.terms = clean
         self._bound = _check_bound(bound)
         self._hash = None
 
     @classmethod
-    def _raw(cls, registry: VarRegistry, terms: dict[int, int], bound: int) -> "LaurentPoly":
+    def _raw(cls, terms: dict[int, int], bound: int) -> "LaurentPoly":
         # internal: terms already canonical (packed keys, no zeros), and no
         # exponent exceeds ``bound`` in absolute value
         self = object.__new__(cls)
-        self.registry = registry
         self.terms = terms
         self._bound = bound
         self._hash = None
@@ -266,7 +256,7 @@ class LaurentPoly:
 
     def min_exponent(self, name: str) -> int:
         """Smallest exponent of ``name`` over all terms (0 for the zero poly)."""
-        i = self.registry.index(name)
+        i = DEFAULT.index(name)
         if not self.terms:
             return 0
         return min(_digit(e, i) for e in self.terms)
@@ -275,11 +265,9 @@ class LaurentPoly:
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
-            if other.registry is not self.registry:
-                raise ValueError("operands belong to different registries")
             return other
         if isinstance(other, int):
-            return self.registry.const(other)
+            return DEFAULT.const(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -296,14 +284,12 @@ class LaurentPoly:
             out[e] = get(e, 0) + c
         if 0 in out.values():
             out = {e: c for e, c in out.items() if c}
-        return LaurentPoly._raw(self.registry, out, max(self._bound, other._bound))
+        return LaurentPoly._raw(out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw(
-            self.registry, {e: -c for e, c in self.terms.items()}, self._bound
-        )
+        return LaurentPoly._raw({e: -c for e, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -321,7 +307,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _sum_of_products(self.registry, ((1, self, other),))
+        return _sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -331,7 +317,7 @@ class LaurentPoly:
         if n < 0:
             return self.inverse() ** (-n)
         _check_bound(self._bound * n)
-        result = self.registry.one
+        result = DEFAULT.one
         base = self
         while n:
             if n & 1:
@@ -346,14 +332,14 @@ class LaurentPoly:
         if not self.is_unit_monomial():
             raise InexactDivision("only unit monomials are invertible")
         (e, c), = self.terms.items()
-        return LaurentPoly._raw(self.registry, {-e: c}, self._bound)
+        return LaurentPoly._raw({-e: c}, self._bound)
 
     def __eq__(self, other):
         if isinstance(other, int):
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.registry is other.registry and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
         # a constant hashes like the integer it equals
@@ -368,13 +354,13 @@ class LaurentPoly:
 
     def split_by(self, name: str) -> dict[int, "LaurentPoly"]:
         """Bucket terms by the exponent of ``name``; buckets are free of it."""
-        i = self.registry.index(name)
+        i = DEFAULT.index(name)
         shift = _DIGIT * i
         buckets: dict[int, dict[int, int]] = {}
         for e, c in self.terms.items():
             d = _digit(e, i)
             buckets.setdefault(d, {})[e - (d << shift)] = c
-        return {d: LaurentPoly._raw(self.registry, t, self._bound) for d, t in buckets.items()}
+        return {d: LaurentPoly._raw(t, self._bound) for d, t in buckets.items()}
 
     def subs(self, mapping: Mapping[str, "LaurentPoly | int"]) -> "LaurentPoly":
         """Simultaneous substitution of variables by polynomials.
@@ -382,11 +368,10 @@ class LaurentPoly:
         A variable occurring with a negative exponent may only be replaced by
         an invertible (unit-monomial) value.
         """
-        reg = self.registry
         vals: dict[int, LaurentPoly] = {}
         for name, v in mapping.items():
-            vals[reg.index(name)] = reg.const(v) if isinstance(v, int) else self._coerce(v)
-        one = reg.one
+            vals[DEFAULT.index(name)] = DEFAULT.const(v) if isinstance(v, int) else v
+        one = DEFAULT.one
         pow_cache: dict[tuple[int, int], LaurentPoly] = {}
 
         def power(i: int, exp: int) -> LaurentPoly:
@@ -394,7 +379,7 @@ class LaurentPoly:
             if p is None:
                 base = vals.get(i)
                 if base is None:
-                    base = LaurentPoly._raw(reg, {1 << (_DIGIT * i): 1}, 1)
+                    base = LaurentPoly._raw({1 << (_DIGIT * i): 1}, 1)
                 p = base ** exp if exp > 0 else base.inverse() ** (-exp)
                 pow_cache[i, exp] = p
             return p
@@ -404,7 +389,7 @@ class LaurentPoly:
                 *head, last = [power(i, exp) for i, exp in enumerate(_unpack(e)) if exp] or [one]
                 yield c, functools.reduce(operator.mul, head) if head else one, last
 
-        return _sum_of_products(reg, products())
+        return _sum_of_products(products())
 
     # -- exact division ------------------------------------------------------
 
@@ -418,7 +403,7 @@ class LaurentPoly:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return self.registry.zero
+            return DEFAULT.zero
         num_e = [_unpack(e) for e in self.terms]
         den_e = [_unpack(e) for e in other.terms]
         width = max(map(len, num_e + den_e))
@@ -460,17 +445,14 @@ class LaurentPoly:
                 elif key in rem:
                     del rem[key]
         shift = tuple(a - b for a, b in zip(shift_n, shift_d))
-        return LaurentPoly(
-            self.registry,
-            {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()},
-        )
+        return LaurentPoly({tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()})
 
     # -- text form -----------------------------------------------------------
 
     def _sorted_rows(self) -> list[tuple[tuple[int, ...], int]]:
-        # (exponent of every registry variable, coefficient) per term, each
+        # (exponent of every registered variable, coefficient) per term, each
         # key decoded once, in the order of ``sorted_terms``
-        half, layout = _layout(len(self.registry))
+        half, layout = _layout(len(DEFAULT))
         size, unpack = layout.size, layout.unpack
         exps = [unpack(((e + half) ^ half).to_bytes(size, "little")) for e in self.terms]
         # two sorts on C-level keys, the second one stable
@@ -482,13 +464,13 @@ class LaurentPoly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms as (exponent tuple without trailing zeros, coefficient), in
         canonical order: ascending total degree, then exponent on the earliest
-        registry variable descending."""
+        registered variable descending."""
         return [(_trim(exps), c) for exps, c in self._sorted_rows()]
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        frags = self.registry._fragments
+        frags = DEFAULT._fragments
         text = "".join([
             f"{' - ' if c < 0 else ' + '}{-c if c < 0 else c}"
             f"{''.join(map(operator.getitem, frags, exps))}"
@@ -500,11 +482,9 @@ class LaurentPoly:
         return f"<LaurentPoly {self}>"
 
 
-def _sum_of_products(
-    registry: VarRegistry, products: Iterable[tuple[int, LaurentPoly, LaurentPoly]]
-) -> LaurentPoly:
+def _sum_of_products(products: Iterable[tuple[int, LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     """The sum of c * p * q over the (c, p, q) of ``products``, an integer and
-    two polynomials of ``registry`` each.
+    two polynomials each.
 
     Every product adds into one dict, so no partial sum is copied or negated;
     zero coefficients are dropped once, at the end.  ``products`` is consumed
@@ -515,8 +495,6 @@ def _sum_of_products(
     get = out.get
     bound = 0
     for c, p, q in products:
-        if p.registry is not registry or q.registry is not registry:
-            raise ValueError("operands belong to different registries")
         small, large = p.terms, q.terms
         if len(small) > len(large):
             small, large = large, small
@@ -541,7 +519,7 @@ def _sum_of_products(
                 out[key] = get(key, 0) + c1 * c2
     if 0 in out.values():
         out = {e: c for e, c in out.items() if c}
-    return LaurentPoly._raw(registry, out, bound)
+    return LaurentPoly._raw(out, bound)
 
 
 def format_poly(p: LaurentPoly) -> str:
@@ -556,21 +534,18 @@ class SeriesInA:
     same order and coefficients.
     """
 
-    __slots__ = ("registry", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, registry: VarRegistry, coeffs: Iterable[LaurentPoly]):
+    def __init__(self, coeffs: Iterable[LaurentPoly]):
         coeffs = tuple(coeffs)
         # _digit(key, idx) != 0, with its layout and shift looked up once
-        idx = registry.index("a")
+        idx = DEFAULT.index("a")
         half, shift = _layout(idx + 1)[0], _DIGIT * idx
         for c in coeffs:
-            if c.registry is not registry:
-                raise ValueError("coefficient from a different registry")
             if any(((e + half) >> shift) & _MASK != _HALF for e in c.terms):
                 raise ValueError("series coefficient contains the marker 'a'")
         if not coeffs:
             raise ValueError("a series needs at least the order-0 coefficient")
-        self.registry = registry
         self.coeffs = coeffs
 
     @property
@@ -585,7 +560,7 @@ class SeriesInA:
     def __eq__(self, other):
         if not isinstance(other, SeriesInA):
             return NotImplemented
-        return self.registry is other.registry and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __str__(self) -> str:
         return "; ".join(f"a^{n}: {c}" for n, c in enumerate(self.coeffs))
@@ -604,9 +579,6 @@ def series_from_rational(numer: LaurentPoly, denom: LaurentPoly, order: int) -> 
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    reg = numer.registry
-    if denom.registry is not reg:
-        raise ValueError("operands belong to different registries")
     num = numer.split_by("a")
     den = denom.split_by("a")
     if any(d < 0 for d in num) or any(d < 0 for d in den):
@@ -619,14 +591,14 @@ def series_from_rational(numer: LaurentPoly, denom: LaurentPoly, order: int) -> 
     tail = [(j, d0_inv * dj) for j, dj in den.items() if 1 <= j <= order]
     coeffs: list[LaurentPoly] = []
     for m in range(order + 1):
-        coeffs.append(_sum_of_products(reg, chain(
-            [(1, d0_inv, num.get(m, reg.zero))],
+        coeffs.append(_sum_of_products(chain(
+            [(1, d0_inv, num.get(m, DEFAULT.zero))],
             ((-1, dj, coeffs[m - j]) for j, dj in tail if j <= m),
         )))
-    return SeriesInA(reg, coeffs)
+    return SeriesInA(coeffs)
 
 
-# Shared default registry.  The size marker a comes first; x,y and z,t,u,q are
+# The one registry.  The size marker a comes first; x,y and z,t,u,q are
 # the specialization variables; p pairs with q for two-parameter analogues;
 # t1..t7 are the seven walk-weight markers.  Generic sequence markers F1,F2,...
 # are registered on demand via ensure_f().
@@ -635,14 +607,13 @@ DEFAULT_NAMES = (
     "t1", "t2", "t3", "t4", "t5", "t6", "t7",
 )
 
-DEFAULT = VarRegistry(DEFAULT_NAMES)
+DEFAULT = _VarRegistry(DEFAULT_NAMES)
 
 
-def ensure_f(n: int, registry: VarRegistry | None = None) -> list[LaurentPoly]:
+def ensure_f(n: int) -> list[LaurentPoly]:
     """Variables F1..Fn, registering any that are missing; F0 and below is 1."""
-    reg = registry if registry is not None else DEFAULT
     out = []
     for i in range(1, n + 1):
-        reg.ensure(f"F{i}")
-        out.append(reg.var(f"F{i}"))
+        DEFAULT.ensure(f"F{i}")
+        out.append(DEFAULT.var(f"F{i}"))
     return out

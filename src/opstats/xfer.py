@@ -60,25 +60,19 @@ CLOSED_K_BOUND = 16
 
 
 class SymbolicMatrix:
-    """Dense grid of Laurent polynomials over one registry; ``SymbolicMatrix(())``
-    is the 0x0 matrix."""
+    """Dense grid of Laurent polynomials; ``SymbolicMatrix(())`` is the 0x0
+    matrix."""
 
-    __slots__ = ("rows", "cols", "entries", "registry")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[LaurentPoly]]):
         entries = tuple(tuple(row) for row in entries)
         width = len(entries[0]) if entries else 0
-        reg = entries[0][0].registry if width else DEFAULT
-        for row in entries:
-            if len(row) != width:
-                raise ValueError("ragged matrix")
-            for e in row:
-                if e.registry is not reg:
-                    raise ValueError("entries from different registries")
+        if any(len(row) != width for row in entries):
+            raise ValueError("ragged matrix")
         self.entries = entries
         self.rows = len(entries)
         self.cols = width
-        self.registry = reg
 
     def minor(self, i: int, j: int) -> "SymbolicMatrix":
         """Matrix with row i and column j removed (0-based)."""
@@ -94,8 +88,8 @@ class SymbolicMatrix:
         """vector (length rows) times the matrix, as a row vector."""
         if len(vector) != self.rows:
             raise ValueError("vector length mismatch")
-        reg, entries = self.registry, self.entries
-        return [_sum_of_products(reg, ((1, v, row[j]) for v, row in zip(vector, entries)))
+        entries = self.entries
+        return [_sum_of_products((1, v, row[j]) for v, row in zip(vector, entries))
                 for j in range(self.cols)]
 
     def __eq__(self, other):
@@ -157,8 +151,7 @@ def det(m: SymbolicMatrix, method: str = "laplace") -> LaurentPoly:
 
 
 def _det_laplace(m: SymbolicMatrix) -> LaurentPoly:
-    reg = m.registry
-    zero, one = reg.zero, reg.one
+    zero, one = DEFAULT.zero, DEFAULT.one
     entries = m.entries
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
 
@@ -202,7 +195,7 @@ def _det_laplace(m: SymbolicMatrix) -> LaurentPoly:
                      rows[:ri] + rows[ri + 1:], sub_cols)
                     for ri, r in enumerate(rows) if entries[r][c].terms]
         # a generator, so that each minor is computed only as its product is summed
-        acc = _sum_of_products(reg, ((sign, e, rec(sr, sc)) for sign, e, sr, sc in line))
+        acc = _sum_of_products((sign, e, rec(sr, sc)) for sign, e, sr, sc in line)
         if best_count > 1:
             memo[key] = acc
         return acc
@@ -214,13 +207,12 @@ def _det_laplace(m: SymbolicMatrix) -> LaurentPoly:
 
 
 def _det_bareiss(m: SymbolicMatrix) -> LaurentPoly:
-    reg = m.registry
     n = m.rows
     if n == 0:
-        return reg.one
+        return DEFAULT.one
     a = [list(row) for row in m.entries]
     sign = 1
-    prev = reg.one
+    prev = DEFAULT.one
     for piv in range(n - 1):
         if a[piv][piv].is_zero():
             for r in range(piv + 1, n):
@@ -229,13 +221,13 @@ def _det_bareiss(m: SymbolicMatrix) -> LaurentPoly:
                     sign = -sign
                     break
             else:
-                return reg.zero
+                return DEFAULT.zero
         pivot = a[piv][piv]
         for r in range(piv + 1, n):
             for c in range(piv + 1, n):
                 num = a[r][c] * pivot - a[r][piv] * a[piv][c]
                 a[r][c] = num.divexact(prev)
-            a[r][piv] = reg.zero
+            a[r][piv] = DEFAULT.zero
         prev = pivot
     d = a[n - 1][n - 1]
     return -d if sign < 0 else d
@@ -357,7 +349,7 @@ def _check_k_bound(k: int, w: WeightSpec, force_large: bool) -> None:
     """Reject k < 0, and k above the symbolic desk bound unless forced."""
     bound = GENERIC_K_BOUND if w.generic else SPECIALIZED_K_BOUND
     if k > bound and not force_large:
-        raise ValueError(
+        raise BoundExceeded(
             f"k={k} exceeds the symbolic desk bound {bound}; "
             "pass force_large=True (CLI: --force-large)"
         )
@@ -414,7 +406,7 @@ def walk_series(k: int, w: WeightSpec, order: int, force_large: bool = False) ->
                     pushed[u] = pushed[u] + term if u in pushed else term
         row = pushed
         coeffs.append(row.get(target, DEFAULT.zero))
-    return SeriesInA(DEFAULT, coeffs)
+    return SeriesInA(coeffs)
 
 
 # -- closed forms ----------------------------------------------------------------

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -177,6 +178,48 @@ def test_qnum_table(capsys):
     assert "3\t1\t2*q + 2*q^2" in out.splitlines()
 
 
+#: (argv, exit code, exact stdout, a part of stderr) of paths no other test runs.
+PINNED = [
+    ("qnum binomial --n-max 3", 0,
+     "0\t0\t1\n1\t0\t1\n1\t1\t1\n2\t0\t1\n2\t1\t1 + 1*q\n2\t2\t1\n"
+     "3\t0\t1\n3\t1\t1 + 1*q + 1*q^2\n3\t2\t1 + 1*q + 1*q^2\n3\t3\t1\n", ""),
+    ("qnum factorial --n-max 3", 0,
+     "0\t1\n1\t1\n2\t1 + 1*q\n3\t1 + 2*q + 2*q^2 + 1*q^3\n", ""),
+    ("qnum eulerian --n-max 2 --format records", 0,
+     '{"n": 1, "k": 0, "value": "1"}\n'
+     '{"n": 2, "k": 0, "value": "1"}\n'
+     '{"n": 2, "k": 1, "value": "1*q"}\n', ""),
+    ("qnum factorial --n-max 1 --format records", 0,
+     '{"n": 0, "k": null, "value": "1"}\n{"n": 1, "k": null, "value": "1"}\n', ""),
+    ("conjecture --n-max 1 --format records", 0, "".join(
+        '{"check": "conjecture-bmaj", "instance": "n=1 k=1 stat=%s", '
+        '"status": "MATCH", "empirical": true}\n' % stat
+        for stat in ("mak+bMaj", "lmak+bMaj", "cmajLSB")), "EMPIRICAL"),
+    ("bij", 2, "", "bij needs --forward STEPS --xi LIST or --inverse PARTITION"),
+    ("enum --n 3 --inv-free", 2, "", "--inv-free needs --k"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err_part", PINNED, ids=[row[0] for row in PINNED])
+def test_pinned_stdout(capsys, argv, code, out, err_part):
+    got_code, got_out, got_err = run(capsys, *argv.split())
+    assert (got_code, got_out) == (code, out)
+    assert err_part in got_err
+
+
+def test_closed_stdout_exits_2_quietly():
+    root = pathlib.Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "opstats", "enum", "--n", "8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"8/7/6/5/4/3/2/1\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 def test_qnum_negative_bound_is_a_usage_error(capsys):
     for family in ("stirling", "eulerian", "binomial", "factorial"):
         code, out, err = run(capsys, "qnum", family, "--n-max", "-1")
@@ -343,7 +386,7 @@ def test_transfer_checker_can_fail(capsys, monkeypatch):
 
     def perturbed(*args, **kwargs):
         series = walk(*args, **kwargs)
-        return SeriesInA(series.registry, [c * t1 if n else c for n, c in enumerate(series.coeffs)])
+        return SeriesInA([c * t1 if n else c for n, c in enumerate(series.coeffs)])
 
     monkeypatch.setattr(xfer, "walk_series", perturbed)
     code, out, err = run(capsys, "verify", "transfer", "--n-max", "3")
@@ -499,7 +542,7 @@ Q = DEFAULT.var("q")
 
 def _higher_times_q(series):
     """The a^n coefficients with n >= 1 times q."""
-    return SeriesInA(series.registry, [c * Q if n else c for n, c in enumerate(series.coeffs)])
+    return SeriesInA([c * Q if n else c for n, c in enumerate(series.coeffs)])
 
 
 #: One row per check with no other can-fail test: the perturbation of its

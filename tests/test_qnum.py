@@ -4,7 +4,6 @@ import pytest
 
 from opstats import qnum
 from opstats.qnum import (
-    PQContext,
     check_zz_identity,
     ordered_partition_count,
     pq_binomial,
@@ -125,14 +124,6 @@ def test_zz_identity_range():
     for n in range(1, 7):
         for k in range(1, n + 1):
             assert check_zz_identity(n, k).ok
-
-
-def test_context_registry_mismatch():
-    from opstats.ring import VarRegistry
-
-    reg = VarRegistry(("q", "p"))
-    with pytest.raises(ValueError):
-        PQContext(DEFAULT.var("p"), reg.var("q"))
 
 
 def test_stirling_deep_rows():

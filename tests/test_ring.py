@@ -1,5 +1,6 @@
 """Laurent-polynomial arithmetic and truncated series."""
 
+import pickle
 import sys
 import threading
 from itertools import zip_longest
@@ -10,38 +11,50 @@ from hypothesis import strategies as st
 
 from opstats.ring import (
     DEFAULT,
+    DEFAULT_NAMES,
     InexactDivision,
     SeriesInA,
-    VarRegistry,
     _sum_of_products,
     ensure_f,
     format_poly,
     series_from_rational,
 )
 
-REG = VarRegistry(("a", "x", "y", "q"))
-A, X, Y, Q = (REG.var(v) for v in ("a", "x", "y", "q"))
-ONE, ZERO = REG.one, REG.zero
+A, X, Y, Q = (DEFAULT.var(v) for v in ("a", "x", "y", "q"))
+ONE, ZERO = DEFAULT.one, DEFAULT.zero
+
+
+def _grow(count):
+    """Register the next ``count`` variables F_i of DEFAULT; their names."""
+    first = len(DEFAULT) - len(DEFAULT_NAMES) + 1
+    ensure_f(first + count - 1)
+    return [f"F{i}" for i in range(first, first + count)]
 
 
 def test_registry_basics():
-    reg = VarRegistry(("x", "y"))
-    assert reg.names == ("x", "y")
-    assert reg.index("y") == 1
-    with pytest.raises(ValueError):
-        reg.add("x")
-    assert reg.ensure("x") == 0
-    assert reg.ensure("z") == 2
+    assert DEFAULT.names[:len(DEFAULT_NAMES)] == DEFAULT_NAMES
+    assert DEFAULT.index("y") == 2
+    assert DEFAULT.ensure("x") == 1
     with pytest.raises(KeyError):
-        reg.index("w")
+        DEFAULT.index("w")
 
 
 def test_registry_growth_keeps_old_values_comparable():
-    reg = VarRegistry(("x",))
-    p = reg.var("x") + 1
-    reg.add("y")
-    assert p == reg.var("x") + 1
-    assert dict((p * reg.var("y")).sorted_terms()) == {(1, 1): 1, (0, 1): 1}
+    p = X + 1
+    fresh, = _grow(1)
+    assert p == DEFAULT.var("x") + 1 and hash(p) == hash(DEFAULT.var("x") + 1)
+    i = DEFAULT.index(fresh)
+    assert dict((p * DEFAULT.var(fresh)).sorted_terms()) == {
+        (0,) * i + (1,): 1, (0, 1) + (0,) * (i - 2) + (1,): 1}
+    assert str(p * DEFAULT.var(fresh)) == f"1*{fresh} + 1*x*{fresh}"
+
+
+def test_values_pickle():
+    p = X ** -2 * Q + 3 * Y ** (2 ** 40) - 7
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert str(pickle.loads(pickle.dumps(p))) == str(p)
+    s = series_from_rational(ONE, ONE - A * (X + Q), 4)
+    assert pickle.loads(pickle.dumps(s)) == s
 
 
 def test_add_examples():
@@ -58,22 +71,16 @@ def test_constant_hashes_like_its_integer():
     assert hash(DEFAULT.zero) == hash(0)
 
 
-def test_registry_mismatch_rejected():
-    other = VarRegistry(("x",))
-    with pytest.raises(ValueError):
-        _ = X + other.var("x")
-
-
 def test_mul_examples():
-    assert X * REG.monomial(1, x=-1) == ONE
+    assert X * DEFAULT.monomial(1, x=-1) == ONE
     assert (ONE + Q) * Q == Q + Q ** 2
     assert (ONE + Q) * (2 * Q + Q ** 2) == 2 * Q + 3 * Q ** 2 + Q ** 3
 
 
 def test_pow_and_inverse():
     assert (X + Y) ** 0 == ONE
-    assert X ** -2 == REG.monomial(1, x=-2)
-    assert (-Y).inverse() == REG.monomial(-1, y=-1)
+    assert X ** -2 == DEFAULT.monomial(1, x=-2)
+    assert (-Y).inverse() == DEFAULT.monomial(-1, y=-1)
     with pytest.raises(InexactDivision):
         (X + Y).inverse()
     with pytest.raises(InexactDivision):
@@ -106,15 +113,15 @@ def test_divexact_failures():
     with pytest.raises(InexactDivision):
         (X + 1).divexact(Y + 1)
     with pytest.raises(InexactDivision):
-        (2 * X).divexact(REG.const(3))
+        (2 * X).divexact(DEFAULT.const(3))
     # Laurent shifts are fine
-    assert (X + 1).divexact(REG.monomial(1, x=-1)) == X ** 2 + X
+    assert (X + 1).divexact(DEFAULT.monomial(1, x=-1)) == X ** 2 + X
 
 
 def test_subs():
     p = X ** 2 * Q + 2 * X
-    assert p.subs({"x": REG.one}) == Q + 2
-    assert p.subs({"x": Q, "q": REG.one}) == Q ** 2 + 2 * Q
+    assert p.subs({"x": DEFAULT.one}) == Q + 2
+    assert p.subs({"x": Q, "q": DEFAULT.one}) == Q ** 2 + 2 * Q
     # negative exponents need unit-monomial values
     r = X ** -1 * Q
     assert r.subs({"x": Q}) == ONE
@@ -125,9 +132,9 @@ def test_subs():
 def test_canonical_text():
     assert format_poly(2 * Q + 3 * Q ** 2 + Q ** 3) == "2*q + 3*q^2 + 1*q^3"
     assert format_poly(ZERO) == "0"
-    assert format_poly(REG.const(-7)) == "-7"
+    assert format_poly(DEFAULT.const(-7)) == "-7"
     assert format_poly(ONE - A) == "1 - 1*a"
-    assert format_poly(REG.monomial(1, x=-1)) == "1*x^-1"
+    assert format_poly(DEFAULT.monomial(1, x=-1)) == "1*x^-1"
     assert format_poly(X + Y) == "1*x + 1*y"
     assert format_poly(X * Y - 2 * Q) == "-2*q + 1*x*y"
 
@@ -154,10 +161,10 @@ def test_series_requires_unit_constant_term():
     with pytest.raises(ValueError):
         series_from_rational(ONE, A - A * A, 2)  # no constant term
     with pytest.raises(ValueError):
-        series_from_rational(ONE, REG.const(2) - A, 2)  # 2 is not a unit
+        series_from_rational(ONE, DEFAULT.const(2) - A, 2)  # 2 is not a unit
     # a unit monomial constant term is fine
     s = series_from_rational(ONE, X - A, 2)
-    assert s.coefficient(0) == REG.monomial(1, x=-1)
+    assert s.coefficient(0) == DEFAULT.monomial(1, x=-1)
 
 
 def test_series_arithmetic_truncates_to_smaller():
@@ -169,22 +176,21 @@ def test_series_arithmetic_truncates_to_smaller():
 
 def test_series_marker_excluded_from_coeffs():
     with pytest.raises(ValueError):
-        SeriesInA(REG, [A])
-    for marked in (REG.monomial(1, a=-1), X + REG.monomial(3, a=-2, y=5)):
+        SeriesInA([A])
+    for marked in (DEFAULT.monomial(1, a=-1), X + DEFAULT.monomial(3, a=-2, y=5)):
         with pytest.raises(ValueError, match="marker"):
-            SeriesInA(REG, [ONE, marked])
-    # the marker in a later slot, next to negative powers of the slots below it
-    reg = VarRegistry(("x", "y", "a"))
+            SeriesInA([ONE, marked])
+    # the marker next to negative powers of the other slots
     with pytest.raises(ValueError, match="marker"):
-        SeriesInA(reg, [reg.monomial(1, x=-1, y=-1, a=-1)])
-    assert SeriesInA(reg, [reg.monomial(1, x=-1, y=-1)]).order == 0
+        SeriesInA([DEFAULT.monomial(1, x=-1, y=-1, a=-1)])
+    assert SeriesInA([DEFAULT.monomial(1, x=-1, y=-1)]).order == 0
 
 
 def test_ensure_f():
-    reg = VarRegistry(("a",))
-    fs = ensure_f(3, reg)
+    fs = ensure_f(3)
     assert [str(f) for f in fs] == ["1*F1", "1*F2", "1*F3"]
-    assert ensure_f(3, reg) == fs  # idempotent
+    assert ensure_f(3) == fs  # idempotent
+    assert DEFAULT.names[len(DEFAULT_NAMES):][:3] == ("F1", "F2", "F3")
 
 
 def test_ensure_f_is_thread_safe():
@@ -192,14 +198,14 @@ def test_ensure_f_is_thread_safe():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            reg = VarRegistry(("a",))
+            n = len(DEFAULT) - len(DEFAULT_NAMES) + 6  # six new F_i each round
             start = threading.Barrier(8)
             results, errors = [], []
 
             def work():
                 start.wait(timeout=10)
                 try:
-                    results.append(ensure_f(6, reg))
+                    results.append(ensure_f(n))
                 except Exception as exc:  # collected and asserted below
                     errors.append(exc)
 
@@ -210,7 +216,7 @@ def test_ensure_f_is_thread_safe():
                 t.join(timeout=10)
             assert not any(t.is_alive() for t in threads)
             assert errors == []
-            assert reg.names == ("a", "F1", "F2", "F3", "F4", "F5", "F6")
+            assert DEFAULT.names == DEFAULT_NAMES + tuple(f"F{i}" for i in range(1, n + 1))
             assert len(results) == 8 and all(r == results[0] for r in results)
     finally:
         sys.setswitchinterval(old)
@@ -224,8 +230,8 @@ def test_exponent_range():
     assert big.divexact(X ** (2 ** 61 - 1)) == X
     for overflow in (lambda: big * big, lambda: big ** 2, lambda: X ** (2 ** 62),
                      lambda: X ** -(2 ** 62), lambda: (1 + big.inverse()) ** 2,
-                     lambda: REG.poly({(0, 0, 2 ** 62): 1}),
-                     lambda: REG.monomial(1, q=-(2 ** 62))):
+                     lambda: DEFAULT.poly({(0, 0, 2 ** 62): 1}),
+                     lambda: DEFAULT.monomial(1, q=-(2 ** 62))):
         with pytest.raises(ValueError, match="2\\*\\*62"):
             overflow()
     # a denominator term past the order is never multiplied out
@@ -238,7 +244,7 @@ def test_exponent_range():
 exps = st.tuples(
     st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)
 )
-polys = st.dictionaries(exps, st.integers(-5, 5), max_size=4).map(REG.poly)
+polys = st.dictionaries(exps, st.integers(-5, 5), max_size=4).map(DEFAULT.poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 
@@ -261,7 +267,7 @@ def test_divexact_roundtrip(p, q):
 @settings(max_examples=40, deadline=None)
 @given(exps, st.sampled_from([1, -1]))
 def test_unit_monomial_inverse(e, c):
-    m = REG.poly({e: c})
+    m = DEFAULT.poly({e: c})
     assert m * m.inverse() == ONE
 
 
@@ -358,20 +364,33 @@ def _terms(width):
     return st.dictionaries(vec, st.integers(-4, 4).filter(bool), max_size=4)
 
 
+def _place(terms, slots):
+    """Terms over the variables ``slots`` (exponent j belongs to variable
+    slots[j]) as terms over every variable, up to the last of ``slots``."""
+    def spread(e):
+        full = [0] * (max(slots) + 1)
+        for i, v in zip(slots, e):
+            full[i] = v
+        return _ref_trim(full)
+    return {spread(e): c for e, c in terms.items()}
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_packed_kernel_matches_tuple_reference(data):
-    reg = VarRegistry(("x", "y"))
-    pt, qt = data.draw(_terms(2)), data.draw(_terms(2))
-    p, q = reg.poly(pt), reg.poly(qt)
-    reg.add("z")  # the registry grows mid-test
-    rt = data.draw(_terms(3))
-    r = reg.poly(rt)
-    assert reg.poly(pt) == p and hash(reg.poly(pt)) == hash(p)
+    # three variables: x, y and an F_i registered between the draws
+    ix, iy = DEFAULT.index("x"), DEFAULT.index("y")
+    pt, qt = (_place(data.draw(_terms(2)), (ix, iy)) for _ in range(2))
+    p, q = DEFAULT.poly(pt), DEFAULT.poly(qt)
+    fresh, = _grow(1)  # the registry grows mid-test
+    slots = (ix, iy, DEFAULT.index(fresh))
+    rt = _place(data.draw(_terms(3)), slots)
+    r = DEFAULT.poly(rt)
+    assert DEFAULT.poly(pt) == p and hash(DEFAULT.poly(pt)) == hash(p)
 
     def same(poly, ref):
         assert dict(poly.sorted_terms()) == ref
-        assert str(poly) == _ref_str(ref, reg.names)
+        assert str(poly) == _ref_str(ref, DEFAULT.names)
 
     same(p, pt)
     same(r, rt)
@@ -381,39 +400,39 @@ def test_packed_kernel_matches_tuple_reference(data):
     same(r - p, _ref_add(rt, {e: -c for e, c in pt.items()}))
     n = data.draw(st.integers(0, 3))
     same(r ** n, _ref_pow(rt, n))
-    unit = {(1, 0, -2): -1}
-    same(r.subs({"y": reg.poly(unit)}), _ref_subs(rt, 1, unit))
+    unit = _place({(1, 0, -2): -1}, slots)
+    same(r.subs({"y": DEFAULT.poly(unit)}), _ref_subs(rt, iy, unit))
     for d, bucket in r.split_by("y").items():
-        want = {_ref_trim(v if j != 1 else 0 for j, v in enumerate(e)): c
-                for e, c in rt.items() if (e[1] if len(e) > 1 else 0) == d}
+        want = {_ref_trim(v if j != iy else 0 for j, v in enumerate(e)): c
+                for e, c in rt.items() if (e[iy] if len(e) > iy else 0) == d}
         same(bucket, want)
     if rt:
         same((p * r).divexact(r), pt)
 
     # a signed sum of products in one accumulation, and one that cancels
-    same(_sum_of_products(reg, iter([(1, p, q), (-1, r, p), (3, q, r), (0, r, r)])),
+    same(_sum_of_products(iter([(1, p, q), (-1, r, p), (3, q, r), (0, r, r)])),
          _ref_add(_ref_add(_ref_mul(pt, qt), {e: -c for e, c in _ref_mul(rt, pt).items()}),
                   {e: 3 * c for e, c in _ref_mul(qt, rt).items()}))
-    same(_sum_of_products(reg, [(2, p, r), (-1, r, p), (-1, p, r * reg.one)]), {})
-    same(_sum_of_products(reg, []), {})
+    same(_sum_of_products([(2, p, r), (-1, r, p), (-1, p, r * ONE)]), {})
+    same(_sum_of_products([]), {})
     # one product past the exponent range fails the whole sum
-    far = reg.poly({(2 ** 61,): 1})
+    far = X ** (2 ** 61)
     with pytest.raises(ValueError):
-        _sum_of_products(reg, [(1, p, q), (1, far, far)])
-    with pytest.raises(ValueError):
-        _sum_of_products(reg, [(1, p, VarRegistry(("x",)).one)])
+        _sum_of_products([(1, p, q), (1, far, far)])
 
     # substitution of multi-term values, and of values whose terms cancel
     small = data.draw(st.dictionaries(
         st.lists(st.integers(0, 2), min_size=3, max_size=3).map(_ref_trim),
         st.integers(-4, 4).filter(bool), max_size=4))
-    s, vx, vy = reg.poly(small), data.draw(_terms(3)), data.draw(_terms(3))
-    same(s.subs({"x": reg.poly(vx), "y": reg.poly(vy)}), _ref_subs_all(small, {0: vx, 1: vy}))
-    same(s.subs({"z": q}), _ref_subs_all(small, {2: qt}))
-    swapped = reg.poly({_ref_trim((e + (0,) * 3)[1::-1] + e[2:]): c for e, c in small.items()})
-    same((s - swapped).subs({"x": reg.poly(vx), "y": reg.poly(vx)}), {})
+    vx, vy = (_place(data.draw(_terms(3)), slots) for _ in range(2))
+    s = DEFAULT.poly(_place(small, slots))
+    same(s.subs({"x": DEFAULT.poly(vx), "y": DEFAULT.poly(vy)}),
+         _ref_subs_all(_place(small, slots), {ix: vx, iy: vy}))
+    same(s.subs({fresh: q}), _ref_subs_all(_place(small, slots), {slots[2]: qt}))
+    swapped = DEFAULT.poly(_place(small, (iy, ix, slots[2])))
+    same((s - swapped).subs({"x": DEFAULT.poly(vx), "y": DEFAULT.poly(vx)}), {})
 
-    # the text form once the registry has grown past 16 names
-    ensure_f(16, reg)
-    ft = data.draw(_terms(len(reg)))
-    same(reg.poly(ft), ft)
+    # the text form of every variable up to F16
+    ensure_f(16)
+    ft = data.draw(_terms(len(DEFAULT_NAMES) + 16))
+    same(DEFAULT.poly(ft), ft)

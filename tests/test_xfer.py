@@ -5,7 +5,7 @@ import math
 import pytest
 
 from opstats import xfer
-from opstats.opart import iter_blocks
+from opstats.opart import BoundExceeded, iter_blocks
 from opstats.qnum import pq_context, pq_int, q_factorial, q_stirling
 from opstats.ring import DEFAULT, ensure_f, series_from_rational
 from opstats.stats import WALK_EXPONENTS, Summary, evaluator
@@ -256,9 +256,9 @@ def test_transfer_series_k4_matches_monomials():
 
 
 def test_transfer_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(BoundExceeded):
         q_gf_transfer(5, WeightSpec.seven_variable(), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(BoundExceeded):
         q_gf_transfer(6, WeightSpec.ztu(), 2)
 
 
@@ -278,13 +278,15 @@ def test_walk_series_matches_determinant_route():
 
 def test_walk_series_bound():
     for w, bound in SPECS:
-        with pytest.raises(ValueError, match="desk bound"):
+        with pytest.raises(BoundExceeded, match="desk bound"):
             walk_series(bound + 1, w, 2)
         assert walk_series(bound + 1, w, 0, force_large=True).coefficient(0).is_zero()
         with pytest.raises(ValueError, match="order"):
             walk_series(1, w, -1)
-        with pytest.raises(ValueError, match="nonnegative"):
+        # a negative k is no desk bound, but a plain usage error
+        with pytest.raises(ValueError, match="nonnegative") as exc:
             walk_series(-1, w, 2)
+        assert type(exc.value) is ValueError
 
 
 def test_closed_forms_low_order():
