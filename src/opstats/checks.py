@@ -23,7 +23,7 @@ from .stats import (
     coord_rows,
     enumerated_gf,
     evaluator,
-    sweep,
+    level,
     sweep_all,
     sweep_p,
 )
@@ -352,7 +352,7 @@ def check_transfer_enum(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
             ("walk", xfer.walk_series(k, w, n_max)),
         )
         for n in range(0, n_max + 1):
-            (want,) = enumerated_gf((s for _, s in sweep(n, k)), walk)
+            (want,) = enumerated_gf(level(n, k), walk)
             wrong = [
                 f"{route} got={series.coefficient(n)} want={want}"
                 for route, series in routes
@@ -380,7 +380,7 @@ def check_thm24(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
     for k in range(0, k_max + 1):
         series = (xfer.closed_series("phi", k, n_max), xfer.closed_series("varphi", k, n_max))
         for n in range(0, n_max + 1):
-            wants = enumerated_gf((s for _, s in sweep(n, k)), *(w for _, w in THM24))
+            wants = enumerated_gf(level(n, k), *(w for _, w in THM24))
             for (label, _), gf, want in zip(THM24, series, wants):
                 got = gf.coefficient(n)
                 out.append(

@@ -450,9 +450,15 @@ class LaurentPoly:
     # -- text form -----------------------------------------------------------
 
     def _sorted_rows(self) -> list[tuple[tuple[int, ...], int]]:
-        # (exponent of every registered variable, coefficient) per term, each
-        # key decoded once, in the order of ``sorted_terms``
-        half, layout = _layout(len(DEFAULT))
+        # (exponent of each variable up to the last one in use, coefficient)
+        # per term, each key decoded once, in the order of ``sorted_terms``
+        width = max(map(int.bit_length, self.terms), default=0) // _DIGIT + 1
+        if width > len(DEFAULT):
+            raise ValueError(
+                f"variable slot {width - 1} is not registered in this process; "
+                "register the F_i a value uses with ensure_f before reading its terms"
+            )
+        half, layout = _layout(width)
         size, unpack = layout.size, layout.unpack
         exps = [unpack(((e + half) ^ half).to_bytes(size, "little")) for e in self.terms]
         # two sorts on C-level keys, the second one stable

@@ -32,12 +32,14 @@ the bijection check read the rows, and Summary(blocks) sums them (summarize(),
 composite(), q_monomial() and the ``stats`` table).  The sweep route:
 sweep_all, sweep and sweep_p walk opart's insertion tree and compute each
 child's Summary from its parent's through the two step functions
-add_singleton and add_to_block.  Tests pin every swept Summary to
+add_singleton and add_to_block; level(n, k) keeps the Summaries of the
+small levels for the life of the process.  Tests pin every swept Summary to
 Summary(blocks).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from bisect import bisect_right
 from typing import Callable, Iterable, Iterator, Mapping
@@ -364,6 +366,29 @@ def sweep_p(n: int, k: int) -> Iterator[tuple[Blocks, Summary]]:
     return grow_p(n, k, _ROOT, add_singleton, add_to_block)
 
 
+#: The largest n whose levels ``level`` keeps: all of OP_n for n <= 6 is
+#: 5 316 Summaries, about 1.2 MB; OP_7 alone is 47 293, about 11 MB.
+KEEP_N = 6
+
+
+def level(n: int, k: int) -> Iterable[Summary]:
+    """The Summaries of OP_n^k, in the order of ``sweep(n, k)``.
+
+    The levels with n <= KEEP_N are swept once per process and kept (at most
+    28 tuples, one per 0 <= k <= n <= 6); larger ones stream from ``sweep``
+    on each call.  A kept Summary is shared between callers and threads; it
+    is read-only, as nothing changes a Summary after the step that builds it.
+    """
+    if 0 <= k <= n <= KEEP_N:
+        return _kept_level(n, k)
+    return (s for _, s in sweep(n, k))
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_level(n: int, k: int) -> tuple[Summary, ...]:
+    return tuple(s for _, s in sweep(n, k))
+
+
 def composite(pi, expr: str) -> int:
     """Value of a statistic expression, e.g. ``mak`` or ``lmak+bInv``."""
     return evaluator((expr,))(summarize(pi))[0]
@@ -420,7 +445,16 @@ def evaluator(exprs: Iterable[str | tuple[str, str]]) -> Callable[[Summary], tup
     forms are compiled into one generated expression over the fields: about
     1 us per partition, against 9 us for a loop over coefficients.  Only
     field names that ``parse_stat_expr`` accepted and integers reach it.
+    Each compiled function is kept per process, keyed on the expressions and
+    on the contents of TABLE, so a changed row compiles anew.
     """
+    return _compiled(tuple(exprs), tuple(TABLE.items()))
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(exprs: tuple[str | tuple[str, str], ...], table: tuple) -> Callable[[Summary], tuple[int, ...]]:
+    # ``table`` is TABLE's contents, which linear_form reads; it is only
+    # part of the key
     values = []
     for expr in exprs:
         if isinstance(expr, str):
@@ -470,7 +504,7 @@ def distribution(n: int, k: int, expr: str, force_large: bool = False) -> Lauren
     exponents rather than failing."""
     check_range(n, k)
     _check_bound(n, force_large)
-    return enumerated_gf((s for _, s in sweep(n, k)), {"q": expr})[0]
+    return enumerated_gf(level(n, k), {"q": expr})[0]
 
 
 def q_monomial(pi) -> LaurentPoly:

@@ -1,5 +1,6 @@
 """CLI contract: outputs, determinism, exit codes."""
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -691,6 +692,42 @@ def test_symbolic_gf_text_matches_the_bench_digests(capsys, monkeypatch):
     for cmd, sha in wl.SYMBOLIC_GF:
         code, out, _ = run(capsys, *cmd.split())
         assert code == 0 and wl.digest(out) == sha, cmd
+
+
+def test_dist_kept_levels_print_what_the_definitions_give(capsys, monkeypatch):
+    # cold (no kept level, nothing compiled) and warm calls print the same
+    # bytes, the sum over OP_6^k of q^composite(pi, expr) with each partition
+    # summarized once
+    exprs = _bench_workloads(monkeypatch).STAT_EXPRS
+    q = DEFAULT.var("q")
+    for k in range(7):
+        values = [stats.evaluator(exprs)(stats.summarize(pi)) for pi in enumerate_op(6, k)]
+        for i, expr in enumerate(exprs):
+            argv = ("dist", "--n", "6", "--k", str(k), "--stat", expr)
+            stats._kept_level.cache_clear()
+            stats._compiled.cache_clear()
+            cold = run(capsys, *argv)
+            assert run(capsys, *argv) == cold, argv
+            counts = collections.Counter(v[i] for v in values)
+            want = sum((c * q ** e for e, c in counts.items()), DEFAULT.zero)
+            assert cold[:2] == (0, format_poly(want) + "\n"), argv
+
+
+def test_checkers_fail_after_a_warm_run(capsys, monkeypatch):
+    # the compiled statistics of a passing run are not reused once TABLE changes
+    names = ("prop22", "lemma310", "equidist", "conjecture-bmaj")
+    assert run(capsys, "verify", *names, "--n-max", "3")[0] == 0
+    perturbations = [
+        (name, perturb, first) for name, perturb, _, first in CAN_FAIL if name in names[1:]
+    ] + [("prop22", _table("lmakP", stats.TABLE["lmakP"] + "+bInv"),
+          "FAIL prop22 n=2 all partitions  [fails at 2/1]")]
+    assert len(perturbations) == len(names)
+    for name, perturb, first in perturbations:
+        with monkeypatch.context() as mp:
+            perturb(mp)
+            code, out, _ = run(capsys, "verify", name, "--n-max", "3")
+        assert code == 1 and next(l for l in out.splitlines() if l.startswith("FAIL")) == first, name
+    assert run(capsys, "verify", *names, "--n-max", "3")[0] == 0
 
 
 def test_bench_selftest_passes():

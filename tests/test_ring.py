@@ -1,6 +1,8 @@
 """Laurent-polynomial arithmetic and truncated series."""
 
+import os
 import pickle
+import subprocess
 import sys
 import threading
 from itertools import zip_longest
@@ -55,6 +57,37 @@ def test_values_pickle():
     assert str(pickle.loads(pickle.dumps(p))) == str(p)
     s = series_from_rational(ONE, ONE - A * (X + Q), 4)
     assert pickle.loads(pickle.dumps(s)) == s
+
+
+def test_unregistered_variable_needs_ensure_f():
+    # a fresh process has none of the F_i: a pickled F3 + 1 adds there, but
+    # its text form asks for ensure_f instead of dropping F3 or overflowing
+    code = """
+import pickle, sys
+from opstats.ring import DEFAULT, ensure_f
+p = pickle.loads(sys.stdin.buffer.read())
+assert p + 0 == p
+try:
+    str(p)
+except ValueError as e:
+    print(e)
+ensure_f(3)
+print(p)
+"""
+    f3 = ensure_f(3)[2]
+    before = str(X * f3 - 2 * Q)
+    _grow(40)
+    assert str(X * f3 - 2 * Q) == before  # the text does not follow the registry
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(f3 + 1),
+                          capture_output=True, env=env, timeout=60)
+    slot = len(DEFAULT_NAMES) + 2
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().splitlines() == [
+        f"variable slot {slot} is not registered in this process; "
+        "register the F_i a value uses with ensure_f before reading its terms",
+        "1 + 1*F3",
+    ]
 
 
 def test_add_examples():

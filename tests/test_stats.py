@@ -1,5 +1,7 @@
 """Statistics: the worked example table, identities, distributions."""
 
+import tracemalloc
+
 import pytest
 
 from opstats import stats
@@ -27,6 +29,7 @@ from opstats.stats import (
     distribution,
     enumerated_gf,
     evaluator,
+    level,
     parse_stat_expr,
     per_element_sums_ok,
     q_monomial,
@@ -363,6 +366,50 @@ def test_sweeps_follow_the_enumeration_and_match_summary():
                 for blocks, s in swept:
                     assert fields(s) == want[blocks], (walk, blocks)
     assert list(sweep(2, 3)) == list(sweep_p(3, -1)) == []
+
+
+def test_kept_levels_match_summary():
+    for n in range(stats.KEEP_N + 1):
+        for k in range(n + 1):
+            kept = level(n, k)
+            assert isinstance(kept, tuple) and level(n, k) is kept, (n, k)
+            assert [fields(s) for s in kept] == [fields(summarize(b)) for b in iter_blocks(n, k)], (n, k)
+    assert list(level(2, 3)) == list(level(3, -1)) == []
+
+
+def test_large_levels_are_not_kept():
+    stats._kept_level.cache_clear()
+    for k in range(8):
+        distribution(7, k, "mak+bInv")
+    assert stats._kept_level.cache_info().currsize == 0
+    assert not isinstance(level(7, 3), tuple)
+    distribution(6, 3, "mak+bInv")
+    assert stats._kept_level.cache_info().currsize == 1
+
+
+def test_kept_levels_stay_small():
+    stats._kept_level.cache_clear()
+    distribution(1, 1, "mak+bInv")  # compile before measuring
+    stats._kept_level.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(stats.KEEP_N + 1):
+            for k in range(n + 1):
+                distribution(n, k, "mak+bInv")
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert stats._kept_level.cache_info().currsize == 28
+    assert kept < 1.3e6
+
+
+def test_evaluator_follows_table_changes(monkeypatch):
+    s = summarize(PI)
+    original = evaluator(("lmakP",))(s)
+    with monkeypatch.context() as mp:
+        mp.setitem(stats.TABLE, "lmakP", stats.TABLE["lmakP"] + "+bInv")
+        assert evaluator(("lmakP",))(s) == (original[0] + s.binv,)
+    assert evaluator(("lmakP",))(s) == original
 
 
 @settings(max_examples=80, deadline=None)
