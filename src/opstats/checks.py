@@ -11,11 +11,12 @@ determinants), never from the same sweep.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import qnum, xfer
-from .opart import BoundExceeded, Blocks, OrderedPartition, form, format_partition, iter_blocks_all
+from .opart import BoundExceeded, Blocks, OrderedPartition, _form, format_partition, iter_blocks_all
 from .qnum import q_poly_from_exponent_counts
 from .ring import DEFAULT, series_from_rational
 from .stats import (
@@ -26,6 +27,7 @@ from .stats import (
     level,
     sweep_all,
     sweep_p,
+    tally,
 )
 from .walks import (
     EAST,
@@ -173,39 +175,17 @@ def run_audit(n_max: int = 8, equidist_n_max: int = 7) -> AuditReport:
     """
     report = AuditReport(n_max, equidist_n_max)
     coords = EQUIDIST[0] + EQUIDIST[1]
-    values = evaluator(SIX_STATS + BMAJ_STATS + coords)
-    # the lhs - rhs differences of every pair in one tuple, each check's
-    # pairs in its span [start, stop) of it
-    differences = evaluator([pair for _, _, pairs in POINTWISE for pair in pairs])
-    spans = []
-    stop = 0
-    for check, _, pairs in POINTWISE:
-        spans.append((check, stop, stop + len(pairs)))
-        stop += len(pairs)
+    gfs = SIX_STATS + BMAJ_STATS
     for n in range(1, n_max + 1):
-        # the coordinate values are counted only when zip reaches them
-        width = len(SIX_STATS) + len(BMAJ_STATS) + (len(coords) if n <= equidist_n_max else 0)
-        counts: dict[int, list[dict[int, int]]] = {}
-        first_bad: dict[str, Blocks] = {}
-        for blocks, s in sweep_all(n):
-            ck = counts.get(s.k)
-            if ck is None:
-                ck = counts[s.k] = [{} for _ in range(width)]
-            for c, v in zip(ck, values(s)):
-                c[v] = c.get(v, 0) + 1
-            d = differences(s)
-            if any(d):
-                for check, start, stop in spans:
-                    if check not in first_bad and any(d[start:stop]):
-                        first_bad[check] = blocks
+        counts, first_bad = _audit_level(n, gfs + (coords if n <= equidist_n_max else ()))
         for k in sorted(counts):
             target = _target(n, k)
             ck = counts[k]
-            polys = [q_poly_from_exponent_counts(c) for c in ck[:len(SIX_STATS) + len(BMAJ_STATS)]]
+            polys = [q_poly_from_exponent_counts(c) for c in ck[:len(gfs)]]
             report.six += _gf_results("thm25", n, k, SIX_STATS, polys, target)
             report.bmaj += _gf_results("conjecture-bmaj", n, k, BMAJ_STATS, polys[len(SIX_STATS):], target)
             if n <= equidist_n_max:
-                dist = dict(zip(coords, ck[len(SIX_STATS) + len(BMAJ_STATS):]))
+                dist = dict(zip(coords, ck[len(gfs):]))
                 for cls in EQUIDIST:
                     ok = all(dist[nm] == dist[cls[0]] for nm in cls[1:])
                     report.equidist.append(
@@ -220,6 +200,34 @@ def run_audit(n_max: int = 8, equidist_n_max: int = 7) -> AuditReport:
                 )
             )
     return report
+
+
+def _audit_level(n: int, exprs: tuple[str, ...]
+                 ) -> tuple[dict[int, list[dict[int, int]]], dict[str, Blocks]]:
+    """One sweep over OP_n: for each k, the count of every value of each of
+    ``exprs`` over OP_n^k, and the first partition at which each pointwise
+    check of POINTWISE fails."""
+    pairs = [pair for _, _, check_pairs in POINTWISE for pair in check_pairs]
+    bind = tally(exprs, pairs)
+    counts: dict[int, list[dict[int, int]]] = {}
+    counters = {}
+    first_bad: dict[str, Blocks] = {}
+    for blocks, s in sweep_all(n):
+        count = counters.get(s.k)
+        if count is None:
+            counts[s.k] = [{} for _ in exprs]
+            count = counters[s.k] = bind(counts[s.k])
+        if count(s):
+            # some identity fails here: the lhs - rhs differences of every
+            # pair, each check's pairs in its own span of them
+            d = evaluator(pairs)(s)
+            start = 0
+            for check, _, check_pairs in POINTWISE:
+                stop = start + len(check_pairs)
+                if check not in first_bad and any(d[start:stop]):
+                    first_bad[check] = blocks
+                start = stop
+    return counts, first_bad
 
 
 def check_sect23(n_max: int = 8) -> list[CheckResult]:
@@ -239,6 +247,9 @@ def check_sect23(n_max: int = 8) -> list[CheckResult]:
 #: Each step's rank in STEP_ORDER: ``enumerate_paths`` yields its paths in
 #: increasing order of their steps ranked so.
 _STEP_RANK = {kind: rank for rank, kind in enumerate(STEP_ORDER)}
+
+#: The coordinate rows that the step predictions are compared with.
+_BIJ_ROWS = operator.itemgetter("los", "ros", "lcs", "rcs", "lsb", "rsb")
 
 
 def check_bijection(n_max: int = 7) -> list[CheckResult]:
@@ -271,33 +282,41 @@ def check_bijection(n_max: int = 7) -> list[CheckResult]:
             pi = OrderedPartition._unchecked(blocks)
             rows = coord_rows(pi)
             d = _diagram_of(pi, rows)
+            # psi validates d, which walks its path once; the form comparison
+            # and the predictions read the same vertices (n is the size of
+            # every partition of the level)
             if psi(d) != pi:
                 bad = f"psi(psi_inverse) != id at {pi}"
                 break
-            if tuple(path_vertices(d.steps)) != form(pi):
+            if d.vertices != _form(blocks, n):
                 bad = f"form/path mismatch at {pi}"
                 break
-            los, ros, lcs, rcs, lsb, rsb = (
-                rows[name] for name in ("los", "ros", "lcs", "rcs", "lsb", "rsb")
-            )
-            for x, (kind, pred) in enumerate(zip(d.steps, step_predictions(d))):
-                if kind in (NORTH, EAST):
-                    ok = pred["los"] == los[x] and pred["ros"] == ros[x]
-                else:
-                    ok = pred["lsb"] == lsb[x] and pred["rsb"] == rsb[x]
-                if not (ok and pred["lcs+rcs"] == lcs[x] + rcs[x]
-                        and pred["lsb+rsb"] == lsb[x] + rsb[x]):
-                    bad = f"step prediction fails at {pi}, i={x + 1}"
-                    break
-            if bad:
+            los, ros, lcs, rcs, lsb, rsb = _BIJ_ROWS(rows)
+            # (lcs+rcs, lsb+rsb, los, ros)_i at North/East steps and
+            # (lcs+rcs, lsb+rsb, lsb, rsb)_i at the others, as predicted
+            want = [
+                (lcs[x] + rcs[x], lsb[x] + rsb[x], los[x], ros[x]) if kind in (NORTH, EAST)
+                else (lcs[x] + rcs[x], lsb[x] + rsb[x], lsb[x], rsb[x])
+                for x, kind in enumerate(d.steps)
+            ]
+            got = step_predictions(d)
+            if got != want:
+                x = next((x for x, (g, w) in enumerate(zip(got, want)) if g != w),
+                         min(len(got), len(want)))
+                bad = f"step prediction fails at {pi}, i={x + 1}"
                 break
         out.append(CheckResult("bij", f"n={n} partitions", bad is None, bad or ""))
         bad = None
         for k in range(1, n + 1):
             seen = 0
             last = None
+            steps = ranks = None
             for d in enumerate_diagrams(n, k):
-                key = (tuple(_STEP_RANK[s] for s in d.steps), d.xi)
+                if d.steps is not steps:
+                    # the diagrams of one path share its steps
+                    steps = d.steps
+                    ranks = tuple(map(_STEP_RANK.__getitem__, steps))
+                key = (ranks, d.xi)
                 if last is not None and key <= last:
                     bad = f"diagram {d} repeats or is out of order"
                     break

@@ -24,9 +24,31 @@ from . import checks, opart, qnum, stats, walks, xfer
 from .ring import format_poly
 
 
+#: The largest ``qnum --n-max`` and ``gf --order`` that run without
+#: ``--force-large``, each the largest that takes a few seconds on a 2-core
+#: Xeon (Python 3.11, whole process).  ``qnum``: binomial, the slowest
+#: table, 2.0-2.4 s at 20, 3.1 s at 21, 4.0 s at 22 and 8.1 s at 25
+#: (stirling 0.9-1.8 s and eulerian 0.9-2.6 s up to 24; factorial 1.3 s at
+#: 40).  ``gf``: the slowest family at its slowest k within the k bounds
+#: takes 1.4 s at order 12, 2.2 s at 13 (phi at k = 8), 5.2 s at 14 (f at
+#: k = 8) and 14.5 s at 15 (phi at k = 9); Q at k = 4 takes 2.1 s at 13.
+QNUM_N_BOUND = 20
+GF_ORDER_BOUND = 13
+
+
+def _check_desk_bound(command: str, option: str, value: int, bound: int,
+                      force_large: bool) -> None:
+    if value > bound and not force_large:
+        raise opart.BoundExceeded(
+            f"{command} {option} {value} exceeds its desk bound {option} <= {bound}; "
+            "pass --force-large"
+        )
+
+
 def _qnum_cmd(args) -> int:
     if args.n_max < 0:
         raise ValueError(f"--n-max must be nonnegative, got {args.n_max}")
+    _check_desk_bound("qnum", "--n-max", args.n_max, QNUM_N_BOUND, args.force_large)
     rows = []
     if args.family == "stirling":
         for n in range(0, args.n_max + 1):
@@ -153,6 +175,7 @@ GF_FAMILIES = {
 
 
 def _gf_cmd(args) -> int:
+    _check_desk_bound("gf", "--order", args.order, GF_ORDER_BOUND, args.force_large)
     series = GF_FAMILIES[args.family](args.k, args.order, args.force_large)
     for n, c in enumerate(series.coeffs):
         print(f"a^{n}\t{format_poly(c)}")
@@ -238,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qnum", help="print q-number tables")
     p.add_argument("family", choices=["stirling", "eulerian", "binomial", "factorial"])
     p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--force-large", action="store_true")
     p.add_argument("--format", choices=["table", "records"], default="table")
     p.set_defaults(fn=_qnum_cmd)
 

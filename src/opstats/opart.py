@@ -295,10 +295,14 @@ def form(pi: OrderedPartition) -> tuple[tuple[int, int], ...]:
     """(closed, opened) block counts of the traces, i = 0..n.  A block's
     restriction to {1..i} is nonempty once its opener is <= i and closed once
     its closer is <= i, so the counts step up at openers and closers."""
-    n = pi.n
+    return _form(pi.blocks, pi.n)
+
+
+def _form(blocks: Blocks, n: int) -> tuple[tuple[int, int], ...]:
+    # form(pi) of the partition with these blocks of [n]
     starts = [0] * (n + 1)
     ends = [0] * (n + 1)
-    for b in pi.blocks:
+    for b in blocks:
         starts[b[0]] += 1
         ends[b[-1]] += 1
     out = [(0, 0)]

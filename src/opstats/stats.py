@@ -23,7 +23,8 @@ Every derived statistic is defined once, as a row of ``TABLE``: an integer
 combination of Summary fields, of earlier rows and of the per-partition
 constants nk1 = n(k-1) and k2 = C(k,2).  Expressions such as ``mak+bInv-inv``
 are compiled through the table into field coefficients (``linear_form``) and
-then into one function of a Summary (``evaluator``).
+then into one function of a Summary (``evaluator``), or, for a sweep that
+counts their values, into one counting function (``tally``).
 
 Two computation routes are kept deliberately separate.  The definition
 route: coord_rows() counts every element's ten coordinates as defined,
@@ -455,20 +456,55 @@ def evaluator(exprs: Iterable[str | tuple[str, str]]) -> Callable[[Summary], tup
 def _compiled(exprs: tuple[str | tuple[str, str], ...], table: tuple) -> Callable[[Summary], tuple[int, ...]]:
     # ``table`` is TABLE's contents, which linear_form reads; it is only
     # part of the key
-    values = []
-    for expr in exprs:
-        if isinstance(expr, str):
-            form = linear_form(expr)
-        else:
-            form = linear_form(expr[0])
-            for f, d in linear_form(expr[1]).items():
-                form[f] = form.get(f, 0) - d
-        terms = "".join(
-            ("+" if c > 0 else "-") + ("" if abs(c) == 1 else f"{abs(c)}*") + f"s.{f}"
-            for f, c in form.items() if c
-        )
-        values.append(terms.lstrip("+") or "0")
-    return eval(f"lambda s: ({''.join(v + ', ' for v in values)})", {})
+    return eval(f"lambda s: ({''.join(_source(e) + ', ' for e in exprs)})", {})
+
+
+def _source(expr: str | tuple[str, str]) -> str:
+    """The linear form of one expression as source text over the fields of a
+    Summary ``s``; an ``(lhs, rhs)`` pair gives lhs - rhs."""
+    if isinstance(expr, str):
+        form = linear_form(expr)
+    else:
+        form = linear_form(expr[0])
+        for f, d in linear_form(expr[1]).items():
+            form[f] = form.get(f, 0) - d
+    terms = "".join(
+        ("+" if c > 0 else "-") + ("" if abs(c) == 1 else f"{abs(c)}*") + f"s.{f}"
+        for f, c in form.items() if c
+    )
+    return terms.lstrip("+") or "0"
+
+
+def tally(exprs: Iterable[str], pairs: Iterable[tuple[str, str]]
+          ) -> Callable[[list[dict[int, int]]], Callable[[Summary], bool]]:
+    """A compiled counter for a sweep: ``tally(exprs, pairs)(counts)`` is a
+    function of a Summary that adds 1 to ``counts[i][v]`` for the value v of
+    each ``exprs[i]`` and returns whether some lhs - rhs of ``pairs`` is
+    nonzero, that is whether one of those identities fails there.
+
+    It is one generated straight-line function, with the ``counts`` dicts
+    bound once, rather than an ``evaluator`` tuple counted in a loop: 0.20 s
+    against 0.28 s for the 17 counts and 9 identities of the audit over the
+    47 293 Summaries of OP_7 (2-core Xeon, Python 3.11).  Like
+    ``evaluator`` it is compiled once per process for each expression list,
+    pair list and contents of TABLE.
+    """
+    return _compiled_tally(tuple(exprs), tuple(pairs), tuple(TABLE.items()))
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled_tally(exprs: tuple[str, ...], pairs: tuple[tuple[str, str], ...], table: tuple):
+    # ``table`` is only part of the key, as for _compiled
+    lines = ["def bind(counts):"]
+    lines += [f"    c{i} = counts[{i}]" for i in range(len(exprs))]
+    lines.append("    def count(s):")
+    for i, expr in enumerate(exprs):
+        lines += [f"        v = {_source(expr)}", f"        c{i}[v] = c{i}.get(v, 0) + 1"]
+    lines.append(f"        return ({' or '.join(map(_source, pairs)) or '0'}) != 0")
+    lines.append("    return count")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["bind"]
 
 
 def enumerated_gf(summaries: Iterable[Summary], *weights: Mapping[str, str]) -> list[LaurentPoly]:

@@ -20,18 +20,21 @@ Steps are encoded by single letters: N, E, S (south-east), O (null).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator
 
-from .opart import OrderedPartition, classify
+from .opart import OrderedPartition
 from .stats import coord_rows
 
 NORTH, EAST, SOUTH_EAST, NULL = "N", "E", "S", "O"
 
 Vertex = tuple[int, int]
 
-_MOVES = {NORTH: (0, 1), EAST: (1, 0), SOUTH_EAST: (1, -1), NULL: (0, 0)}
+#: Each step letter: its move (di, dj), and whether its choice is among the
+#: p+q+1 gaps (North, East: a new block) or among the q opened blocks (Null,
+#: South-East: which then needs q > 0).
+_STEPS = {NORTH: (0, 1, True), EAST: (1, 0, True), SOUTH_EAST: (1, -1, False), NULL: (0, 0, False)}
 
 #: The order in which ``enumerate_paths`` tries the steps at each vertex.
 STEP_ORDER = (NORTH, EAST, NULL, SOUTH_EAST)
@@ -52,15 +55,15 @@ def vertex_order(k: int) -> list[Vertex]:
 
 
 def step_target(v: Vertex, kind: str) -> Vertex:
-    di, dj = _MOVES[kind]
+    di, dj, _ = _STEPS[kind]
     return (v[0] + di, v[1] + dj)
 
 
 def step_allowed(v: Vertex, kind: str, k: int) -> bool:
     i, j = v
-    if kind in (SOUTH_EAST, NULL) and j <= 0:
+    di, dj, gap = _STEPS[kind]
+    if not gap and j <= 0:
         return False
-    di, dj = _MOVES[kind]
     ti, tj = i + di, j + dj
     return ti >= 0 and tj >= 0 and ti + tj <= k
 
@@ -70,7 +73,7 @@ def path_vertices(steps: tuple[str, ...]) -> list[Vertex]:
     out = [(0, 0)]
     i = j = 0
     for s in steps:
-        di, dj = _MOVES[s]
+        di, dj, _ = _STEPS[s]
         i += di
         j += dj
         out.append((i, j))
@@ -119,24 +122,57 @@ class PathDiagram:
     def length(self) -> int:
         return len(self.steps)
 
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The vertex sequence from (0,0), len(steps)+1 long.  Raises
+        ValueError "not a walk" for an unknown step letter."""
+        return self._walk[0]
+
+    @functools.cached_property
+    def _walk(self) -> tuple[tuple[Vertex, ...], bool]:
+        # One pass along the steps, made once per diagram: the vertices, and
+        # whether every choice lies within its bound.  A Null or South-East
+        # step that leaves height 0 has at most 0 choices, so it is out of
+        # bound too, and validate looks for walk errors only when some
+        # choice is.
+        vs = [(0, 0)]
+        inside = True
+        i = j = 0
+        try:
+            for kind, x in zip(self.steps, self.xi):
+                di, dj, gap = _STEPS[kind]
+                if not 0 < x <= (i + j + 1 if gap else j):
+                    inside = False
+                i += di
+                j += dj
+                vs.append((i, j))
+        except KeyError:
+            raise ValueError(f"not a walk: {''.join(self.steps)}") from None
+        return tuple(vs), inside
+
     def validate(self, k: int | None = None):
         """Check path validity (within D_k; k defaults to the number of blocks
-        the walk closes) and the choice bounds."""
-        if not _MOVES.keys() >= set(self.steps):
-            raise ValueError(f"not a walk: {''.join(self.steps)}")
-        vs = path_vertices(self.steps)
+        the walk closes) and the choice bounds.
+
+        No step lowers i+j, so a walk that ends at (k,0) stays within D_k,
+        and it stays at height >= 0 when no Null or South-East step leaves
+        height 0: those two conditions are the whole walk rule.  A walk error
+        is reported before a choice error."""
+        vs, inside = self._walk
         if k is None:
             k = vs[-1][0]
-        if vs[-1] != (k, 0) or not all(map(step_allowed, vs, self.steps, repeat(k))):
+        grounded = not inside and any(
+            v[1] <= 0 for v, kind in zip(vs, self.steps) if not _STEPS[kind][2]
+        )
+        if grounded or vs[-1] != (k, 0):
             raise ValueError(f"not a walk to ({k},0): {''.join(self.steps)}")
-        for idx, (kind, x, bound) in enumerate(
-            zip(self.steps, self.xi, map(choice_bound, vs, self.steps))
-        ):
-            if not 1 <= x <= bound:
-                raise ValueError(
-                    f"choice xi_{idx + 1}={x} outside 1..{bound} "
-                    f"for {kind} at {vs[idx]}"
-                )
+        if not inside:
+            for idx, (v, kind, x) in enumerate(zip(vs, self.steps, self.xi)):
+                bound = choice_bound(v, kind)
+                if not 1 <= x <= bound:
+                    raise ValueError(
+                        f"choice xi_{idx + 1}={x} outside 1..{bound} for {kind} at {v}"
+                    )
         return self
 
     def __str__(self):
@@ -167,18 +203,19 @@ def psi(diagram: PathDiagram) -> OrderedPartition:
     diagram.validate()
     blocks: list[list[int]] = []
     opened: list[bool] = []
-    for idx, (kind, x) in enumerate(zip(diagram.steps, diagram.xi)):
-        element = idx + 1
-        if kind in (NORTH, EAST):
+    for element, (kind, x) in enumerate(zip(diagram.steps, diagram.xi), 1):
+        if kind == NORTH or kind == EAST:
             blocks.insert(x - 1, [element])
             opened.insert(x - 1, kind == NORTH)
         else:
-            open_positions = [p for p, o in enumerate(opened) if o]
-            pos = open_positions[x - 1]
+            # the x-th of the opened blocks, counted from the left
+            pos = opened.index(True)
+            for _ in range(x - 1):
+                pos = opened.index(True, pos + 1)
             blocks[pos].append(element)
             if kind == SOUTH_EAST:
                 opened[pos] = False
-    return OrderedPartition._unchecked(tuple(tuple(b) for b in blocks))
+    return OrderedPartition._unchecked(tuple(map(tuple, blocks)))
 
 
 def psi_inverse(pi: OrderedPartition) -> PathDiagram:
@@ -188,58 +225,61 @@ def psi_inverse(pi: OrderedPartition) -> PathDiagram:
 
 
 def _diagram_of(pi: OrderedPartition, rows: dict[str, list[int]]) -> PathDiagram:
-    # psi_inverse(pi), given the coordinate rows of pi
-    t = classify(pi)
-    los, lsb = rows["los"], rows["lsb"]
-    steps = []
-    xi = []
-    for i in range(1, pi.n + 1):
-        if i in t.openers:
-            kind = NORTH
-        elif i in t.singletons:
-            kind = EAST
-        elif i in t.closers:
-            kind = SOUTH_EAST
+    # psi_inverse(pi), given the coordinate rows of pi: each element's class
+    # read straight off its block
+    los = rows["los"]
+    steps = [NULL] * len(los)
+    xi = [v + 1 for v in rows["lsb"]]
+    for b in pi.blocks:
+        o = b[0] - 1
+        xi[o] = los[o] + 1
+        if len(b) == 1:
+            steps[o] = EAST
         else:
-            kind = NULL
-        steps.append(kind)
-        if kind in (NORTH, EAST):
-            xi.append(los[i - 1] + 1)
-        else:
-            xi.append(lsb[i - 1] + 1)
+            steps[o] = NORTH
+            steps[b[-1] - 1] = SOUTH_EAST
     return PathDiagram(tuple(steps), tuple(xi))
 
 
-def step_predictions(diagram: PathDiagram) -> list[dict[str, int]]:
-    """Predicted coordinate statistics of psi(diagram) at every element, in
-    one walk along the path; entry i-1 is read off the i-th step alone: its
-    start vertex (p,q), and
+#: What ``step_predictions`` gives for each step, in the order of its tuples:
+#: at a step that makes a block or a singleton (North, East), and at one
+#: that enters an opened block (Null, South-East).
+PREDICTED_NEW = ("lcs+rcs", "lsb+rsb", "los", "ros")
+PREDICTED_ENTER = ("lcs+rcs", "lsb+rsb", "lsb", "rsb")
 
-      North/East:        (lcs+rcs)_i = p, (lsb+rsb)_i = q,
-                         los_i = xi-1, ros_i = p+q+1-xi
-      Null/South-East:   (lcs+rcs)_i = p, (lsb+rsb)_i = q-1,
-                         lsb_i = xi-1, rsb_i = q-xi
+
+def step_predictions(diagram: PathDiagram) -> list[tuple[int, int, int, int]]:
+    """Predicted coordinate statistics of psi(diagram) at every element, read
+    off the diagram's vertices; entry i-1 is read off the i-th step alone:
+    its start vertex (p,q), and
+
+      North/East:        (lcs+rcs, lsb+rsb, los, ros)_i = (p, q, xi-1, p+q+1-xi)
+      Null/South-East:   (lcs+rcs, lsb+rsb, lsb, rsb)_i = (p, q-1, xi-1, q-xi)
+
+    (the names of the two rows are PREDICTED_NEW and PREDICTED_ENTER).
     """
     out = []
-    for (p, q), kind, x in zip(path_vertices(diagram.steps), diagram.steps, diagram.xi):
-        if kind in (NORTH, EAST):
-            pred = {"p": p, "q": q, "lcs+rcs": p, "lsb+rsb": q, "los": x - 1, "ros": p + q + 1 - x}
+    for (p, q), kind, x in zip(diagram.vertices, diagram.steps, diagram.xi):
+        if _STEPS[kind][2]:
+            out.append((p, q, x - 1, p + q + 1 - x))
         else:
-            pred = {"p": p, "q": q, "lcs+rcs": p, "lsb+rsb": q - 1, "lsb": x - 1, "rsb": q - x}
-        out.append(pred)
+            out.append((p, q - 1, x - 1, q - x))
     return out
 
 
 def step_properties(diagram: PathDiagram, i: int) -> dict[str, int]:
-    """The prediction of ``step_predictions`` at element i."""
+    """The prediction of ``step_predictions`` at element i by name, with the
+    step's start vertex (p,q)."""
     if not 1 <= i <= diagram.length:
         raise ValueError(f"step index {i} out of range 1..{diagram.length}")
-    return step_predictions(diagram)[i - 1]
+    names = PREDICTED_NEW if _STEPS[diagram.steps[i - 1]][2] else PREDICTED_ENTER
+    p, q = diagram.vertices[i - 1]
+    return {"p": p, "q": q, **dict(zip(names, step_predictions(diagram)[i - 1]))}
 
 
 def parse_steps(text: str) -> tuple[str, ...]:
     steps = tuple(text.strip().upper())
     for s in steps:
-        if s not in _MOVES:
+        if s not in _STEPS:
             raise ValueError(f"bad step letter {s!r}; use N, E, S, O")
     return steps

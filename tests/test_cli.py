@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opstats import checks, cli, opart, qnum, stats, xfer
+from opstats import checks, cli, opart, qnum, stats, walks, xfer
 from opstats.checks import CHECKS, CheckResult
 from opstats.cli import GF_FAMILIES, _emit_results, build_parser, main
 from opstats.opart import (
@@ -65,6 +65,14 @@ def test_bij_usage_errors(capsys):
     assert code == 2 and "xi" in err
     code, _, err = run(capsys, "bij", "--forward", "NN", "--xi", "1,9")
     assert code == 2
+
+
+def test_bij_forward_reports_the_walk_error_first(capsys):
+    # xi_2 = 5 is outside 1..2 too, but the walk ends below height 0
+    assert run(capsys, "bij", "--forward", "ESS", "--xi", "1,5,1") == (
+        2, "", "error: not a walk to (3,0): ESS\n")
+    assert run(capsys, "bij", "--forward", "EE", "--xi", "1,3") == (
+        2, "", "error: choice xi_2=3 outside 1..2 for E at (1, 0)\n")
 
 
 def test_enum_and_counts(capsys):
@@ -208,6 +216,21 @@ def test_pinned_stdout(capsys, argv, code, out, err_part):
     assert err_part in got_err
 
 
+#: The SHA-256 of the stdout of the two partition-sweep commands, so that a
+#: byte change in the sweep checks fails here and not only in the bench.
+PINNED_SWEEPS = [
+    ("verify thm25 prop22 lemma310 conjecture-bmaj equidist sect23 --n-max 7",
+     "013297d0b7504a79997be872a5b6302f2827473ad9beb983240e263f70f53508"),
+    ("verify bij --n-max 6", "31106797c9cfbb6df8e9fa906870966fd673ee1ced65680a6667a61010b84106"),
+]
+
+
+@pytest.mark.parametrize("argv, sha", PINNED_SWEEPS, ids=[row[0] for row in PINNED_SWEEPS])
+def test_pinned_sweep_stdout(capsys, argv, sha):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def test_closed_stdout_exits_2_quietly():
     root = pathlib.Path(__file__).parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -226,6 +249,29 @@ def test_qnum_negative_bound_is_a_usage_error(capsys):
         code, out, err = run(capsys, "qnum", family, "--n-max", "-1")
         assert (code, out) == (2, ""), family
         assert "--n-max must be nonnegative" in err, family
+
+
+def test_gf_order_and_qnum_n_max_refused_past_their_bounds(capsys, monkeypatch):
+    called = []
+    for family in GF_FAMILIES:
+        monkeypatch.setitem(GF_FAMILIES, family, lambda *a: called.append(a) or SeriesInA([DEFAULT.one]))
+    for name in ("q_stirling", "q_eulerian", "q_binomial", "q_factorial"):
+        monkeypatch.setattr(qnum, name, lambda *a: called.append(a) or DEFAULT.one)
+    past = [("gf", "--order", cli.GF_ORDER_BOUND, family, ["--k", "1"]) for family in GF_FAMILIES]
+    past += [("qnum", "--n-max", cli.QNUM_N_BOUND, family, [])
+             for family in ("stirling", "eulerian", "binomial", "factorial")]
+    for command, option, bound, family, extra in past:
+        argv = [command, family, *extra, option, str(bound + 1)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: {command} {option} {bound + 1} exceeds its desk bound "
+                       f"{option} <= {bound}; pass --force-large\n"), argv
+        assert called == [], argv  # refused before any work
+        assert run(capsys, *argv, "--force-large")[0] == 0, argv
+        assert called, argv
+        called.clear()
+        assert run(capsys, *argv[:-1], str(bound))[0] == 0, argv
+        called.clear()
 
 
 def test_gf_and_det(capsys):
@@ -425,7 +471,12 @@ def test_bij_checker_can_fail(capsys, monkeypatch):
     predictions = checks.step_predictions
 
     def shifted(key):
-        return lambda d: [{**p, key: p[key] + 1} if key in p else p for p in predictions(d)]
+        # ``key`` plus 1 in every step prediction that names it
+        def shift(kind, pred):
+            names = walks.PREDICTED_NEW if kind in "NE" else walks.PREDICTED_ENTER
+            return tuple(v + (name == key) for name, v in zip(names, pred))
+
+        return lambda d: [shift(kind, p) for kind, p in zip(d.steps, predictions(d))]
 
     monkeypatch.setattr(checks, "step_predictions", shifted("ros"))
     code, out, err = run(capsys, "verify", "bij", "--n-max", "3")
@@ -455,6 +506,17 @@ def test_bij_checker_reports_round_trip_failures(capsys, monkeypatch):
         "PASS bij n=2 diagrams",
     ]
     assert "first failing instance: FAIL bij n=2 partitions" in err
+
+
+def test_bij_checker_compares_forms_with_paths(capsys, monkeypatch):
+    # every form reversed: the path of 1's diagram is (0,0), (1,0)
+    form = checks._form
+    monkeypatch.setattr(checks, "_form", lambda blocks, n: form(blocks, n)[::-1])
+    code, out, err = run(capsys, "verify", "bij", "--n-max", "2")
+    assert code == 1
+    first = "FAIL bij n=1 partitions  [form/path mismatch at 1]"
+    assert out.splitlines()[:2] == [first, "PASS bij n=1 diagrams"]
+    assert f"first failing instance: {first}" in err
 
 
 def test_bij_checker_fails_a_psi_inverse_that_is_not_injective(capsys, monkeypatch):
@@ -684,6 +746,15 @@ def test_defaults_and_bench_ops_stay_inside_the_bounds(monkeypatch):
     for cmd, _, _ in wl.SWEEP + wl.SYMBOLIC_VERIFY:
         args = build_parser().parse_args(cmd.split())
         checks.Verification(args.checks, args.n_max)  # raises past a bound
+    sizes = {"gf": [], "qnum": []}
+    for op in wl.symbolic_ops(1) + wl.query_ops(1):
+        args = build_parser().parse_args(op.argv)
+        if args.command in sizes:
+            sizes[args.command].append(args.order if args.command == "gf" else args.n_max)
+    assert 0 < max(sizes["gf"]) <= cli.GF_ORDER_BOUND
+    assert 0 < max(sizes["qnum"]) <= cli.QNUM_N_BOUND
+    assert build_parser().parse_args(["gf", "f", "--k", "1"]).order <= cli.GF_ORDER_BOUND
+    assert build_parser().parse_args(["qnum", "stirling"]).n_max <= cli.QNUM_N_BOUND
 
 
 def test_symbolic_gf_text_matches_the_bench_digests(capsys, monkeypatch):
@@ -840,6 +911,11 @@ EXPRS = st.sampled_from(
     ["mak+bInv", "cinvLSB+inv-cinv", "2*inv-cinv", "lmak'", "k", "mak+", "nosuch", "mak bInv", ""])
 
 
+def _or_past(bound):
+    """SIZE, or a size just past ``bound``, which is refused before any work."""
+    return st.one_of(SIZE, st.sampled_from([bound + 1, bound + 2]).map(str))
+
+
 def _option(flag, values):
     return st.one_of(st.just([]), values.map(lambda v: [flag, v]), st.just([flag]))
 
@@ -859,9 +935,9 @@ ARGV = st.one_of(
     _command("stats", PARTITIONS.map(lambda p: [p])),
     _command("dist", _option("--n", SIZE), _option("--k", SIZE), _option("--stat", EXPRS)),
     _command("qnum", _choice(["stirling", "eulerian", "binomial", "factorial", "nosuch"]),
-             _option("--n-max", SIZE), FORMAT),
+             _option("--n-max", _or_past(cli.QNUM_N_BOUND)), FORMAT),
     _command("gf", _choice([*GF_FAMILIES, "nosuch"]), _option("--k", SIZE),
-             _option("--order", SIZE)),
+             _option("--order", _or_past(cli.GF_ORDER_BOUND))),
     _command("det", _choice([*xfer.MATRICES, "nosuch"]), _option("--n", SIZE),
              _option("--k", SIZE)),
     _command("verify", st.lists(st.sampled_from([*CHECKS, "all", "nosuch"]), min_size=1,
@@ -880,3 +956,4 @@ def test_cli_exit_code_contract(argv):
     if code == 2:
         assert out == "", argv
     assert call(argv)[:2] == (code, out), argv
+

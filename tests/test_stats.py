@@ -1,10 +1,11 @@
 """Statistics: the worked example table, identities, distributions."""
 
+import collections
 import tracemalloc
 
 import pytest
 
-from opstats import stats
+from opstats import checks, stats
 from opstats.opart import (
     OrderedPartition,
     cinv,
@@ -19,6 +20,7 @@ from opstats.qnum import q_factorial, q_stirling
 from opstats.ring import DEFAULT
 from opstats.stats import (
     COORD_NAMES,
+    Summary,
     WALK_EXPONENTS,
     add_singleton,
     add_to_block,
@@ -39,6 +41,7 @@ from opstats.stats import (
     sweep,
     sweep_all,
     sweep_p,
+    tally,
 )
 
 PI = parse("6,8/5/1,4,7/3,9/2")
@@ -410,6 +413,72 @@ def test_evaluator_follows_table_changes(monkeypatch):
         mp.setitem(stats.TABLE, "lmakP", stats.TABLE["lmakP"] + "+bInv")
         assert evaluator(("lmakP",))(s) == (original[0] + s.binv,)
     assert evaluator(("lmakP",))(s) == original
+
+
+def test_tally_counts_values_and_flags_failed_identities(monkeypatch):
+    exprs = ("mak", "lmak+bInv", "inv")
+    pairs = (("mak", "lmakP"), ("bInv", "rcs_op"))
+    counts = [{} for _ in exprs]
+    count = tally(exprs, pairs)(counts)
+    summaries = [summarize(b) for b in iter_blocks_all(4)]
+    assert not any(count(s) for s in summaries)
+    values = evaluator(exprs)
+    want = [collections.Counter(values(s)[i] for s in summaries) for i in range(len(exprs))]
+    assert counts == [dict(c) for c in want]
+    assert tally(exprs, pairs) is tally(list(exprs), list(pairs))  # compiled once
+    # a changed row compiles anew: lmakP + bInv = mak fails wherever bInv > 0
+    with monkeypatch.context() as mp:
+        mp.setitem(stats.TABLE, "lmakP", stats.TABLE["lmakP"] + "+bInv")
+        count = tally(exprs, pairs)([{} for _ in exprs])
+        assert [count(s) for s in summaries] == [s.binv > 0 for s in summaries]
+    count = tally((), ())([])
+    assert count(summaries[0]) is False
+
+
+def test_audit_counts_follow_the_definition_route(monkeypatch):
+    # every (n, k, statistic) count of run_audit, equidist coordinates
+    # included, equals a plain count of the values over Summary(blocks)
+    levels = {}
+    audit_level = checks._audit_level
+
+    def record(n, exprs):
+        levels[n] = exprs, audit_level(n, exprs)
+        return levels[n][1]
+
+    monkeypatch.setattr(checks, "_audit_level", record)
+    report = checks.run_audit(5, 4)
+    assert all(r.ok for r in report.six + report.bmaj + report.equidist + report.prop22)
+    gfs = checks.SIX_STATS + checks.BMAJ_STATS
+    coords = checks.EQUIDIST[0] + checks.EQUIDIST[1]
+    assert sorted(levels) == [1, 2, 3, 4, 5]
+    for n, (exprs, (counts, first_bad)) in levels.items():
+        assert exprs == gfs + (coords if n <= 4 else ())
+        values = evaluator(exprs)
+        want: dict[int, list[collections.Counter]] = {}
+        for blocks in iter_blocks_all(n):
+            s = Summary(blocks)
+            row = want.setdefault(s.k, [collections.Counter() for _ in exprs])
+            for c, v in zip(row, values(s)):
+                c[v] += 1
+        assert counts == {k: [dict(c) for c in row] for k, row in want.items()}, n
+        assert first_bad == {}
+
+
+def test_audit_reports_each_failing_pair_under_its_own_check(monkeypatch):
+    # mak = lmak fails first at 2,3/1; put it in place of each pointwise pair
+    # in turn: only that pair's check fails
+    pointwise = checks.POINTWISE
+    for check, _, pairs in pointwise:
+        for j in range(len(pairs)):
+            broken = pairs[:j] + (("mak", "lmak"),) + pairs[j + 1:]
+            monkeypatch.setattr(checks, "POINTWISE", tuple(
+                (c, f, broken if c == check else p) for c, f, p in pointwise))
+            report = checks.run_audit(3, 0)
+            for c, f, _ in pointwise:
+                results = getattr(report, f)
+                assert [r.ok for r in results] == [True, True, c != check], (check, j, c)
+                if c == check:
+                    assert results[2].detail == "fails at 2,3/1"
 
 
 @settings(max_examples=80, deadline=None)

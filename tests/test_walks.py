@@ -9,6 +9,8 @@ from opstats.walks import (
     EAST,
     NORTH,
     NULL,
+    PREDICTED_ENTER,
+    PREDICTED_NEW,
     SOUTH_EAST,
     PathDiagram,
     choice_bound,
@@ -158,7 +160,14 @@ def test_step_predictions_are_the_per_step_properties():
     d = PathDiagram(STEPS, XI)
     preds = step_predictions(d)
     assert len(preds) == d.length
-    assert preds == [step_properties(d, i) for i in range(1, d.length + 1)]
+    named = []
+    for i, kind in enumerate(d.steps, 1):
+        props = step_properties(d, i)
+        assert (props["p"], props["q"]) == d.vertices[i - 1]
+        names = PREDICTED_NEW if kind in (NORTH, EAST) else PREDICTED_ENTER
+        assert set(props) == {"p", "q", *names}
+        named.append(tuple(props[name] for name in names))
+    assert preds == named
     assert step_predictions(PathDiagram((), ())) == []
     for i in (0, d.length + 1):
         with pytest.raises(ValueError, match="out of range"):
@@ -193,3 +202,32 @@ def test_diagram_validation():
         PathDiagram((SOUTH_EAST,), (1,)).validate(1)
     with pytest.raises(ValueError, match="bad step"):
         parse_steps("NXE")
+
+
+#: (steps, xi, k, the exact ValueError text of ``validate``).  A walk error
+#: is reported before a choice error, and an unknown letter before both.
+VALIDATION_ERRORS = [
+    ("NX", (1, 1), None, "not a walk: NX"),
+    ("NX", (1, 1), 1, "not a walk: NX"),
+    ("XS", (0, 9), None, "not a walk: XS"),
+    ("S", (1,), None, "not a walk to (1,0): S"),
+    ("O", (1,), None, "not a walk to (0,0): O"),
+    ("EO", (1, 1), 1, "not a walk to (1,0): EO"),
+    ("NNS", (1, 1, 1), None, "not a walk to (1,0): NNS"),
+    ("NNNOOESSES", (1,) * 10, 6, "not a walk to (6,0): NNNOOESSES"),
+    ("NNNOOESSES", (1,) * 10, 4, "not a walk to (4,0): NNNOOESSES"),
+    ("EE", (1, 3), None, "choice xi_2=3 outside 1..2 for E at (1, 0)"),
+    ("E", (0,), 1, "choice xi_1=0 outside 1..1 for E at (0, 0)"),
+    ("NOS", (1, 2, 1), None, "choice xi_2=2 outside 1..1 for O at (0, 1)"),
+    ("NOES", (1, 1, 4, 2), 2, "choice xi_3=4 outside 1..2 for E at (0, 1)"),
+    ("ESS", (1, 5, 1), None, "not a walk to (3,0): ESS"),
+    ("NNSS", (1, 9, 1, 1), 1, "not a walk to (1,0): NNSS"),
+]
+
+
+@pytest.mark.parametrize("steps, xi, k, message", VALIDATION_ERRORS,
+                         ids=[f"{row[0]}-{row[2]}" for row in VALIDATION_ERRORS])
+def test_validation_messages(steps, xi, k, message):
+    with pytest.raises(ValueError) as exc:
+        PathDiagram(tuple(steps), xi).validate(k)
+    assert str(exc.value) == message
