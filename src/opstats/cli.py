@@ -135,6 +135,18 @@ def _dist_cmd(args) -> int:
     return 0
 
 
+def _parse_xi(text: str) -> tuple[int, ...]:
+    xi = []
+    for tok in text.split(","):
+        try:
+            xi.append(int(tok))
+        except ValueError:
+            raise ValueError(
+                f"--xi takes comma-separated integers; {tok!r} in {text!r} is not one"
+            ) from None
+    return tuple(xi)
+
+
 def _bij_cmd(args) -> int:
     if args.inverse is not None:
         pi = opart.parse(args.inverse)
@@ -146,8 +158,7 @@ def _bij_cmd(args) -> int:
     if args.xi is None:
         raise ValueError("--forward needs --xi (comma-separated choices)")
     steps = walks.parse_steps(args.forward)
-    xi = tuple(int(tok) for tok in args.xi.split(","))
-    d = walks.PathDiagram(steps, xi)
+    d = walks.PathDiagram(steps, _parse_xi(args.xi))
     d.validate()
     print(opart.format_partition(walks.psi(d)))
     return 0
@@ -249,23 +260,29 @@ def _conjecture_cmd(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each command's own parser by name, built on
+    first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="opstats",
         description="Exact statistics on ordered set partitions and their "
         "transfer-matrix identities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("qnum", help="print q-number tables")
+    def command(name, fn, **kwargs):
+        p = commands[name] = sub.add_parser(name, **kwargs)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("qnum", _qnum_cmd, help="print q-number tables")
     p.add_argument("family", choices=["stirling", "eulerian", "binomial", "factorial"])
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--force-large", action="store_true")
     p.add_argument("--format", choices=["table", "records"], default="table")
-    p.set_defaults(fn=_qnum_cmd)
 
-    p = sub.add_parser("enum", help="enumerate ordered partitions")
+    p = command("enum", _enum_cmd, help="enumerate ordered partitions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--inv-free", action="store_true",
@@ -273,41 +290,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--force-large", action="store_true")
     p.add_argument("--format", choices=["table", "records"], default="table")
-    p.set_defaults(fn=_enum_cmd)
 
-    p = sub.add_parser("stats", help="coordinate/composite statistics of one partition")
+    p = command("stats", _stats_cmd, help="coordinate/composite statistics of one partition")
     p.add_argument("partition", help="machine format, e.g. 6,8/5/1,4,7/3,9/2")
-    p.set_defaults(fn=_stats_cmd)
 
-    p = sub.add_parser("dist", help="distribution polynomial of a statistic")
+    p = command("dist", _dist_cmd, help="distribution polynomial of a statistic")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--stat", required=True, help="e.g. mak+bInv or cinvLSB+inv-cinv")
     p.add_argument("--force-large", action="store_true")
-    p.set_defaults(fn=_dist_cmd)
 
-    p = sub.add_parser("bij", help="the walk/partition bijection, either way")
+    p = command("bij", _bij_cmd, help="the walk/partition bijection, either way")
     p.add_argument("--forward", metavar="STEPS",
                    help="step letters N,E,S,O; needs --xi")
     p.add_argument("--xi", help="comma-separated choice sequence")
     p.add_argument("--inverse", metavar="PARTITION")
-    p.set_defaults(fn=_bij_cmd)
 
-    p = sub.add_parser("gf", help="generating-function series, one a^n per line")
+    p = command("gf", _gf_cmd, help="generating-function series, one a^n per line")
     p.add_argument("family", choices=list(GF_FAMILIES))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--force-large", action="store_true")
-    p.set_defaults(fn=_gf_cmd)
 
-    p = sub.add_parser("det", help="symbolic determinant of a named matrix")
+    p = command("det", _det_cmd, help="symbolic determinant of a named matrix")
     p.add_argument("matrix", choices=list(xfer.MATRICES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--force-large", action="store_true")
-    p.set_defaults(fn=_det_cmd)
 
-    p = sub.add_parser("verify", help="run named verification suites")
+    p = command("verify", _verify_cmd, help="run named verification suites")
     p.add_argument("checks", nargs="+", metavar="CHECK",
                    help="e.g. thm25 zz minor1 main1 key eigen conj, or all")
     p.add_argument("--n-max", type=int, default=None,
@@ -315,20 +326,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-large", action="store_true",
                    help="run past a check's desk bound")
     p.add_argument("--format", choices=["table", "records"], default="table")
-    p.set_defaults(fn=_verify_cmd)
 
-    p = sub.add_parser("conjecture", help="EMPIRICAL bMaj-statistic report")
+    p = command("conjecture", _conjecture_cmd, help="EMPIRICAL bMaj-statistic report")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--force-large", action="store_true")
     p.add_argument("--format", choices=["table", "records"], default="table")
-    p.set_defaults(fn=_conjecture_cmd)
 
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass.  The top-level
+    parser hands everything after a leading command name to that command's
+    parser, so such an argv goes straight to it; any other argv (empty, help,
+    an option or an unknown word first) takes the top-level parser, which
+    prints the help or the usage error."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         status = args.fn(args)
         sys.stdout.flush()

@@ -44,14 +44,19 @@ class PQContext:
     q: LaurentPoly
 
 
+@lru_cache(maxsize=None, typed=True)
 def pq_context(p: str | LaurentPoly = "p", q: str | LaurentPoly = "q") -> PQContext:
+    """The context of (p, q), each a variable name or a polynomial.  One
+    object per argument pair, so the caches keyed on a context find it by
+    identity and hash its polynomials once."""
     pv = DEFAULT.var(p) if isinstance(p, str) else p
     qv = DEFAULT.var(q) if isinstance(q, str) else q
     return PQContext(pv, qv)
 
 
+@lru_cache(maxsize=None)
 def q_context() -> PQContext:
-    """The single-variable specialization p = 1."""
+    """The single-variable specialization p = 1, one object per process."""
     return PQContext(DEFAULT.one, DEFAULT.var("q"))
 
 

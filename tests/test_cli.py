@@ -1,5 +1,6 @@
 """CLI contract: outputs, determinism, exit codes."""
 
+import argparse
 import collections
 import contextlib
 import dataclasses
@@ -30,6 +31,8 @@ from opstats.opart import (
 from opstats.ring import DEFAULT, SeriesInA, format_poly
 from opstats.stats import block_stats
 from opstats.xfer import WeightSpec
+
+import parse_equivalence
 
 
 def run(capsys, *argv):
@@ -65,6 +68,9 @@ def test_bij_usage_errors(capsys):
     assert code == 2 and "xi" in err
     code, _, err = run(capsys, "bij", "--forward", "NN", "--xi", "1,9")
     assert code == 2
+    for xi in ("1,,2", ""):
+        assert run(capsys, "bij", "--forward", "NN", "--xi", xi) == (
+            2, "", f"error: --xi takes comma-separated integers; '' in {xi!r} is not one\n")
 
 
 def test_bij_forward_reports_the_walk_error_first(capsys):
@@ -957,3 +963,40 @@ def test_cli_exit_code_contract(argv):
         assert out == "", argv
     assert call(argv)[:2] == (code, out), argv
 
+
+# -- one argparse pass per call -----------------------------------------------
+
+
+def test_one_pass_parse_matches_argparse_on_fixed_and_random_argvs():
+    cases = parse_equivalence.FIXED_CASES + parse_equivalence.random_cases(1, 300)
+    assert parse_equivalence.differences(cases) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(ARGV)
+def test_one_pass_parse_matches_argparse(argv):
+    assert parse_equivalence.differences([argv]) == []
+
+
+ONE_VALID_CALL_EACH = [
+    ["qnum", "stirling", "--n-max", "2"], ["enum", "--n", "2"], ["stats", "2/1"],
+    ["dist", "--n", "2", "--k", "1", "--stat", "inv"], ["bij", "--inverse", "2/1"],
+    ["gf", "f", "--k", "1", "--order", "2"], ["det", "M", "--n", "1"],
+    ["verify", "zz", "--n-max", "2"], ["conjecture", "--n-max", "2"],
+]
+
+
+def test_each_call_makes_one_argparse_pass(capsys, monkeypatch):
+    progs = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert sorted(argv[0] for argv in ONE_VALID_CALL_EACH) == sorted(cli._parsers()[1])
+    for argv in ONE_VALID_CALL_EACH:
+        progs.clear()
+        assert main(argv) == 0, argv
+        assert progs == [f"opstats {argv[0]}"], argv

@@ -32,6 +32,14 @@ def test_pq_int_examples():
     assert pq_int(0, pq_context("x", "y")).is_zero()
 
 
+def test_one_context_per_argument_pair():
+    assert qnum.q_context() is qnum.q_context()
+    assert pq_context("t", "u") is pq_context("t", "u")
+    assert pq_context(ONE, "z") is pq_context(ONE, "z")
+    assert pq_context("t", "u") != pq_context("u", "t")
+    assert qnum.q_context() == pq_context(ONE, "q")
+
+
 def test_pq_factorial_binomial():
     assert q_factorial(2) == 1 + Q
     assert q_binomial(4, 2) == 1 + Q + 2 * Q ** 2 + Q ** 3 + Q ** 4
