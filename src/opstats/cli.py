@@ -194,6 +194,8 @@ def _gf_cmd(args) -> int:
 
 
 def _det_cmd(args) -> int:
+    if args.k is not None and args.matrix != "Pk":
+        raise ValueError(f"--k applies only to Pk, not to {args.matrix}")
     xfer.check_det_bound(args.matrix, args.n, args.force_large)
     print(format_poly(xfer.det(xfer.MATRICES[args.matrix](args.n, args.k))))
     return 0
@@ -315,7 +317,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p = command("det", _det_cmd, help="symbolic determinant of a named matrix")
     p.add_argument("matrix", choices=list(xfer.MATRICES))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=None, help="the column of P_n^k; Pk only")
     p.add_argument("--force-large", action="store_true")
 
     p = command("verify", _verify_cmd, help="run named verification suites")

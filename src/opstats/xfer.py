@@ -55,7 +55,8 @@ from .walks import (
 GENERIC_K_BOUND = 4
 SPECIALIZED_K_BOUND = 5
 #: The closed forms f, g, phi and varphi multiply out k factors of growing
-#: size: k = 16 takes about a second, k = 20 over ten.
+#: size: f's or phi's whole pair takes about a second at k = 16 and 9 s at
+#: k = 20; below order k ``closed_series`` builds no denominator.
 CLOSED_K_BOUND = 16
 
 
@@ -131,8 +132,15 @@ def _factors(diag: LaurentPoly, ws: Iterable[LaurentPoly]) -> LaurentPoly:
 def det(m: SymbolicMatrix, method: str = "laplace") -> LaurentPoly:
     """Exact symbolic determinant.
 
-    "laplace" expands along the sparsest remaining row or column (fast on
-    the near-triangular matrices here) and memoizes only the branching
+    "laplace" expands along a sparsest remaining line (fast on the
+    near-triangular matrices here): among the lines with the fewest nonzero
+    entries, the one whose entries hold the most terms: the last such row,
+    unless a column is strictly better, then the first such column; the
+    scan stops at the first line with a single entry.
+    On the Hessenberg corners many rows tie on two entries, and the top row
+    is the lightest of them; expanding the heaviest, the deepest level of
+    D_n, first keeps its entries out of every memoized minor, and takes
+    P_4 from 27 984 term pairs to 15 227.  It memoizes only the branching
     minors, those whose line has two or more nonzero entries.  A minor whose
     line has one entry e is the single product +-e * sub, with sub memoized
     if it branches, so a repeat visit recomputes at most its chain of such
@@ -164,21 +172,35 @@ def _det_laplace(m: SymbolicMatrix) -> LaurentPoly:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        # pick the sparsest line
-        best_count, best_is_row, best_pos = None, True, 0
+        # pick the heaviest of the sparsest lines: fewest nonzero entries, then
+        # most terms in them; the last row on a tie, then a column only if it
+        # is strictly better, the first such
+        best, best_is_row, best_pos = None, True, 0
         for ri, r in enumerate(rows):
-            cnt = sum(1 for c in cols if not entries[r][c].is_zero())
-            if best_count is None or cnt < best_count:
-                best_count, best_is_row, best_pos = cnt, True, ri
+            row = entries[r]
+            cnt = size = 0
+            for c in cols:
+                s = len(row[c].terms)
+                if s:
+                    cnt += 1
+                    size -= s
+            if best is None or (cnt, size) <= best:
+                best, best_pos = (cnt, size), ri
                 if cnt <= 1:
                     break
-        if best_count > 1:
+        if best[0] > 1:
             for cj, c in enumerate(cols):
-                cnt = sum(1 for r in rows if not entries[r][c].is_zero())
-                if cnt < best_count:
-                    best_count, best_is_row, best_pos = cnt, False, cj
+                cnt = size = 0
+                for r in rows:
+                    s = len(entries[r][c].terms)
+                    if s:
+                        cnt += 1
+                        size -= s
+                if (cnt, size) < best:
+                    best, best_is_row, best_pos = (cnt, size), False, cj
                     if cnt <= 1:
                         break
+        best_count = best[0]
         if best_count == 0:
             return zero
         # the line's nonzero entries as (sign, entry, rows and cols of its minor)
@@ -412,8 +434,9 @@ def walk_series(k: int, w: WeightSpec, order: int, force_large: bool = False) ->
 # -- closed forms ----------------------------------------------------------------
 
 
-def _check_closed_k_bound(k: int, force_large: bool) -> None:
-    """Reject k < 0, and k above the closed-form desk bound unless forced."""
+def _check_closed(family: str, k: int, force_large: bool) -> None:
+    """Reject k < 0, k above the closed-form desk bound unless forced, and an
+    unknown family."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > CLOSED_K_BOUND and not force_large:
@@ -421,10 +444,30 @@ def _check_closed_k_bound(k: int, force_large: bool) -> None:
             f"k={k} exceeds the closed-form desk bound {CLOSED_K_BOUND}; "
             "pass force_large=True (CLI: --force-large)"
         )
+    if family not in CLOSED_FAMILIES:
+        raise ValueError(f"unknown closed form {family!r}")
 
 
 #: The closed forms of ``closed_pair``, in the order ``gf`` lists them.
 CLOSED_FAMILIES = ("f", "g", "phi", "varphi")
+
+
+def _varphi_subs(k: int) -> dict[str, LaurentPoly]:
+    """The substitution a -> a z^(k-1), z -> 1/z, u -> u/z taking g to varphi."""
+    a, z, u = (DEFAULT.var(v) for v in "azu")
+    zi = z.inverse()
+    return {"a": a * z ** (k - 1), "z": zi, "u": u * zi}
+
+
+def _closed_numerator(family: str, k: int) -> LaurentPoly:
+    """The numerator of ``closed_pair``, a multiple of a^k; a^k is formed
+    first, so a k past the exponent range fails before [k]_{t,u}! is built."""
+    a, x, y, t, u = (DEFAULT.var(v) for v in "axytu")
+    if family in ("f", "phi"):
+        numer = a ** k * x ** math.comb(k, 2) * pq_factorial(k, pq_context("t", "u"))
+        return numer.subs({"t": x * y * t, "u": u * y * y}) if family == "phi" else numer
+    numer = a ** k * pq_factorial(k, pq_context("t", "u"))
+    return numer.subs(_varphi_subs(k)) if family == "varphi" else numer
 
 
 def closed_pair(family: str, k: int, force_large: bool = False) -> tuple[LaurentPoly, LaurentPoly]:
@@ -441,29 +484,26 @@ def closed_pair(family: str, k: int, force_large: bool = False) -> tuple[Laurent
     The substitution for varphi turns each factor of g's denominator into
     1 - a [i]_z and leaves the numerator polynomial in z.
     """
-    _check_closed_k_bound(k, force_large)
-    if family not in CLOSED_FAMILIES:
-        raise ValueError(f"unknown closed form {family!r}")
-    a, x, y, z, t, u = (DEFAULT.var(v) for v in "axyztu")
-    if family in ("f", "phi"):
-        numer = a ** k * x ** math.comb(k, 2) * pq_factorial(k, pq_context("t", "u"))
+    _check_closed(family, k, force_large)
+    numer = _closed_numerator(family, k)
+    if family in ("f", "phi"):  # f's denominator holds no t or u
         xy = pq_context("x", "y")
-        denom = _factors(DEFAULT.one, (pq_int(i, xy) for i in range(1, k + 1)))
-        if family == "phi":  # f's denominator holds no t or u
-            return numer.subs({"t": x * y * t, "u": u * y * y}), denom
-        return numer, denom
-    numer = a ** k * pq_factorial(k, pq_context("t", "u"))
+        return numer, _factors(DEFAULT.one, (pq_int(i, xy) for i in range(1, k + 1)))
+    z = DEFAULT.var("z")
     zz = pq_context(DEFAULT.one, "z")
     denom = _factors(DEFAULT.one, (z ** (k - i) * pq_int(i, zz) for i in range(1, k + 1)))
-    if family == "varphi":
-        zi = z.inverse()
-        mapping = {"a": a * z ** (k - 1), "z": zi, "u": u * zi}
-        return numer.subs(mapping), denom.subs(mapping)
-    return numer, denom
+    return numer, denom.subs(_varphi_subs(k)) if family == "varphi" else denom
 
 
 def closed_series(family: str, k: int, order: int, force_large: bool = False) -> SeriesInA:
-    """The closed form ``family`` of ``closed_pair``, expanded through a^order."""
+    """The closed form ``family`` of ``closed_pair``, expanded through a^order.
+
+    Below order k every coefficient is 0, since the numerator is a multiple
+    of a^k, so the numerator is expanded over 1 and the denominator, which
+    takes most of the time at large k, is not built."""
+    if order < k:
+        _check_closed(family, k, force_large)
+        return series_from_rational(_closed_numerator(family, k), DEFAULT.one, order)
     return series_from_rational(*closed_pair(family, k, force_large), order)
 
 
@@ -513,13 +553,12 @@ MATRICES: dict[str, Callable[..., SymbolicMatrix]] = {
 
 #: The desk bound of the ``det`` command: the largest n it builds each matrix
 #: at without ``--force-large``, the largest whose ``det`` takes a few seconds
-#: on a 2-core Xeon (Python 3.11, whole process): M 3.9 s at n = 8 and 30 s
-#: at 9; A 1.8 s at 6 and 21 s at 7; P 3.6 s at 6 and 57 s at 7; Pk up to
-#: 0.6 s at 5 and 8.8 s at 6; ndot 2.4 s at 8 and 12 s at 9; N and Az,
-#: triangular, 2.6 s at 13, 3.6-4.5 s at 14 and 13 s at 16.  Peak RSS of
-#: the whole process at the bound, before and after the Laplace memo kept
-#: only branching minors: N 235 -> 44 MB, ndot 182 -> 65 MB, P 271 -> 140 MB,
-#: M 166 -> 66 MB, A 159 -> 96 MB, Az 219 -> 41 MB.
+#: on a 2-core Xeon (Python 3.11, whole process, the range of 3 to 9 runs):
+#: M (and Axy, the same matrix) 2.4-4.2 s at n = 8 and 30 s at 9; A 1.6-2.1 s
+#: at 6 and 23 s at 7; P 1.5-1.9 s at 6 and 27 s at 7; Pk up to 0.4 s at 5
+#: and 5.0 s at 6; ndot 1.3-1.4 s at 8 and 6.0 s at 9; N and Az, triangular,
+#: 1.8-3.1 s at 13, 4.9 s at 14 and 14.5 s at 16.  Peak RSS of the whole process at the
+#: bound: M 49 MB, A 70, P 75, Pk 29, ndot 54, N 37 and Az 36 MB.
 DET_BOUNDS = {"M": 8, "N": 13, "P": 6, "Pk": 5, "ndot": 8, "A": 6, "Axy": 8, "Az": 13}
 
 
@@ -620,7 +659,7 @@ class DetIdentity:
 #: The single-determinant identities, each with its closed product.  The
 #: corner of M_n is P_n and that of N_n is ndot_n; the corner of the
 #: triangular Az_n is Hessenberg and has no ``det`` entry: on the machine of
-#: DET_BOUNDS its check takes 3.7 s up to n = 7, its determinant 22 s at 8.
+#: DET_BOUNDS its check takes 1.9 s up to n = 7, its determinant 10 s at 8.
 DET_IDENTITIES = {
     "detm": DetIdentity("M", lambda n: det_m_product(n), 3, DET_BOUNDS["M"]),
     "detn": DetIdentity("Az", lambda n: det_n_product(n), 3, DET_BOUNDS["Az"]),

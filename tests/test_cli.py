@@ -295,6 +295,18 @@ def test_gf_and_det(capsys):
         assert run(capsys, "det", matrix, "--n", "0")[:2] == (0, "1\n"), matrix
 
 
+def test_det_k_is_a_usage_error_outside_pk(capsys, monkeypatch):
+    built = []
+    for name in xfer.MATRICES:
+        monkeypatch.setitem(xfer.MATRICES, name, lambda n, k: built.append(n))
+    for name in xfer.MATRICES:
+        if name != "Pk":
+            code, out, err = run(capsys, "det", name, "--n", "3", "--k", "2")
+            assert (code, out) == (2, ""), name
+            assert "--k" in err and name in err, name
+    assert built == []  # refused before any build
+
+
 def test_gf_transfer_families_match_determinant_route(capsys):
     specs = {"Q": WeightSpec.seven_variable(), "Qxy": WeightSpec.xytu(), "Qz": WeightSpec.ztu()}
     for family, spec in specs.items():
