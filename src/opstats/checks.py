@@ -481,13 +481,15 @@ class Check:
     """How ``verify`` runs one check.  ``run`` is called with no arguments, or
     with an n bound as the keyword ``n_max``.  ``n_bound`` is the largest
     n_max it runs at without ``--force-large``; None means it takes no n_max.
-    An audit check instead reads the AuditReport field ``audit`` of the sweep
-    it shares with the other audit checks; ``n_default`` is its n bound."""
+    ``n_min`` is the smallest n_max at which it checks an instance.  An audit
+    check instead reads the AuditReport field ``audit`` of the sweep it
+    shares with the other audit checks; ``n_default`` is its n bound."""
 
     run: Callable[..., list[CheckResult]] | None = None
     n_bound: int | None = None
     audit: str | None = None
     n_default: int = 8
+    n_min: int = 1
 
 
 #: The n bound of every check that sweeps ordered partitions: run_audit(9, 7)
@@ -516,13 +518,13 @@ CHECKS = {
     "conjecture-bmaj": Check(audit="bmaj", n_bound=SWEEP_BOUND),
     "bij": Check(check_bijection, n_bound=8),
     "path-counts": Check(check_path_counts, n_bound=11),
-    "transfer": Check(check_transfer_enum, n_bound=SWEEP_BOUND),
+    "transfer": Check(check_transfer_enum, n_bound=SWEEP_BOUND, n_min=0),
     "cor39": Check(check_cor39),
-    "thm24": Check(check_thm24, n_bound=SWEEP_BOUND),
+    "thm24": Check(check_thm24, n_bound=SWEEP_BOUND, n_min=0),
     "eulerian": Check(check_eulerian_bruteforce, n_bound=qnum.EULERIAN_DESK_BOUND),
     "main1": Check(check_main1, n_bound=5),
-    "key": Check(check_lemma_key, n_bound=15),
-    "eigen": Check(check_eigen, n_bound=12),
+    "key": Check(check_lemma_key, n_bound=15, n_min=0),
+    "eigen": Check(check_eigen, n_bound=12, n_min=2),
     **{
         name: Check(functools.partial(check_det, name), n_bound=identity.n_bound)
         for name, identity in xfer.DET_IDENTITIES.items()
@@ -535,8 +537,9 @@ class Verification:
 
     ``bounds`` lists each name with the n bound it runs at (None: its
     default).  ``["all"]`` names every check and gives n_max only to those
-    that take one.  An n_max past a check's ``n_bound`` is refused, before
-    any check runs, unless ``force_large``.  The audit checks share one
+    that take one.  An n_max below a check's ``n_min``, at which it would
+    check nothing, is refused before any check runs, and so is one past its
+    ``n_bound`` unless ``force_large``.  The audit checks share one
     run_audit sweep, made when the first of them runs and kept only by this
     object.
     """
@@ -556,6 +559,11 @@ class Verification:
                     raise ValueError(f"check {name!r} does not take --n-max")
                 self.bounds.append((name, None))
                 continue
+            if n_max is not None and n_max < check.n_min:
+                raise ValueError(
+                    f"check {name!r} checks no instance at n <= {n_max}; "
+                    f"--n-max must be at least {check.n_min}"
+                )
             if n_max is not None and n_max > check.n_bound and not force_large:
                 raise BoundExceeded(
                     f"check {name!r} at n={n_max} exceeds its desk bound "

@@ -121,7 +121,8 @@ def format_partition(pi: OrderedPartition | Blocks) -> str:
 # steps make of it: ``singleton(node, m, g)`` is the child with m as a new
 # singleton block at gap g, ``append(node, m, b)`` the child with m appended
 # to block b.  The iter_blocks* enumerators grow bare block tuples; iter_text
-# grows tuples of block texts; stats.sweep* grow (blocks, Summary) pairs.
+# grows tuples of block texts; stats.sweep* grow (blocks, Summary) pairs, and
+# a streamed stats level (blocks, values) pairs.
 
 
 def _singleton(blocks: Blocks, m: int, g: int) -> Blocks:

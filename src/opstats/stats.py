@@ -33,9 +33,12 @@ the bijection check read the rows, and Summary(blocks) sums them (summarize(),
 composite(), q_monomial() and the ``stats`` table).  The sweep route:
 sweep_all, sweep and sweep_p walk opart's insertion tree and compute each
 child's Summary from its parent's through the two step functions
-add_singleton and add_to_block; level(n, k) keeps the Summaries of the
-small levels for the life of the process.  Tests pin every swept Summary to
-Summary(blocks).
+add_singleton and add_to_block, generated from STEPS, the one statement of
+each insertion step; level(n, k) keeps the Summaries of the small levels for
+the life of the process, and a larger level is swept by its statistic
+values alone, through value steps generated from the same STEPS.  Tests pin
+every swept Summary to Summary(blocks), and the value steps to the Summary
+sweep.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import functools
 import re
 from bisect import bisect_right
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .opart import Blocks, OrderedPartition, _check_bound, check_range, grow, grow_all, grow_p, inv, perm_of
@@ -216,68 +220,18 @@ def summarize(pi) -> Summary:
 #
 # opart builds OP_n by inserting m = n into each partition of [n-1]: as a new
 # singleton in each gap, then appended to each block.  Every pair that m's
-# insertion adds or changes can be counted from the parent alone, so the two
-# step functions below give a child's Summary from its parent's, and the
-# sweeps grow opart's tree (opart.grow*) over (blocks, Summary) nodes without
-# counting block pairs.  They are checked against Summary(blocks), which reads
-# the definitions.
+# insertion adds or changes can be counted from the parent alone, so each
+# step kind is written once, in STEPS, as the change of every Summary field
+# over a few quantities of the parent and the step.  Two kinds of step are
+# generated from it: the Summary steps add_singleton and add_to_block, with
+# which the sweeps grow opart's tree (opart.grow*) over (blocks, Summary)
+# nodes without counting block pairs, and, for each list of statistic
+# expressions, value steps over (blocks, values) nodes, through which
+# ``enumerated_gf`` reads a streamed level.  The Summary steps are checked
+# against Summary(blocks), which reads the definitions, and the value steps
+# against the Summary steps.
 
 _new = object.__new__
-
-
-def add_singleton(node: tuple[Blocks, Summary], m: int, g: int) -> tuple[Blocks, Summary]:
-    """The child of ``node`` = (blocks, Summary) of a partition of [m-1] with
-    m as a new singleton block at gap g (0..k), with the child's Summary.
-
-    Each of the k-g blocks right of the gap gives m a smaller opener and
-    closer on its right, and has its opener below m: ros, rcs, their _op
-    restrictions, inv and binv gain k-g.  The g blocks left of it give los,
-    lcs, los_op, lcs_op and bexc.  The L elements left of the gap see m's
-    block as a bigger opener and closer on their right (rob, rcb); the R
-    elements right of it, on their left (lob, lcb).  The parent descents at
-    or right of g move one place right, the pair across the gap is split,
-    and m's block is a descent over the block after it.
-    """
-    blocks, s = node
-    k = s.k
-    left = 0
-    for B in blocks[:g]:
-        left += len(B)
-    right = k - g
-    bmaj = s.bmaj
-    if g < k:
-        bmaj += g + 1
-        if g and blocks[g - 1][0] > blocks[g][-1]:
-            bmaj -= g
-        for p in range(g, k - 1):
-            if blocks[p][0] > blocks[p + 1][-1]:
-                bmaj += 1
-    t = _new(Summary)
-    t.n = m
-    t.k = k + 1
-    t.ros = s.ros + right
-    t.rob = s.rob + left
-    t.rcs = s.rcs + right
-    t.rcb = s.rcb + left
-    t.los = s.los + g
-    t.lob = s.lob + m - 1 - left
-    t.lcs = s.lcs + g
-    t.lcb = s.lcb + m - 1 - left
-    t.lsb = s.lsb
-    t.rsb = s.rsb
-    t.ros_op = s.ros_op + right
-    t.rcs_op = s.rcs_op + right
-    t.los_op = s.los_op + g
-    t.lcs_op = s.lcs_op + g
-    t.lsb_op = s.lsb_op
-    t.rsb_op = s.rsb_op
-    t.binv = s.binv + right
-    t.bexc = s.bexc + g
-    t.bmaj = bmaj
-    t.inv = s.inv + right
-    t.nk1 = m * k
-    t.k2 = s.k2 + k
-    return blocks[:g] + ((m,),) + blocks[g:], t
 
 
 def _above(blocks: Blocks, c: int) -> tuple[int, int]:
@@ -293,55 +247,162 @@ def _above(blocks: Blocks, c: int) -> tuple[int, int]:
     return elements, openers
 
 
-def add_to_block(node: tuple[Blocks, Summary], m: int, b: int) -> tuple[Blocks, Summary]:
-    """The child of ``node`` = (blocks, Summary) of a partition of [m-1] with
-    m appended to block b (0..k-1), with the child's Summary.
+#: Each kind of insertion of m into a partition ``blocks`` of [m-1] with k
+#: blocks, at position ``at``, one of ``range(positions)``.  Each of
+#: ``quantities`` is (names, source): the source sets those names from
+#: blocks, k, m and the position, once ``prelude`` has run.  ``deltas`` gives
+#: the change of every Summary field as an integer combination, such as
+#: ``k-1-b`` or ``2*k``, of the quantities, m, k, the position and 1.
+STEPS = {
+    # m as a new singleton block at gap g (0..k).  Each of the ``right`` =
+    # k-g blocks right of the gap gives m a smaller opener and closer on its
+    # right, and has its opener below m: ros, rcs, their _op restrictions,
+    # inv and binv gain k-g.  The g blocks left of it give los, lcs, los_op,
+    # lcs_op and bexc.  The ``left`` elements left of the gap see m's block
+    # as a bigger opener and closer on their right (rob, rcb); the m-1-left
+    # right of it, on their left (lob, lcb).  The parent descents at or right
+    # of g move one place right, the pair across the gap is split, and m's
+    # block is a descent over the block after it: bmaj changes by ``dbmaj``.
+    "singleton": SimpleNamespace(
+        at="g",
+        positions="k + 1",
+        child="blocks[:g] + ((m,),) + blocks[g:]",
+        prelude="",
+        quantities=(
+            (("right",), "right = k - g"),
+            (("left",), """\
+left = 0
+for B in blocks[:g]:
+    left += len(B)"""),
+            (("dbmaj",), """\
+dbmaj = 0
+if g < k:
+    dbmaj = g + 1
+    if g and blocks[g - 1][0] > blocks[g][-1]:
+        dbmaj -= g
+    for p in range(g, k - 1):
+        if blocks[p][0] > blocks[p + 1][-1]:
+            dbmaj += 1"""),
+        ),
+        deltas={
+            "n": "1", "k": "1",
+            "ros": "right", "rob": "left", "rcs": "right", "rcb": "left",
+            "los": "g", "lob": "m-1-left", "lcs": "g", "lcb": "m-1-left",
+            "lsb": "0", "rsb": "0",
+            "ros_op": "right", "rcs_op": "right", "los_op": "g", "lcs_op": "g",
+            "lsb_op": "0", "rsb_op": "0",
+            "binv": "right", "bexc": "g", "bmaj": "dbmaj", "inv": "right",
+            "nk1": "m+k-1", "k2": "k",
+        },
+    ),
+    # m appended to block b (0..k-1).  m sees the b blocks on its left and
+    # the k-1-b on its right with smaller openers and closers (los, lcs, ros,
+    # rcs).  Block b's closer c becomes m: each of the ``left`` elements
+    # above c in a block left of b moves from rcs to rcb and now lies between
+    # block b's opener and closer (rsb); each of the ``right`` ones right of
+    # b moves from lcs to lcb and gains lsb.  The _op fields follow for the
+    # ``left_op`` and ``right_op`` openers above c, and those openers' blocks
+    # no longer lie above block b: binv loses the ones left of b (bmaj too,
+    # by b, if that block is block b-1) and bexc the ones right.
+    "append": SimpleNamespace(
+        at="b",
+        positions="k",
+        child="blocks[:b] + (blocks[b] + (m,),) + blocks[b + 1:]",
+        prelude="c = blocks[b][-1]",
+        quantities=(
+            (("left", "left_op"), "left, left_op = _above(blocks[:b], c)"),
+            (("right", "right_op"), "right, right_op = _above(blocks[b + 1:], c)"),
+            (("dbmaj",), "dbmaj = -b if b and blocks[b - 1][0] > c else 0"),
+        ),
+        deltas={
+            "n": "1", "k": "0",
+            "ros": "k-1-b", "rob": "0", "rcs": "k-1-b-left", "rcb": "left",
+            "los": "b", "lob": "0", "lcs": "b-right", "lcb": "right",
+            "lsb": "right", "rsb": "left",
+            "ros_op": "0", "rcs_op": "-left_op", "los_op": "0", "lcs_op": "-right_op",
+            "lsb_op": "right_op", "rsb_op": "left_op",
+            "binv": "-left_op", "bexc": "-right_op", "bmaj": "dbmaj", "inv": "0",
+            "nk1": "k-1", "k2": "0",
+        },
+    ),
+}
 
-    m sees the b blocks on its left and the k-1-b on its right with smaller
-    openers and closers (los, lcs, ros, rcs).  Block b's closer c becomes m:
-    every element above c in a block left of b moves from rcs to rcb and now
-    lies between block b's opener and closer (rsb); right of b it moves from
-    lcs to lcb and gains lsb.  The _op fields follow for the openers above
-    c, and those openers' blocks no longer lie above block b: binv loses the
-    ones left of b (bmaj too, by b, if that block is block b-1) and bexc the
-    ones right.
-    """
-    blocks, s = node
-    k = s.k
-    B = blocks[b]
-    c = B[-1]
-    left, left_op = _above(blocks[:b], c)
-    right, right_op = _above(blocks[b + 1:], c)
-    bmaj = s.bmaj
-    if b and blocks[b - 1][0] > c:
-        bmaj -= b
-    t = _new(Summary)
-    t.n = m
-    t.k = k
-    t.ros = s.ros + k - 1 - b
-    t.rob = s.rob
-    t.rcs = s.rcs - left + k - 1 - b
-    t.rcb = s.rcb + left
-    t.los = s.los + b
-    t.lob = s.lob
-    t.lcs = s.lcs - right + b
-    t.lcb = s.lcb + right
-    t.lsb = s.lsb + right
-    t.rsb = s.rsb + left
-    t.ros_op = s.ros_op
-    t.rcs_op = s.rcs_op - left_op
-    t.los_op = s.los_op
-    t.lcs_op = s.lcs_op - right_op
-    t.lsb_op = s.lsb_op + right_op
-    t.rsb_op = s.rsb_op + left_op
-    t.binv = s.binv - left_op
-    t.bexc = s.bexc - right_op
-    t.bmaj = bmaj
-    t.inv = s.inv
-    t.nk1 = m * (k - 1)
-    t.k2 = s.k2
-    return blocks[:b] + (B + (m,),) + blocks[b + 1:], t
+def _delta(kind: str, form: Mapping[str, int]) -> dict[str, int]:
+    """The change under a ``kind`` step of the integer combination ``form``
+    of Summary fields, as a combination of the step's quantities, m, k, its
+    position and 1.  A field with no entry in the step raises, rather than
+    counting as unchanged."""
+    out: dict[str, int] = {}
+    for field, c in form.items():
+        entry = STEPS[kind].deltas.get(field)
+        if entry is None:
+            raise ValueError(f"the {kind} step has no entry for the Summary field {field!r}")
+        for term in entry.replace("-", "+-").split("+"):
+            if term:
+                coef, _, atom = term.lstrip("-").rpartition("*")
+                d = int(coef) if coef else 1
+                if atom.isdigit():
+                    d, atom = d * int(atom), "1"
+                out[atom] = out.get(atom, 0) + (-c * d if term[0] == "-" else c * d)
+    return {atom: d for atom, d in out.items() if d}
 
+
+def _linear_source(form: Mapping[str, int]) -> str:
+    """Source text of an integer combination of names; the name "1" is the
+    constant."""
+    out = ""
+    for name, c in form.items():
+        if c:
+            a = abs(c)
+            term = str(a) if name == "1" else name if a == 1 else f"{a}*{name}"
+            out += ("+" if c > 0 else "-") + term
+    return out.lstrip("+") or "0"
+
+
+def _quantity_lines(kind: str, deltas: Iterable[Mapping[str, int]], indent: str) -> list[str]:
+    """The lines of a ``kind`` step that compute the quantities ``deltas``
+    read."""
+    step = STEPS[kind]
+    read = set().union(*deltas)
+    sources = [source for names, source in step.quantities if read.intersection(names)]
+    if sources and step.prelude:
+        sources.insert(0, step.prelude)
+    return [indent + line for source in sources for line in source.splitlines()]
+
+
+def _generate(lines: list[str], **names) -> dict:
+    namespace = {"__name__": __name__, "_above": _above, **names}
+    exec("\n".join(lines), namespace)
+    return namespace
+
+
+def _summary_step(kind: str, name: str, doc: str) -> Callable:
+    """The step that gives a child's (blocks, Summary) from its parent's."""
+    deltas = {f: _delta(kind, {f: 1}) for f in Summary.__slots__}
+    step = STEPS[kind]
+    lines = [
+        f"def {name}(node, m, {step.at}):",
+        "    blocks, s = node",
+        "    k = s.k",
+        *_quantity_lines(kind, deltas.values(), "    "),
+        "    t = _new(Summary)",
+        *(f"    t.{f} = {_linear_source({f's.{f}': 1, **d})}" for f, d in deltas.items()),
+        f"    return {step.child}, t",
+    ]
+    fn = _generate(lines, _new=_new, Summary=Summary)[name]
+    fn.__doc__ = doc
+    return fn
+
+
+add_singleton = _summary_step("singleton", "add_singleton", """\
+The child of ``node`` = (blocks, Summary) of a partition of [m-1] with m as
+a new singleton block at gap g (0..k), with the child's Summary; generated
+from STEPS["singleton"].""")
+
+add_to_block = _summary_step("append", "add_to_block", """\
+The child of ``node`` = (blocks, Summary) of a partition of [m-1] with m
+appended to block b (0..k-1), with the child's Summary; generated from
+STEPS["append"].""")
 
 _ROOT = ((), Summary(()))
 
@@ -367,22 +428,87 @@ def sweep_p(n: int, k: int) -> Iterator[tuple[Blocks, Summary]]:
     return grow_p(n, k, _ROOT, add_singleton, add_to_block)
 
 
+def _value_counts(n: int, k: int, exprs: tuple[str, ...]) -> dict[tuple[int, ...], int]:
+    """For each tuple of values of ``exprs`` over OP_n^k, the number of
+    partitions that take it.  The levels below n are grown through the value
+    steps; level n itself is only counted, child by child of each parent."""
+    steps = _value_steps(exprs, tuple(TABLE.items()))
+    # every field of the empty partition is 0, and so is every value
+    root = ((), (0,) * len(exprs))
+    if n == 0:
+        return {root[1]: 1} if k == 0 else {}
+    singleton, append = steps["singleton"], steps["append"]
+    counts: dict = {}
+    steps["count_singleton"](grow(n - 1, k - 1, root, singleton, append), n, counts)
+    steps["count_append"](grow(n - 1, k, root, singleton, append), n, counts)
+    if len(exprs) == 1:
+        return {(v,): c for v, c in counts.items()}
+    return counts
+
+
+@functools.lru_cache(maxsize=64)
+def _value_steps(exprs: tuple[str, ...], table: tuple) -> dict:
+    """For each step kind, the value step over (blocks, values) nodes, whose
+    values are those of ``exprs``, and ``count_<kind>(nodes, m, counts)``,
+    which adds 1 to ``counts`` at the values of each child of each node (the
+    bare value for one expression, else the tuple) without building its
+    blocks.  Only the quantities that some expression's change reads are
+    computed."""
+    # ``table`` is only part of the key, as for _compiled
+    forms = [linear_form(e) for e in exprs]
+    values = "[" + "".join(f"v{i}, " for i in range(len(exprs))) + "]"
+    lines = []
+    for kind, step in STEPS.items():
+        deltas = [_delta(kind, form) for form in forms]
+        new = [_linear_source({f"v{i}": 1, **d}) for i, d in enumerate(deltas)]
+        key = new[0] if len(new) == 1 else "(" + "".join(v + ", " for v in new) + ")"
+        lines += [
+            f"def {kind}(node, m, {step.at}):",
+            f"    blocks, {values} = node",
+            "    k = len(blocks)",
+            *_quantity_lines(kind, deltas, "    "),
+            f"    return {step.child}, ({''.join(v + ', ' for v in new)})",
+            f"def count_{kind}(nodes, m, counts):",
+            f"    for blocks, {values} in nodes:",
+            "        k = len(blocks)",
+            f"        for {step.at} in range({step.positions}):",
+            *_quantity_lines(kind, deltas, "            "),
+            f"            v = {key}",
+            "            counts[v] = counts.get(v, 0) + 1",
+        ]
+    return _generate(lines)
+
+
 #: The largest n whose levels ``level`` keeps: all of OP_n for n <= 6 is
 #: 5 316 Summaries, about 1.2 MB; OP_7 alone is 47 293, about 11 MB.
 KEEP_N = 6
 
 
-def level(n: int, k: int) -> Iterable[Summary]:
-    """The Summaries of OP_n^k, in the order of ``sweep(n, k)``.
+class StreamedLevel:
+    """OP_n^k for n > KEEP_N, as ``enumerated_gf`` reads it: through the
+    value steps of its expressions, with no Summary at any node."""
 
-    The levels with n <= KEEP_N are swept once per process and kept (at most
-    28 tuples, one per 0 <= k <= n <= 6); larger ones stream from ``sweep``
-    on each call.  A kept Summary is shared between callers and threads; it
-    is read-only, as nothing changes a Summary after the step that builds it.
+    __slots__ = ("n", "k")
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+
+
+def level(n: int, k: int) -> tuple[Summary, ...] | StreamedLevel:
+    """OP_n^k for ``enumerated_gf``.
+
+    The levels with n <= KEEP_N are the Summaries of ``sweep(n, k)``, swept
+    once per process and kept (at most 28 tuples, one per 0 <= k <= n <= 6);
+    a larger one is a StreamedLevel, swept by its statistic values on each
+    call.  A kept Summary is shared between callers and threads; it is
+    read-only, as nothing changes a Summary after the step that builds it.
+    An empty level is ().
     """
-    if 0 <= k <= n <= KEEP_N:
+    if not 0 <= k <= n:
+        return ()
+    if n <= KEEP_N:
         return _kept_level(n, k)
-    return (s for _, s in sweep(n, k))
+    return StreamedLevel(n, k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -468,11 +594,7 @@ def _source(expr: str | tuple[str, str]) -> str:
         form = linear_form(expr[0])
         for f, d in linear_form(expr[1]).items():
             form[f] = form.get(f, 0) - d
-    terms = "".join(
-        ("+" if c > 0 else "-") + ("" if abs(c) == 1 else f"{abs(c)}*") + f"s.{f}"
-        for f, c in form.items() if c
-    )
-    return terms.lstrip("+") or "0"
+    return _linear_source({f"s.{f}": c for f, c in form.items()})
 
 
 def tally(exprs: Iterable[str], pairs: Iterable[tuple[str, str]]
@@ -507,16 +629,21 @@ def _compiled_tally(exprs: tuple[str, ...], pairs: tuple[tuple[str, str], ...], 
     return namespace["bind"]
 
 
-def enumerated_gf(summaries: Iterable[Summary], *weights: Mapping[str, str]) -> list[LaurentPoly]:
+def enumerated_gf(summaries: Iterable[Summary] | StreamedLevel, *weights: Mapping[str, str]
+                  ) -> list[LaurentPoly]:
     """One polynomial per ``weights`` mapping of variable names to statistic
-    expressions: the sum over ``summaries`` of prod_v v^(stat_v).  One pass
-    counts the tuples of all the values; each mapping then reads its own slice
-    of every tuple."""
-    values = evaluator([expr for w in weights for expr in w.values()])
-    counts: dict[tuple[int, ...], int] = {}
-    for s in summaries:
-        v = values(s)
-        counts[v] = counts.get(v, 0) + 1
+    expressions: the sum over ``summaries`` (or over a StreamedLevel) of
+    prod_v v^(stat_v).  One pass counts the tuples of all the values; each
+    mapping then reads its own slice of every tuple."""
+    exprs = tuple(expr for w in weights for expr in w.values())
+    if isinstance(summaries, StreamedLevel):
+        counts = _value_counts(summaries.n, summaries.k, exprs)
+    else:
+        values = evaluator(exprs)
+        counts = {}
+        for s in summaries:
+            v = values(s)
+            counts[v] = counts.get(v, 0) + 1
     out = []
     start = 0
     for w in weights:

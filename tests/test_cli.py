@@ -701,6 +701,35 @@ def test_verify_negative_bound_is_a_usage_error(capsys):
         assert "--n-max must be nonnegative" in err
 
 
+def test_verify_refuses_a_bound_that_checks_nothing(capsys):
+    # exit 0 means verified, so a bound under which a check has no instance
+    # is refused before any check runs
+    for argv, name in (
+        (["verify", "thm25", "--n-max", "0"], "thm25"),
+        (["verify", "all", "--n-max", "0"], "bij"),
+        (["verify", "all", "--n-max", "1"], "eigen"),
+        (["verify", "zz", "eigen", "--n-max", "1"], "eigen"),
+        (["conjecture", "--n-max", "0"], "conjecture-bmaj"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"check {name!r} checks no instance" in err, argv
+    assert run(capsys, "verify", "key", "transfer", "thm24", "--n-max", "0")[0] == 0
+    # n_min is the least bound with an instance, for every check that takes one
+    for name, check in CHECKS.items():
+        if check.n_bound is None:
+            continue
+
+        def results(n):
+            if check.audit:
+                return getattr(checks.run_audit(n, n), check.audit)
+            return check.run(n_max=n)
+
+        assert results(check.n_min), name
+        if check.n_min:
+            assert results(check.n_min - 1) == [], name
+
+
 def test_verify_refuses_past_each_bound_before_running(capsys, monkeypatch):
     ran = []
 

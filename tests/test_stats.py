@@ -10,6 +10,7 @@ from opstats.opart import (
     OrderedPartition,
     cinv,
     enumerate_op,
+    grow,
     inv,
     iter_blocks,
     iter_blocks_all,
@@ -388,6 +389,63 @@ def test_large_levels_are_not_kept():
     assert not isinstance(level(7, 3), tuple)
     distribution(6, 3, "mak+bInv")
     assert stats._kept_level.cache_info().currsize == 1
+
+
+def test_value_steps_match_the_summary_sweep():
+    # every field and every row, a zero form and one that goes negative: the
+    # value steps node by node, and the last-level counts jointly and one
+    # expression at a time, against evaluator over sweep(n, k)
+    exprs = FIELDS + tuple(stats.TABLE) + ("0*mak", "inv-cinv")
+    values = evaluator(exprs)
+    steps = stats._value_steps(exprs, tuple(stats.TABLE.items()))
+    root = ((), values(summarize(())))
+    for n in range(8):
+        for k in range(n + 1):
+            swept = [(blocks, values(s)) for blocks, s in sweep(n, k)]
+            assert list(grow(n, k, root, steps["singleton"], steps["append"])) == swept, (n, k)
+            counts = collections.Counter(v for _, v in swept)
+            assert stats._value_counts(n, k, exprs) == counts, (n, k)
+            if n < 7:
+                for i, e in enumerate(exprs):
+                    want = collections.Counter(v[i] for _, v in swept)
+                    assert stats._value_counts(n, k, (e,)) == {(v,): c for v, c in want.items()}, e
+    assert stats._value_counts(0, 1, exprs) == stats._value_counts(3, 4, exprs) == {}
+
+
+def test_streamed_levels_give_the_summary_polynomials():
+    walk = {t: t for t in WALK_EXPONENTS}
+    for k in range(8):
+        streamed = level(7, k)
+        assert isinstance(streamed, stats.StreamedLevel)
+        summaries = [s for _, s in sweep(7, k)]
+        weights = (walk, *(w for _, w in checks.THM24))
+        assert enumerated_gf(streamed, *weights) == enumerated_gf(summaries, *weights), k
+        assert enumerated_gf(streamed) == []
+
+
+def test_distribution_past_the_kept_levels_is_the_q_stirling_target():
+    # (8, 4) is served by the value steps alone; the target is the
+    # independent q-Stirling recurrence
+    want = q_factorial(4) * q_stirling(8, 4)
+    for expr in checks.SIX_STATS:
+        assert distribution(8, 4, expr) == want, expr
+
+
+def test_step_tables_fail_loudly_on_a_missing_field(monkeypatch):
+    # a field with no entry in a step raises rather than counting as 0
+    for kind, field, expr in (("singleton", "lsb", "cinvLSB"), ("append", "k", "k")):
+        with monkeypatch.context() as mp:
+            mp.delitem(stats.STEPS[kind].deltas, field)
+            stats._value_steps.cache_clear()
+            missing = f"the {kind} step has no entry for the Summary field {field!r}"
+            with pytest.raises(ValueError, match=missing):
+                distribution(7, 3, expr)
+            with pytest.raises(ValueError, match=repr(field)):
+                stats._summary_step(kind, "step", "")
+            # a form that reads only fields with entries still compiles
+            assert distribution(7, 3, "mak") == enumerated_gf([s for _, s in sweep(7, 3)], {"q": "mak"})[0]
+        stats._value_steps.cache_clear()
+    assert distribution(7, 3, "k") == 1806 * DEFAULT.var("q") ** 3
 
 
 def test_kept_levels_stay_small():
