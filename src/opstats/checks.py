@@ -2,9 +2,10 @@
 
 Every suite returns a list of :class:`CheckResult`, one per checked instance,
 so callers (CLI, acceptance tests) can report the first failing case.  The
-enumeration side reads every partition's statistics from the insertion-tree
-sweeps of ``stats``, which compute each Summary from its parent's; the
-targets come from the independent routes (recurrences, closed forms, symbolic
+enumeration side counts statistic values over the insertion tree of
+``stats``, through the value steps (the small levels of ``enumerated_gf``
+through its kept Summaries), and so never counts block pairs; the targets
+come from the independent routes (recurrences, closed forms, symbolic
 determinants), never from the same sweep.
 """
 
@@ -19,16 +20,7 @@ from . import qnum, xfer
 from .opart import BoundExceeded, Blocks, OrderedPartition, _form, format_partition, iter_blocks_all
 from .qnum import q_poly_from_exponent_counts
 from .ring import DEFAULT, series_from_rational
-from .stats import (
-    WALK_EXPONENTS,
-    coord_rows,
-    enumerated_gf,
-    evaluator,
-    level,
-    sweep_all,
-    sweep_p,
-    tally,
-)
+from .stats import WALK_EXPONENTS, coord_rows, enumerated_gf, sweep_all, value_counts
 from .walks import (
     EAST,
     NORTH,
@@ -204,23 +196,23 @@ def run_audit(n_max: int = 8, equidist_n_max: int = 7) -> AuditReport:
 
 def _audit_level(n: int, exprs: tuple[str, ...]
                  ) -> tuple[dict[int, list[dict[int, int]]], dict[str, Blocks]]:
-    """One sweep over OP_n: for each k, the count of every value of each of
-    ``exprs`` over OP_n^k, and the first partition at which each pointwise
-    check of POINTWISE fails."""
-    pairs = [pair for _, _, check_pairs in POINTWISE for pair in check_pairs]
-    bind = tally(exprs, pairs)
+    """For each 1 <= k <= n, the count of every value of each of ``exprs``
+    over OP_n^k, and the first partition of OP_n at which each pointwise
+    check of POINTWISE fails.  Each level counts each expression in a dict of
+    its own and the lhs - rhs differences of all the pairs jointly; only
+    when some difference is nonzero is OP_n walked again, partition by
+    partition, through the same value steps, for the failures."""
+    pairs = tuple(pair for _, _, check_pairs in POINTWISE for pair in check_pairs)
+    groups = tuple((e,) for e in exprs) + (pairs,)
     counts: dict[int, list[dict[int, int]]] = {}
-    counters = {}
+    fails = False
+    for k in range(1, n + 1):
+        *counts[k], differences = value_counts(n, k, groups)
+        fails = fails or differences.keys() != {(0,) * len(pairs)}
     first_bad: dict[str, Blocks] = {}
-    for blocks, s in sweep_all(n):
-        count = counters.get(s.k)
-        if count is None:
-            counts[s.k] = [{} for _ in exprs]
-            count = counters[s.k] = bind(counts[s.k])
-        if count(s):
-            # some identity fails here: the lhs - rhs differences of every
-            # pair, each check's pairs in its own span of them
-            d = evaluator(pairs)(s)
+    if fails:
+        for blocks, d in sweep_all(n, pairs):
+            # each check's pairs in its own span of the differences
             start = 0
             for check, _, check_pairs in POINTWISE:
                 stop = start + len(check_pairs)
@@ -237,7 +229,7 @@ def check_sect23(n_max: int = 8) -> list[CheckResult]:
     out = []
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
-            polys = enumerated_gf((s for _, s in sweep_p(n, k)), *weights)
+            polys = enumerated_gf(n, k, *weights, inv_free=True)
             out += _gf_results("sect23", n, k, SECT23, polys, qnum.q_stirling(n, k))
     return out
 
@@ -371,7 +363,7 @@ def check_transfer_enum(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
             ("walk", xfer.walk_series(k, w, n_max)),
         )
         for n in range(0, n_max + 1):
-            (want,) = enumerated_gf(level(n, k), walk)
+            (want,) = enumerated_gf(n, k, walk)
             wrong = [
                 f"{route} got={series.coefficient(n)} want={want}"
                 for route, series in routes
@@ -399,7 +391,7 @@ def check_thm24(k_max: int = 3, n_max: int = 7) -> list[CheckResult]:
     for k in range(0, k_max + 1):
         series = (xfer.closed_series("phi", k, n_max), xfer.closed_series("varphi", k, n_max))
         for n in range(0, n_max + 1):
-            wants = enumerated_gf(level(n, k), *(w for _, w in THM24))
+            wants = enumerated_gf(n, k, *(w for _, w in THM24))
             for (label, _), gf, want in zip(THM24, series, wants):
                 got = gf.coefficient(n)
                 out.append(
@@ -516,6 +508,7 @@ CHECKS = {
     "equidist": Check(audit="equidist", n_bound=SWEEP_BOUND, n_default=7),
     "sect23": Check(check_sect23, n_bound=SWEEP_BOUND),
     "conjecture-bmaj": Check(audit="bmaj", n_bound=SWEEP_BOUND),
+    "restriction-identities": Check(audit="restrictions", n_bound=SWEEP_BOUND),
     "bij": Check(check_bijection, n_bound=8),
     "path-counts": Check(check_path_counts, n_bound=11),
     "transfer": Check(check_transfer_enum, n_bound=SWEEP_BOUND, n_min=0),

@@ -121,8 +121,9 @@ def format_partition(pi: OrderedPartition | Blocks) -> str:
 # steps make of it: ``singleton(node, m, g)`` is the child with m as a new
 # singleton block at gap g, ``append(node, m, b)`` the child with m appended
 # to block b.  The iter_blocks* enumerators grow bare block tuples; iter_text
-# grows tuples of block texts; stats.sweep* grow (blocks, Summary) pairs, and
-# a streamed stats level (blocks, values) pairs.
+# grows tuples of block texts; the stats sweeps grow (blocks, values) pairs,
+# which carry the values of the sweep's statistic expressions, and
+# stats.sweep, for the levels that stats keeps, (blocks, Summary) pairs.
 
 
 def _singleton(blocks: Blocks, m: int, g: int) -> Blocks:

@@ -23,26 +23,27 @@ Every derived statistic is defined once, as a row of ``TABLE``: an integer
 combination of Summary fields, of earlier rows and of the per-partition
 constants nk1 = n(k-1) and k2 = C(k,2).  Expressions such as ``mak+bInv-inv``
 are compiled through the table into field coefficients (``linear_form``) and
-then into one function of a Summary (``evaluator``), or, for a sweep that
-counts their values, into one counting function (``tally``).
+then into one function of a Summary (``evaluator``), or into the value steps
+of a sweep that counts their values.
 
 Two computation routes are kept deliberately separate.  The definition
 route: coord_rows() counts every element's ten coordinates as defined,
 block_stats() the block statistics and opart.inv the inversions; coord() and
 the bijection check read the rows, and Summary(blocks) sums them (summarize(),
-composite(), q_monomial() and the ``stats`` table).  The sweep route:
-sweep_all, sweep and sweep_p walk opart's insertion tree and compute each
-child's Summary from its parent's through the two step functions
-add_singleton and add_to_block, generated from STEPS, the one statement of
-each insertion step; level(n, k) keeps the Summaries of the small levels for
-the life of the process, and a larger level is swept by its statistic
-values alone, through value steps generated from the same STEPS.  Tests pin
-every swept Summary to Summary(blocks), and the value steps to the Summary
-sweep.
+composite(), q_monomial() and the ``stats`` table).  The sweep route walks
+opart's insertion tree through steps generated from STEPS, the one statement
+of each insertion step.  Every sweep counts statistic values through the
+value steps, whose nodes carry the values of the sweep's expressions alone
+(``value_counts``, ``sweep_all``); only the levels with n <= KEEP_N, which
+``enumerated_gf`` keeps for the life of the process, are swept as Summaries,
+through the Summary steps add_singleton and add_to_block (``sweep``).  Tests
+pin the Summary steps to Summary(blocks), and the value counts to evaluator
+over Summary(blocks).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import re
 from bisect import bisect_right
@@ -223,13 +224,12 @@ def summarize(pi) -> Summary:
 # insertion adds or changes can be counted from the parent alone, so each
 # step kind is written once, in STEPS, as the change of every Summary field
 # over a few quantities of the parent and the step.  Two kinds of step are
-# generated from it: the Summary steps add_singleton and add_to_block, with
-# which the sweeps grow opart's tree (opart.grow*) over (blocks, Summary)
-# nodes without counting block pairs, and, for each list of statistic
-# expressions, value steps over (blocks, values) nodes, through which
-# ``enumerated_gf`` reads a streamed level.  The Summary steps are checked
-# against Summary(blocks), which reads the definitions, and the value steps
-# against the Summary steps.
+# generated from it: for each list of groups of statistic expressions, value
+# steps over (blocks, values) nodes, through which every sweep grows opart's
+# tree (opart.grow*) and counts, and the Summary steps add_singleton and
+# add_to_block over (blocks, Summary) nodes, which build the kept levels.
+# Neither counts block pairs.  The Summary steps are checked against
+# Summary(blocks), which reads the definitions, and so are the value counts.
 
 _new = object.__new__
 
@@ -407,112 +407,102 @@ STEPS["append"].""")
 _ROOT = ((), Summary(()))
 
 
-def _width(node: tuple[Blocks, Summary]) -> int:
-    return node[1].k
-
-
-def sweep_all(n: int) -> Iterator[tuple[Blocks, Summary]]:
-    """Every partition of OP_n with its Summary, in the order of
-    ``opart.iter_blocks_all(n)``."""
-    return grow_all(n, _ROOT, add_singleton, add_to_block, _width)
-
-
 def sweep(n: int, k: int) -> Iterator[tuple[Blocks, Summary]]:
     """OP_n^k with Summaries, in the order of ``opart.iter_blocks(n, k)``."""
     return grow(n, k, _ROOT, add_singleton, add_to_block)
 
 
-def sweep_p(n: int, k: int) -> Iterator[tuple[Blocks, Summary]]:
-    """The inversion-free partitions with Summaries, in the order of
-    ``opart.iter_blocks_p(n, k)``."""
-    return grow_p(n, k, _ROOT, add_singleton, add_to_block)
-
-
-def _value_counts(n: int, k: int, exprs: tuple[str, ...]) -> dict[tuple[int, ...], int]:
-    """For each tuple of values of ``exprs`` over OP_n^k, the number of
-    partitions that take it.  The levels below n are grown through the value
-    steps; level n itself is only counted, child by child of each parent."""
-    steps = _value_steps(exprs, tuple(TABLE.items()))
-    # every field of the empty partition is 0, and so is every value
+def sweep_all(n: int, exprs: Iterable[str | tuple[str, str]]
+              ) -> Iterator[tuple[Blocks, tuple[int, ...]]]:
+    """Every partition of OP_n with the values of ``exprs`` there (lhs - rhs
+    for an ``(lhs, rhs)`` pair), in the order of ``opart.iter_blocks_all(n)``,
+    through the value steps."""
+    exprs = tuple(exprs)
+    steps = _value_steps((exprs,), tuple(TABLE.items()))
     root = ((), (0,) * len(exprs))
+    return grow_all(n, root, steps["singleton"], steps["append"], lambda node: len(node[0]))
+
+
+def value_counts(n: int, k: int, groups: Iterable[Iterable[str | tuple[str, str]]],
+                 inv_free: bool = False) -> list[dict]:
+    """For each group of statistic expressions, the number of partitions of
+    OP_n^k (of its inversion-free partitions when ``inv_free``) at each value
+    of the group: the bare value for a group of one expression, else the
+    tuple of its values; an ``(lhs, rhs)`` pair counts as lhs - rhs.  The
+    levels below n are grown through the value steps; level n itself is only
+    counted, child by child of each parent."""
+    groups = tuple(map(tuple, groups))
+    if not groups:
+        return []
+    steps = _value_steps(groups, tuple(TABLE.items()))
+    counts: list[dict] = [{} for _ in groups]
+    # every field of the empty partition is 0, and so is every value
     if n == 0:
-        return {root[1]: 1} if k == 0 else {}
+        if k == 0:
+            for c, group in zip(counts, groups):
+                c[0 if len(group) == 1 else (0,) * len(group)] = 1
+        return counts
+    root = ((), (0,) * sum(map(len, groups)))
+    walk = grow_p if inv_free else grow
     singleton, append = steps["singleton"], steps["append"]
-    counts: dict = {}
-    steps["count_singleton"](grow(n - 1, k - 1, root, singleton, append), n, counts)
-    steps["count_append"](grow(n - 1, k, root, singleton, append), n, counts)
-    if len(exprs) == 1:
-        return {(v,): c for v, c in counts.items()}
+    steps["count_singleton"](walk(n - 1, k - 1, root, singleton, append), n, counts, inv_free)
+    steps["count_append"](walk(n - 1, k, root, singleton, append), n, counts, inv_free)
     return counts
 
 
 @functools.lru_cache(maxsize=64)
-def _value_steps(exprs: tuple[str, ...], table: tuple) -> dict:
+def _value_steps(groups: tuple[tuple[str | tuple[str, str], ...], ...], table: tuple) -> dict:
     """For each step kind, the value step over (blocks, values) nodes, whose
-    values are those of ``exprs``, and ``count_<kind>(nodes, m, counts)``,
-    which adds 1 to ``counts`` at the values of each child of each node (the
-    bare value for one expression, else the tuple) without building its
-    blocks.  Only the quantities that some expression's change reads are
+    values are those of the expressions of ``groups`` in turn, and
+    ``count_<kind>(nodes, m, counts, inv_free)``, which adds 1 to
+    ``counts[i]`` at the value of group i (the bare value for one
+    expression, else the tuple) of each child of each node, without building
+    its blocks.  Only the quantities that some expression's change reads are
     computed."""
     # ``table`` is only part of the key, as for _compiled
-    forms = [linear_form(e) for e in exprs]
-    values = "[" + "".join(f"v{i}, " for i in range(len(exprs))) + "]"
+    forms = [_form(e) for group in groups for e in group]
+    values = "[" + "".join(f"v{i}, " for i in range(len(forms))) + "]"
     lines = []
     for kind, step in STEPS.items():
         deltas = [_delta(kind, form) for form in forms]
         new = [_linear_source({f"v{i}": 1, **d}) for i, d in enumerate(deltas)]
-        key = new[0] if len(new) == 1 else "(" + "".join(v + ", " for v in new) + ")"
+        # the inversion-free tree (opart.grow_p) puts a new singleton only in
+        # the right-most gap
+        first = "k if inv_free else 0" if kind == "singleton" else "0"
         lines += [
             f"def {kind}(node, m, {step.at}):",
             f"    blocks, {values} = node",
             "    k = len(blocks)",
             *_quantity_lines(kind, deltas, "    "),
             f"    return {step.child}, ({''.join(v + ', ' for v in new)})",
-            f"def count_{kind}(nodes, m, counts):",
+            f"def count_{kind}(nodes, m, counts, inv_free):",
+            "    [" + "".join(f"c{i}, " for i in range(len(groups))) + "] = counts",
             f"    for blocks, {values} in nodes:",
             "        k = len(blocks)",
-            f"        for {step.at} in range({step.positions}):",
+            f"        for {step.at} in range({first}, {step.positions}):",
             *_quantity_lines(kind, deltas, "            "),
-            f"            v = {key}",
-            "            counts[v] = counts.get(v, 0) + 1",
         ]
+        start = 0
+        for i, group in enumerate(groups):
+            stop = start + len(group)
+            key = new[start] if len(group) == 1 else "(" + "".join(v + ", " for v in new[start:stop]) + ")"
+            lines += [f"            v = {key}", f"            c{i}[v] = c{i}.get(v, 0) + 1"]
+            start = stop
     return _generate(lines)
 
 
-#: The largest n whose levels ``level`` keeps: all of OP_n for n <= 6 is
-#: 5 316 Summaries, about 1.2 MB; OP_7 alone is 47 293, about 11 MB.
+#: The largest n whose levels ``enumerated_gf`` keeps as Summaries: all of
+#: OP_n for n <= 6 is 5 316 Summaries, about 1.2 MB; OP_7 alone is 47 293,
+#: about 11 MB.
 KEEP_N = 6
-
-
-class StreamedLevel:
-    """OP_n^k for n > KEEP_N, as ``enumerated_gf`` reads it: through the
-    value steps of its expressions, with no Summary at any node."""
-
-    __slots__ = ("n", "k")
-
-    def __init__(self, n: int, k: int):
-        self.n, self.k = n, k
-
-
-def level(n: int, k: int) -> tuple[Summary, ...] | StreamedLevel:
-    """OP_n^k for ``enumerated_gf``.
-
-    The levels with n <= KEEP_N are the Summaries of ``sweep(n, k)``, swept
-    once per process and kept (at most 28 tuples, one per 0 <= k <= n <= 6);
-    a larger one is a StreamedLevel, swept by its statistic values on each
-    call.  A kept Summary is shared between callers and threads; it is
-    read-only, as nothing changes a Summary after the step that builds it.
-    An empty level is ().
-    """
-    if not 0 <= k <= n:
-        return ()
-    if n <= KEEP_N:
-        return _kept_level(n, k)
-    return StreamedLevel(n, k)
 
 
 @functools.lru_cache(maxsize=None)
 def _kept_level(n: int, k: int) -> tuple[Summary, ...]:
+    """The Summaries of ``sweep(n, k)``, 0 <= k <= n <= KEEP_N, swept once
+    per process and kept (at most 28 tuples).  A kept Summary is shared
+    between callers and threads; it is read-only, as nothing changes a
+    Summary after the step that builds it."""
     return tuple(s for _, s in sweep(n, k))
 
 
@@ -568,12 +558,13 @@ def evaluator(exprs: Iterable[str | tuple[str, str]]) -> Callable[[Summary], tup
     expressions; an ``(lhs, rhs)`` pair gives lhs - rhs, which is 0 exactly
     where that identity holds.
 
-    The sweeps evaluate up to twenty expressions per partition, so the linear
-    forms are compiled into one generated expression over the fields: about
-    1 us per partition, against 9 us for a loop over coefficients.  Only
-    field names that ``parse_stat_expr`` accepted and integers reach it.
-    Each compiled function is kept per process, keyed on the expressions and
-    on the contents of TABLE, so a changed row compiles anew.
+    A kept level is evaluated Summary by Summary, so the linear forms are
+    compiled into one generated expression over the fields: about 1 us per
+    partition for twenty expressions, against 9 us for a loop over
+    coefficients.  Only field names that ``parse_stat_expr`` accepted and
+    integers reach it.  Each compiled function is kept per process, keyed on
+    the expressions and on the contents of TABLE, so a changed row compiles
+    anew.
     """
     return _compiled(tuple(exprs), tuple(TABLE.items()))
 
@@ -582,83 +573,47 @@ def evaluator(exprs: Iterable[str | tuple[str, str]]) -> Callable[[Summary], tup
 def _compiled(exprs: tuple[str | tuple[str, str], ...], table: tuple) -> Callable[[Summary], tuple[int, ...]]:
     # ``table`` is TABLE's contents, which linear_form reads; it is only
     # part of the key
-    return eval(f"lambda s: ({''.join(_source(e) + ', ' for e in exprs)})", {})
+    sources = (_linear_source({f"s.{f}": c for f, c in _form(e).items()}) for e in exprs)
+    return eval(f"lambda s: ({''.join(source + ', ' for source in sources)})", {})
 
 
-def _source(expr: str | tuple[str, str]) -> str:
-    """The linear form of one expression as source text over the fields of a
-    Summary ``s``; an ``(lhs, rhs)`` pair gives lhs - rhs."""
+def _form(expr: str | tuple[str, str]) -> dict[str, int]:
+    """The linear form of one expression; an ``(lhs, rhs)`` pair gives
+    lhs - rhs."""
     if isinstance(expr, str):
-        form = linear_form(expr)
-    else:
-        form = linear_form(expr[0])
-        for f, d in linear_form(expr[1]).items():
-            form[f] = form.get(f, 0) - d
-    return _linear_source({f"s.{f}": c for f, c in form.items()})
+        return linear_form(expr)
+    form = linear_form(expr[0])
+    for f, d in linear_form(expr[1]).items():
+        form[f] = form.get(f, 0) - d
+    return form
 
 
-def tally(exprs: Iterable[str], pairs: Iterable[tuple[str, str]]
-          ) -> Callable[[list[dict[int, int]]], Callable[[Summary], bool]]:
-    """A compiled counter for a sweep: ``tally(exprs, pairs)(counts)`` is a
-    function of a Summary that adds 1 to ``counts[i][v]`` for the value v of
-    each ``exprs[i]`` and returns whether some lhs - rhs of ``pairs`` is
-    nonzero, that is whether one of those identities fails there.
-
-    It is one generated straight-line function, with the ``counts`` dicts
-    bound once, rather than an ``evaluator`` tuple counted in a loop: 0.20 s
-    against 0.28 s for the 17 counts and 9 identities of the audit over the
-    47 293 Summaries of OP_7 (2-core Xeon, Python 3.11).  Like
-    ``evaluator`` it is compiled once per process for each expression list,
-    pair list and contents of TABLE.
-    """
-    return _compiled_tally(tuple(exprs), tuple(pairs), tuple(TABLE.items()))
-
-
-@functools.lru_cache(maxsize=64)
-def _compiled_tally(exprs: tuple[str, ...], pairs: tuple[tuple[str, str], ...], table: tuple):
-    # ``table`` is only part of the key, as for _compiled
-    lines = ["def bind(counts):"]
-    lines += [f"    c{i} = counts[{i}]" for i in range(len(exprs))]
-    lines.append("    def count(s):")
-    for i, expr in enumerate(exprs):
-        lines += [f"        v = {_source(expr)}", f"        c{i}[v] = c{i}.get(v, 0) + 1"]
-    lines.append(f"        return ({' or '.join(map(_source, pairs)) or '0'}) != 0")
-    lines.append("    return count")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["bind"]
-
-
-def enumerated_gf(summaries: Iterable[Summary] | StreamedLevel, *weights: Mapping[str, str]
+def enumerated_gf(n: int, k: int, *weights: Mapping[str, str], inv_free: bool = False
                   ) -> list[LaurentPoly]:
     """One polynomial per ``weights`` mapping of variable names to statistic
-    expressions: the sum over ``summaries`` (or over a StreamedLevel) of
-    prod_v v^(stat_v).  One pass counts the tuples of all the values; each
-    mapping then reads its own slice of every tuple."""
-    exprs = tuple(expr for w in weights for expr in w.values())
-    if isinstance(summaries, StreamedLevel):
-        counts = _value_counts(summaries.n, summaries.k, exprs)
+    expressions: the sum over OP_n^k (over its inversion-free partitions
+    when ``inv_free``) of prod_v v^(stat_v).  A full level with n <= KEEP_N
+    reads its kept Summaries; any other is counted by ``value_counts``, one
+    group per mapping, in one sweep."""
+    groups = [tuple(w.values()) for w in weights]
+    if n <= KEEP_N and not inv_free:
+        summaries = _kept_level(n, k) if 0 <= k <= n else ()
+        counts = []
+        for group in groups:
+            c = collections.Counter(map(evaluator(group), summaries))
+            counts.append(c if len(group) > 1 else {v: m for (v,), m in c.items()})
     else:
-        values = evaluator(exprs)
-        counts = {}
-        for s in summaries:
-            v = values(s)
-            counts[v] = counts.get(v, 0) + 1
+        counts = value_counts(n, k, groups, inv_free)
     out = []
-    start = 0
-    for w in weights:
+    for w, c in zip(weights, counts):
         index = [DEFAULT.index(name) for name in w]
-        stop = start + len(index)
-        width = max(index) + 1
-        terms: dict[tuple[int, ...], int] = {}
-        for v, c in counts.items():
-            key = [0] * width
-            for i, e in zip(index, v[start:stop]):
+        terms = {}
+        for v, m in c.items():
+            key = [0] * (max(index) + 1)
+            for i, e in zip(index, v if len(index) > 1 else (v,)):
                 key[i] = e
-            key = tuple(key)
-            terms[key] = terms.get(key, 0) + c
+            terms[tuple(key)] = m
         out.append(DEFAULT.poly(terms))
-        start = stop
     return out
 
 
@@ -667,14 +622,14 @@ def distribution(n: int, k: int, expr: str, force_large: bool = False) -> Lauren
     exponents rather than failing."""
     check_range(n, k)
     _check_bound(n, force_large)
-    return enumerated_gf(level(n, k), {"q": expr})[0]
+    return enumerated_gf(n, k, {"q": expr})[0]
 
 
 def q_monomial(pi) -> LaurentPoly:
     """The seven-variable walk monomial of one partition: each of t1..t7
     raised to its row of TABLE."""
-    walk = {t: t for t in WALK_EXPONENTS}
-    return enumerated_gf((summarize(pi),), walk)[0]
+    values = evaluator(WALK_EXPONENTS)(summarize(pi))
+    return DEFAULT.monomial(1, **dict(zip(WALK_EXPONENTS, values)))
 
 
 # -- display -------------------------------------------------------------------

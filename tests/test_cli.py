@@ -641,6 +641,10 @@ CAN_FAIL = [
     # would be 3/1,2, with the gaps and blocks taken right to left 1/2,3
     ("prop22", _pointwise("prop22", (("mak", "lmak"), ("makP", "lmak"))), 3,
      "FAIL prop22 n=3 all partitions  [fails at 2,3/1]"),
+    # cinv = ros_op in place of cinv = los_op
+    ("restriction-identities", _pointwise("restriction-identities", (
+        ("bInv", "rcs_op"), ("inv", "ros_op"), ("bExc", "lcs_op"), ("cinv", "ros_op"))), 3,
+     "FAIL restriction-identities n=2 all partitions  [fails at 2/1]"),
     ("conjecture-bmaj", _table("bMaj", "bmaj+binv"), 3,
      "FAIL conjecture-bmaj n=2 k=2 stat=mak+bMaj  [got=1*q + 1*q^3 want=1*q + 1*q^2]"),
     ("path-counts", _perturbed(checks, "choice_bound", lambda v: v + 1), 3,
@@ -829,6 +833,29 @@ def test_dist_kept_levels_print_what_the_definitions_give(capsys, monkeypatch):
             counts = collections.Counter(v[i] for v in values)
             want = sum((c * q ** e for e, c in counts.items()), DEFAULT.zero)
             assert cold[:2] == (0, format_poly(want) + "\n"), argv
+
+
+def test_audit_reports_a_step_defect_at_a_partition(capsys, monkeypatch):
+    # one STEPS delta broken: the audit counts and the walk that finds the
+    # failing partitions both go through the value steps, so each failing
+    # pointwise check names a partition at which it fails
+    assert run(capsys, "verify", "thm25", "restriction-identities", "--n-max", "3")[0] == 0
+    with monkeypatch.context() as mp:
+        mp.setitem(stats.STEPS["append"].deltas, "binv", "-left_op+1")
+        stats._value_steps.cache_clear()
+        code, out, _ = run(capsys, "verify", "thm25", "restriction-identities", "--n-max", "3")
+    stats._value_steps.cache_clear()
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1 and {line.split()[1] for line in fails} == {"thm25", "restriction-identities"}
+    for line in fails:
+        if line.startswith("FAIL restriction-identities"):
+            n = int(line.split()[2].removeprefix("n="))
+            partition = line.split("[fails at ")[1].removesuffix("]")
+            assert opart.parse(partition).n == n, line
+    assert fails[-2:] == [
+        "FAIL restriction-identities n=2 all partitions  [fails at 1,2]",
+        "FAIL restriction-identities n=3 all partitions  [fails at 2,3/1]",
+    ]
 
 
 def test_checkers_fail_after_a_warm_run(capsys, monkeypatch):

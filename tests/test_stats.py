@@ -10,6 +10,7 @@ from opstats.opart import (
     OrderedPartition,
     cinv,
     enumerate_op,
+    enumerate_p,
     grow,
     inv,
     iter_blocks,
@@ -32,7 +33,6 @@ from opstats.stats import (
     distribution,
     enumerated_gf,
     evaluator,
-    level,
     parse_stat_expr,
     per_element_sums_ok,
     q_monomial,
@@ -41,8 +41,7 @@ from opstats.stats import (
     summarize,
     sweep,
     sweep_all,
-    sweep_p,
-    tally,
+    value_counts,
 )
 
 PI = parse("6,8/5/1,4,7/3,9/2")
@@ -226,19 +225,19 @@ def test_enumerated_gf_matches_definition_route():
     assert evaluator([])(summarize(PI)) == ()
     for n in range(6):
         for k in range(n + 1):
-            parts = list(enumerate_op(n, k))
-            summaries = [summarize(pi) for pi in parts]
-            singles = [enumerated_gf(summaries, {"q": e})[0] for e in exprs]
-            for e, got in zip(exprs, singles):
-                want = sum((reg.monomial(1, q=composite(pi, e)) for pi in parts), reg.zero)
-                assert got == want, (n, k, e)
-            assert enumerated_gf(summaries, *({"q": e} for e in exprs)) == singles
-            assert enumerated_gf(summaries) == []
-            (joint,) = enumerated_gf(summaries, {"x": "mak", "y": "bInv"})
-            assert joint == sum(
-                (reg.monomial(1, x=composite(pi, "mak"), y=composite(pi, "bInv")) for pi in parts),
-                reg.zero,
-            )
+            for inv_free, enum in ((False, enumerate_op), (True, enumerate_p)):
+                parts = list(enum(n, k))
+                singles = [enumerated_gf(n, k, {"q": e}, inv_free=inv_free)[0] for e in exprs]
+                for e, got in zip(exprs, singles):
+                    want = sum((reg.monomial(1, q=composite(pi, e)) for pi in parts), reg.zero)
+                    assert got == want, (n, k, inv_free, e)
+                assert enumerated_gf(n, k, *({"q": e} for e in exprs), inv_free=inv_free) == singles
+                assert enumerated_gf(n, k, inv_free=inv_free) == []
+                (joint,) = enumerated_gf(n, k, {"x": "mak", "y": "bInv"}, inv_free=inv_free)
+                assert joint == sum(
+                    (reg.monomial(1, x=composite(pi, "mak"), y=composite(pi, "bInv")) for pi in parts),
+                    reg.zero,
+                )
 
 
 def test_parse_stat_expr():
@@ -356,71 +355,117 @@ def fields(s):
 
 
 def test_sweeps_follow_the_enumeration_and_match_summary():
-    # the step functions against Summary(blocks), which reads the definitions
+    # the Summary steps of sweep(n, k), at every k, against Summary(blocks),
+    # which reads the definitions, and the values of sweep_all(n, exprs)
+    # against evaluator over Summary(blocks)
+    exprs = ("mak+bInv", ("bInv", "rcs_op"), "inv-cinv")
+    values = evaluator(exprs)
     for n in range(8):
-        swept = list(sweep_all(n))
+        swept = list(sweep_all(n, exprs))
         assert [blocks for blocks, _ in swept] == list(iter_blocks_all(n)), n
-        want = {blocks: fields(summarize(blocks)) for blocks, _ in swept}
-        for blocks, s in swept:
-            assert fields(s) == want[blocks], blocks
-        for k in range(n + 1):
-            for walk, enum in ((sweep, iter_blocks), (sweep_p, iter_blocks_p)):
-                swept = list(walk(n, k))
-                assert [blocks for blocks, _ in swept] == list(enum(n, k)), (walk, n, k)
-                for blocks, s in swept:
-                    assert fields(s) == want[blocks], (walk, blocks)
-    assert list(sweep(2, 3)) == list(sweep_p(3, -1)) == []
+        want = {blocks: summarize(blocks) for blocks, _ in swept}
+        for blocks, v in swept:
+            assert v == values(want[blocks]), blocks
+        for k in range(-1, n + 2):
+            swept = list(sweep(n, k))
+            assert [blocks for blocks, _ in swept] == list(iter_blocks(n, k)), (n, k)
+            for blocks, s in swept:
+                assert fields(s) == fields(want[blocks]), blocks
 
 
 def test_kept_levels_match_summary():
     for n in range(stats.KEEP_N + 1):
         for k in range(n + 1):
-            kept = level(n, k)
-            assert isinstance(kept, tuple) and level(n, k) is kept, (n, k)
+            kept = stats._kept_level(n, k)
+            assert stats._kept_level(n, k) is kept, (n, k)
             assert [fields(s) for s in kept] == [fields(summarize(b)) for b in iter_blocks(n, k)], (n, k)
-    assert list(level(2, 3)) == list(level(3, -1)) == []
 
 
 def test_large_levels_are_not_kept():
     stats._kept_level.cache_clear()
     for k in range(8):
         distribution(7, k, "mak+bInv")
+    # nor are the inversion-free levels and the empty ones
+    assert enumerated_gf(6, 3, {"q": "mak"}, inv_free=True) == [q_stirling(6, 3)]
+    assert enumerated_gf(2, 3, {"q": "mak"}) == enumerated_gf(3, -1, {"q": "mak"}) == [DEFAULT.zero]
     assert stats._kept_level.cache_info().currsize == 0
-    assert not isinstance(level(7, 3), tuple)
     distribution(6, 3, "mak+bInv")
     assert stats._kept_level.cache_info().currsize == 1
 
 
 def test_value_steps_match_the_summary_sweep():
-    # every field and every row, a zero form and one that goes negative: the
-    # value steps node by node, and the last-level counts jointly and one
-    # expression at a time, against evaluator over sweep(n, k)
-    exprs = FIELDS + tuple(stats.TABLE) + ("0*mak", "inv-cinv")
+    # every field and every row, a zero form, one that goes negative and an
+    # (lhs, rhs) pair: the value steps node by node, and the last-level
+    # counts of them all as one group, against evaluator over sweep(n, k)
+    exprs = FIELDS + tuple(stats.TABLE) + ("0*mak", "inv-cinv", ("mak", "lmak"))
     values = evaluator(exprs)
-    steps = stats._value_steps(exprs, tuple(stats.TABLE.items()))
+    steps = stats._value_steps((exprs,), tuple(stats.TABLE.items()))
     root = ((), values(summarize(())))
     for n in range(8):
         for k in range(n + 1):
             swept = [(blocks, values(s)) for blocks, s in sweep(n, k)]
             assert list(grow(n, k, root, steps["singleton"], steps["append"])) == swept, (n, k)
-            counts = collections.Counter(v for _, v in swept)
-            assert stats._value_counts(n, k, exprs) == counts, (n, k)
-            if n < 7:
-                for i, e in enumerate(exprs):
-                    want = collections.Counter(v[i] for _, v in swept)
-                    assert stats._value_counts(n, k, (e,)) == {(v,): c for v, c in want.items()}, e
-    assert stats._value_counts(0, 1, exprs) == stats._value_counts(3, 4, exprs) == {}
+            assert value_counts(n, k, [exprs]) == [collections.Counter(v for _, v in swept)], (n, k)
+
+
+def test_value_counts_match_the_definition_route():
+    # a group of one expression (counted by its bare value), a joint group
+    # and a group of (lhs, rhs) pairs, over the full and the inversion-free
+    # levels, against evaluator over Summary(blocks)
+    groups = (("mak+bInv",), ("inv-cinv", "lsb+rsb", "k"), (("bInv", "rcs_op"), ("mak", "lmak")))
+    values = evaluator(e for group in groups for e in group)
+    for n in range(8):
+        for k in range(-1, n + 2):
+            for inv_free, enum in ((False, iter_blocks), (True, iter_blocks_p)):
+                want = [collections.Counter() for _ in groups]
+                for blocks in enum(n, k):
+                    v = values(Summary(blocks))
+                    for c, group in zip(want, groups):
+                        c[v[0] if len(group) == 1 else v[:len(group)]] += 1
+                        v = v[len(group):]
+                assert value_counts(n, k, groups, inv_free) == want, (n, k, inv_free)
+    assert value_counts(3, 2, []) == []
+
+
+def test_value_counts_follow_table_changes(monkeypatch):
+    # lmakP + bInv = mak fails exactly where bInv > 0: a changed row compiles
+    # anew, and an unchanged one is compiled once
+    groups = (("mak",), (("mak", "lmakP"), ("bInv", "rcs_op")))
+    assert value_counts(4, 2, groups)[1] == {(0, 0): 14}
+    with monkeypatch.context() as mp:
+        mp.setitem(stats.TABLE, "lmakP", stats.TABLE["lmakP"] + "+bInv")
+        want = collections.Counter((-s.binv, 0) for s in map(Summary, iter_blocks(4, 2)))
+        assert value_counts(4, 2, groups)[1] == want
+    hits = stats._value_steps.cache_info().hits
+    assert value_counts(4, 2, [list(group) for group in groups])[1] == {(0, 0): 14}
+    assert stats._value_steps.cache_info().hits == hits + 1
+
+
+def definition_gfs(summaries, weights):
+    """For each mapping of ``weights``, the sum over ``summaries`` of
+    prod_v v^(stat_v), each value read off its Summary."""
+    out = []
+    for w in weights:
+        terms = {}
+        for v, c in collections.Counter(map(evaluator(w.values()), summaries)).items():
+            exponents = [0] * len(DEFAULT)
+            for name, e in zip(w, v):
+                exponents[DEFAULT.index(name)] = e
+            terms[tuple(exponents)] = c
+        out.append(DEFAULT.poly(terms))
+    return out
 
 
 def test_streamed_levels_give_the_summary_polynomials():
+    # one level on each side of KEEP_N: the walk monomials and both THM24
+    # maps in one call, against Summary(blocks)
     walk = {t: t for t in WALK_EXPONENTS}
-    for k in range(8):
-        streamed = level(7, k)
-        assert isinstance(streamed, stats.StreamedLevel)
-        summaries = [s for _, s in sweep(7, k)]
-        weights = (walk, *(w for _, w in checks.THM24))
-        assert enumerated_gf(streamed, *weights) == enumerated_gf(summaries, *weights), k
-        assert enumerated_gf(streamed) == []
+    weights = (walk, *(w for _, w in checks.THM24))
+    for n in (stats.KEEP_N, stats.KEEP_N + 1):
+        for k in range(n + 1):
+            summaries = [Summary(blocks) for blocks in iter_blocks(n, k)]
+            assert enumerated_gf(n, k, *weights) == definition_gfs(summaries, weights), (n, k)
+            assert enumerated_gf(n, k) == []
 
 
 def test_distribution_past_the_kept_levels_is_the_q_stirling_target():
@@ -439,11 +484,15 @@ def test_step_tables_fail_loudly_on_a_missing_field(monkeypatch):
             stats._value_steps.cache_clear()
             missing = f"the {kind} step has no entry for the Summary field {field!r}"
             with pytest.raises(ValueError, match=missing):
+                value_counts(7, 3, [(expr,)])
+            with pytest.raises(ValueError, match=missing):
                 distribution(7, 3, expr)
             with pytest.raises(ValueError, match=repr(field)):
                 stats._summary_step(kind, "step", "")
-            # a form that reads only fields with entries still compiles
-            assert distribution(7, 3, "mak") == enumerated_gf([s for _, s in sweep(7, 3)], {"q": "mak"})[0]
+            # a form that reads only fields with entries still compiles; the
+            # Summary steps were generated before the change
+            summaries = [s for _, s in sweep(7, 3)]
+            assert [distribution(7, 3, "mak")] == definition_gfs(summaries, [{"q": "mak"}])
         stats._value_steps.cache_clear()
     assert distribution(7, 3, "k") == 1806 * DEFAULT.var("q") ** 3
 
@@ -471,26 +520,6 @@ def test_evaluator_follows_table_changes(monkeypatch):
         mp.setitem(stats.TABLE, "lmakP", stats.TABLE["lmakP"] + "+bInv")
         assert evaluator(("lmakP",))(s) == (original[0] + s.binv,)
     assert evaluator(("lmakP",))(s) == original
-
-
-def test_tally_counts_values_and_flags_failed_identities(monkeypatch):
-    exprs = ("mak", "lmak+bInv", "inv")
-    pairs = (("mak", "lmakP"), ("bInv", "rcs_op"))
-    counts = [{} for _ in exprs]
-    count = tally(exprs, pairs)(counts)
-    summaries = [summarize(b) for b in iter_blocks_all(4)]
-    assert not any(count(s) for s in summaries)
-    values = evaluator(exprs)
-    want = [collections.Counter(values(s)[i] for s in summaries) for i in range(len(exprs))]
-    assert counts == [dict(c) for c in want]
-    assert tally(exprs, pairs) is tally(list(exprs), list(pairs))  # compiled once
-    # a changed row compiles anew: lmakP + bInv = mak fails wherever bInv > 0
-    with monkeypatch.context() as mp:
-        mp.setitem(stats.TABLE, "lmakP", stats.TABLE["lmakP"] + "+bInv")
-        count = tally(exprs, pairs)([{} for _ in exprs])
-        assert [count(s) for s in summaries] == [s.binv > 0 for s in summaries]
-    count = tally((), ())([])
-    assert count(summaries[0]) is False
 
 
 def test_audit_counts_follow_the_definition_route(monkeypatch):
