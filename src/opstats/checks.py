@@ -3,10 +3,10 @@
 Every suite returns a list of :class:`CheckResult`, one per checked instance,
 so callers (CLI, acceptance tests) can report the first failing case.  The
 enumeration side counts statistic values over the insertion tree of
-``stats``, through the value steps (the small levels of ``enumerated_gf``
-through its kept Summaries), and so never counts block pairs; the targets
-come from the independent routes (recurrences, closed forms, symbolic
-determinants), never from the same sweep.
+``stats``, through the value steps (the small levels that ``enumerated_gf``
+keeps included), and so never counts block pairs; the targets come from the
+independent routes (recurrences, closed forms, symbolic determinants), never
+from the same sweep.
 """
 
 from __future__ import annotations

@@ -149,6 +149,8 @@ def _parse_xi(text: str) -> tuple[int, ...]:
 
 def _bij_cmd(args) -> int:
     if args.inverse is not None:
+        if args.forward is not None or args.xi is not None:
+            raise ValueError("--inverse takes no --forward or --xi")
         pi = opart.parse(args.inverse)
         d = walks.psi_inverse(pi)
         print("".join(d.steps) + "\t" + ",".join(map(str, d.xi)))

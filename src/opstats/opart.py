@@ -122,8 +122,7 @@ def format_partition(pi: OrderedPartition | Blocks) -> str:
 # singleton block at gap g, ``append(node, m, b)`` the child with m appended
 # to block b.  The iter_blocks* enumerators grow bare block tuples; iter_text
 # grows tuples of block texts; the stats sweeps grow (blocks, values) pairs,
-# which carry the values of the sweep's statistic expressions, and
-# stats.sweep, for the levels that stats keeps, (blocks, Summary) pairs.
+# which carry the values of the sweep's statistic expressions.
 
 
 def _singleton(blocks: Blocks, m: int, g: int) -> Blocks:

@@ -23,27 +23,24 @@ Every derived statistic is defined once, as a row of ``TABLE``: an integer
 combination of Summary fields, of earlier rows and of the per-partition
 constants nk1 = n(k-1) and k2 = C(k,2).  Expressions such as ``mak+bInv-inv``
 are compiled through the table into field coefficients (``linear_form``) and
-then into one function of a Summary (``evaluator``), or into the value steps
-of a sweep that counts their values.
+then into one function of a partition's field tuple (``evaluator`` over
+``fields(s)``), or into the value steps of a sweep that counts their values.
 
 Two computation routes are kept deliberately separate.  The definition
 route: coord_rows() counts every element's ten coordinates as defined,
 block_stats() the block statistics and opart.inv the inversions; coord() and
 the bijection check read the rows, and Summary(blocks) sums them (summarize(),
 composite(), q_monomial() and the ``stats`` table).  The sweep route walks
-opart's insertion tree through steps generated from STEPS, the one statement
-of each insertion step.  Every sweep counts statistic values through the
-value steps, whose nodes carry the values of the sweep's expressions alone
-(``value_counts``, ``sweep_all``); only the levels with n <= KEEP_N, which
-``enumerated_gf`` keeps for the life of the process, are swept as Summaries,
-through the Summary steps add_singleton and add_to_block (``sweep``).  Tests
-pin the Summary steps to Summary(blocks), and the value counts to evaluator
-over Summary(blocks).
+opart's insertion tree through the value steps, generated from STEPS, the
+one statement of each insertion step, whose nodes carry the values of the
+sweep's expressions alone (``value_counts``, ``sweep_all``).  The levels with
+n <= KEEP_N, which ``enumerated_gf`` keeps for the life of the process, are
+counted the same way, with every Summary field as an expression.  Tests pin
+the value steps over every field to fields(Summary(blocks)).
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import re
 from bisect import bisect_right
@@ -223,15 +220,11 @@ def summarize(pi) -> Summary:
 # singleton in each gap, then appended to each block.  Every pair that m's
 # insertion adds or changes can be counted from the parent alone, so each
 # step kind is written once, in STEPS, as the change of every Summary field
-# over a few quantities of the parent and the step.  Two kinds of step are
-# generated from it: for each list of groups of statistic expressions, value
-# steps over (blocks, values) nodes, through which every sweep grows opart's
-# tree (opart.grow*) and counts, and the Summary steps add_singleton and
-# add_to_block over (blocks, Summary) nodes, which build the kept levels.
-# Neither counts block pairs.  The Summary steps are checked against
-# Summary(blocks), which reads the definitions, and so are the value counts.
-
-_new = object.__new__
+# over a few quantities of the parent and the step.  For each list of groups
+# of statistic expressions, value steps over (blocks, values) nodes are
+# generated from it, through which every sweep grows opart's tree
+# (opart.grow*) and counts, without counting block pairs.  They are checked
+# against Summary(blocks), which reads the definitions.
 
 
 def _above(blocks: Blocks, c: int) -> tuple[int, int]:
@@ -370,46 +363,10 @@ def _quantity_lines(kind: str, deltas: Iterable[Mapping[str, int]], indent: str)
     return [indent + line for source in sources for line in source.splitlines()]
 
 
-def _generate(lines: list[str], **names) -> dict:
-    namespace = {"__name__": __name__, "_above": _above, **names}
+def _generate(lines: list[str]) -> dict:
+    namespace = {"__name__": __name__, "_above": _above}
     exec("\n".join(lines), namespace)
     return namespace
-
-
-def _summary_step(kind: str, name: str, doc: str) -> Callable:
-    """The step that gives a child's (blocks, Summary) from its parent's."""
-    deltas = {f: _delta(kind, {f: 1}) for f in Summary.__slots__}
-    step = STEPS[kind]
-    lines = [
-        f"def {name}(node, m, {step.at}):",
-        "    blocks, s = node",
-        "    k = s.k",
-        *_quantity_lines(kind, deltas.values(), "    "),
-        "    t = _new(Summary)",
-        *(f"    t.{f} = {_linear_source({f's.{f}': 1, **d})}" for f, d in deltas.items()),
-        f"    return {step.child}, t",
-    ]
-    fn = _generate(lines, _new=_new, Summary=Summary)[name]
-    fn.__doc__ = doc
-    return fn
-
-
-add_singleton = _summary_step("singleton", "add_singleton", """\
-The child of ``node`` = (blocks, Summary) of a partition of [m-1] with m as
-a new singleton block at gap g (0..k), with the child's Summary; generated
-from STEPS["singleton"].""")
-
-add_to_block = _summary_step("append", "add_to_block", """\
-The child of ``node`` = (blocks, Summary) of a partition of [m-1] with m
-appended to block b (0..k-1), with the child's Summary; generated from
-STEPS["append"].""")
-
-_ROOT = ((), Summary(()))
-
-
-def sweep(n: int, k: int) -> Iterator[tuple[Blocks, Summary]]:
-    """OP_n^k with Summaries, in the order of ``opart.iter_blocks(n, k)``."""
-    return grow(n, k, _ROOT, add_singleton, add_to_block)
 
 
 def sweep_all(n: int, exprs: Iterable[str | tuple[str, str]]
@@ -491,24 +448,31 @@ def _value_steps(groups: tuple[tuple[str | tuple[str, str], ...], ...], table: t
     return _generate(lines)
 
 
-#: The largest n whose levels ``enumerated_gf`` keeps as Summaries: all of
-#: OP_n for n <= 6 is 5 316 Summaries, about 1.2 MB; OP_7 alone is 47 293,
-#: about 11 MB.
+#: The largest n whose levels ``enumerated_gf`` keeps as field counts: all
+#: of OP_n for n <= 6 is 5 316 partitions, about 1.2 MB; OP_7 alone is
+#: 47 293, about 11 MB.
 KEEP_N = 6
 
 
 @functools.lru_cache(maxsize=None)
-def _kept_level(n: int, k: int) -> tuple[Summary, ...]:
-    """The Summaries of ``sweep(n, k)``, 0 <= k <= n <= KEEP_N, swept once
-    per process and kept (at most 28 tuples).  A kept Summary is shared
-    between callers and threads; it is read-only, as nothing changes a
-    Summary after the step that builds it."""
-    return tuple(s for _, s in sweep(n, k))
+def _kept_level(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """For 0 <= k <= n <= KEEP_N, the number of partitions of OP_n^k at each
+    tuple of Summary fields (``fields``), counted once per process through
+    the value steps and kept (at most 28 dicts).  A kept dict is shared
+    between callers and threads; it is read-only, as nothing changes it
+    after this count."""
+    return value_counts(n, k, [Summary.__slots__])[0]
+
+
+def fields(s: Summary) -> tuple[int, ...]:
+    """The fields of ``s`` in ``Summary.__slots__`` order, which the
+    functions of ``evaluator`` read."""
+    return tuple(getattr(s, f) for f in Summary.__slots__)
 
 
 def composite(pi, expr: str) -> int:
     """Value of a statistic expression, e.g. ``mak`` or ``lmak+bInv``."""
-    return evaluator((expr,))(summarize(pi))[0]
+    return evaluator((expr,))(fields(summarize(pi)))[0]
 
 
 # -- statistic expressions -------------------------------------------------------
@@ -553,14 +517,15 @@ def linear_form(expr: str) -> dict[str, int]:
     return form
 
 
-def evaluator(exprs: Iterable[str | tuple[str, str]]) -> Callable[[Summary], tuple[int, ...]]:
-    """One function of a Summary that returns the values of several statistic
-    expressions; an ``(lhs, rhs)`` pair gives lhs - rhs, which is 0 exactly
-    where that identity holds.
+def evaluator(exprs: Iterable[str | tuple[str, str]]
+              ) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """One function of a partition's field tuple, ``fields(s)``, that returns
+    the values of several statistic expressions; an ``(lhs, rhs)`` pair gives
+    lhs - rhs, which is 0 exactly where that identity holds.
 
-    A kept level is evaluated Summary by Summary, so the linear forms are
-    compiled into one generated expression over the fields: about 1 us per
-    partition for twenty expressions, against 9 us for a loop over
+    A kept level is evaluated field tuple by field tuple, so the linear forms
+    are compiled into one generated expression over the fields: about 1 us
+    per tuple for twenty expressions, against 9 us for a loop over
     coefficients.  Only field names that ``parse_stat_expr`` accepted and
     integers reach it.  Each compiled function is kept per process, keyed on
     the expressions and on the contents of TABLE, so a changed row compiles
@@ -570,10 +535,12 @@ def evaluator(exprs: Iterable[str | tuple[str, str]]) -> Callable[[Summary], tup
 
 
 @functools.lru_cache(maxsize=256)
-def _compiled(exprs: tuple[str | tuple[str, str], ...], table: tuple) -> Callable[[Summary], tuple[int, ...]]:
+def _compiled(exprs: tuple[str | tuple[str, str], ...], table: tuple
+              ) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     # ``table`` is TABLE's contents, which linear_form reads; it is only
     # part of the key
-    sources = (_linear_source({f"s.{f}": c for f, c in _form(e).items()}) for e in exprs)
+    index = Summary.__slots__.index
+    sources = (_linear_source({f"s[{index(f)}]": c for f, c in _form(e).items()}) for e in exprs)
     return eval(f"lambda s: ({''.join(source + ', ' for source in sources)})", {})
 
 
@@ -593,14 +560,18 @@ def enumerated_gf(n: int, k: int, *weights: Mapping[str, str], inv_free: bool = 
     """One polynomial per ``weights`` mapping of variable names to statistic
     expressions: the sum over OP_n^k (over its inversion-free partitions
     when ``inv_free``) of prod_v v^(stat_v).  A full level with n <= KEEP_N
-    reads its kept Summaries; any other is counted by ``value_counts``, one
-    group per mapping, in one sweep."""
+    weights the values at each kept field tuple by its count; any other is
+    counted by ``value_counts``, one group per mapping, in one sweep."""
     groups = [tuple(w.values()) for w in weights]
     if n <= KEEP_N and not inv_free:
-        summaries = _kept_level(n, k) if 0 <= k <= n else ()
+        kept = _kept_level(n, k) if 0 <= k <= n else {}
         counts = []
         for group in groups:
-            c = collections.Counter(map(evaluator(group), summaries))
+            values = evaluator(group)
+            c: dict = {}
+            for f, m in kept.items():
+                v = values(f)
+                c[v] = c.get(v, 0) + m
             counts.append(c if len(group) > 1 else {v: m for (v,), m in c.items()})
     else:
         counts = value_counts(n, k, groups, inv_free)
@@ -628,7 +599,7 @@ def distribution(n: int, k: int, expr: str, force_large: bool = False) -> Lauren
 def q_monomial(pi) -> LaurentPoly:
     """The seven-variable walk monomial of one partition: each of t1..t7
     raised to its row of TABLE."""
-    values = evaluator(WALK_EXPONENTS)(summarize(pi))
+    values = evaluator(WALK_EXPONENTS)(fields(summarize(pi)))
     return DEFAULT.monomial(1, **dict(zip(WALK_EXPONENTS, values)))
 
 
@@ -642,7 +613,7 @@ def stat_table(pi: OrderedPartition) -> str:
     """Human-readable table: one row per coordinate statistic, elements in
     block order with | between blocks, then aggregates and composites."""
     rows = coord_rows(pi)
-    s = _new(Summary)
+    s = Summary.__new__(Summary)
     _fill(s, pi.blocks, rows)
 
     def fmt(values: list[int] | None) -> str:
@@ -659,7 +630,7 @@ def stat_table(pi: OrderedPartition) -> str:
     sigma = perm_of(pi)
     perm_text = "".join(map(str, sigma)) if pi.k <= 9 else ",".join(map(str, sigma))
     names = ("mak", "makP", "lmak", "lmakP", "cinvLSB", "cmajLSB")
-    cinv, *values = evaluator(("cinv", *names))(s)
+    cinv, *values = evaluator(("cinv", *names))(fields(s))
     lines.append(
         f"perm={perm_text}  inv={s.inv}  cinv={cinv}  "
         f"bInv={s.binv}  bExc={s.bexc}  bMaj={s.bmaj}"

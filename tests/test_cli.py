@@ -71,6 +71,11 @@ def test_bij_usage_errors(capsys):
     for xi in ("1,,2", ""):
         assert run(capsys, "bij", "--forward", "NN", "--xi", xi) == (
             2, "", f"error: --xi takes comma-separated integers; '' in {xi!r} is not one\n")
+    # --inverse goes one way only: --forward or --xi with it is an error,
+    # not ignored
+    for extra in (("--forward", "N"), ("--xi", "1"), ("--forward", "N", "--xi", "1")):
+        assert run(capsys, "bij", "--inverse", "1/2", *extra) == (
+            2, "", "error: --inverse takes no --forward or --xi\n")
 
 
 def test_bij_forward_reports_the_walk_error_first(capsys):
@@ -248,6 +253,17 @@ def test_closed_stdout_exits_2_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 2
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_importing_the_cli_compiles_no_step_code():
+    # the value steps are generated on a sweep's first call, never at import
+    root = pathlib.Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = ("import opstats.cli\nfrom opstats import stats\n"
+            "print(stats._value_steps.cache_info().currsize, hasattr(stats, 'add_singleton'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"0 False\n"
 
 
 def test_qnum_negative_bound_is_a_usage_error(capsys):
@@ -823,7 +839,7 @@ def test_dist_kept_levels_print_what_the_definitions_give(capsys, monkeypatch):
     exprs = _bench_workloads(monkeypatch).STAT_EXPRS
     q = DEFAULT.var("q")
     for k in range(7):
-        values = [stats.evaluator(exprs)(stats.summarize(pi)) for pi in enumerate_op(6, k)]
+        values = [stats.evaluator(exprs)(stats.fields(stats.summarize(pi))) for pi in enumerate_op(6, k)]
         for i, expr in enumerate(exprs):
             argv = ("dist", "--n", "6", "--k", str(k), "--stat", expr)
             stats._kept_level.cache_clear()
@@ -843,8 +859,10 @@ def test_audit_reports_a_step_defect_at_a_partition(capsys, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setitem(stats.STEPS["append"].deltas, "binv", "-left_op+1")
         stats._value_steps.cache_clear()
+        stats._kept_level.cache_clear()
         code, out, _ = run(capsys, "verify", "thm25", "restriction-identities", "--n-max", "3")
     stats._value_steps.cache_clear()
+    stats._kept_level.cache_clear()
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert code == 1 and {line.split()[1] for line in fails} == {"thm25", "restriction-identities"}
     for line in fails:

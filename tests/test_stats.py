@@ -24,8 +24,6 @@ from opstats.stats import (
     COORD_NAMES,
     Summary,
     WALK_EXPONENTS,
-    add_singleton,
-    add_to_block,
     aggregate,
     block_stats,
     composite,
@@ -33,13 +31,13 @@ from opstats.stats import (
     distribution,
     enumerated_gf,
     evaluator,
+    fields,
     parse_stat_expr,
     per_element_sums_ok,
     q_monomial,
     restricted,
     stat_table,
     summarize,
-    sweep,
     sweep_all,
     value_counts,
 )
@@ -120,7 +118,7 @@ def test_open_restriction_identities():
     value = evaluator(("cinv",))
     for blocks in iter_blocks_all(5):
         s = summarize(blocks)
-        (s_cinv,) = value(s)
+        (s_cinv,) = value(fields(s))
         assert s.binv == s.rcs_op
         assert s.inv == s.ros_op
         assert s.bexc == s.lcs_op
@@ -130,7 +128,7 @@ def test_open_restriction_identities():
 def test_mak_lmak_dualities():
     values = evaluator(("mak", "lmakP", "makP", "lmak"))
     for blocks in iter_blocks_all(5):
-        mak, lmakp, makp, lmak = values(summarize(blocks))
+        mak, lmakp, makp, lmak = values(fields(summarize(blocks)))
         assert mak == lmakp
         assert makp == lmak
 
@@ -139,7 +137,7 @@ REWRITE_NAMES = ("mak", "lmak", "cinv", "rsb_tc", "lsb_tc", "lcsrcs_tc", "lsbrsb
 
 
 def assert_rewrites(s, values):
-    mak, lmak, cinv_, rsb_tc, lsb_tc, lcsrcs_tc, lsbrsb_op = values(s)
+    mak, lmak, cinv_, rsb_tc, lsb_tc, lcsrcs_tc, lsbrsb_op = values(fields(s))
     k2 = s.k * (s.k - 1) // 2
     assert mak + s.binv == (s.lcs + s.rcs) + rsb_tc + s.inv
     assert lmak + s.binv == s.n * (s.k - 1) - lcsrcs_tc - lsb_tc - cinv_
@@ -190,7 +188,7 @@ def test_table_matches_definition_route():
     assert set(definition_values(PI.blocks)) == set(names)
     for n in range(1, 6):
         for blocks in iter_blocks_all(n):
-            got = dict(zip(names, values(summarize(blocks))))
+            got = dict(zip(names, values(fields(summarize(blocks)))))
             assert got == definition_values(blocks), blocks
 
 
@@ -200,7 +198,7 @@ def test_q_monomial_examples():
     assert q_monomial(parse("2/1")) == reg.monomial(1, t1=1, t5=1)
     assert q_monomial(parse("1")) == reg.one
     assert q_monomial(parse("1,2")) == reg.one
-    assert evaluator(WALK_EXPONENTS)(summarize(parse("1/2"))) == (1, 0, 0, 0, 0, 1, 0)
+    assert evaluator(WALK_EXPONENTS)(fields(summarize(parse("1/2")))) == (1, 0, 0, 0, 0, 1, 0)
 
 
 def test_distribution_examples():
@@ -222,7 +220,7 @@ def test_distribution_allows_negative_exponents():
 def test_enumerated_gf_matches_definition_route():
     reg = DEFAULT
     exprs = ("mak+bInv", "2*inv-cinv", "lsb+rsb")  # the second goes negative
-    assert evaluator([])(summarize(PI)) == ()
+    assert evaluator([])(fields(summarize(PI))) == ()
     for n in range(6):
         for k in range(n + 1):
             for inv_free, enum in ((False, enumerate_op), (True, enumerate_p)):
@@ -331,7 +329,7 @@ def test_random_partition_invariants(blocks):
     s = summarize(blocks)
     assert per_element_sums_ok(blocks)
     # dualities and rewrites
-    mak, lmakp, makp, lmak = evaluator(("mak", "lmakP", "makP", "lmak"))(s)
+    mak, lmakp, makp, lmak = evaluator(("mak", "lmakP", "makP", "lmak"))(fields(s))
     assert mak == lmakp and makp == lmak
     assert_rewrites(s, evaluator(REWRITE_NAMES))
 
@@ -350,27 +348,31 @@ def test_random_partition_round_trip(blocks):
 FIELDS = stats.Summary.__slots__
 
 
-def fields(s):
-    return tuple(getattr(s, f) for f in FIELDS)
+def field_steps():
+    """The value steps whose values are every Summary field, in FIELDS
+    order, and their root, the fields of the empty partition."""
+    steps = stats._value_steps((FIELDS,), tuple(stats.TABLE.items()))
+    return steps, ((), fields(summarize(())))
 
 
 def test_sweeps_follow_the_enumeration_and_match_summary():
-    # the Summary steps of sweep(n, k), at every k, against Summary(blocks),
-    # which reads the definitions, and the values of sweep_all(n, exprs)
-    # against evaluator over Summary(blocks)
+    # the value steps over every field, at every k, against
+    # fields(Summary(blocks)), which reads the definitions, and the values of
+    # sweep_all(n, exprs) against evaluator over those fields
     exprs = ("mak+bInv", ("bInv", "rcs_op"), "inv-cinv")
     values = evaluator(exprs)
+    steps, root = field_steps()
     for n in range(8):
         swept = list(sweep_all(n, exprs))
         assert [blocks for blocks, _ in swept] == list(iter_blocks_all(n)), n
-        want = {blocks: summarize(blocks) for blocks, _ in swept}
+        want = {blocks: fields(summarize(blocks)) for blocks, _ in swept}
         for blocks, v in swept:
             assert v == values(want[blocks]), blocks
         for k in range(-1, n + 2):
-            swept = list(sweep(n, k))
-            assert [blocks for blocks, _ in swept] == list(iter_blocks(n, k)), (n, k)
-            for blocks, s in swept:
-                assert fields(s) == fields(want[blocks]), blocks
+            grown = list(grow(n, k, root, steps["singleton"], steps["append"]))
+            assert [blocks for blocks, _ in grown] == list(iter_blocks(n, k)), (n, k)
+            for blocks, f in grown:
+                assert f == want[blocks], blocks
 
 
 def test_kept_levels_match_summary():
@@ -378,7 +380,8 @@ def test_kept_levels_match_summary():
         for k in range(n + 1):
             kept = stats._kept_level(n, k)
             assert stats._kept_level(n, k) is kept, (n, k)
-            assert [fields(s) for s in kept] == [fields(summarize(b)) for b in iter_blocks(n, k)], (n, k)
+            want = collections.Counter(fields(summarize(b)) for b in iter_blocks(n, k))
+            assert kept == want, (n, k)
 
 
 def test_large_levels_are_not_kept():
@@ -393,19 +396,20 @@ def test_large_levels_are_not_kept():
     assert stats._kept_level.cache_info().currsize == 1
 
 
-def test_value_steps_match_the_summary_sweep():
+def test_value_steps_match_summary_fields():
     # every field and every row, a zero form, one that goes negative and an
     # (lhs, rhs) pair: the value steps node by node, and the last-level
-    # counts of them all as one group, against evaluator over sweep(n, k)
+    # counts of them all as one group, against evaluator over
+    # fields(Summary(blocks))
     exprs = FIELDS + tuple(stats.TABLE) + ("0*mak", "inv-cinv", ("mak", "lmak"))
     values = evaluator(exprs)
     steps = stats._value_steps((exprs,), tuple(stats.TABLE.items()))
-    root = ((), values(summarize(())))
+    root = ((), values(fields(summarize(()))))
     for n in range(8):
         for k in range(n + 1):
-            swept = [(blocks, values(s)) for blocks, s in sweep(n, k)]
-            assert list(grow(n, k, root, steps["singleton"], steps["append"])) == swept, (n, k)
-            assert value_counts(n, k, [exprs]) == [collections.Counter(v for _, v in swept)], (n, k)
+            want = [(blocks, values(fields(summarize(blocks)))) for blocks in iter_blocks(n, k)]
+            assert list(grow(n, k, root, steps["singleton"], steps["append"])) == want, (n, k)
+            assert value_counts(n, k, [exprs]) == [collections.Counter(v for _, v in want)], (n, k)
 
 
 def test_value_counts_match_the_definition_route():
@@ -419,7 +423,7 @@ def test_value_counts_match_the_definition_route():
             for inv_free, enum in ((False, iter_blocks), (True, iter_blocks_p)):
                 want = [collections.Counter() for _ in groups]
                 for blocks in enum(n, k):
-                    v = values(Summary(blocks))
+                    v = values(fields(Summary(blocks)))
                     for c, group in zip(want, groups):
                         c[v[0] if len(group) == 1 else v[:len(group)]] += 1
                         v = v[len(group):]
@@ -447,7 +451,7 @@ def definition_gfs(summaries, weights):
     out = []
     for w in weights:
         terms = {}
-        for v, c in collections.Counter(map(evaluator(w.values()), summaries)).items():
+        for v, c in collections.Counter(map(evaluator(w.values()), map(fields, summaries))).items():
             exponents = [0] * len(DEFAULT)
             for name, e in zip(w, v):
                 exponents[DEFAULT.index(name)] = e
@@ -477,24 +481,28 @@ def test_distribution_past_the_kept_levels_is_the_q_stirling_target():
 
 
 def test_step_tables_fail_loudly_on_a_missing_field(monkeypatch):
-    # a field with no entry in a step raises rather than counting as 0
+    # a field with no entry in a step raises rather than counting as 0, on
+    # the kept levels too, which read every field
     for kind, field, expr in (("singleton", "lsb", "cinvLSB"), ("append", "k", "k")):
         with monkeypatch.context() as mp:
             mp.delitem(stats.STEPS[kind].deltas, field)
             stats._value_steps.cache_clear()
+            stats._kept_level.cache_clear()
             missing = f"the {kind} step has no entry for the Summary field {field!r}"
             with pytest.raises(ValueError, match=missing):
                 value_counts(7, 3, [(expr,)])
-            with pytest.raises(ValueError, match=missing):
-                distribution(7, 3, expr)
-            with pytest.raises(ValueError, match=repr(field)):
-                stats._summary_step(kind, "step", "")
-            # a form that reads only fields with entries still compiles; the
-            # Summary steps were generated before the change
-            summaries = [s for _, s in sweep(7, 3)]
+            for n, e in ((7, expr), (stats.KEEP_N, expr), (stats.KEEP_N, "mak")):
+                with pytest.raises(ValueError, match=missing):
+                    distribution(n, 3, e)
+            assert stats._kept_level.cache_info().currsize == 0
+            # past the kept levels, a form that reads only fields with
+            # entries still compiles
+            summaries = [Summary(blocks) for blocks in iter_blocks(7, 3)]
             assert [distribution(7, 3, "mak")] == definition_gfs(summaries, [{"q": "mak"}])
         stats._value_steps.cache_clear()
+        stats._kept_level.cache_clear()
     assert distribution(7, 3, "k") == 1806 * DEFAULT.var("q") ** 3
+    assert distribution(stats.KEEP_N, 3, "k") == 540 * DEFAULT.var("q") ** 3
 
 
 def test_kept_levels_stay_small():
@@ -515,11 +523,11 @@ def test_kept_levels_stay_small():
 
 def test_evaluator_follows_table_changes(monkeypatch):
     s = summarize(PI)
-    original = evaluator(("lmakP",))(s)
+    original = evaluator(("lmakP",))(fields(s))
     with monkeypatch.context() as mp:
         mp.setitem(stats.TABLE, "lmakP", stats.TABLE["lmakP"] + "+bInv")
-        assert evaluator(("lmakP",))(s) == (original[0] + s.binv,)
-    assert evaluator(("lmakP",))(s) == original
+        assert evaluator(("lmakP",))(fields(s)) == (original[0] + s.binv,)
+    assert evaluator(("lmakP",))(fields(s)) == original
 
 
 def test_audit_counts_follow_the_definition_route(monkeypatch):
@@ -545,7 +553,7 @@ def test_audit_counts_follow_the_definition_route(monkeypatch):
         for blocks in iter_blocks_all(n):
             s = Summary(blocks)
             row = want.setdefault(s.k, [collections.Counter() for _ in exprs])
-            for c, v in zip(row, values(s)):
+            for c, v in zip(row, values(fields(s))):
                 c[v] += 1
         assert counts == {k: [dict(c) for c in row] for k, row in want.items()}, n
         assert first_bad == {}
@@ -571,13 +579,13 @@ def test_audit_reports_each_failing_pair_under_its_own_check(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(random_moves(max_n=10))
 def test_step_functions_replay_random_partitions(moves):
-    node = (), summarize(())
+    steps, node = field_steps()
     for m, pos in enumerate(moves, 1):
-        k = node[1].k
+        k = len(node[0])
         if pos <= k:
-            node = add_singleton(node, m, pos)
+            node = steps["singleton"](node, m, pos)
         else:
-            node = add_to_block(node, m, pos - k - 1)
-        blocks, s = node
-        assert blocks == replay(moves[:s.n])
-        assert fields(s) == fields(summarize(blocks)), blocks
+            node = steps["append"](node, m, pos - k - 1)
+        blocks, f = node
+        assert blocks == replay(moves[:m])
+        assert f == fields(summarize(blocks)), blocks

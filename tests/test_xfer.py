@@ -8,7 +8,7 @@ from opstats import xfer
 from opstats.opart import BoundExceeded, iter_blocks
 from opstats.qnum import pq_context, pq_int, q_factorial, q_stirling
 from opstats.ring import DEFAULT, ensure_f, series_from_rational
-from opstats.stats import WALK_EXPONENTS, Summary, evaluator
+from opstats.stats import WALK_EXPONENTS, Summary, evaluator, fields
 from opstats.walks import vertex_count
 from opstats.xfer import (
     SymbolicMatrix,
@@ -270,7 +270,7 @@ def test_transfer_series_k2_matches_monomials():
     for n in range(5):
         counts = {}
         for blocks in iter_blocks(n, 2):
-            e = exponents(Summary(blocks))
+            e = exponents(fields(Summary(blocks)))
             counts[e] = counts.get(e, 0) + 1
         want = REG.poly({(0,) * prefix + e: c for e, c in counts.items()})
         assert s.coefficient(n) == want
@@ -284,7 +284,7 @@ def test_transfer_series_k4_matches_monomials():
     for n in range(4, 7):
         counts = {}
         for blocks in iter_blocks(n, 4):
-            e = exponents(Summary(blocks))
+            e = exponents(fields(Summary(blocks)))
             counts[e] = counts.get(e, 0) + 1
         want = REG.poly({(0,) * prefix + e: c for e, c in counts.items()})
         assert s.coefficient(n) == want
