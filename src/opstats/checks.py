@@ -1,19 +1,20 @@
 """Exhaustive verification suites tying the package together.
 
 Every suite returns a list of :class:`CheckResult`, one per checked instance,
-so callers (CLI, acceptance tests) can report the first failing case.  The
-enumeration side counts statistic values over the insertion tree of
-``stats``, through the value steps (the small levels that ``enumerated_gf``
-keeps included), and so never counts block pairs; the targets come from the
-independent routes (recurrences, closed forms, symbolic determinants), never
-from the same sweep.
+so callers (CLI, acceptance tests) can report the first failing case;
+``run_audit``, the one sweep that the audit checks share, returns each
+check's list under the check's name.  The enumeration side counts statistic
+values over the insertion tree of ``stats``, through the value steps (the
+small levels that ``enumerated_gf`` keeps included), and so never counts
+block pairs; the targets come from the independent routes (recurrences,
+closed forms, symbolic determinants), never from the same sweep.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import qnum, xfer
@@ -51,17 +52,17 @@ SIX_STATS = (
 #: The three empirically checked distributions (block-major-index based).
 BMAJ_STATS = ("mak+bMaj", "lmak+bMaj", "cmajLSB")
 
-#: The pointwise identities of the audit sweep, as (check, AuditReport field,
-#: (lhs, rhs) pairs): Proposition 2.2's dualities, Lemma 3.10's rewrites that
-#: match statistics to walk weights, and the restrictions to open(pi).
+#: The pointwise identities of the audit sweep, as (check, (lhs, rhs)
+#: pairs): Proposition 2.2's dualities, Lemma 3.10's rewrites that match
+#: statistics to walk weights, and the restrictions to open(pi).
 POINTWISE = (
-    ("prop22", "prop22", (("mak", "lmakP"), ("makP", "lmak"))),
-    ("lemma310", "lemma310", (
+    ("prop22", (("mak", "lmakP"), ("makP", "lmak"))),
+    ("lemma310", (
         ("mak+bInv", "lcs+rcs+rsb_tc+inv"),
         ("lmak+bInv", "nk1-lcsrcs_tc-lsb_tc-cinv"),
         ("cinvLSB", "lsbrsb_op+lsb_tc+inv+2*cinv"),
     )),
-    ("restriction-identities", "restrictions", (
+    ("restriction-identities", (
         ("bInv", "rcs_op"), ("inv", "ros_op"), ("bExc", "lcs_op"), ("cinv", "los_op"),
     )),
 )
@@ -145,27 +146,16 @@ def check_eulerian_bruteforce(n_max: int = 8) -> list[CheckResult]:
 # -- enumeration sweeps ----------------------------------------------------------
 
 
-@dataclass
-class AuditReport:
-    """Everything a full sweep over OP_n (n <= n_max) establishes."""
-
-    n_max: int
-    equidist_n_max: int
-    six: list[CheckResult] = field(default_factory=list)
-    bmaj: list[CheckResult] = field(default_factory=list)
-    prop22: list[CheckResult] = field(default_factory=list)
-    lemma310: list[CheckResult] = field(default_factory=list)
-    restrictions: list[CheckResult] = field(default_factory=list)
-    equidist: list[CheckResult] = field(default_factory=list)
-
-
-def run_audit(n_max: int = 8, equidist_n_max: int = 7) -> AuditReport:
+def run_audit(n_max: int = 8, equidist_n_max: int = 7) -> dict[str, list[CheckResult]]:
     """One pass over every ordered partition with n <= n_max, accumulating the
     six Euler-Mahonian distributions, the three bMaj distributions, the
     pointwise partition identities, and (for n <= equidist_n_max) the
     coordinate-statistic distributions for the two equidistribution classes.
+    Returns each audit check's results under its name.
     """
-    report = AuditReport(n_max, equidist_n_max)
+    report: dict[str, list[CheckResult]] = {
+        name: [] for name in ("thm25", "conjecture-bmaj", "equidist", *(c for c, _ in POINTWISE))
+    }
     coords = EQUIDIST[0] + EQUIDIST[1]
     gfs = SIX_STATS + BMAJ_STATS
     for n in range(1, n_max + 1):
@@ -174,18 +164,19 @@ def run_audit(n_max: int = 8, equidist_n_max: int = 7) -> AuditReport:
             target = _target(n, k)
             ck = counts[k]
             polys = [q_poly_from_exponent_counts(c) for c in ck[:len(gfs)]]
-            report.six += _gf_results("thm25", n, k, SIX_STATS, polys, target)
-            report.bmaj += _gf_results("conjecture-bmaj", n, k, BMAJ_STATS, polys[len(SIX_STATS):], target)
+            report["thm25"] += _gf_results("thm25", n, k, SIX_STATS, polys, target)
+            report["conjecture-bmaj"] += _gf_results(
+                "conjecture-bmaj", n, k, BMAJ_STATS, polys[len(SIX_STATS):], target)
             if n <= equidist_n_max:
                 dist = dict(zip(coords, ck[len(gfs):]))
                 for cls in EQUIDIST:
                     ok = all(dist[nm] == dist[cls[0]] for nm in cls[1:])
-                    report.equidist.append(
+                    report["equidist"].append(
                         CheckResult("equidist", f"n={n} k={k} class={{{','.join(cls)}}}", ok)
                     )
-        for check, field_name, _ in POINTWISE:
+        for check, _ in POINTWISE:
             bad = first_bad.get(check)
-            getattr(report, field_name).append(
+            report[check].append(
                 CheckResult(
                     check, f"n={n} all partitions", bad is None,
                     "" if bad is None else f"fails at {format_partition(bad)}",
@@ -202,7 +193,7 @@ def _audit_level(n: int, exprs: tuple[str, ...]
     its own and the lhs - rhs differences of all the pairs jointly; only
     when some difference is nonzero is OP_n walked again, partition by
     partition, through the same value steps, for the failures."""
-    pairs = tuple(pair for _, _, check_pairs in POINTWISE for pair in check_pairs)
+    pairs = tuple(pair for _, check_pairs in POINTWISE for pair in check_pairs)
     groups = tuple((e,) for e in exprs) + (pairs,)
     counts: dict[int, list[dict[int, int]]] = {}
     fails = False
@@ -214,7 +205,7 @@ def _audit_level(n: int, exprs: tuple[str, ...]
         for blocks, d in sweep_all(n, pairs):
             # each check's pairs in its own span of the differences
             start = 0
-            for check, _, check_pairs in POINTWISE:
+            for check, check_pairs in POINTWISE:
                 stop = start + len(check_pairs)
                 if check not in first_bad and any(d[start:stop]):
                     first_bad[check] = blocks
@@ -473,13 +464,14 @@ class Check:
     """How ``verify`` runs one check.  ``run`` is called with no arguments, or
     with an n bound as the keyword ``n_max``.  ``n_bound`` is the largest
     n_max it runs at without ``--force-large``; None means it takes no n_max.
-    ``n_min`` is the smallest n_max at which it checks an instance.  An audit
-    check instead reads the AuditReport field ``audit`` of the sweep it
-    shares with the other audit checks; ``n_default`` is its n bound."""
+    ``n_min`` is the smallest n_max at which it checks an instance.  An
+    ``audit`` check instead reads its own results, under its name, from the
+    run_audit sweep it shares with the other audit checks; ``n_default`` is
+    its n bound."""
 
     run: Callable[..., list[CheckResult]] | None = None
     n_bound: int | None = None
-    audit: str | None = None
+    audit: bool = False
     n_default: int = 8
     n_min: int = 1
 
@@ -501,14 +493,14 @@ SWEEP_BOUND = 9
 #:   xfer.DET_IDENTITIES at which their determinants reach xfer.DET_BOUNDS.
 CHECKS = {
     "zz": Check(check_zz, n_bound=20),
-    "thm25": Check(audit="six", n_bound=SWEEP_BOUND),
+    "thm25": Check(audit=True, n_bound=SWEEP_BOUND),
     "thm25-series": Check(check_thm25_series),
-    "prop22": Check(audit="prop22", n_bound=SWEEP_BOUND),
-    "lemma310": Check(audit="lemma310", n_bound=SWEEP_BOUND),
-    "equidist": Check(audit="equidist", n_bound=SWEEP_BOUND, n_default=7),
+    "prop22": Check(audit=True, n_bound=SWEEP_BOUND),
+    "lemma310": Check(audit=True, n_bound=SWEEP_BOUND),
+    "equidist": Check(audit=True, n_bound=SWEEP_BOUND, n_default=7),
     "sect23": Check(check_sect23, n_bound=SWEEP_BOUND),
-    "conjecture-bmaj": Check(audit="bmaj", n_bound=SWEEP_BOUND),
-    "restriction-identities": Check(audit="restrictions", n_bound=SWEEP_BOUND),
+    "conjecture-bmaj": Check(audit=True, n_bound=SWEEP_BOUND),
+    "restriction-identities": Check(audit=True, n_bound=SWEEP_BOUND),
     "bij": Check(check_bijection, n_bound=8),
     "path-counts": Check(check_path_counts, n_bound=11),
     "transfer": Check(check_transfer_enum, n_bound=SWEEP_BOUND, n_min=0),
@@ -568,9 +560,9 @@ class Verification:
             for name, bound in self.bounds if CHECKS[name].audit
         }
         self._sweep = (max(audit.values(), default=0), audit.get("equidist", 0))
-        self._report: AuditReport | None = None
+        self._report: dict[str, list[CheckResult]] | None = None
 
-    def audit(self) -> AuditReport:
+    def audit(self) -> dict[str, list[CheckResult]]:
         if self._report is None:
             self._report = run_audit(*self._sweep)
         return self._report
@@ -584,5 +576,5 @@ def run_check(name: str, n_max: int | None = None,
         shared = Verification([name], n_max)
     check = CHECKS[name]
     if check.audit:
-        return getattr(shared.audit(), check.audit)
+        return shared.audit()[name]
     return check.run() if n_max is None else check.run(n_max=n_max)

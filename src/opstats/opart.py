@@ -17,7 +17,6 @@ otherwise, empty ones dropped), and the form is the sequence of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -117,12 +116,13 @@ def format_partition(pi: OrderedPartition | Blocks) -> str:
 # the k blocks (left to right).  This gives a deterministic order that splits
 # cleanly by top-level branch for parallel consumption.
 #
-# The grow* walks lay this tree out once.  A node is whatever the two child
-# steps make of it: ``singleton(node, m, g)`` is the child with m as a new
-# singleton block at gap g, ``append(node, m, b)`` the child with m appended
-# to block b.  The iter_blocks* enumerators grow bare block tuples; iter_text
-# grows tuples of block texts; the stats sweeps grow (blocks, values) pairs,
-# which carry the values of the sweep's statistic expressions.
+# grow_all and grow lay this tree out once; grow's ``inv_free`` keeps only
+# its inversion-free subtree.  A node is whatever the two child steps make of
+# it: ``singleton(node, m, g)`` is the child with m as a new singleton block
+# at gap g, ``append(node, m, b)`` the child with m appended to block b.  The
+# iter_blocks* enumerators grow bare block tuples; iter_text grows tuples of
+# block texts; the stats sweeps grow (blocks, values) pairs, which carry the
+# values of the sweep's statistic expressions.
 
 
 def _singleton(blocks: Blocks, m: int, g: int) -> Blocks:
@@ -155,24 +155,10 @@ def grow_all(n: int, root, singleton, append, width=len) -> Iterator:
             yield append(node, n, b)
 
 
-def grow(n: int, k: int, root, singleton, append) -> Iterator:
+def grow(n: int, k: int, root, singleton, append, inv_free: bool = False) -> Iterator:
     """The nodes of depth n with k blocks: singleton insertions below those
-    of depth n-1 with k-1 blocks, then appends below those with k."""
-    if k < 0 or k > n:
-        return
-    if n == 0:
-        yield root
-        return
-    for node in grow(n - 1, k - 1, root, singleton, append):
-        for g in range(k):
-            yield singleton(node, n, g)
-    for node in grow(n - 1, k, root, singleton, append):
-        for b in range(k):
-            yield append(node, n, b)
-
-
-def grow_p(n: int, k: int, root, singleton, append) -> Iterator:
-    """The inversion-free subtree of ``grow``: a new singleton only ever goes
+    of depth n-1 with k-1 blocks, then appends below those with k.  With
+    ``inv_free``, the inversion-free subtree: a new singleton only ever goes
     in the right-most gap, so the blocks stay in increasing order of their
     minima."""
     if k < 0 or k > n:
@@ -180,9 +166,10 @@ def grow_p(n: int, k: int, root, singleton, append) -> Iterator:
     if n == 0:
         yield root
         return
-    for node in grow_p(n - 1, k - 1, root, singleton, append):
-        yield singleton(node, n, k - 1)
-    for node in grow_p(n - 1, k, root, singleton, append):
+    for node in grow(n - 1, k - 1, root, singleton, append, inv_free):
+        for g in range(k - 1 if inv_free else 0, k):
+            yield singleton(node, n, g)
+    for node in grow(n - 1, k, root, singleton, append, inv_free):
         for b in range(k):
             yield append(node, n, b)
 
@@ -200,7 +187,7 @@ def iter_blocks(n: int, k: int) -> Iterator[Blocks]:
 def iter_blocks_p(n: int, k: int) -> Iterator[Blocks]:
     """Inversion-free (canonically ordered) partitions: blocks by increasing
     minima; there are S(n,k) of them."""
-    return grow_p(n, k, (), _singleton, _append)
+    return grow(n, k, (), _singleton, _append, inv_free=True)
 
 
 def _check_bound(n: int, force_large: bool):
@@ -243,11 +230,9 @@ def iter_text(n: int, k: int | None = None, inv_free: bool = False,
     if inv_free and k is None:
         raise ValueError("the inversion-free enumeration needs k (CLI: --inv-free needs --k)")
     _check_bound(n, force_large)
-    if inv_free:
-        return grow_p(n, k, (), _singleton_text, _append_text)
     if k is None:
         return grow_all(n, (), _singleton_text, _append_text)
-    return grow(n, k, (), _singleton_text, _append_text)
+    return grow(n, k, (), _singleton_text, _append_text, inv_free)
 
 
 # -- element classes, traces, forms -------------------------------------------
@@ -331,7 +316,3 @@ def inv(pi: OrderedPartition) -> int:
         for j in range(i + 1, len(sigma))
         if sigma[i] > sigma[j]
     )
-
-
-def cinv(pi: OrderedPartition) -> int:
-    return math.comb(pi.k, 2) - inv(pi)

@@ -27,16 +27,17 @@ then into one function of a partition's field tuple (``evaluator`` over
 ``fields(s)``), or into the value steps of a sweep that counts their values.
 
 Two computation routes are kept deliberately separate.  The definition
-route: coord_rows() counts every element's ten coordinates as defined,
-block_stats() the block statistics and opart.inv the inversions; coord() and
-the bijection check read the rows, and Summary(blocks) sums them (summarize(),
-composite(), q_monomial() and the ``stats`` table).  The sweep route walks
-opart's insertion tree through the value steps, generated from STEPS, the
-one statement of each insertion step, whose nodes carry the values of the
-sweep's expressions alone (``value_counts``, ``sweep_all``).  The levels with
-n <= KEEP_N, which ``enumerated_gf`` keeps for the life of the process, are
-counted the same way, with every Summary field as an expression.  Tests pin
-the value steps over every field to fields(Summary(blocks)).
+route: coord_rows() counts every element's ten coordinates as defined
+(``rows[name][i - 1]`` is name_i), block_stats() the block statistics and
+opart.inv the inversions; psi_inverse and the bijection check read the rows,
+and Summary(blocks) sums them (summarize(), composite(), q_monomial() and the
+``stats`` table).  The sweep route walks opart's insertion tree through the
+value steps, generated from STEPS, the one statement of each insertion step,
+whose nodes carry the values of the sweep's expressions alone
+(``value_counts``, ``sweep_all``).  The levels with n <= KEEP_N, which
+``enumerated_gf`` keeps for the life of the process, are counted the same
+way, with every Summary field as an expression.  Tests pin the value steps
+over every field to fields(Summary(blocks)).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from bisect import bisect_right
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .opart import Blocks, OrderedPartition, _check_bound, check_range, grow, grow_all, grow_p, inv, perm_of
+from .opart import Blocks, OrderedPartition, _check_bound, check_range, grow, grow_all, inv, perm_of
 from .ring import DEFAULT, LaurentPoly
 
 COORD_NAMES = ("ros", "rob", "rcs", "rcb", "los", "lob", "lcs", "lcb", "lsb", "rsb")
@@ -124,32 +125,6 @@ def coord_rows(pi) -> dict[str, list[int]]:
                 else:
                     cb[x] += 1
     return rows
-
-
-def _lookup(rows: dict[str, list[int]], i: int, name: str) -> int:
-    n = len(rows["ros"])
-    if not 1 <= i <= n:
-        raise ValueError(f"element {i} out of range 1..{n}")
-    if name not in rows:
-        raise ValueError(f"unknown coordinate statistic {name!r}")
-    return rows[name][i - 1]
-
-
-def coord(pi, i: int, name: str) -> int:
-    """One coordinate statistic straight from its definition."""
-    return _lookup(coord_rows(pi), i, name)
-
-
-def aggregate(pi, name: str) -> int:
-    """Sum of a coordinate statistic over all elements."""
-    rows = coord_rows(pi)
-    return sum(_lookup(rows, i, name) for i in range(1, len(rows["ros"]) + 1))
-
-
-def restricted(pi, name: str, elements: Iterable[int]) -> int:
-    """stat(A): the coordinate sum restricted to a set of elements."""
-    rows = coord_rows(pi)
-    return sum(_lookup(rows, i, name) for i in set(elements))
 
 
 def block_stats(pi) -> tuple[int, int, int]:
@@ -400,10 +375,11 @@ def value_counts(n: int, k: int, groups: Iterable[Iterable[str | tuple[str, str]
                 c[0 if len(group) == 1 else (0,) * len(group)] = 1
         return counts
     root = ((), (0,) * sum(map(len, groups)))
-    walk = grow_p if inv_free else grow
     singleton, append = steps["singleton"], steps["append"]
-    steps["count_singleton"](walk(n - 1, k - 1, root, singleton, append), n, counts, inv_free)
-    steps["count_append"](walk(n - 1, k, root, singleton, append), n, counts, inv_free)
+    steps["count_singleton"](grow(n - 1, k - 1, root, singleton, append, inv_free),
+                             n, counts, inv_free)
+    steps["count_append"](grow(n - 1, k, root, singleton, append, inv_free),
+                          n, counts, inv_free)
     return counts
 
 
@@ -423,8 +399,8 @@ def _value_steps(groups: tuple[tuple[str | tuple[str, str], ...], ...], table: t
     for kind, step in STEPS.items():
         deltas = [_delta(kind, form) for form in forms]
         new = [_linear_source({f"v{i}": 1, **d}) for i, d in enumerate(deltas)]
-        # the inversion-free tree (opart.grow_p) puts a new singleton only in
-        # the right-most gap
+        # the inversion-free tree (opart.grow with inv_free) puts a new
+        # singleton only in the right-most gap
         first = "k if inv_free else 0" if kind == "singleton" else "0"
         lines += [
             f"def {kind}(node, m, {step.at}):",
@@ -637,13 +613,3 @@ def stat_table(pi: OrderedPartition) -> str:
     )
     lines.append("  ".join(f"{name}={v}" for name, v in zip(names, values)))
     return "\n".join(lines)
-
-
-def per_element_sums_ok(pi) -> bool:
-    """Every element must see k-1 openings and k-1 closings:
-    (los+lob+ros+rob)_i = (lcs+lcb+rcs+rcb)_i = k-1 for all i."""
-    rows = coord_rows(pi)
-    k1 = len(_blocks_of(pi)) - 1
-    opens = zip(rows["los"], rows["lob"], rows["ros"], rows["rob"])
-    closes = zip(rows["lcs"], rows["lcb"], rows["rcs"], rows["rcb"])
-    return all(sum(o) == k1 and sum(c) == k1 for o, c in zip(opens, closes))

@@ -241,13 +241,6 @@ def _diagram_of(pi: OrderedPartition, rows: dict[str, list[int]]) -> PathDiagram
     return PathDiagram(tuple(steps), tuple(xi))
 
 
-#: What ``step_predictions`` gives for each step, in the order of its tuples:
-#: at a step that makes a block or a singleton (North, East), and at one
-#: that enters an opened block (Null, South-East).
-PREDICTED_NEW = ("lcs+rcs", "lsb+rsb", "los", "ros")
-PREDICTED_ENTER = ("lcs+rcs", "lsb+rsb", "lsb", "rsb")
-
-
 def step_predictions(diagram: PathDiagram) -> list[tuple[int, int, int, int]]:
     """Predicted coordinate statistics of psi(diagram) at every element, read
     off the diagram's vertices; entry i-1 is read off the i-th step alone:
@@ -255,8 +248,6 @@ def step_predictions(diagram: PathDiagram) -> list[tuple[int, int, int, int]]:
 
       North/East:        (lcs+rcs, lsb+rsb, los, ros)_i = (p, q, xi-1, p+q+1-xi)
       Null/South-East:   (lcs+rcs, lsb+rsb, lsb, rsb)_i = (p, q-1, xi-1, q-xi)
-
-    (the names of the two rows are PREDICTED_NEW and PREDICTED_ENTER).
     """
     out = []
     for (p, q), kind, x in zip(diagram.vertices, diagram.steps, diagram.xi):
@@ -265,16 +256,6 @@ def step_predictions(diagram: PathDiagram) -> list[tuple[int, int, int, int]]:
         else:
             out.append((p, q - 1, x - 1, q - x))
     return out
-
-
-def step_properties(diagram: PathDiagram, i: int) -> dict[str, int]:
-    """The prediction of ``step_predictions`` at element i by name, with the
-    step's start vertex (p,q)."""
-    if not 1 <= i <= diagram.length:
-        raise ValueError(f"step index {i} out of range 1..{diagram.length}")
-    names = PREDICTED_NEW if _STEPS[diagram.steps[i - 1]][2] else PREDICTED_ENTER
-    p, q = diagram.vertices[i - 1]
-    return {"p": p, "q": q, **dict(zip(names, step_predictions(diagram)[i - 1]))}
 
 
 def parse_steps(text: str) -> tuple[str, ...]:

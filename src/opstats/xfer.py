@@ -129,14 +129,14 @@ def _factors(diag: LaurentPoly, ws: Iterable[LaurentPoly]) -> LaurentPoly:
 # -- determinants --------------------------------------------------------------
 
 
-def det(m: SymbolicMatrix, method: str = "laplace") -> LaurentPoly:
-    """Exact symbolic determinant.
+def det(m: SymbolicMatrix) -> LaurentPoly:
+    """Exact symbolic determinant, by Laplace expansion.
 
-    "laplace" expands along a sparsest remaining line (fast on the
-    near-triangular matrices here): among the lines with the fewest nonzero
-    entries, the one whose entries hold the most terms: the last such row,
-    unless a column is strictly better, then the first such column; the
-    scan stops at the first line with a single entry.
+    It expands along a sparsest remaining line (fast on the near-triangular
+    matrices here): among the lines with the fewest nonzero entries, the one
+    whose entries hold the most terms: the last such row, unless a column is
+    strictly better, then the first such column; the scan stops at the first
+    line with a single entry.
     On the Hessenberg corners many rows tie on two entries, and the top row
     is the lightest of them; expanding the heaviest, the deepest level of
     D_n, first keeps its entries out of every memoized minor, and takes
@@ -145,17 +145,13 @@ def det(m: SymbolicMatrix, method: str = "laplace") -> LaurentPoly:
     line has one entry e is the single product +-e * sub, with sub memoized
     if it branches, so a repeat visit recomputes at most its chain of such
     products down to the next branching minor; storing it instead would keep
-    every partial product of a triangular pencil's diagonal alive.  "bareiss"
-    is fraction-free elimination with exact division, kept as an
-    independent cross-check of the expansion.  The empty 0x0 determinant is 1.
+    every partial product of a triangular pencil's diagonal alive.  The
+    tests compare it with ``_det_bareiss``, fraction-free elimination with
+    exact division.  The empty 0x0 determinant is 1.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if method == "laplace":
-        return _det_laplace(m)
-    if method == "bareiss":
-        return _det_bareiss(m)
-    raise ValueError(f"unknown determinant method {method!r}")
+    return _det_laplace(m)
 
 
 def _det_laplace(m: SymbolicMatrix) -> LaurentPoly:

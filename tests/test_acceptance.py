@@ -43,8 +43,8 @@ def _report(name: str, results):
 
 
 def test_c01_euler_mahonian_master(audit):
-    assert len(audit.six) == 6 * sum(range(1, 9))
-    _report("criterion 1 (six Euler-Mahonian statistics, n<=8)", audit.six)
+    assert len(audit["thm25"]) == 6 * sum(range(1, 9))
+    _report("criterion 1 (six Euler-Mahonian statistics, n<=8)", audit["thm25"])
 
 
 def test_c02_worked_example_fidelity(capsys):
@@ -120,11 +120,11 @@ def test_c07_summation_identity():
 
 
 def test_c08_pointwise_identities_and_equidistribution(audit):
-    _report("criterion 8 (mak/lmak dualities pointwise, n<=8)", audit.prop22)
-    _report("criterion 8 (rewrite identities pointwise, n<=8)", audit.lemma310)
-    _report("criterion 8 (opener-restriction identities, n<=8)", audit.restrictions)
-    assert len(audit.equidist) == 2 * sum(range(1, 8))
-    _report("criterion 8 (equidistribution classes, n<=7)", audit.equidist)
+    _report("criterion 8 (mak/lmak dualities pointwise, n<=8)", audit["prop22"])
+    _report("criterion 8 (rewrite identities pointwise, n<=8)", audit["lemma310"])
+    _report("criterion 8 (opener-restriction identities, n<=8)", audit["restriction-identities"])
+    assert len(audit["equidist"]) == 2 * sum(range(1, 8))
+    _report("criterion 8 (equidistribution classes, n<=7)", audit["equidist"])
 
 
 def test_c09_unordered_interpretations():
@@ -135,18 +135,19 @@ def test_c09_unordered_interpretations():
 def test_c10_conjecture_report(audit):
     # an empirical report: every instance is listed MATCH/MISMATCH, and the
     # assertion below records that at desk scale all three match
-    assert len(audit.bmaj) == 3 * sum(range(1, 9))
-    for r in audit.bmaj:
+    bmaj = audit["conjecture-bmaj"]
+    assert len(bmaj) == 3 * sum(range(1, 9))
+    for r in bmaj:
         status = "MATCH" if r.ok else "MISMATCH"
         assert r.check == "conjecture-bmaj"
         if not r.ok:
             print(f"criterion 10 EMPIRICAL {status}: {r.instance}")
-    matched = sum(1 for r in audit.bmaj if r.ok)
+    matched = sum(1 for r in bmaj if r.ok)
     print(
         f"criterion 10 (EMPIRICAL bMaj report, n<=8): "
-        f"{matched}/{len(audit.bmaj)} instances MATCH"
+        f"{matched}/{len(bmaj)} instances MATCH"
     )
-    assert matched == len(audit.bmaj), "a bMaj mismatch is a headline finding"
+    assert matched == len(bmaj), "a bMaj mismatch is a headline finding"
 
 
 def test_c11_documented_erratum():

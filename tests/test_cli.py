@@ -1,6 +1,7 @@
 """CLI contract: outputs, determinism, exit codes."""
 
 import argparse
+import ast
 import collections
 import contextlib
 import dataclasses
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opstats import checks, cli, opart, qnum, stats, walks, xfer
+import opstats
+from opstats import checks, cli, opart, qnum, stats, xfer
 from opstats.checks import CHECKS, CheckResult
 from opstats.cli import GF_FAMILIES, _emit_results, build_parser, main
 from opstats.opart import (
@@ -187,6 +189,10 @@ def test_dist(capsys):
     assert out.strip() == "2*q + 3*q^2 + 1*q^3"
     code, out, err = run(capsys, "dist", "--n", "3", "--k", "2", "--stat", "inv-cinv")
     assert code == 0
+    assert "negative Laurent exponents" in err
+    # an expression whose first term is negative goes in as one --stat=... word
+    code, out, err = run(capsys, "dist", "--n", "3", "--k", "2", "--stat=-inv+cinv")
+    assert (code, out) == (0, "3*q^-1 + 3*q\n")
     assert "negative Laurent exponents" in err
 
 
@@ -503,11 +509,14 @@ def test_thm24_checker_can_fail(capsys, monkeypatch):
 
 def test_bij_checker_can_fail(capsys, monkeypatch):
     predictions = checks.step_predictions
+    # the slots of step_predictions' tuples at North/East steps and at the others
+    new = ("lcs+rcs", "lsb+rsb", "los", "ros")
+    enter = ("lcs+rcs", "lsb+rsb", "lsb", "rsb")
 
     def shifted(key):
         # ``key`` plus 1 in every step prediction that names it
         def shift(kind, pred):
-            names = walks.PREDICTED_NEW if kind in "NE" else walks.PREDICTED_ENTER
+            names = new if kind in "NE" else enter
             return tuple(v + (name == key) for name, v in zip(names, pred))
 
         return lambda d: [shift(kind, p) for kind, p in zip(d.steps, predictions(d))]
@@ -592,7 +601,7 @@ def test_bij_checker_counts_distinct_diagrams(capsys, monkeypatch, change, detai
 def test_determinant_checkers_can_fail(capsys, monkeypatch):
     det = xfer.det
     a = DEFAULT.var("a")
-    monkeypatch.setattr(xfer, "det", lambda m, method="laplace": det(m, method) * (1 + a))
+    monkeypatch.setattr(xfer, "det", lambda m: det(m) * (1 + a))
     code, out, err = run(capsys, "verify", "detm", "minor1", "--n-max", "2")
     assert code == 1
     lines = out.splitlines()
@@ -607,7 +616,7 @@ def test_determinant_checkers_can_fail(capsys, monkeypatch):
             first.setdefault(line.split()[1], line)
     assert first == {"detn": "FAIL detn n=1", "minor2": "FAIL minor2 n=1", "conj": "FAIL conj n=1"}
     # main1 compares ratios of determinants, in which a common factor cancels
-    monkeypatch.setattr(xfer, "det", lambda m, method="laplace": det(m, method) + a)
+    monkeypatch.setattr(xfer, "det", lambda m: det(m) + a)
     code, out, _ = run(capsys, "verify", "main1", "--n-max", "2")
     assert (code, out.splitlines()) == (1, ["FAIL main1 n=1 k=1..3", "FAIL main1 n=2 k=1..4"])
     monkeypatch.setattr(xfer, "det", det)
@@ -630,7 +639,7 @@ def _table(key, expr):
 
 def _pointwise(check, pairs):
     """Give the pointwise check ``check`` of the audit sweep these pairs."""
-    patched = tuple((c, f, pairs if c == check else p) for c, f, p in checks.POINTWISE)
+    patched = tuple((c, pairs if c == check else p) for c, p in checks.POINTWISE)
     return lambda mp: mp.setattr(checks, "POINTWISE", patched)
 
 
@@ -742,7 +751,7 @@ def test_verify_refuses_a_bound_that_checks_nothing(capsys):
 
         def results(n):
             if check.audit:
-                return getattr(checks.run_audit(n, n), check.audit)
+                return checks.run_audit(n, n)[name]
             return check.run(n_max=n)
 
         assert results(check.n_min), name
@@ -961,6 +970,37 @@ def test_all_contract_check_names_exist():
     )
     for name in contract:
         assert name in CHECKS, name
+
+
+#: Public functions that nothing in the package calls, kept as the reference
+#: definitions that tests compare the program's routes with.
+REFERENCE_DEFINITIONS = {"opart.classify", "opart.trace", "cli.build_parser"}
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    # a public module-level function that no other code of the package loads,
+    # by name or as an attribute, is exported or is a reference definition;
+    # anything else is surface that only tests reach
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(opstats.__file__).parent.glob("*.py"))}
+    loaded = collections.Counter()
+    for tree in trees.values():
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)  # a recursive call is no caller
+            loaded.update({
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            } - {own})
+    unused = [
+        f"{module}.{stmt.name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+        and not loaded[stmt.name] and stmt.name not in opstats.__all__
+        and f"{module}.{stmt.name}" not in REFERENCE_DEFINITIONS
+    ]
+    assert unused == []
 
 
 def test_gf_golden_bytes(capsys):

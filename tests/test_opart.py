@@ -6,7 +6,6 @@ from opstats.opart import (
     BoundExceeded,
     OrderedPartition,
     classify,
-    cinv,
     enumerate_op,
     enumerate_p,
     form,
@@ -14,12 +13,14 @@ from opstats.opart import (
     inv,
     iter_blocks,
     iter_blocks_all,
+    iter_blocks_p,
     iter_text,
     parse,
     perm_of,
     trace,
 )
 from opstats.qnum import ordered_partition_count, stirling2
+from opstats.stats import composite
 
 EXAMPLE = "6,8/5/1,4,7/3,9/2"
 
@@ -95,6 +96,17 @@ def test_enumerate_p_is_canonical():
             for pi in enumerate_p(n, k):
                 assert perm_of(pi) == tuple(range(1, k + 1))
                 assert inv(pi) == 0
+
+
+def test_inv_free_enumeration_keeps_the_order_of_the_full_one():
+    # the inversion-free walk yields the partitions of OP_n^k whose block
+    # minima increase, in the order the full walk yields them: the order of
+    # ``enum --inv-free``
+    for n in range(8):
+        for k in range(-1, n + 2):
+            want = [b for b in iter_blocks(n, k)
+                    if all(x[0] < y[0] for x, y in zip(b, b[1:]))]
+            assert list(iter_blocks_p(n, k)) == want, (n, k)
 
 
 def test_iter_text_is_the_formatted_enumeration():
@@ -197,7 +209,7 @@ def test_perm_examples():
     pi = parse(EXAMPLE)
     assert perm_of(pi) == (5, 4, 1, 3, 2)
     assert inv(pi) == 8
-    assert cinv(pi) == 2
+    assert composite(pi, "cinv") == 2
     assert perm_of(parse("1,2/3/4,5")) == (1, 2, 3)
     assert inv(parse("1,2/3/4,5")) == 0
     # reversing a canonical 3-block partition maximizes inversions

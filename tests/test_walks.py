@@ -4,13 +4,11 @@ import pytest
 
 from opstats.opart import OrderedPartition, form, format_partition, iter_blocks, parse
 from opstats.qnum import ordered_partition_count
-from opstats.stats import coord
+from opstats.stats import coord_rows
 from opstats.walks import (
     EAST,
     NORTH,
     NULL,
-    PREDICTED_ENTER,
-    PREDICTED_NEW,
     SOUTH_EAST,
     PathDiagram,
     choice_bound,
@@ -21,7 +19,6 @@ from opstats.walks import (
     psi,
     psi_inverse,
     step_predictions,
-    step_properties,
     vertex_count,
     vertex_order,
 )
@@ -120,22 +117,22 @@ def test_round_trip_both_ways():
 
 def test_step_properties_worked_example():
     d = PathDiagram(STEPS, XI)
-    pi = parse(PARTITION)
-    props = step_properties(d, 9)  # East at (3,1)
-    assert (props["p"], props["q"]) == (3, 1)
-    assert props["lcs+rcs"] == 3 and props["lsb+rsb"] == 1
-    assert props["los"] == 3 and props["ros"] == 1
-    assert coord(pi, 9, "lcs") + coord(pi, 9, "rcs") == 3
-    assert coord(pi, 9, "los") == 3 and coord(pi, 9, "ros") == 1
+    rows = coord_rows(parse(PARTITION))
+    preds = step_predictions(d)
+    assert d.vertices[8] == (3, 1)  # step 9: East at (3,1)
+    lcs_rcs, lsb_rsb, los, ros = preds[8]
+    assert lcs_rcs == 3 and lsb_rsb == 1
+    assert los == 3 and ros == 1
+    assert rows["lcs"][8] + rows["rcs"][8] == 3
+    assert rows["los"][8] == 3 and rows["ros"][8] == 1
     # first step: everything 0 with xi_1 = 1
-    props = step_properties(d, 1)
-    assert (props["p"], props["q"]) == (0, 0)
-    assert props["lcs+rcs"] == 0 and props["lsb+rsb"] == 0 and props["los"] == 0
+    assert d.vertices[0] == (0, 0)
+    assert preds[0][:3] == (0, 0, 0)
     # a Null step at height 1 forces lsb = rsb = 0
     d2 = psi_inverse(parse("1,2,3"))
     assert d2.steps == (NORTH, NULL, SOUTH_EAST)
-    props = step_properties(d2, 2)
-    assert props["lsb"] == 0 and props["rsb"] == 0
+    _, _, lsb, rsb = step_predictions(d2)[1]
+    assert lsb == 0 and rsb == 0
 
 
 def test_step_predictions_match_statistics():
@@ -143,35 +140,29 @@ def test_step_predictions_match_statistics():
         for k in range(1, n + 1):
             for blocks in iter_blocks(n, k):
                 pi = OrderedPartition._unchecked(blocks)
+                rows = coord_rows(pi)
                 d = psi_inverse(pi)
-                for i in range(1, n + 1):
-                    pred = step_properties(d, i)
-                    assert pred["lcs+rcs"] == coord(pi, i, "lcs") + coord(pi, i, "rcs")
-                    assert pred["lsb+rsb"] == coord(pi, i, "lsb") + coord(pi, i, "rsb")
-                    if d.steps[i - 1] in (NORTH, EAST):
-                        assert pred["los"] == coord(pi, i, "los")
-                        assert pred["ros"] == coord(pi, i, "ros")
+                for x, (kind, pred) in enumerate(zip(d.steps, step_predictions(d))):
+                    lcs_rcs, lsb_rsb, first, second = pred
+                    assert lcs_rcs == rows["lcs"][x] + rows["rcs"][x]
+                    assert lsb_rsb == rows["lsb"][x] + rows["rsb"][x]
+                    if kind in (NORTH, EAST):
+                        assert (first, second) == (rows["los"][x], rows["ros"][x])
                     else:
-                        assert pred["lsb"] == coord(pi, i, "lsb")
-                        assert pred["rsb"] == coord(pi, i, "rsb")
+                        assert (first, second) == (rows["lsb"][x], rows["rsb"][x])
 
 
 def test_step_predictions_are_the_per_step_properties():
+    # each tuple is read off its step alone: the start vertex (p,q) and xi
     d = PathDiagram(STEPS, XI)
     preds = step_predictions(d)
     assert len(preds) == d.length
-    named = []
-    for i, kind in enumerate(d.steps, 1):
-        props = step_properties(d, i)
-        assert (props["p"], props["q"]) == d.vertices[i - 1]
-        names = PREDICTED_NEW if kind in (NORTH, EAST) else PREDICTED_ENTER
-        assert set(props) == {"p", "q", *names}
-        named.append(tuple(props[name] for name in names))
-    assert preds == named
+    for (p, q), kind, x, pred in zip(d.vertices, d.steps, d.xi, preds):
+        if kind in (NORTH, EAST):
+            assert pred == (p, q, x - 1, p + q + 1 - x)
+        else:
+            assert pred == (p, q - 1, x - 1, q - x)
     assert step_predictions(PathDiagram((), ())) == []
-    for i in (0, d.length + 1):
-        with pytest.raises(ValueError, match="out of range"):
-            step_properties(d, i)
 
 
 def test_choice_weighted_path_counts():
