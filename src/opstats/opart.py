@@ -277,15 +277,11 @@ def trace(pi: OrderedPartition, i: int) -> tuple[tuple[tuple[int, ...], bool], .
     return tuple(out)
 
 
-def form(pi: OrderedPartition) -> tuple[tuple[int, int], ...]:
-    """(closed, opened) block counts of the traces, i = 0..n.  A block's
-    restriction to {1..i} is nonempty once its opener is <= i and closed once
-    its closer is <= i, so the counts step up at openers and closers."""
-    return _form(pi.blocks, pi.n)
-
-
 def _form(blocks: Blocks, n: int) -> tuple[tuple[int, int], ...]:
-    # form(pi) of the partition with these blocks of [n]
+    """The form of the partition with these blocks of [n]: the (closed,
+    opened) block counts of its traces, i = 0..n.  A block's restriction to
+    {1..i} is nonempty once its opener is <= i and closed once its closer is
+    <= i, so the counts step up at openers and closers."""
     starts = [0] * (n + 1)
     ends = [0] * (n + 1)
     for b in blocks:

@@ -199,7 +199,7 @@ class LaurentPoly:
     tuples through :meth:`sorted_terms`.
     """
 
-    __slots__ = ("terms", "_bound", "_hash")
+    __slots__ = ("terms", "_bound", "_hash", "_text")
 
     def __init__(self, terms: Mapping[tuple[int, ...], int]):
         clean: dict[int, int] = {}
@@ -221,7 +221,7 @@ class LaurentPoly:
                 del clean[key]
         self.terms = clean
         self._bound = _check_bound(bound)
-        self._hash = None
+        self._hash = self._text = None
 
     @classmethod
     def _raw(cls, terms: dict[int, int], bound: int) -> "LaurentPoly":
@@ -230,8 +230,17 @@ class LaurentPoly:
         self = object.__new__(cls)
         self.terms = terms
         self._bound = bound
-        self._hash = None
+        self._hash = self._text = None
         return self
+
+    # the memos of the hash and the text form are not pickled: the text is
+    # read afresh in the loading process, which may not know every F_i yet
+    def __getstate__(self):
+        return self.terms, self._bound
+
+    def __setstate__(self, state):
+        self.terms, self._bound = state
+        self._hash = self._text = None
 
     # -- predicates ----------------------------------------------------------
 
@@ -474,6 +483,13 @@ class LaurentPoly:
         return [(_trim(exps), c) for exps, c in self._sorted_rows()]
 
     def __str__(self) -> str:
+        # kept after the first call, like the hash: a registered name's
+        # index never changes, so the text of a value never does either
+        if self._text is None:
+            self._text = self._format()
+        return self._text
+
+    def _format(self) -> str:
         if not self.terms:
             return "0"
         frags = DEFAULT._fragments

@@ -499,13 +499,13 @@ def evaluator(exprs: Iterable[str | tuple[str, str]]
     the values of several statistic expressions; an ``(lhs, rhs)`` pair gives
     lhs - rhs, which is 0 exactly where that identity holds.
 
-    A kept level is evaluated field tuple by field tuple, so the linear forms
-    are compiled into one generated expression over the fields: about 1 us
-    per tuple for twenty expressions, against 9 us for a loop over
-    coefficients.  Only field names that ``parse_stat_expr`` accepted and
-    integers reach it.  Each compiled function is kept per process, keyed on
-    the expressions and on the contents of TABLE, so a changed row compiles
-    anew.
+    The linear forms are compiled into one generated expression over the
+    fields: about 1 us per tuple for twenty expressions, against 9 us for a
+    loop over coefficients (``enumerated_gf`` inlines the same expressions
+    into one loop over a kept level).  Only field names that
+    ``parse_stat_expr`` accepted and integers reach it.  Each compiled
+    function is kept per process, keyed on the expressions and on the
+    contents of TABLE, so a changed row compiles anew.
     """
     return _compiled(tuple(exprs), tuple(TABLE.items()))
 
@@ -515,9 +515,33 @@ def _compiled(exprs: tuple[str | tuple[str, str], ...], table: tuple
               ) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     # ``table`` is TABLE's contents, which linear_form reads; it is only
     # part of the key
+    return eval(f"lambda s: ({''.join(source + ', ' for source in _sources(exprs))})", {})
+
+
+@functools.lru_cache(maxsize=256)
+def _kept_counter(exprs: tuple[str | tuple[str, str], ...], table: tuple
+                  ) -> Callable[[Mapping[tuple[int, ...], int]], dict]:
+    """One generated loop over a kept level: the number of partitions at each
+    value of ``exprs`` (the bare value for one expression, else the tuple),
+    each field tuple's values read inline and weighted by its count.  Keyed
+    like _compiled."""
+    sources = _sources(exprs)
+    value = sources[0] if len(sources) == 1 else f"({''.join(s + ', ' for s in sources)})"
+    return _generate([
+        "def count(kept):",
+        "    c = {}",
+        "    get = c.get",
+        "    for s, m in kept.items():",
+        f"        v = {value}",
+        "        c[v] = get(v, 0) + m",
+        "    return c",
+    ])["count"]
+
+
+def _sources(exprs: Iterable[str | tuple[str, str]]) -> list[str]:
+    """The source text of each expression over a field tuple ``s``."""
     index = Summary.__slots__.index
-    sources = (_linear_source({f"s[{index(f)}]": c for f, c in _form(e).items()}) for e in exprs)
-    return eval(f"lambda s: ({''.join(source + ', ' for source in sources)})", {})
+    return [_linear_source({f"s[{index(f)}]": c for f, c in _form(e).items()}) for e in exprs]
 
 
 def _form(expr: str | tuple[str, str]) -> dict[str, int]:
@@ -536,19 +560,14 @@ def enumerated_gf(n: int, k: int, *weights: Mapping[str, str], inv_free: bool = 
     """One polynomial per ``weights`` mapping of variable names to statistic
     expressions: the sum over OP_n^k (over its inversion-free partitions
     when ``inv_free``) of prod_v v^(stat_v).  A full level with n <= KEEP_N
-    weights the values at each kept field tuple by its count; any other is
-    counted by ``value_counts``, one group per mapping, in one sweep."""
+    weights the values at each kept field tuple by its count, in one
+    generated loop per mapping; any other is counted by ``value_counts``, one
+    group per mapping, in one sweep."""
     groups = [tuple(w.values()) for w in weights]
     if n <= KEEP_N and not inv_free:
         kept = _kept_level(n, k) if 0 <= k <= n else {}
-        counts = []
-        for group in groups:
-            values = evaluator(group)
-            c: dict = {}
-            for f, m in kept.items():
-                v = values(f)
-                c[v] = c.get(v, 0) + m
-            counts.append(c if len(group) > 1 else {v: m for (v,), m in c.items()})
+        table = tuple(TABLE.items())
+        counts = [_kept_counter(group, table)(kept) for group in groups]
     else:
         counts = value_counts(n, k, groups, inv_free)
     out = []

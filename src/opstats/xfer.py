@@ -34,13 +34,18 @@ identity, pairing a matrix (or its corner) with a named closed product such
 as ``minor1_product``, which ``verify_det`` compares.  The corner of a 1x1
 matrix is the 0x0 matrix, whose determinant is 1, so P_0 and ndot_0 need no
 special case.
+
+The out-edges of each D_k and each pencil are built once per process and
+shared (``out_edges`` and ``_pencil``, each a bounded ``lru_cache``).  The
+builders of the families read them and stay uncached, so a patched or
+wrapped builder still runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .opart import BoundExceeded
@@ -322,32 +327,41 @@ class WeightSpec:
         return self.close_weight(*v)
 
 
-def out_edges(k: int, w: WeightSpec) -> dict[Vertex, list[tuple[Vertex, LaurentPoly]]]:
+#: The most weighted digraphs D_k and pencils of D_k kept per process.
+GRAPH_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def out_edges(k: int, w: WeightSpec
+              ) -> tuple[tuple[Vertex, tuple[tuple[Vertex, LaurentPoly], ...]], ...]:
     """Each vertex of D_k, in the canonical order, with its weighted out-edges
-    as (target, step weight) pairs."""
-    return {
-        v: [
+    as (target, step weight) pairs.  Built once per (k, w) for the life of
+    the process and shared, so it is all tuples."""
+    return tuple(
+        (v, tuple(
             (step_target(v, kind), w.step_weight(v, kind))
             for kind in (NORTH, EAST, NULL, SOUTH_EAST)
             if step_allowed(v, kind, k)
-        ]
+        ))
         for v in vertex_order(k)
-    }
+    )
 
 
 def adjacency(k: int, w: WeightSpec) -> SymbolicMatrix:
     """Weighted adjacency matrix of D_k in the canonical vertex order."""
     edges = out_edges(k, w)
-    index = {v: i for i, v in enumerate(edges)}
+    index = {v: i for i, (v, _) in enumerate(edges)}
     grid = [[DEFAULT.zero] * len(index) for _ in index]
-    for v, out in edges.items():
+    for v, out in edges:
         for u, weight in out:
             grid[index[v]][index[u]] = weight
     return SymbolicMatrix(grid)
 
 
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _pencil(k: int, w: WeightSpec, diag: LaurentPoly) -> SymbolicMatrix:
-    """diag * I - a * A_k(w); upper triangular in the canonical vertex order."""
+    """diag * I - a * A_k(w); upper triangular in the canonical vertex order.
+    Built once per (k, w, diag) for the life of the process and shared."""
     a = DEFAULT.var("a")
     adj = adjacency(k, w)
     rows = []
@@ -405,7 +419,7 @@ def walk_series(k: int, w: WeightSpec, order: int, force_large: bool = False) ->
         raise ValueError("order must be nonnegative")
     target = (k, 0)
     moves: dict[Vertex, list[tuple[LaurentPoly, list[Vertex]]]] = {}
-    for v, out in out_edges(k, w).items():
+    for v, out in out_edges(k, w):
         by_weight: dict[LaurentPoly, list[Vertex]] = {}
         for u, weight in out:
             by_weight.setdefault(weight, []).append(u)

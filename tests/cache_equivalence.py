@@ -1,0 +1,58 @@
+"""Cold and warm calls of ``cli.main`` print the same bytes.
+
+    PYTHONPATH=src python tests/cache_equivalence.py
+
+Runs each argv of ``CASES`` twice in this one interpreter: the first call
+builds the weighted digraphs, pencils, q-numbers and text forms that the
+process keeps, the second reads them back.  Prints one line per argv that
+does not exit 0 or whose exit code or stdout differ between the two calls,
+and a summary line; exits 1 if any does.  It needs neither pytest nor
+hypothesis, so it runs under any Python the package supports.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import platform
+import sys
+
+from opstats import cli, xfer
+
+#: ``det`` of every matrix at n = 3 (P_3^k at k = 1..3), the three transfer
+#: series at k = 3, and a q-binomial table.
+CASES = [
+    *(["det", name, "--n", "3"] for name in xfer.MATRICES if name != "Pk"),
+    *(["det", "Pk", "--n", "3", "--k", str(k)] for k in (1, 2, 3)),
+    *(["gf", family, "--k", "3", "--order", "6"] for family in ("Q", "Qxy", "Qz")),
+    ["qnum", "binomial", "--n-max", "10"],
+]
+
+
+def outcome(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def differences(cases: list[list[str]]) -> list[tuple[list[str], tuple, tuple]]:
+    found = []
+    for argv in cases:
+        cold, warm = outcome(argv), outcome(argv)
+        if cold != warm or cold[0] != 0:
+            found.append((argv, cold, warm))
+    return found
+
+
+def main() -> int:
+    found = differences(CASES)
+    for argv, cold, warm in found:
+        print(f"{argv!r}:\n  cold {cold!r}\n  warm {warm!r}")
+    print(f"Python {platform.python_version()}: {len(found)} differences "
+          f"over {len(CASES)} argvs")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -34,6 +34,7 @@ from opstats.ring import DEFAULT, SeriesInA, format_poly
 from opstats.stats import block_stats
 from opstats.xfer import WeightSpec
 
+import cache_equivalence
 import parse_equivalence
 
 
@@ -853,6 +854,7 @@ def test_dist_kept_levels_print_what_the_definitions_give(capsys, monkeypatch):
             argv = ("dist", "--n", "6", "--k", str(k), "--stat", expr)
             stats._kept_level.cache_clear()
             stats._compiled.cache_clear()
+            stats._kept_counter.cache_clear()
             cold = run(capsys, *argv)
             assert run(capsys, *argv) == cold, argv
             counts = collections.Counter(v[i] for v in values)
@@ -977,30 +979,57 @@ def test_all_contract_check_names_exist():
 REFERENCE_DEFINITIONS = {"opart.classify", "opart.trace", "cli.build_parser"}
 
 
-def test_every_public_function_has_a_caller_in_the_package():
-    # a public module-level function that no other code of the package loads,
-    # by name or as an attribute, is exported or is a reference definition;
-    # anything else is surface that only tests reach
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(pathlib.Path(opstats.__file__).parent.glob("*.py"))}
-    loaded = collections.Counter()
-    for tree in trees.values():
+def uncalled_functions(trees: dict[str, ast.Module]) -> list[str]:
+    """The public module-level functions of ``trees`` (module name to AST)
+    that no other code of those modules reaches.  A load reaches a function
+    only as that module's function: an import of it (``from .module import
+    name``), ``module.name``, or a bare name inside its own module; a bare
+    name elsewhere is that module's own, and a recursive call is no caller."""
+    reached = set()
+    for module, tree in trees.items():
         for stmt in tree.body:
-            own = getattr(stmt, "name", None)  # a recursive call is no caller
-            loaded.update({
-                node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(stmt)
-                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-            } - {own})
-    unused = [
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in trees:
+                    reached.update((node.module, alias.name) for alias in node.names)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                        and isinstance(node.value, ast.Name) and node.value.id in trees:
+                    reached.add((node.value.id, node.attr))
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
+                    reached.add((module, node.id))
+    return [
         f"{module}.{stmt.name}"
         for module, tree in trees.items()
         for stmt in tree.body
         if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
-        and not loaded[stmt.name] and stmt.name not in opstats.__all__
-        and f"{module}.{stmt.name}" not in REFERENCE_DEFINITIONS
+        and (module, stmt.name) not in reached
     ]
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    # a public module-level function that no other code of the package
+    # reaches is exported or is a reference definition; anything else is
+    # surface that only tests reach
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(opstats.__file__).parent.glob("*.py"))}
+    unused = [name for name in uncalled_functions(trees)
+              if name.split(".")[1] not in opstats.__all__ and name not in REFERENCE_DEFINITIONS]
     assert unused == []
+
+
+def test_guard_reaches_a_function_only_through_its_own_module():
+    # a same-named local in another module is no caller; an import, an
+    # attribute of the module and a bare name inside the module each are
+    defining = ast.parse("def form(pi):\n    return pi\n")
+    local = ast.parse("def g(forms):\n    return [form for form in forms]\n")
+    assert uncalled_functions({"a": defining, "b": local}) == ["a.form", "b.g"]
+    for caller in ("from .a import form\n",
+                   "from . import a\ndef g(pi):\n    return a.form(pi)\n"):
+        assert "a.form" not in uncalled_functions({"a": defining, "b": ast.parse(caller)})
+    inside = ast.parse("def form(pi):\n    return pi\ndef h(pi):\n    return form(pi)\n")
+    assert uncalled_functions({"a": inside}) == ["a.h"]
+    recursive = ast.parse("def form(pi):\n    return form(pi)\n")
+    assert uncalled_functions({"a": recursive}) == ["a.form"]
 
 
 def test_gf_golden_bytes(capsys):
@@ -1102,6 +1131,12 @@ def test_one_pass_parse_matches_argparse_on_fixed_and_random_argvs():
 @given(ARGV)
 def test_one_pass_parse_matches_argparse(argv):
     assert parse_equivalence.differences([argv]) == []
+
+
+def test_cold_and_warm_calls_print_the_same():
+    xfer.out_edges.cache_clear()
+    xfer._pencil.cache_clear()
+    assert cache_equivalence.differences(cache_equivalence.CASES) == []
 
 
 ONE_VALID_CALL_EACH = [

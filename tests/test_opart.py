@@ -5,10 +5,10 @@ import pytest
 from opstats.opart import (
     BoundExceeded,
     OrderedPartition,
+    _form,
     classify,
     enumerate_op,
     enumerate_p,
-    form,
     format_partition,
     inv,
     iter_blocks,
@@ -163,7 +163,7 @@ def test_trace_and_form_example():
         ((1, 4), False),
         ((2,), False),
     )
-    f = form(pi)
+    f = _form(pi.blocks, pi.n)
     assert f[0] == (0, 0)
     assert f[6] == (1, 3)
     assert f[10] == (5, 0)
@@ -181,7 +181,7 @@ def test_form_matches_trace_definition():
                 t = trace(pi, i)
                 closed = sum(1 for _, done in t if done)
                 want.append((closed, len(t) - closed))
-            assert form(pi) == tuple(want), pi
+            assert _form(pi.blocks, pi.n) == tuple(want), pi
 
 
 def test_form_follows_class_moves():
@@ -191,7 +191,7 @@ def test_form_follows_class_moves():
         for blocks in iter_blocks_all(n):
             pi = OrderedPartition._unchecked(blocks)
             t = classify(pi)
-            f = form(pi)
+            f = _form(pi.blocks, pi.n)
             for i in range(1, n + 1):
                 c, o = f[i - 1]
                 if i in t.openers:

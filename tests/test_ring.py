@@ -79,7 +79,9 @@ print(p)
     _grow(40)
     assert str(X * f3 - 2 * Q) == before  # the text does not follow the registry
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    done = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(f3 + 1),
+    value = f3 + 1
+    assert str(value) == "1 + 1*F3"  # the text this process keeps is not pickled
+    done = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(value),
                           capture_output=True, env=env, timeout=60)
     slot = len(DEFAULT_NAMES) + 2
     assert done.returncode == 0, done.stderr
@@ -88,6 +90,14 @@ print(p)
         "register the F_i a value uses with ensure_f before reading its terms",
         "1 + 1*F3",
     ]
+
+
+def test_text_form_is_kept():
+    p = X * ensure_f(3)[2] - 2 * Q
+    text = str(p)
+    assert str(p) is text
+    _grow(40)
+    assert str(p) == text == str(X * ensure_f(3)[2] - 2 * Q)
 
 
 def test_add_examples():

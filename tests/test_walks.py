@@ -2,7 +2,7 @@
 
 import pytest
 
-from opstats.opart import OrderedPartition, form, format_partition, iter_blocks, parse
+from opstats.opart import OrderedPartition, _form, format_partition, iter_blocks, parse
 from opstats.qnum import ordered_partition_count
 from opstats.stats import coord_rows
 from opstats.walks import (
@@ -45,13 +45,13 @@ def test_paths_are_exactly_forms():
         for k in range(0, n + 1):
             forms = set()
             for blocks in iter_blocks(n, k):
-                forms.add(form(OrderedPartition._unchecked(blocks)))
+                forms.add(_form(blocks, n))
             paths = {tuple(path_vertices(s)) for s in enumerate_paths(n, k)}
             assert forms == paths, (n, k)
 
 
 def test_omega_2_2_matches_distinct_forms():
-    forms = {form(pi_) for pi_ in map(OrderedPartition._unchecked, iter_blocks(2, 2))}
+    forms = {_form(blocks, 2) for blocks in iter_blocks(2, 2)}
     assert len(list(enumerate_paths(2, 2))) == len(forms) == 1
 
 

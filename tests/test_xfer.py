@@ -249,6 +249,52 @@ def test_main1_builds_one_p_next(monkeypatch):
         assert calls == [n + 1], n
 
 
+def _every_matrix(n_max):
+    """(name, n, k) of every MATRICES entry at n <= n_max, Pk at every k."""
+    for name in xfer.MATRICES:
+        for n in range(n_max + 1):
+            if name != "Pk":
+                yield name, n, None
+            elif n >= 1:
+                yield from ((name, n, k) for k in range(1, n + 3))
+
+
+def test_cached_pencils_equal_fresh_builds(monkeypatch):
+    # every family read through the two caches, at a miss and at a hit,
+    # equals the same family built anew through the uncached functions
+    cases = list(_every_matrix(3))
+    cached = [(xfer.MATRICES[name](n, k), xfer.MATRICES[name](n, k)) for name, n, k in cases]
+    monkeypatch.setattr(xfer, "out_edges", xfer.out_edges.__wrapped__)
+    monkeypatch.setattr(xfer, "_pencil", xfer._pencil.__wrapped__)
+    for (name, n, k), (miss, hit) in zip(cases, cached):
+        assert miss == hit == xfer.MATRICES[name](n, k), (name, n, k)
+
+
+def test_out_edges_cannot_be_mutated():
+    edges = xfer.out_edges(2, WeightSpec.xytu())
+    assert xfer.out_edges(2, WeightSpec.xytu()) is edges  # one build, shared
+    assert isinstance(edges, tuple)
+    for v, out in edges:
+        assert isinstance(out, tuple) and all(isinstance(edge, tuple) for edge in out)
+    with pytest.raises(TypeError):
+        edges[0] = edges[1]
+    with pytest.raises(TypeError):
+        edges[0][1][0] = ((0, 0), ONE)
+
+
+def test_graph_caches_stay_bounded():
+    xfer.out_edges.cache_clear()
+    xfer._pencil.cache_clear()
+    for name, n, k in _every_matrix(4):
+        xfer.MATRICES[name](n, k)
+    # M, Axy, P and Pk share the xytu D_0..D_5; N and ndot the F-sequence
+    # D_0..D_4; A and Az their own D_0..D_4
+    for cache in (xfer.out_edges, xfer._pencil):
+        info = cache.cache_info()
+        assert info.maxsize == xfer.GRAPH_CACHE_SIZE
+        assert info.currsize == 6 + 5 + 5 + 5
+
+
 def test_transfer_series_k1():
     s = q_gf_transfer(1, WeightSpec.seven_variable(), 4)
     assert s.coefficient(0).is_zero()
