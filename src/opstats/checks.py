@@ -477,20 +477,21 @@ class Check:
 
 
 #: The n bound of every check that sweeps ordered partitions: run_audit(9, 7)
-#: takes 49 s over the 7 087 261 partitions at n = 9 (2-core Xeon, Python
+#: takes 22 s over the 7 087 261 partitions at n = 9 (2-core Xeon, Python
 #: 3.11, one process); sect23, transfer and thm24 take 0.2-0.3 s at n = 9.
 SWEEP_BOUND = 9
 
 #: Each check's n bound: the largest n at which it takes under about 4 s,
 #: run alone from a fresh process on that machine, or about a minute for the
 #: partition sweeps:
-#:   zz 2.6-3.8 s at n = 20 and 4.6 s at 21;  path-counts 0.9 s at 11 and
-#:   4.2 s at 12;  bij 3.3 s at 7 and 50 s at 8, about the audit sweep's
-#:   time at 9;  eulerian, its permutations' own bound
-#:   qnum.EULERIAN_DESK_BOUND (4.5 s at 9);  main1 2.3 s at 5 (at 6 it needs
-#:   P_7, 57 s a determinant);  key 3.3 s at 15 and 4.8 s at 16;  eigen 3.0 s
-#:   at 12 and 5.5 s at 13;  the determinant checks, the n of
-#:   xfer.DET_IDENTITIES at which their determinants reach xfer.DET_BOUNDS.
+#:   zz 0.5-0.8 s at n = 20 and 0.6-0.9 s at 21 (the bound is kept so that
+#:   exit codes stay as they were);  path-counts 0.9 s at 11 and 4.2 s at
+#:   12;  bij 1.5 s at 7 and 19 s at 8, about the audit sweep's time at 9;
+#:   eulerian, its permutations' own bound qnum.EULERIAN_DESK_BOUND (4.5 s
+#:   at 9);  main1 2.3 s at 5 (at 6 it needs P_7, 57 s a determinant);  key
+#:   3.3 s at 15 and 4.8 s at 16;  eigen 3.0 s at 12 and 5.5 s at 13;  the
+#:   determinant checks, the n of xfer.DET_IDENTITIES at which their
+#:   determinants reach xfer.DET_BOUNDS.
 CHECKS = {
     "zz": Check(check_zz, n_bound=20),
     "thm25": Check(audit=True, n_bound=SWEEP_BOUND),

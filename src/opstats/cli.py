@@ -26,12 +26,14 @@ from .ring import format_poly
 
 #: The largest ``qnum --n-max`` and ``gf --order`` that run without
 #: ``--force-large``, each the largest that takes a few seconds on a 2-core
-#: Xeon (Python 3.11, whole process).  ``qnum``: binomial, the slowest
-#: table, 2.0-2.4 s at 20, 3.1 s at 21, 4.0 s at 22 and 8.1 s at 25
-#: (stirling 0.9-1.8 s and eulerian 0.9-2.6 s up to 24; factorial 1.3 s at
-#: 40).  ``gf``: the slowest family at its slowest k within the k bounds
-#: takes 1.4 s at order 12, 2.2 s at 13 (phi at k = 8), 5.2 s at 14 (f at
-#: k = 8) and 14.5 s at 15 (phi at k = 9); Q at k = 4 takes 2.1 s at 13.
+#: Xeon (Python 3.11, whole process).  ``qnum``: eulerian, the slowest
+#: table, 0.2 s at 20 and 25 and 1.0-1.2 s at 40 (stirling 0.1-0.3 s up to
+#: 25 and 0.6-1.1 s at 40; binomial and factorial 0.1 s at 25 and 0.2-0.3 s
+#: at 40), so 20 is no longer the largest that takes a few seconds; the
+#: bound is kept so that exit codes stay as they were.  ``gf``: the slowest
+#: family at its slowest k within the k bounds takes 1.4 s at order 12,
+#: 2.2 s at 13 (phi at k = 8), 5.2 s at 14 (f at k = 8) and 14.5 s at 15
+#: (phi at k = 9); Q at k = 4 takes 2.1 s at 13.
 QNUM_N_BOUND = 20
 GF_ORDER_BOUND = 13
 

@@ -4,7 +4,8 @@ Definitions used throughout:
 
     [n]_{p,q} = (p^n - q^n)/(p - q) = sum_{i<n} p^{n-1-i} q^i,   [n]_q = [n]_{1,q}
     [n]_{p,q}! = [1][2]...[n]
-    binom(n,k)_{p,q} = [n]!/([k]![n-k]!)                    (always an exact quotient)
+    binom(n,k)_{p,q} = [n]!/([k]![n-k]!)
+                     = p^k binom(n-1,k) + q^(n-k) binom(n-1,k-1)   (the p,q-Pascal rule)
 
     q-Stirling:   S_q(n,k) = q^(k-1) S_q(n-1,k-1) + [k]_q S_q(n-1,k),
                   S_q(n,k) = delta_{n,k} when n = 0 or k = 0.
@@ -29,11 +30,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .ring import DEFAULT, LaurentPoly
+from .ring import DEFAULT, LaurentPoly, _sum_of_products
 
 
 @dataclass(frozen=True)
@@ -71,23 +73,113 @@ def pq_int(n: int, ctx: PQContext) -> LaurentPoly:
     return total
 
 
+#: The rule of each held triangle, T(m,j) = left T(m-1,j-1) + up T(m-1,j)
+#: with T(0,0) = 1: its family's (offset, left, up), each factor a function
+#: of (ctx, m, j).  Row m spans the columns j < m + 1 - offset, since
+#: A_q(m,j) = 0 for j >= m >= 1 and every other value is 0 for j > m; a
+#: column past the end of row m-1 is 0.  A_q(0,0) = 1 starts the q-Eulerian
+#: rows, so that A_q(1,0) = 1; the factorials are the one column
+#: [m]! = [m] [m-1]!.
+RULES = {
+    "stirling": (0, lambda ctx, m, j: _power(ctx.q, j - 1), lambda ctx, m, j: pq_int(j, ctx)),
+    "eulerian": (1, lambda ctx, m, j: _power(ctx.q, j) * pq_int(m - j, ctx),
+                 lambda ctx, m, j: pq_int(j + 1, ctx)),
+    "binomial": (0, lambda ctx, m, j: _power(ctx.q, m - j), lambda ctx, m, j: _power(ctx.p, j)),
+    "factorial": (0, None, lambda ctx, m, j: pq_int(m, ctx)),
+}
+
+
+@lru_cache(maxsize=None)
+def _power(x: LaurentPoly, e: int) -> LaurentPoly:
+    return x ** e
+
+
+class _Triangle:
+    """The rows 0, 1, 2, ... of one triangle of RULES over one context, held
+    for the life of the process.
+
+    Row m is an immutable tuple of its first columns, built once from row
+    m-1.  It is as wide as the largest column asked of it or of a row below
+    it (capped at its span), and widens on demand, keeping the columns it
+    has.  Rows are filled under ``_LOCK`` and read without it: a reader sees
+    a row before or after it widens, and both hold the same values.  The
+    public functions that read a triangle memoize what they read, so only
+    their first read of a value comes here.
+    """
+
+    def __init__(self, family: str, ctx: PQContext):
+        self.offset, self.left, self.up = RULES[family]
+        self.ctx = ctx
+        self.rows: list[tuple[LaurentPoly, ...]] = [(DEFAULT.one,)]
+
+    def value(self, n: int, k: int) -> LaurentPoly:
+        """T(n,k), for a column k in the span of row n."""
+        rows = self.rows
+        if n < len(rows) and k < len(rows[n]):
+            return rows[n][k]
+        with _LOCK:
+            self._fill(n, k + 1)
+        return rows[n][k]
+
+    def _width(self, m: int, w: int) -> int:
+        return min(w, m + 1 - self.offset)
+
+    def _terms(self, m: int, j: int, prev: tuple[LaurentPoly, ...]):
+        # row m-1 is at least as wide as row m is to be, up to its span, so
+        # it has column j-1; column j it has unless j is past its span
+        if j:
+            yield 1, self.left(self.ctx, m, j), prev[j - 1]
+        if j < len(prev):
+            yield 1, self.up(self.ctx, m, j), prev[j]
+
+    def _fill(self, n: int, w: int) -> None:
+        """Make rows 0..n at least w columns wide, each capped at its span.
+        A row that wide has every row below it that wide too, so the rows
+        above the highest such row are the ones to build."""
+        rows = self.rows
+        m = min(n, len(rows) - 1)
+        while m and len(rows[m]) < self._width(m, w):
+            m -= 1
+        for m in range(m + 1, n + 1):
+            prev = rows[m - 1]
+            held = rows[m] if m < len(rows) else ()
+            row = held + tuple(_sum_of_products(self._terms(m, j, prev))
+                               for j in range(len(held), self._width(m, w)))
+            if m < len(rows):
+                rows[m] = row
+            else:
+                rows.append(row)
+
+
+#: The held triangles, keyed on (family, context); cleared, they are built
+#: afresh on the next read.
+_HELD: dict[tuple[str, PQContext], _Triangle] = {}
+_LOCK = threading.Lock()
+
+
+def _held(family: str, ctx: PQContext) -> _Triangle:
+    triangle = _HELD.get((family, ctx))
+    if triangle is None:
+        with _LOCK:
+            triangle = _HELD.setdefault((family, ctx), _Triangle(family, ctx))
+    return triangle
+
+
 @lru_cache(maxsize=None)
 def pq_factorial(n: int, ctx: PQContext) -> LaurentPoly:
-    """[1][2]...[n], multiplied out in order (no recursion, so any n works)."""
+    """[1][2]...[n], one held row per n (no recursion, so any n works)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = DEFAULT.one
-    for m in range(1, n + 1):
-        out = out * pq_int(m, ctx)
-    return out
+    return _held("factorial", ctx).value(n, 0)
 
 
 @lru_cache(maxsize=None)
 def pq_binomial(n: int, k: int, ctx: PQContext) -> LaurentPoly:
-    """Exact quotient [n]!/([k]![n-k]!); an inexact division here is a bug."""
+    """binom(n,k)_{p,q} by the p,q-Pascal rule over held rows, read at the
+    column min(k, n-k) by symmetry."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return pq_factorial(n, ctx).divexact(pq_factorial(k, ctx) * pq_factorial(n - k, ctx))
+    return _held("binomial", ctx).value(n, min(k, n - k))
 
 
 def q_int(n: int) -> LaurentPoly:
@@ -104,45 +196,25 @@ def q_binomial(n: int, k: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def q_stirling(n: int, k: int) -> LaurentPoly:
-    """S_q(n,k) by the recurrence, filled row by row (no recursion, so any n
-    works).  Row m keeps only the columns S_q(n,k) depends on, k-(n-m)..k."""
+    """S_q(n,k) by the recurrence over held rows (no recursion, so any n
+    works)."""
     if n < 0 or k < 0:
         raise ValueError("n, k must be nonnegative")
-    ctx = q_context()
     if k > n:
         return DEFAULT.zero
-    q = ctx.q
-    row = [DEFAULT.one] + [DEFAULT.zero] * k  # S_q(0, j)
-    for m in range(1, n + 1):
-        lo = max(1, k - (n - m))
-        row = [DEFAULT.zero] * lo + [
-            q ** (j - 1) * row[j - 1] + pq_int(j, ctx) * row[j] for j in range(lo, k + 1)
-        ]
-    return row[k]
+    return _held("stirling", q_context()).value(n, k)
 
 
 @lru_cache(maxsize=None)
 def q_eulerian(n: int, k: int) -> LaurentPoly:
-    """A_q(n,k) by the recurrence, filled row by row like q_stirling.  Row m
-    keeps the columns k-(n-m)..k, and A_q(m,j) = 0 for j >= m."""
+    """A_q(n,k) by the recurrence over held rows, like q_stirling."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    ctx = q_context()
     if k >= n:
         return DEFAULT.zero
-    q = ctx.q
-    row = [DEFAULT.one] + [DEFAULT.zero] * k  # A_q(1, j)
-    for m in range(2, n + 1):
-        lo = max(0, k - (n - m))
-        new = [DEFAULT.zero] * (k + 1)
-        for j in range(lo, min(k, m - 1) + 1):
-            new[j] = pq_int(j + 1, ctx) * row[j]
-            if j:
-                new[j] = q ** j * pq_int(m - j, ctx) * row[j - 1] + new[j]
-        row = new
-    return row[k]
+    return _held("eulerian", q_context()).value(n, k)
 
 
 EULERIAN_DESK_BOUND = 9

@@ -3,9 +3,10 @@
     PYTHONPATH=src python tests/cache_equivalence.py
 
 Runs each argv of ``CASES`` twice in this one interpreter: the first call
-builds the weighted digraphs, pencils, q-numbers and text forms that the
-process keeps, the second reads them back.  Prints one line per argv that
-does not exit 0 or whose exit code or stdout differ between the two calls,
+builds the weighted digraphs, pencils, q-number rows and text forms that
+the process keeps, the second reads them back.  Prints one line per argv
+that does not exit 0, whose exit code or stdout differ between the two
+calls, or whose first call differs from an earlier run of the same argv,
 and a summary line; exits 1 if any does.  It needs neither pytest nor
 hypothesis, so it runs under any Python the package supports.
 """
@@ -20,12 +21,17 @@ import sys
 from opstats import cli, xfer
 
 #: ``det`` of every matrix at n = 3 (P_3^k at k = 1..3), the three transfer
-#: series at k = 3, and a q-binomial table.
+#: series at k = 3, a table of each q-number family, and q-Stirling tables
+#: at n <= 6, then 12, then 6 again, in both formats: the held rows are
+#: built, widened, and read back from wider rows.
 CASES = [
     *(["det", name, "--n", "3"] for name in xfer.MATRICES if name != "Pk"),
     *(["det", "Pk", "--n", "3", "--k", str(k)] for k in (1, 2, 3)),
     *(["gf", family, "--k", "3", "--order", "6"] for family in ("Q", "Qxy", "Qz")),
-    ["qnum", "binomial", "--n-max", "10"],
+    *(["qnum", family, "--n-max", "10"]
+      for family in ("binomial", "stirling", "eulerian", "factorial")),
+    *(["qnum", "stirling", "--n-max", str(n), "--format", fmt]
+      for fmt in ("table", "records") for n in (6, 12, 6)),
 ]
 
 
@@ -38,9 +44,10 @@ def outcome(argv: list[str]) -> tuple[int, str]:
 
 def differences(cases: list[list[str]]) -> list[tuple[list[str], tuple, tuple]]:
     found = []
+    first: dict[tuple[str, ...], tuple[int, str]] = {}
     for argv in cases:
         cold, warm = outcome(argv), outcome(argv)
-        if cold != warm or cold[0] != 0:
+        if cold != warm or cold[0] != 0 or first.setdefault(tuple(argv), cold) != cold:
             found.append((argv, cold, warm))
     return found
 

@@ -1,5 +1,8 @@
 """q-analogues: recurrences against brute force and printed values."""
 
+import sys
+import threading
+
 import pytest
 
 from opstats import qnum
@@ -141,3 +144,98 @@ def test_stirling_deep_rows():
     assert stirling2(1500, 1) == 1
     assert stirling2(1500, 1500) == 1
     assert stirling2(1500, 1499) == 1500 * 1499 // 2
+
+
+#: (family, value function, the (n, k) it is read at up to n) of each held
+#: triangle; the binomials in a two-variable context, so both Pascal powers
+#: show.
+XY = pq_context("x", "y")
+TRIANGLES = (
+    ("stirling", q_stirling, lambda n: range(n + 1)),
+    ("eulerian", q_eulerian, lambda n: range(n)),
+    ("binomial", lambda n, k: pq_binomial(n, k, XY), lambda n: range(n + 1)),
+    ("factorial", lambda n, k: pq_factorial(n, XY), lambda n: (0,)),
+)
+
+
+def clear_held():
+    """Forget the held rows and the values each function memoizes."""
+    qnum._HELD.clear()
+    for f in (q_stirling, q_eulerian, pq_factorial, pq_binomial):
+        f.cache_clear()
+
+
+def cold(value, n, k):
+    """``value(n, k)`` from no held rows."""
+    clear_held()
+    return value(n, k)
+
+
+def test_pascal_binomials_are_the_exact_quotients():
+    clear_held()
+    for ctx in (qnum.q_context(), pq_context("p", "q"), XY, pq_context(ONE, "z")):
+        f = [pq_factorial(n, ctx) for n in range(13)]
+        for n in range(13):
+            for k in range(n + 1):
+                assert pq_binomial(n, k, ctx) == f[n].divexact(f[k] * f[n - k]), (ctx, n, k)
+
+
+@pytest.mark.parametrize("family, value, ks", TRIANGLES, ids=[t[0] for t in TRIANGLES])
+def test_values_read_after_a_wider_table_equal_their_cold_values(family, value, ks):
+    want = {(n, k): cold(value, n, k) for n in range(1, 11) for k in ks(n)}
+    # narrow rows past the table, then widened a few columns at a time, in
+    # both directions, so rows are read held, widened and built afresh
+    clear_held()
+    for n, k in ((12, 1), (7, 3), (10, 3), (5, 5), (11, 6), (9, 8)):
+        if k in ks(n):
+            value(n, k)
+    for n, k in sorted(want, reverse=True):
+        assert value(n, k) == want[n, k], (family, n, k)
+    for n, k in sorted(want):
+        assert value(n, k) == want[n, k], (family, n, k)
+
+
+def test_deep_rows_stay_two_columns_wide():
+    clear_held()
+    assert q_stirling(1500, 1) == 1
+    assert q_eulerian(1200, 0) == 1
+    for family, rows in (("stirling", 1501), ("eulerian", 1201)):
+        held = qnum._HELD[family, qnum.q_context()].rows
+        assert len(held) == rows and max(map(len, held)) <= 2, family
+
+
+def test_held_rows_are_filled_safely_by_racing_threads():
+    want = [cold(value, n, k) for _, value, ks in TRIANGLES for n in range(1, 13) for k in ks(n)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            clear_held()
+            start = threading.Barrier(8)
+            results, errors = [], []
+
+            def work(i):
+                start.wait(timeout=10)
+                try:
+                    # each thread asks for the rows in its own order: deep
+                    # and narrow first, or the table row by row
+                    got = {}
+                    for family, value, ks in TRIANGLES:
+                        order = [(n, k) for n in range(1, 13) for k in ks(n)]
+                        for n, k in (order[::-1] if i % 2 else order):
+                            got[family, n, k] = value(n, k)
+                    results.append([got[f, n, k] for f, _, ks in TRIANGLES
+                                    for n in range(1, 13) for k in ks(n)])
+                except Exception as exc:  # collected and asserted below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert len(results) == 8 and all(r == want for r in results)
+    finally:
+        sys.setswitchinterval(old)

@@ -1,6 +1,7 @@
 """Statistics: the worked example table, identities, distributions."""
 
 import collections
+import functools
 import tracemalloc
 
 import pytest
@@ -358,6 +359,13 @@ def test_random_partition_round_trip(blocks):
 FIELDS = stats.Summary.__slots__
 
 
+@functools.cache
+def summary_fields(n: int, k: int) -> dict[tuple, tuple[int, ...]]:
+    """fields(Summary(blocks)) for each blocks of OP_n^k, in enumeration
+    order, built once per test session."""
+    return {blocks: fields(Summary(blocks)) for blocks in iter_blocks(n, k)}
+
+
 def field_steps():
     """The value steps whose values are every Summary field, in FIELDS
     order, and their root, the fields of the empty partition."""
@@ -375,7 +383,7 @@ def test_sweeps_follow_the_enumeration_and_match_summary():
     for n in range(8):
         swept = list(sweep_all(n, exprs))
         assert [blocks for blocks, _ in swept] == list(iter_blocks_all(n)), n
-        want = {blocks: fields(summarize(blocks)) for blocks, _ in swept}
+        want = {b: f for k in range(n + 1) for b, f in summary_fields(n, k).items()}
         for blocks, v in swept:
             assert v == values(want[blocks]), blocks
         for k in range(-1, n + 2):
@@ -417,7 +425,7 @@ def test_value_steps_match_summary_fields():
     root = ((), values(fields(summarize(()))))
     for n in range(8):
         for k in range(n + 1):
-            want = [(blocks, values(fields(summarize(blocks)))) for blocks in iter_blocks(n, k)]
+            want = [(blocks, values(f)) for blocks, f in summary_fields(n, k).items()]
             assert list(grow(n, k, root, steps["singleton"], steps["append"])) == want, (n, k)
             assert value_counts(n, k, [exprs]) == [collections.Counter(v for _, v in want)], (n, k)
 
@@ -433,7 +441,7 @@ def test_value_counts_match_the_definition_route():
             for inv_free, enum in ((False, iter_blocks), (True, iter_blocks_p)):
                 want = [collections.Counter() for _ in groups]
                 for blocks in enum(n, k):
-                    v = values(fields(Summary(blocks)))
+                    v = values(summary_fields(n, k)[blocks])
                     for c, group in zip(want, groups):
                         c[v[0] if len(group) == 1 else v[:len(group)]] += 1
                         v = v[len(group):]
@@ -455,13 +463,13 @@ def test_value_counts_follow_table_changes(monkeypatch):
     assert stats._value_steps.cache_info().hits == hits + 1
 
 
-def definition_gfs(summaries, weights):
-    """For each mapping of ``weights``, the sum over ``summaries`` of
-    prod_v v^(stat_v), each value read off its Summary."""
+def definition_gfs(field_rows, weights):
+    """For each mapping of ``weights``, the sum over ``field_rows``, the
+    fields of some Summaries, of prod_v v^(stat_v)."""
     out = []
     for w in weights:
         terms = {}
-        for v, c in collections.Counter(map(evaluator(w.values()), map(fields, summaries))).items():
+        for v, c in collections.Counter(map(evaluator(w.values()), field_rows)).items():
             exponents = [0] * len(DEFAULT)
             for name, e in zip(w, v):
                 exponents[DEFAULT.index(name)] = e
@@ -477,8 +485,8 @@ def test_streamed_levels_give_the_summary_polynomials():
     weights = (walk, *(w for _, w in checks.THM24))
     for n in (stats.KEEP_N, stats.KEEP_N + 1):
         for k in range(n + 1):
-            summaries = [Summary(blocks) for blocks in iter_blocks(n, k)]
-            assert enumerated_gf(n, k, *weights) == definition_gfs(summaries, weights), (n, k)
+            rows = summary_fields(n, k).values()
+            assert enumerated_gf(n, k, *weights) == definition_gfs(rows, weights), (n, k)
             assert enumerated_gf(n, k) == []
 
 
@@ -507,8 +515,8 @@ def test_step_tables_fail_loudly_on_a_missing_field(monkeypatch):
             assert stats._kept_level.cache_info().currsize == 0
             # past the kept levels, a form that reads only fields with
             # entries still compiles
-            summaries = [Summary(blocks) for blocks in iter_blocks(7, 3)]
-            assert [distribution(7, 3, "mak")] == definition_gfs(summaries, [{"q": "mak"}])
+            rows = summary_fields(7, 3).values()
+            assert [distribution(7, 3, "mak")] == definition_gfs(rows, [{"q": "mak"}])
         stats._value_steps.cache_clear()
         stats._kept_level.cache_clear()
     assert distribution(7, 3, "k") == 1806 * DEFAULT.var("q") ** 3
