@@ -21,7 +21,7 @@ from . import qnum, xfer
 from .opart import BoundExceeded, Blocks, OrderedPartition, _form, format_partition, iter_blocks_all
 from .qnum import q_poly_from_exponent_counts
 from .ring import DEFAULT, series_from_rational
-from .stats import WALK_EXPONENTS, coord_rows, enumerated_gf, sweep_all, value_counts
+from .stats import WALK_EXPONENTS, coord_rows, enumerated_gf, level_counts, sweep_all
 from .walks import (
     EAST,
     NORTH,
@@ -189,16 +189,16 @@ def _audit_level(n: int, exprs: tuple[str, ...]
                  ) -> tuple[dict[int, list[dict[int, int]]], dict[str, Blocks]]:
     """For each 1 <= k <= n, the count of every value of each of ``exprs``
     over OP_n^k, and the first partition of OP_n at which each pointwise
-    check of POINTWISE fails.  Each level counts each expression in a dict of
-    its own and the lhs - rhs differences of all the pairs jointly; only
-    when some difference is nonzero is OP_n walked again, partition by
-    partition, through the same value steps, for the failures."""
+    check of POINTWISE fails.  Every k of level n is counted in one walk of
+    level n-1 (``level_counts``), each expression in a dict of its own and
+    the lhs - rhs differences of all the pairs jointly; only when some
+    difference is nonzero is OP_n walked again, partition by partition,
+    through the same value steps, for the failures."""
     pairs = tuple(pair for _, check_pairs in POINTWISE for pair in check_pairs)
     groups = tuple((e,) for e in exprs) + (pairs,)
     counts: dict[int, list[dict[int, int]]] = {}
     fails = False
-    for k in range(1, n + 1):
-        *counts[k], differences = value_counts(n, k, groups)
+    for k, (*counts[k], differences) in level_counts(n, groups).items():
         fails = fails or differences.keys() != {(0,) * len(pairs)}
     first_bad: dict[str, Blocks] = {}
     if fails:
@@ -477,8 +477,9 @@ class Check:
 
 
 #: The n bound of every check that sweeps ordered partitions: run_audit(9, 7)
-#: takes 22 s over the 7 087 261 partitions at n = 9 (2-core Xeon, Python
-#: 3.11, one process); sect23, transfer and thm24 take 0.2-0.3 s at n = 9.
+#: takes 13 s of CPU over the 7 087 261 partitions at n = 9 (2-core Xeon,
+#: Python 3.11, one process); sect23, transfer and thm24 take 0.2-0.3 s at
+#: n = 9.
 SWEEP_BOUND = 9
 
 #: Each check's n bound: the largest n at which it takes under about 4 s,
@@ -486,7 +487,7 @@ SWEEP_BOUND = 9
 #: partition sweeps:
 #:   zz 0.5-0.8 s at n = 20 and 0.6-0.9 s at 21 (the bound is kept so that
 #:   exit codes stay as they were);  path-counts 0.9 s at 11 and 4.2 s at
-#:   12;  bij 1.5 s at 7 and 19 s at 8, about the audit sweep's time at 9;
+#:   12;  bij 1.5 s at 7 and 19 s at 8;
 #:   eulerian, its permutations' own bound qnum.EULERIAN_DESK_BOUND (4.5 s
 #:   at 9);  main1 2.3 s at 5 (at 6 it needs P_7, 57 s a determinant);  key
 #:   3.3 s at 15 and 4.8 s at 16;  eigen 3.0 s at 12 and 5.5 s at 13;  the

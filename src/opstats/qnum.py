@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
@@ -40,10 +40,19 @@ from .ring import DEFAULT, LaurentPoly, _sum_of_products
 
 @dataclass(frozen=True)
 class PQContext:
-    """The pair (p, q) over which the two-parameter analogues are formed."""
+    """The pair (p, q) over which the two-parameter analogues are formed.
+    Equal by value; its hash is computed once, since every cache keyed on a
+    context hashes it on each call."""
 
     p: LaurentPoly
     q: LaurentPoly
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.p, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -67,10 +76,9 @@ def pq_int(n: int, ctx: PQContext) -> LaurentPoly:
     """[n]_{p,q} = sum_{i=0}^{n-1} p^(n-1-i) q^i; [0] = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = DEFAULT.zero
-    for i in range(n):
-        total = total + ctx.p ** (n - 1 - i) * ctx.q ** i
-    return total
+    # all n terms add into one dict; adding them one at a time would copy
+    # the growing sum n times
+    return _sum_of_products((1, _power(ctx.p, n - 1 - i), _power(ctx.q, i)) for i in range(n))
 
 
 #: The rule of each held triangle, T(m,j) = left T(m-1,j-1) + up T(m-1,j)

@@ -34,15 +34,16 @@ and Summary(blocks) sums them (summarize(), composite(), q_monomial() and the
 ``stats`` table).  The sweep route walks opart's insertion tree through the
 value steps, generated from STEPS, the one statement of each insertion step,
 whose nodes carry the values of the sweep's expressions alone
-(``value_counts``, ``sweep_all``).  The levels with n <= KEEP_N, which
-``enumerated_gf`` keeps for the life of the process, are counted the same
-way, with every Summary field as an expression.  Tests pin the value steps
+(``value_counts``, ``level_counts``, ``sweep_all``).  The levels with
+n <= KEEP_N, which ``enumerated_gf`` keeps for the life of the process, are
+counted the same way, with every Summary field as an expression.  Tests pin the value steps
 over every field to fields(Summary(blocks)).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from bisect import bisect_right
 from types import SimpleNamespace
@@ -200,6 +201,15 @@ def summarize(pi) -> Summary:
 # generated from it, through which every sweep grows opart's tree
 # (opart.grow*) and counts, without counting block pairs.  They are checked
 # against Summary(blocks), which reads the definitions.
+#
+# The last level is only counted, and a group whose change under a step
+# kind reads m, k, the position and constants alone, and no quantity of the
+# parent's blocks, is counted once per parent, not once per child.  The
+# children of parents with equal k and equal values of that group have
+# equal values at each position, so a histogram of the parents' values,
+# keyed by k, spread over that kind's positions after the walk, gives the
+# same counts.  This is where the [k]_q factors of the recurrences come
+# from: mak+bInv, for one, gains 2k-g at every gap g.
 
 
 def _above(blocks: Blocks, c: int) -> tuple[int, int]:
@@ -222,10 +232,10 @@ def _above(blocks: Blocks, c: int) -> tuple[int, int]:
 #: the change of every Summary field as an integer combination, such as
 #: ``k-1-b`` or ``2*k``, of the quantities, m, k, the position and 1.
 STEPS = {
-    # m as a new singleton block at gap g (0..k).  Each of the ``right`` =
-    # k-g blocks right of the gap gives m a smaller opener and closer on its
-    # right, and has its opener below m: ros, rcs, their _op restrictions,
-    # inv and binv gain k-g.  The g blocks left of it give los, lcs, los_op,
+    # m as a new singleton block at gap g (0..k).  Each of the k-g blocks
+    # right of the gap gives m a smaller opener and closer on its right, and
+    # has its opener below m: ros, rcs, their _op restrictions, inv and binv
+    # gain k-g.  The g blocks left of it give los, lcs, los_op,
     # lcs_op and bexc.  The ``left`` elements left of the gap see m's block
     # as a bigger opener and closer on their right (rob, rcb); the m-1-left
     # right of it, on their left (lob, lcb).  The parent descents at or right
@@ -237,7 +247,6 @@ STEPS = {
         child="blocks[:g] + ((m,),) + blocks[g:]",
         prelude="",
         quantities=(
-            (("right",), "right = k - g"),
             (("left",), """\
 left = 0
 for B in blocks[:g]:
@@ -254,12 +263,12 @@ if g < k:
         ),
         deltas={
             "n": "1", "k": "1",
-            "ros": "right", "rob": "left", "rcs": "right", "rcb": "left",
+            "ros": "k-g", "rob": "left", "rcs": "k-g", "rcb": "left",
             "los": "g", "lob": "m-1-left", "lcs": "g", "lcb": "m-1-left",
             "lsb": "0", "rsb": "0",
-            "ros_op": "right", "rcs_op": "right", "los_op": "g", "lcs_op": "g",
+            "ros_op": "k-g", "rcs_op": "k-g", "los_op": "g", "lcs_op": "g",
             "lsb_op": "0", "rsb_op": "0",
-            "binv": "right", "bexc": "g", "bmaj": "dbmaj", "inv": "right",
+            "binv": "k-g", "bexc": "g", "bmaj": "dbmaj", "inv": "k-g",
             "nk1": "m+k-1", "k2": "k",
         },
     ),
@@ -344,15 +353,23 @@ def _generate(lines: list[str]) -> dict:
     return namespace
 
 
+def _tree(groups: tuple[tuple[str | tuple[str, str], ...], ...]) -> tuple[dict, tuple]:
+    """The value steps of ``groups`` and the root of their tree, the empty
+    partition, at which every field, and so every value, is 0."""
+    return _value_steps(groups, tuple(TABLE.items())), ((), (0,) * sum(map(len, groups)))
+
+
+def _block_count(node) -> int:
+    return len(node[0])
+
+
 def sweep_all(n: int, exprs: Iterable[str | tuple[str, str]]
               ) -> Iterator[tuple[Blocks, tuple[int, ...]]]:
     """Every partition of OP_n with the values of ``exprs`` there (lhs - rhs
     for an ``(lhs, rhs)`` pair), in the order of ``opart.iter_blocks_all(n)``,
     through the value steps."""
-    exprs = tuple(exprs)
-    steps = _value_steps((exprs,), tuple(TABLE.items()))
-    root = ((), (0,) * len(exprs))
-    return grow_all(n, root, steps["singleton"], steps["append"], lambda node: len(node[0]))
+    steps, root = _tree((tuple(exprs),))
+    return grow_all(n, root, steps["singleton"], steps["append"], _block_count)
 
 
 def value_counts(n: int, k: int, groups: Iterable[Iterable[str | tuple[str, str]]],
@@ -360,26 +377,48 @@ def value_counts(n: int, k: int, groups: Iterable[Iterable[str | tuple[str, str]
     """For each group of statistic expressions, the number of partitions of
     OP_n^k (of its inversion-free partitions when ``inv_free``) at each value
     of the group: the bare value for a group of one expression, else the
-    tuple of its values; an ``(lhs, rhs)`` pair counts as lhs - rhs.  The
-    levels below n are grown through the value steps; level n itself is only
-    counted, child by child of each parent."""
+    tuple of its values; an ``(lhs, rhs)`` pair counts as lhs - rhs.
+
+    The levels below n are grown through the value steps; level n itself is
+    only counted, from the singleton children of OP_(n-1)^(k-1) and the
+    append children of OP_(n-1)^k.  A group whose change under a step kind
+    reads only m, k, the position and constants, and no quantity of the
+    parent's blocks, is counted once per parent, not once per child: two
+    parents with the same k and the same values of that group give children
+    with the same values at each position.  So a histogram of the parents'
+    values, keyed by k and spread over the kind's positions after the walk,
+    gives exactly the counts child by child.  ``level_counts`` counts every
+    k of level n in one walk."""
     groups = tuple(map(tuple, groups))
     if not groups:
         return []
-    steps = _value_steps(groups, tuple(TABLE.items()))
-    counts: list[dict] = [{} for _ in groups]
+    counts = {k: [{} for _ in groups]}
     # every field of the empty partition is 0, and so is every value
     if n == 0:
         if k == 0:
-            for c, group in zip(counts, groups):
+            for c, group in zip(counts[k], groups):
                 c[0 if len(group) == 1 else (0,) * len(group)] = 1
-        return counts
-    root = ((), (0,) * sum(map(len, groups)))
+        return counts[k]
+    steps, root = _tree(groups)
     singleton, append = steps["singleton"], steps["append"]
-    steps["count_singleton"](grow(n - 1, k - 1, root, singleton, append, inv_free),
-                             n, counts, inv_free)
-    steps["count_append"](grow(n - 1, k, root, singleton, append, inv_free),
-                          n, counts, inv_free)
+    parents = itertools.chain(grow(n - 1, k - 1, root, singleton, append, inv_free),
+                              grow(n - 1, k, root, singleton, append, inv_free))
+    steps["count"](parents, n, counts, inv_free)
+    return counts[k]
+
+
+def level_counts(n: int, groups: Iterable[Iterable[str | tuple[str, str]]]
+                 ) -> dict[int, list[dict]]:
+    """``value_counts(n, k, groups)`` for each 1 <= k <= n, counted in one
+    walk of OP_(n-1), which is grown and never held: a partition of [n-1]
+    with j blocks gives its singleton children to k = j+1 and its append
+    children to k = j."""
+    groups = tuple(map(tuple, groups))
+    counts = {k: [{} for _ in groups] for k in range(1, n + 1)}
+    if n > 0 and groups:
+        steps, root = _tree(groups)
+        parents = grow_all(n - 1, root, steps["singleton"], steps["append"], _block_count)
+        steps["count"](parents, n, counts, False)
     return counts
 
 
@@ -387,41 +426,90 @@ def value_counts(n: int, k: int, groups: Iterable[Iterable[str | tuple[str, str]
 def _value_steps(groups: tuple[tuple[str | tuple[str, str], ...], ...], table: tuple) -> dict:
     """For each step kind, the value step over (blocks, values) nodes, whose
     values are those of the expressions of ``groups`` in turn, and
-    ``count_<kind>(nodes, m, counts, inv_free)``, which adds 1 to
-    ``counts[i]`` at the value of group i (the bare value for one
-    expression, else the tuple) of each child of each node, without building
-    its blocks.  Only the quantities that some expression's change reads are
-    computed."""
+    ``count(nodes, m, counts, inv_free)``.  ``count`` reads nodes that are
+    partitions of [m-1] and counts their children without building their
+    blocks: a node with j blocks adds 1 to ``counts[j + 1][i]`` at the value
+    of group i (the bare value for one expression, else the tuple) of each
+    singleton child, and to ``counts[j][i]`` for each append child, for each
+    k present in ``counts``.  ``position_only[kind][i]`` is whether group
+    i's change under ``kind`` reads no quantity of the parent, so that
+    ``count`` counts it once per parent (``value_counts``).  Only the
+    quantities that the other groups' changes read are computed."""
     # ``table`` is only part of the key, as for _compiled
     forms = [_form(e) for group in groups for e in group]
     values = "[" + "".join(f"v{i}, " for i in range(len(forms))) + "]"
-    lines = []
+    spans = [range(start - len(group), start)
+             for group, start in zip(groups, itertools.accumulate(map(len, groups)))]
+
+    def key(names: list[str], i: int) -> str:
+        """Group i's value, read off one name per expression."""
+        span = [names[j] for j in spans[i]]
+        return span[0] if len(span) == 1 else "(" + "".join(v + ", " for v in span) + ")"
+
+    parent = [f"v{j}" for j in range(len(forms))]
+    counts = "[" + "".join(f"c{i}, " for i in range(len(groups))) + "]"
+    lines, hist_lines, walk, spread = [], [], [], []
+    position_only = {}
     for kind, step in STEPS.items():
         deltas = [_delta(kind, form) for form in forms]
-        new = [_linear_source({f"v{i}": 1, **d}) for i, d in enumerate(deltas)]
-        # the inversion-free tree (opart.grow with inv_free) puts a new
-        # singleton only in the right-most gap
-        first = "k if inv_free else 0" if kind == "singleton" else "0"
+        new = [_linear_source({f"v{j}": 1, **d}) for j, d in enumerate(deltas)]
         lines += [
             f"def {kind}(node, m, {step.at}):",
             f"    blocks, {values} = node",
             "    k = len(blocks)",
             *_quantity_lines(kind, deltas, "    "),
             f"    return {step.child}, ({''.join(v + ', ' for v in new)})",
-            f"def count_{kind}(nodes, m, counts, inv_free):",
-            "    [" + "".join(f"c{i}, " for i in range(len(groups))) + "] = counts",
-            f"    for blocks, {values} in nodes:",
-            "        k = len(blocks)",
-            f"        for {step.at} in range({first}, {step.positions}):",
-            *_quantity_lines(kind, deltas, "            "),
         ]
-        start = 0
-        for i, group in enumerate(groups):
-            stop = start + len(group)
-            key = new[start] if len(group) == 1 else "(" + "".join(v + ", " for v in new[start:stop]) + ")"
-            lines += [f"            v = {key}", f"            c{i}[v] = c{i}.get(v, 0) + 1"]
-            start = stop
-    return _generate(lines)
+        atoms = {"m", "k", step.at, "1"}
+        position_only[kind] = tuple(all(deltas[j].keys() <= atoms for j in span) for span in spans)
+        per_parent = [i for i, p in enumerate(position_only[kind]) if p]
+        per_child = [i for i, p in enumerate(position_only[kind]) if not p]
+        hists = "[" + "".join(f"h{i}, " for i in per_parent) + "]"
+        # the inversion-free tree (opart.grow with inv_free) puts a new
+        # singleton only in the right-most gap
+        first = "k if inv_free else 0" if kind == "singleton" else "0"
+        positions = f"for {step.at} in range({first}, {step.positions}):"
+        # the block count of the children of a node with k blocks
+        child = "k + 1" if kind == "singleton" else "k"
+        hist_lines.append(f"    hist_{kind} = [[{'{}, ' * len(per_parent)}] for _ in range(m)]")
+        walk += [f"        row = counts.get({child})", "        if row is not None:"]
+        if per_parent:
+            walk.append(f"            {hists} = hist_{kind}[k]")
+            for i in per_parent:
+                walk += [f"            v = {key(parent, i)}", f"            h{i}[v] = h{i}.get(v, 0) + 1"]
+            spread += [
+                f"    for k, {hists} in enumerate(hist_{kind}):",
+                f"        row = counts.get({child})",
+                "        if row is None:",
+                "            continue",
+                f"        {counts} = row",
+                f"        {positions}",
+            ]
+            for i in per_parent:
+                spread += [
+                    f"            for {key(parent, i)}, w in h{i}.items():",
+                    f"                v = {key(new, i)}",
+                    f"                c{i}[v] = c{i}.get(v, 0) + w",
+                ]
+        if per_child:
+            walk += [f"            {counts} = row", f"            {positions}"]
+            read = [deltas[j] for i in per_child for j in spans[i]]
+            walk += _quantity_lines(kind, read, "                ")
+            for i in per_child:
+                walk += [f"                v = {key(new, i)}", f"                c{i}[v] = c{i}.get(v, 0) + 1"]
+    namespace = _generate([
+        *lines,
+        "def count(nodes, m, counts, inv_free):",
+        # one histogram per group counted once per parent, for each k of
+        # the parents
+        *hist_lines,
+        f"    for blocks, {values} in nodes:",
+        "        k = len(blocks)",
+        *walk,
+        *spread,
+    ])
+    namespace["position_only"] = position_only
+    return namespace
 
 
 #: The largest n whose levels ``enumerated_gf`` keeps as field counts: all

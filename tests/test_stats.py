@@ -31,6 +31,7 @@ from opstats.stats import (
     enumerated_gf,
     evaluator,
     fields,
+    level_counts,
     parse_stat_expr,
     q_monomial,
     stat_table,
@@ -430,22 +431,50 @@ def test_value_steps_match_summary_fields():
             assert value_counts(n, k, [exprs]) == [collections.Counter(v for _, v in want)], (n, k)
 
 
-def test_value_counts_match_the_definition_route():
-    # a group of one expression (counted by its bare value), a joint group
-    # and a group of (lhs, rhs) pairs, over the full and the inversion-free
-    # levels, against evaluator over Summary(blocks)
-    groups = (("mak+bInv",), ("inv-cinv", "lsb+rsb", "k"), (("bInv", "rcs_op"), ("mak", "lmak")))
+def audit_groups(*extra):
+    """The groups that the audit counts, as ``checks._audit_level`` forms
+    them at an n with the equidist coordinates, and ``extra``."""
+    pairs = tuple(pair for _, check_pairs in checks.POINTWISE for pair in check_pairs)
+    exprs = checks.SIX_STATS + checks.BMAJ_STATS + checks.EQUIDIST[0] + checks.EQUIDIST[1]
+    return tuple((e,) for e in exprs + extra) + (pairs,)
+
+
+def definition_counts(groups, n, k, inv_free=False):
+    """The counts of ``groups`` over OP_n^k (its inversion-free part when
+    ``inv_free``) by evaluator over fields(Summary(blocks))."""
     values = evaluator(e for group in groups for e in group)
+    want = [collections.Counter() for _ in groups]
+    for blocks in (iter_blocks_p if inv_free else iter_blocks)(n, k):
+        v = values(summary_fields(n, k)[blocks])
+        for c, group in zip(want, groups):
+            c[v[0] if len(group) == 1 else v[:len(group)]] += 1
+            v = v[len(group):]
+    return want
+
+
+def test_value_counts_match_the_definition_route():
+    # a group of one expression (counted by its bare value), a joint group,
+    # a group of (lhs, rhs) pairs and the audit's groups with los+rcs, over
+    # the full and the inversion-free levels, against evaluator over
+    # Summary(blocks), and each full level counted in one walk.  ros and the
+    # pointwise pairs are counted once per parent under both steps, los+rcs
+    # under the singleton step only, mak+bMaj under neither
+    groups = (("mak+bInv",), ("inv-cinv", "lsb+rsb", "k"), (("bInv", "rcs_op"), ("mak", "lmak")),
+              *audit_groups("los+rcs"))
+    position_only = stats._value_steps(groups, tuple(stats.TABLE.items()))["position_only"]
+    for group, both in ((("ros",), (True, True)), (groups[-1], (True, True)),
+                        (("los+rcs",), (True, False)), (("mak+bMaj",), (False, False))):
+        i = groups.index(group)
+        assert (position_only["singleton"][i], position_only["append"][i]) == both, group
     for n in range(8):
+        walked = level_counts(n, groups)
+        assert sorted(walked) == list(range(1, n + 1)), n
         for k in range(-1, n + 2):
-            for inv_free, enum in ((False, iter_blocks), (True, iter_blocks_p)):
-                want = [collections.Counter() for _ in groups]
-                for blocks in enum(n, k):
-                    v = values(summary_fields(n, k)[blocks])
-                    for c, group in zip(want, groups):
-                        c[v[0] if len(group) == 1 else v[:len(group)]] += 1
-                        v = v[len(group):]
+            for inv_free in (False, True):
+                want = definition_counts(groups, n, k, inv_free)
                 assert value_counts(n, k, groups, inv_free) == want, (n, k, inv_free)
+                if 1 <= k <= n and not inv_free:
+                    assert walked[k] == want, (n, k)
     assert value_counts(3, 2, []) == []
 
 
@@ -461,6 +490,52 @@ def test_value_counts_follow_table_changes(monkeypatch):
     hits = stats._value_steps.cache_info().hits
     assert value_counts(4, 2, [list(group) for group in groups])[1] == {(0, 0): 14}
     assert stats._value_steps.cache_info().hits == hits + 1
+
+
+def test_one_walk_counts_follow_a_group_off_the_position_only_path(monkeypatch):
+    # mak = ros+lcs gains k under every singleton step; with rob added it
+    # reads the elements left of the gap and is counted child by child
+    groups = (("mak",), ("mak+bInv",), (("mak", "lmakP"),))
+    table = tuple(stats.TABLE.items())
+    assert stats._value_steps(groups, table)["position_only"]["singleton"] == (True, True, True)
+    with monkeypatch.context() as mp:
+        mp.setitem(stats.TABLE, "mak", stats.TABLE["mak"] + "+rob")
+        steps = stats._value_steps(groups, tuple(stats.TABLE.items()))
+        assert steps["position_only"]["singleton"] == (False, False, False)
+        for n in range(7):
+            walked = level_counts(n, groups)
+            for k in range(n + 2):
+                for inv_free in (False, True):
+                    want = definition_counts(groups, n, k, inv_free)
+                    assert value_counts(n, k, groups, inv_free) == want, (n, k, inv_free)
+                    if 1 <= k <= n and not inv_free:
+                        assert walked[k] == want, (n, k)
+        assert value_counts(4, 2, groups)[2] != {0: 14}
+    assert value_counts(4, 2, groups)[2] == {0: 14}
+
+
+def test_the_audit_grows_each_level_below_the_counted_one_once(monkeypatch):
+    # each value-step call builds one node; one walk of level n-1 per n
+    # builds every partition of [j] for 1 <= j <= n-1 once
+    builds = collections.Counter()
+    tree = stats._tree
+
+    def counted(kind, step):
+        def build(*args):
+            builds[kind] += 1
+            return step(*args)
+        return build
+
+    def counting_tree(groups):
+        steps, root = tree(groups)
+        return {**steps, **{kind: counted(kind, steps[kind]) for kind in stats.STEPS}}, root
+
+    monkeypatch.setattr(stats, "_tree", counting_tree)
+    report = checks.run_audit(7, 7)
+    assert all(r.ok for results in report.values() for r in results)
+    sizes = [sum(1 for _ in iter_blocks_all(j)) for j in range(7)]
+    assert sum(sizes[j] for n in range(1, 8) for j in range(1, n)) == 6063
+    assert sum(builds.values()) == 6063
 
 
 def definition_gfs(field_rows, weights):
