@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import qnum, xfer
-from .opart import BoundExceeded, Blocks, OrderedPartition, _form, format_partition, iter_blocks_all
+from .opart import Blocks, OrderedPartition, _form, check_desk_bound, format_partition, iter_blocks_all
 from .qnum import q_poly_from_exponent_counts
 from .ring import DEFAULT, series_from_rational
 from .stats import WALK_EXPONENTS, coord_rows, enumerated_gf, level_counts, sweep_all
@@ -551,11 +551,9 @@ class Verification:
                     f"check {name!r} checks no instance at n <= {n_max}; "
                     f"--n-max must be at least {check.n_min}"
                 )
-            if n_max is not None and n_max > check.n_bound and not force_large:
-                raise BoundExceeded(
-                    f"check {name!r} at n={n_max} exceeds its desk bound "
-                    f"n <= {check.n_bound}; pass --force-large"
-                )
+            if n_max is not None:
+                check_desk_bound(f"check {name!r} at n={n_max}", "n", n_max, check.n_bound,
+                                 force_large)
             self.bounds.append((name, n_max))
         audit = {
             name: CHECKS[name].n_default if bound is None else bound

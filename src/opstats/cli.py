@@ -38,19 +38,9 @@ QNUM_N_BOUND = 20
 GF_ORDER_BOUND = 13
 
 
-def _check_desk_bound(command: str, option: str, value: int, bound: int,
-                      force_large: bool) -> None:
-    if value > bound and not force_large:
-        raise opart.BoundExceeded(
-            f"{command} {option} {value} exceeds its desk bound {option} <= {bound}; "
-            "pass --force-large"
-        )
-
-
 def _qnum_cmd(args) -> int:
-    if args.n_max < 0:
-        raise ValueError(f"--n-max must be nonnegative, got {args.n_max}")
-    _check_desk_bound("qnum", "--n-max", args.n_max, QNUM_N_BOUND, args.force_large)
+    opart.check_desk_bound(f"qnum --n-max {args.n_max}", "--n-max", args.n_max, QNUM_N_BOUND,
+                           args.force_large)
     rows = []
     if args.family == "stirling":
         for n in range(0, args.n_max + 1):
@@ -190,7 +180,8 @@ GF_FAMILIES = {
 
 
 def _gf_cmd(args) -> int:
-    _check_desk_bound("gf", "--order", args.order, GF_ORDER_BOUND, args.force_large)
+    opart.check_desk_bound(f"gf --order {args.order}", "--order", args.order, GF_ORDER_BOUND,
+                           args.force_large)
     series = GF_FAMILIES[args.family](args.k, args.order, args.force_large)
     for n, c in enumerate(series.coeffs):
         print(f"a^{n}\t{format_poly(c)}")
@@ -200,7 +191,8 @@ def _gf_cmd(args) -> int:
 def _det_cmd(args) -> int:
     if args.k is not None and args.matrix != "Pk":
         raise ValueError(f"--k applies only to Pk, not to {args.matrix}")
-    xfer.check_det_bound(args.matrix, args.n, args.force_large)
+    opart.check_desk_bound(f"det {args.matrix} --n {args.n}", "--n", args.n,
+                           xfer.DET_BOUNDS[args.matrix], args.force_large)
     print(format_poly(xfer.det(xfer.MATRICES[args.matrix](args.n, args.k))))
     return 0
 

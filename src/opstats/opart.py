@@ -28,7 +28,21 @@ DESK_BOUND = 10
 
 
 class BoundExceeded(ValueError):
-    """An enumeration request went past the desk bound without force_large."""
+    """A request went past a desk bound without force_large: an enumeration,
+    a transfer series or closed form, a determinant, a q-number table, a
+    check or the permutations of the q-Eulerian brute force."""
+
+
+def check_desk_bound(subject: str, name: str, value: int, bound: int,
+                     force_large: bool) -> None:
+    """Refuse a negative ``value`` (ValueError) and, unless ``force_large``,
+    one past ``bound`` (BoundExceeded), naming ``subject`` and ``name``."""
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    if value > bound and not force_large:
+        raise BoundExceeded(
+            f"{subject} exceeds its desk bound {name} <= {bound}; pass --force-large"
+        )
 
 
 class OrderedPartition:
@@ -190,14 +204,6 @@ def iter_blocks_p(n: int, k: int) -> Iterator[Blocks]:
     return grow(n, k, (), _singleton, _append, inv_free=True)
 
 
-def _check_bound(n: int, force_large: bool):
-    if n > DESK_BOUND and not force_large:
-        raise BoundExceeded(
-            f"n={n} exceeds the enumeration desk bound {DESK_BOUND}; "
-            "pass force_large=True (CLI: --force-large) to proceed"
-        )
-
-
 def check_range(n: int, k: int | None = None) -> None:
     """Reject n < 0 and a block count outside 0..n (k None: every k)."""
     if n < 0 or (k is not None and not 0 <= k <= n):
@@ -208,7 +214,7 @@ def enumerate_op(n: int, k: int | None = None, force_large: bool = False
                  ) -> Iterator[OrderedPartition]:
     """Each element of OP_n^k exactly once (all k when k is None)."""
     check_range(n, k)
-    _check_bound(n, force_large)
+    check_desk_bound(f"enumeration at n={n}", "n", n, DESK_BOUND, force_large)
     raw = iter_blocks_all(n) if k is None else iter_blocks(n, k)
     return map(OrderedPartition._unchecked, raw)
 
@@ -216,7 +222,7 @@ def enumerate_op(n: int, k: int | None = None, force_large: bool = False
 def enumerate_p(n: int, k: int, force_large: bool = False) -> Iterator[OrderedPartition]:
     """Unordered partitions of [n] with k blocks, canonical block order."""
     check_range(n, k)
-    _check_bound(n, force_large)
+    check_desk_bound(f"enumeration at n={n}", "n", n, DESK_BOUND, force_large)
     return map(OrderedPartition._unchecked, iter_blocks_p(n, k))
 
 
@@ -229,7 +235,7 @@ def iter_text(n: int, k: int | None = None, inv_free: bool = False,
     check_range(n, k)
     if inv_free and k is None:
         raise ValueError("the inversion-free enumeration needs k (CLI: --inv-free needs --k)")
-    _check_bound(n, force_large)
+    check_desk_bound(f"enumeration at n={n}", "n", n, DESK_BOUND, force_large)
     if k is None:
         return grow_all(n, (), _singleton_text, _append_text)
     return grow(n, k, (), _singleton_text, _append_text, inv_free)

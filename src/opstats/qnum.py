@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
+from .opart import check_desk_bound
 from .ring import DEFAULT, LaurentPoly, _sum_of_products
 
 
@@ -229,11 +230,11 @@ EULERIAN_DESK_BOUND = 9
 
 
 def q_eulerian_bruteforce(n: int, k: int, bound: int = EULERIAN_DESK_BOUND) -> LaurentPoly:
-    """Sum of q^maj over permutations of [n] with exactly k descents."""
+    """Sum of q^maj over permutations of [n] with exactly k descents; n past
+    ``bound`` is refused (a larger ``bound`` runs it)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the desk bound {bound}")
+    check_desk_bound(f"the maj sum over the permutations of [{n}]", "n", n, bound, False)
     counts: dict[int, int] = {}
     for sigma in itertools.permutations(range(1, n + 1)):
         descents = [i + 1 for i in range(n - 1) if sigma[i] > sigma[i + 1]]

@@ -49,7 +49,9 @@ from bisect import bisect_right
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .opart import Blocks, OrderedPartition, _check_bound, check_range, grow, grow_all, inv, perm_of
+from .opart import (
+    DESK_BOUND, Blocks, OrderedPartition, check_desk_bound, check_range, grow, grow_all, inv, perm_of,
+)
 from .ring import DEFAULT, LaurentPoly
 
 COORD_NAMES = ("ros", "rob", "rcs", "rcb", "los", "lob", "lcs", "lcb", "lsb", "rsb")
@@ -675,7 +677,7 @@ def distribution(n: int, k: int, expr: str, force_large: bool = False) -> Lauren
     """sum over OP_n^k of q^(expr); negative totals land in negative Laurent
     exponents rather than failing."""
     check_range(n, k)
-    _check_bound(n, force_large)
+    check_desk_bound(f"distribution at n={n}", "n", n, DESK_BOUND, force_large)
     return enumerated_gf(n, k, {"q": expr})[0]
 
 

@@ -45,11 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .opart import BoundExceeded
-from .qnum import PQContext, pq_binomial, pq_context, pq_factorial, pq_int, q_context
+from .opart import check_desk_bound
+from .qnum import pq_binomial, pq_context, pq_factorial, pq_int, q_context
 from .ring import DEFAULT, LaurentPoly, SeriesInA, _sum_of_products, ensure_f, series_from_rational
 from .walks import (
     EAST, NORTH, NULL, SOUTH_EAST, Vertex, step_allowed, step_target, vertex_count, vertex_order,
@@ -266,26 +266,22 @@ class WeightSpec:
     in place of [m]_{t5,t6}, and t5, t6 are then unused."""
 
     t: tuple[LaurentPoly, ...]
-    generic: bool = False
     f: tuple[LaurentPoly, ...] | None = None
 
     def __post_init__(self):
         if len(self.t) != 7:
             raise ValueError("a weight spec has exactly seven entries")
 
-    # the (p, q) pairs of [m]_{t5,t6} and [j]_{t3,t4}, built once per spec so
-    # that every edge reaches pq_int's cache through the same context
-    @cached_property
-    def open_ctx(self) -> PQContext:
-        return pq_context(self.t[4], self.t[5])
-
-    @cached_property
-    def close_ctx(self) -> PQContext:
-        return pq_context(self.t[2], self.t[3])
+    @property
+    def k_bound(self) -> int:
+        """The symbolic desk bound on k: GENERIC_K_BOUND when the seven
+        weights are pairwise distinct, as the seven variables are, and
+        SPECIALIZED_K_BOUND when a specialization equates two of them."""
+        return GENERIC_K_BOUND if len(set(self.t)) == 7 else SPECIALIZED_K_BOUND
 
     @classmethod
     def seven_variable(cls) -> "WeightSpec":
-        return cls(tuple(DEFAULT.var(f"t{i}") for i in range(1, 8)), generic=True)
+        return cls(tuple(DEFAULT.var(f"t{i}") for i in range(1, 8)))
 
     @classmethod
     def xytu(cls) -> "WeightSpec":
@@ -312,14 +308,14 @@ class WeightSpec:
         """North/East step leaving (i,j): t1^i t7^j [i+j+1]_{t5,t6}, or
         t1^i t7^j F_(i+j+1) when ``f`` is given."""
         if self.f is None:
-            factor = pq_int(i + j + 1, self.open_ctx)
+            factor = pq_int(i + j + 1, pq_context(self.t[4], self.t[5]))
         else:
             factor = self.f[i + j]
         return self.t[0] ** i * self.t[6] ** j * factor
 
     def close_weight(self, i: int, j: int) -> LaurentPoly:
         """Null/South-East step leaving (i,j): t2^i [j]_{t3,t4}."""
-        return self.t[1] ** i * pq_int(j, self.close_ctx)
+        return self.t[1] ** i * pq_int(j, pq_context(self.t[2], self.t[3]))
 
     def step_weight(self, v: tuple[int, int], kind: str) -> LaurentPoly:
         if kind in (NORTH, EAST):
@@ -377,18 +373,6 @@ def transfer_matrix(k: int, w: WeightSpec) -> SymbolicMatrix:
     return _pencil(k, w, DEFAULT.one)
 
 
-def _check_k_bound(k: int, w: WeightSpec, force_large: bool) -> None:
-    """Reject k < 0, and k above the symbolic desk bound unless forced."""
-    bound = GENERIC_K_BOUND if w.generic else SPECIALIZED_K_BOUND
-    if k > bound and not force_large:
-        raise BoundExceeded(
-            f"k={k} exceeds the symbolic desk bound {bound}; "
-            "pass force_large=True (CLI: --force-large)"
-        )
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-
-
 def q_gf_transfer(k: int, w: WeightSpec, order: int, force_large: bool = False) -> SeriesInA:
     """The walk generating function of depth k as a series in a:
 
@@ -397,7 +381,7 @@ def q_gf_transfer(k: int, w: WeightSpec, order: int, force_large: bool = False) 
     Its a^n coefficient is the sum of the seven-variable monomials over all
     ordered partitions of [n] with k blocks.
     """
-    _check_k_bound(k, w, force_large)
+    check_desk_bound(f"the transfer series at k={k}", "k", k, w.k_bound, force_large)
     m = transfer_matrix(k, w)
     denom = det(m)
     numer = _sign(1 + m.rows) * det(corner(m))
@@ -414,7 +398,7 @@ def walk_series(k: int, w: WeightSpec, order: int, force_large: bool = False) ->
     it still needs, exceeds the steps left.  Steps sharing a weight (North
     and East, Null and South-East) share one product.
     """
-    _check_k_bound(k, w, force_large)
+    check_desk_bound(f"the transfer series at k={k}", "k", k, w.k_bound, force_large)
     if order < 0:
         raise ValueError("order must be nonnegative")
     target = (k, 0)
@@ -447,13 +431,7 @@ def walk_series(k: int, w: WeightSpec, order: int, force_large: bool = False) ->
 def _check_closed(family: str, k: int, force_large: bool) -> None:
     """Reject k < 0, k above the closed-form desk bound unless forced, and an
     unknown family."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > CLOSED_K_BOUND and not force_large:
-        raise BoundExceeded(
-            f"k={k} exceeds the closed-form desk bound {CLOSED_K_BOUND}; "
-            "pass force_large=True (CLI: --force-large)"
-        )
+    check_desk_bound(f"the closed form {family} at k={k}", "k", k, CLOSED_K_BOUND, force_large)
     if family not in CLOSED_FAMILIES:
         raise ValueError(f"unknown closed form {family!r}")
 
@@ -570,18 +548,6 @@ MATRICES: dict[str, Callable[..., SymbolicMatrix]] = {
 #: 1.8-3.1 s at 13, 4.9 s at 14 and 14.5 s at 16.  Peak RSS of the whole process at the
 #: bound: M 49 MB, A 70, P 75, Pk 29, ndot 54, N 37 and Az 36 MB.
 DET_BOUNDS = {"M": 8, "N": 13, "P": 6, "Pk": 5, "ndot": 8, "A": 6, "Axy": 8, "Az": 13}
-
-
-def check_det_bound(name: str, n: int, force_large: bool = False) -> None:
-    """Refuse ``det`` of MATRICES[name] at a negative n, or at n past
-    DET_BOUNDS[name] unless forced."""
-    if n < 0:
-        raise ValueError(f"--n must be nonnegative, got {n}")
-    bound = DET_BOUNDS[name]
-    if n > bound and not force_large:
-        raise BoundExceeded(
-            f"det {name} at n={n} exceeds its desk bound n <= {bound}; pass --force-large"
-        )
 
 
 # -- the closed products of the determinant identities ---------------------------

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -123,6 +124,29 @@ def test_enum_bound_exit_code(capsys):
     code, _, err = run(capsys, "enum", "--n", "11")
     assert code == 2
     assert "force-large" in err
+
+
+#: One argv per bounded command, ending at the bounded value, with its bound.
+CLI_BOUNDS = [
+    (["enum", "--n"], 10),
+    (["dist", "--k", "2", "--stat", "inv", "--n"], 10),
+    (["gf", "Q", "--k", "1", "--order"], 13),
+    (["gf", "Q", "--k"], 4),
+    (["gf", "Qz", "--k"], 5),
+    (["gf", "f", "--k"], 16),
+    (["det", "M", "--n"], 8),
+    (["qnum", "stirling", "--n-max"], 20),
+    (["verify", "zz", "--n-max"], 20),
+    (["conjecture", "--n-max"], 9),
+]
+
+
+def test_every_desk_bound_refuses_in_one_form(capsys):
+    for argv, bound in CLI_BOUNDS:
+        code, out, err = run(capsys, *argv, str(bound + 1))
+        assert (code, out) == (2, ""), argv
+        assert re.fullmatch(rf"error: .*\b{bound + 1}\b.* exceeds its desk bound \S+ <= {bound}; "
+                            "pass --force-large\n", err), (argv, err)
 
 
 def _enum_reference(n, k, inv_free, fmt):
@@ -367,7 +391,7 @@ def test_gf_bound_errors_name_the_flag(capsys):
 def test_gf_closed_forms_bound_exit_2(capsys, monkeypatch):
     # k = 1100 raised RecursionError (exit 1) before the bound existed
     code, out, err = run(capsys, "gf", "f", "--k", "1100", "--order", "0")
-    assert (code, out) == (2, "") and "closed-form desk bound 16" in err
+    assert (code, out) == (2, "") and "k <= 16" in err
     monkeypatch.setattr(xfer, "CLOSED_K_BOUND", 2)
     for family in ("f", "g", "phi", "varphi"):
         code, out, err = run(capsys, "gf", family, "--k", "3", "--order", "4")

@@ -1,5 +1,7 @@
 """Ordered-partition model: parsing, enumeration, classes, traces, forms."""
 
+import re
+
 import pytest
 
 from opstats.opart import (
@@ -19,8 +21,9 @@ from opstats.opart import (
     perm_of,
     trace,
 )
-from opstats.qnum import ordered_partition_count, stirling2
-from opstats.stats import composite
+from opstats.qnum import ordered_partition_count, q_eulerian_bruteforce, stirling2
+from opstats.stats import composite, distribution
+from opstats.xfer import WeightSpec, closed_pair, closed_series, q_gf_transfer, walk_series
 
 EXAMPLE = "6,8/5/1,4,7/3,9/2"
 
@@ -130,12 +133,38 @@ def test_iter_text_checks_on_the_call():
                                                        "4", "3", "2", "1")
 
 
+SEVEN, XYTU = WeightSpec.seven_variable(), WeightSpec.xytu()
+
+#: Each bounded library call as a function of (value, force_large), with the
+#: name its bound goes by, the bound, and whether it is cheap forced past it.
+#: The enumerations are lazy, so one element is drawn.
+LIBRARY_BOUNDS = {
+    "enumerate_op": (lambda v, f: next(iter(enumerate_op(v, force_large=f))), "n", 10, True),
+    "enumerate_p": (lambda v, f: next(iter(enumerate_p(v, 1, force_large=f))), "n", 10, True),
+    "iter_text": (lambda v, f: next(iter_text(v, force_large=f)), "n", 10, True),
+    "distribution": (lambda v, f: distribution(v, 1, "inv", force_large=f), "n", 10, True),
+    "q_gf_transfer": (lambda v, f: q_gf_transfer(v, SEVEN, 0, force_large=f), "k", 4, False),
+    "walk_series Q": (lambda v, f: walk_series(v, SEVEN, 0, force_large=f), "k", 4, True),
+    "walk_series Qxy": (lambda v, f: walk_series(v, XYTU, 0, force_large=f), "k", 5, True),
+    "closed_pair": (lambda v, f: closed_pair("g", v, force_large=f), "k", 16, True),
+    "closed_series": (lambda v, f: closed_series("f", v, 0, force_large=f), "k", 16, True),
+    "q_eulerian_bruteforce": (lambda v, f: q_eulerian_bruteforce(v, 1), "n", 9, False),
+}
+
+
 def test_desk_bound():
-    with pytest.raises(BoundExceeded):
-        enumerate_op(11)
-    # force_large lifts the bound (consume only the first element)
-    stream = enumerate_op(11, force_large=True)
-    assert next(iter(stream)).n == 11
+    for label, (call, name, bound, forced) in LIBRARY_BOUNDS.items():
+        with pytest.raises(BoundExceeded) as exc:
+            call(bound + 1, False)
+        assert re.fullmatch(rf".*\b{bound + 1}\b.* exceeds its desk bound {name} <= {bound}; "
+                            "pass --force-large", str(exc.value)), (label, str(exc.value))
+        call(bound, False)
+        if forced:
+            call(bound + 1, True)
+        # a negative value is no desk bound, but a plain usage error
+        with pytest.raises(ValueError) as exc:
+            call(-1, False)
+        assert type(exc.value) is ValueError, label
 
 
 def test_classify_example():
