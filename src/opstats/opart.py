@@ -34,14 +34,15 @@ class BoundExceeded(ValueError):
 
 
 def check_desk_bound(subject: str, name: str, value: int, bound: int,
-                     force_large: bool) -> None:
+                     force_large: bool = False, lift: str = "--force-large") -> None:
     """Refuse a negative ``value`` (ValueError) and, unless ``force_large``,
-    one past ``bound`` (BoundExceeded), naming ``subject`` and ``name``."""
+    one past ``bound`` (BoundExceeded), naming ``subject``, ``name`` and
+    ``lift``, what the caller passes to run it anyway."""
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
     if value > bound and not force_large:
         raise BoundExceeded(
-            f"{subject} exceeds its desk bound {name} <= {bound}; pass --force-large"
+            f"{subject} exceeds its desk bound {name} <= {bound}; pass {lift}"
         )
 
 

@@ -234,7 +234,8 @@ def q_eulerian_bruteforce(n: int, k: int, bound: int = EULERIAN_DESK_BOUND) -> L
     ``bound`` is refused (a larger ``bound`` runs it)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_desk_bound(f"the maj sum over the permutations of [{n}]", "n", n, bound, False)
+    check_desk_bound(f"the maj sum over the permutations of [{n}]", "n", n, bound,
+                     lift=f"bound={n}")
     counts: dict[int, int] = {}
     for sigma in itertools.permutations(range(1, n + 1)):
         descents = [i + 1 for i in range(n - 1) if sigma[i] > sigma[i + 1]]

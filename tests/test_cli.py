@@ -147,6 +147,13 @@ def test_every_desk_bound_refuses_in_one_form(capsys):
         assert (code, out) == (2, ""), argv
         assert re.fullmatch(rf"error: .*\b{bound + 1}\b.* exceeds its desk bound \S+ <= {bound}; "
                             "pass --force-large\n", err), (argv, err)
+    # and as a real process, whose exit status is the one a shell sees
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-m", "opstats", "enum", "--n", "11"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "exceeds its desk bound n <= 10; pass --force-large" in done.stderr
 
 
 def _enum_reference(n, k, inv_free, fmt):

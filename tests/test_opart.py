@@ -150,14 +150,17 @@ LIBRARY_BOUNDS = {
     "closed_series": (lambda v, f: closed_series("f", v, 0, force_large=f), "k", 16, True),
     "q_eulerian_bruteforce": (lambda v, f: q_eulerian_bruteforce(v, 1), "n", 9, False),
 }
+#: The calls whose refusal names something other than --force-large to pass.
+LIFTS = {"q_eulerian_bruteforce": "bound=10"}
 
 
 def test_desk_bound():
     for label, (call, name, bound, forced) in LIBRARY_BOUNDS.items():
         with pytest.raises(BoundExceeded) as exc:
             call(bound + 1, False)
+        lift = re.escape(LIFTS.get(label, "--force-large"))
         assert re.fullmatch(rf".*\b{bound + 1}\b.* exceeds its desk bound {name} <= {bound}; "
-                            "pass --force-large", str(exc.value)), (label, str(exc.value))
+                            rf"pass {lift}", str(exc.value)), (label, str(exc.value))
         call(bound, False)
         if forced:
             call(bound + 1, True)
@@ -165,6 +168,9 @@ def test_desk_bound():
         with pytest.raises(ValueError) as exc:
             call(-1, False)
         assert type(exc.value) is ValueError, label
+    # forced, the enumerations really reach the forced size
+    assert next(iter(enumerate_op(11, force_large=True))).n == 11
+    assert next(iter(enumerate_p(11, 1, force_large=True))).n == 11
 
 
 def test_classify_example():
