@@ -285,5 +285,4 @@ def ordered_partition_count(n: int, k: int | None = None) -> int:
 
 def q_poly_from_exponent_counts(counts: Mapping[int, int]) -> LaurentPoly:
     """Build sum_e counts[e] * q^e (exponents may be negative)."""
-    i = DEFAULT.index("q")
-    return DEFAULT.poly({(0,) * i + (e,): c for e, c in counts.items() if c})
+    return DEFAULT.from_counts(("q",), counts)

@@ -15,10 +15,13 @@ in the range ``|e| < 2**62``; each polynomial carries an upper bound on its
 largest ``|e|`` (max under ``+``, sum under ``*``), and an operation whose
 bound would leave the range raises :class:`ValueError` rather than return a
 wrong value.  :meth:`LaurentPoly.sorted_terms` is the public way to read the
-terms as exponent tuples.  A product ``p * q``, and a sum of products (a
-Laplace expansion step, a substitution, a step of series long division),
-goes through the one private kernel ``_sum_of_products``, which adds every
-product straight into one dict.
+terms as exponent tuples.  It and the text form decode every key of a
+polynomial in one pass, as one column of exponents per variable in use, and
+:meth:`_VarRegistry.from_counts` packs counted exponents straight into keys.
+A product ``p * q``, and a sum of products (a Laplace expansion step, a
+substitution, a step of series long division), goes through the one private
+kernel ``_sum_of_products``, which adds every product straight into one
+dict.
 
 On top of the ring sits :class:`SeriesInA`, the truncated coefficients of a
 power series in the size marker ``a``, each a Laurent polynomial in the
@@ -38,9 +41,10 @@ from __future__ import annotations
 import functools
 import operator
 import struct
+import sys
 import threading
-from itertools import chain
-from typing import Iterable, Mapping
+from itertools import chain, repeat
+from typing import Iterable, Mapping, Sequence
 
 
 class InexactDivision(ArithmeticError):
@@ -50,6 +54,8 @@ class InexactDivision(ArithmeticError):
 _DIGIT = 64  # bits per exponent slot of a packed key
 _MASK = (1 << _DIGIT) - 1
 _HALF = 1 << (_DIGIT - 1)
+_LITTLE = sys.byteorder == "little"
+_SIGNS = (" + ", " - ")  # the separator before a term, by ``c < 0``
 
 #: Every exponent of every polynomial stays strictly below this in absolute
 #: value, so that the sum of two exponents still fits one signed digit.
@@ -190,6 +196,24 @@ class _VarRegistry:
 
     def poly(self, terms: Mapping[tuple[int, ...], int]) -> "LaurentPoly":
         return LaurentPoly(terms)
+
+    def from_counts(self, names: Sequence[str], counts: Mapping) -> "LaurentPoly":
+        """The sum of m * prod_j names[j]^v[j] over the (v, m) of ``counts``,
+        where v is one exponent for one name and a tuple of one exponent per
+        name for several.  Each key is packed straight from v: ``v << 64*i``,
+        or a sum of such shifts."""
+        shifts = [_DIGIT * self.index(name) for name in names]
+        if len(set(shifts)) < len(shifts):
+            raise ValueError(f"a variable repeats in {tuple(names)}")
+        if 0 in counts.values():
+            counts = {v: m for v, m in counts.items() if m}
+        if len(shifts) == 1:
+            bound = max(map(abs, counts), default=0)
+            keys = map(shifts[0].__rlshift__, counts)
+        else:
+            bound = max(map(abs, chain.from_iterable(counts)), default=0)
+            keys = (sum(map(int.__lshift__, v, shifts)) for v in counts)
+        return LaurentPoly._raw(dict(zip(keys, counts.values())), _check_bound(bound))
 
 
 class LaurentPoly:
@@ -458,29 +482,54 @@ class LaurentPoly:
 
     # -- text form -----------------------------------------------------------
 
-    def _sorted_rows(self) -> list[tuple[tuple[int, ...], int]]:
-        # (exponent of each variable up to the last one in use, coefficient)
-        # per term, each key decoded once, in the order of ``sorted_terms``
-        width = max(map(int.bit_length, self.terms), default=0) // _DIGIT + 1
-        if width > len(DEFAULT):
+    def _decode(self) -> tuple[dict[int, list[int]], list[int]]:
+        # the exponent column of each variable slot in use, keyed by slot in
+        # ascending order, and the term order of ``sorted_terms`` as indices
+        # into ``terms``; every key is decoded in one pass
+        keys = self.terms.keys()
+        n = len(keys)
+        top = max(map(int.bit_length, keys), default=0) // _DIGIT + 1
+        if top > len(DEFAULT):
             raise ValueError(
-                f"variable slot {width - 1} is not registered in this process; "
+                f"variable slot {top - 1} is not registered in this process; "
                 "register the F_i a value uses with ensure_f before reading its terms"
             )
+        # the slots below ``low`` are 0 in every key, so every key keeps its
+        # low ``_DIGIT * low`` bits clear and shifts them out exactly
+        bits = functools.reduce(operator.or_, keys, 0)
+        low = ((bits & -bits).bit_length() - 1) // _DIGIT if bits else 0
+        if low:
+            keys = map(operator.rshift, keys, repeat(_DIGIT * low, n))
+        width = top - low
         half, layout = _layout(width)
-        size, unpack = layout.size, layout.unpack
-        exps = [unpack(((e + half) ^ half).to_bytes(size, "little")) for e in self.terms]
+        size = layout.size
+        # each offset key as ``width`` native 8-byte slots, slot ``low`` first
+        # on a little-endian host and last on a big-endian one
+        flat = memoryview(b"".join(map(
+            int.to_bytes, map(half.__xor__, map(half.__add__, keys)),
+            repeat(size, n), repeat(sys.byteorder, n),
+        ))).cast("q")
+        columns = {}
+        for i in range(width):
+            j = i if _LITTLE else width - 1 - i
+            if any(flat[j::width]):
+                columns[low + i] = flat[j::width].tolist()
+        rows = list(zip(*columns.values())) if columns else [()] * n
         # two sorts on C-level keys, the second one stable
-        order = sorted(range(len(exps)), key=exps.__getitem__, reverse=True)
-        order.sort(key=[*map(sum, exps)].__getitem__)
-        coeffs = list(self.terms.values())
-        return [(exps[i], coeffs[i]) for i in order]
+        order = sorted(range(n), key=rows.__getitem__, reverse=True)
+        order.sort(key=[*map(sum, rows)].__getitem__)
+        return columns, order
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms as (exponent tuple without trailing zeros, coefficient), in
         canonical order: ascending total degree, then exponent on the earliest
         registered variable descending."""
-        return [(_trim(exps), c) for exps, c in self._sorted_rows()]
+        columns, order = self._decode()
+        zeros = [0] * len(self.terms)
+        width = max(columns, default=-1) + 1
+        exps = list(zip(*[columns.get(i, zeros) for i in range(width)])) or [()]
+        coeffs = list(self.terms.values())
+        return [(_trim(exps[i]), coeffs[i]) for i in order]
 
     def __str__(self) -> str:
         # kept after the first call, like the hash: a registered name's
@@ -492,12 +541,17 @@ class LaurentPoly:
     def _format(self) -> str:
         if not self.terms:
             return "0"
+        columns, order = self._decode()
+        coeffs = self.terms.values()
         frags = DEFAULT._fragments
-        text = "".join([
-            f"{' - ' if c < 0 else ' + '}{-c if c < 0 else c}"
-            f"{''.join(map(operator.getitem, frags, exps))}"
-            for exps, c in self._sorted_rows()
-        ])
+        # each term's text, " + 3*x*y^2", joined at C level from its sign, its
+        # coefficient's digits and one fragment per column in use
+        texts = list(map("".join, zip(
+            map(_SIGNS.__getitem__, map((0).__gt__, coeffs)),
+            map(str, map(abs, coeffs)),
+            *(map(frags[i].__getitem__, column) for i, column in columns.items()),
+        )))
+        text = "".join(map(texts.__getitem__, order))
         return "-" + text[3:] if text[1] == "-" else text[3:]
 
     def __repr__(self) -> str:

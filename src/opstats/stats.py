@@ -214,17 +214,22 @@ def summarize(pi) -> Summary:
 # from: mak+bInv, for one, gains 2k-g at every gap g.
 
 
-def _above(blocks: Blocks, c: int) -> tuple[int, int]:
-    """The elements above c in ``blocks``, and the openers above c."""
-    elements = openers = 0
-    for A in blocks:
+def _above(blocks: Blocks, b: int, c: int) -> tuple[int, int, int]:
+    """For block b of ``blocks``, whose closer is c: the elements above c in
+    the blocks left of it, the openers above c there, and the openers above
+    c right of it."""
+    left = left_op = right_op = 0
+    for A in blocks[:b]:
         if A[-1] > c:
             if A[0] > c:
-                openers += 1
-                elements += len(A)
+                left_op += 1
+                left += len(A)
             else:
-                elements += len(A) - bisect_right(A, c)
-    return elements, openers
+                left += len(A) - bisect_right(A, c)
+    for A in blocks[b + 1:]:
+        if A[0] > c:
+            right_op += 1
+    return left, left_op, right_op
 
 
 #: Each kind of insertion of m into a partition ``blocks`` of [m-1] with k
@@ -279,18 +284,21 @@ if g < k:
     # rcs).  Block b's closer c becomes m: each of the ``left`` elements
     # above c in a block left of b moves from rcs to rcb and now lies between
     # block b's opener and closer (rsb); each of the ``right`` ones right of
-    # b moves from lcs to lcb and gains lsb.  The _op fields follow for the
-    # ``left_op`` and ``right_op`` openers above c, and those openers' blocks
-    # no longer lie above block b: binv loses the ones left of b (bmaj too,
-    # by b, if that block is block b-1) and bexc the ones right.
+    # b moves from lcs to lcb and gains lsb; every element above c lies
+    # outside block b, so ``right`` is m-1-c-left.  The _op fields follow
+    # for the ``left_op`` and ``right_op`` openers above c, and those
+    # openers' blocks no longer lie above block b: binv loses the ones left
+    # of b (bmaj too, by b, if that block is block b-1) and bexc the ones
+    # right.
     "append": SimpleNamespace(
         at="b",
         positions="k",
         child="blocks[:b] + (blocks[b] + (m,),) + blocks[b + 1:]",
         prelude="c = blocks[b][-1]",
         quantities=(
-            (("left", "left_op"), "left, left_op = _above(blocks[:b], c)"),
-            (("right", "right_op"), "right, right_op = _above(blocks[b + 1:], c)"),
+            (("left", "left_op", "right", "right_op"), """\
+left, left_op, right_op = _above(blocks, b, c)
+right = m - 1 - c - left"""),
             (("dbmaj",), "dbmaj = -b if b and blocks[b - 1][0] > c else 0"),
         ),
         deltas={
@@ -660,17 +668,7 @@ def enumerated_gf(n: int, k: int, *weights: Mapping[str, str], inv_free: bool = 
         counts = [_kept_counter(group, table)(kept) for group in groups]
     else:
         counts = value_counts(n, k, groups, inv_free)
-    out = []
-    for w, c in zip(weights, counts):
-        index = [DEFAULT.index(name) for name in w]
-        terms = {}
-        for v, m in c.items():
-            key = [0] * (max(index) + 1)
-            for i, e in zip(index, v if len(index) > 1 else (v,)):
-                key[i] = e
-            terms[tuple(key)] = m
-        out.append(DEFAULT.poly(terms))
-    return out
+    return [DEFAULT.from_counts(list(w), c) for w, c in zip(weights, counts)]
 
 
 def distribution(n: int, k: int, expr: str, force_large: bool = False) -> LaurentPoly:

@@ -421,6 +421,37 @@ def test_gf_closed_forms_text_is_pinned(capsys):
     assert digest.hexdigest() == "cb4c8f1c66acfd6e9c12ecb8d24e3db36f20bd8b592cd78a2195d17e46f9fa2d"
 
 
+#: Every command whose stdout is mostly polynomial text, at small sizes:
+#: ``gf`` of every family, ``det`` of every matrix, ``qnum`` of every family
+#: in both formats and ``dist`` of the bench's query statistics.
+TEXT_FORM_ARGVS = [
+    *(f"gf {family} --k {k} --order {order}"
+      for family in GF_FAMILIES for k in range(4) for order in (2, 4, 6, 8)),
+    *(f"det {matrix} --n {n}" for matrix in xfer.MATRICES if matrix != "Pk" for n in range(4)),
+    *(f"det Pk --n {n} --k {k}" for n in range(1, 4) for k in range(1, 4)),
+    *(f"qnum {family} --n-max 8 --format {fmt}"
+      for family in ("stirling", "eulerian", "binomial", "factorial")
+      for fmt in ("table", "records")),
+    *(f"dist --n {n} --k {k} --stat {expr}"
+      for expr in ("mak+bInv", "mak+bInv-inv+cinv", "lmak+bInv", "lmak+bInv-inv+cinv",
+                   "cinvLSB", "cinvLSB+inv-cinv", "mak+bMaj", "lmak+bMaj", "cmajLSB",
+                   "ros", "los+rcs", "2*inv-cinv", "lsb+rsb", "bExc")
+      for n in range(6) for k in range(n + 1)),
+]
+
+
+def test_text_form_stdout_is_pinned(capsys):
+    # one sha256 over the exit code and stdout of every TEXT_FORM_ARGVS call,
+    # so a byte change anywhere in the polynomial text form fails here
+    digest = hashlib.sha256()
+    for argv in TEXT_FORM_ARGVS:
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0, argv
+        digest.update(f"{argv}\n{out}".encode())
+    assert len(TEXT_FORM_ARGVS) == 451
+    assert digest.hexdigest() == "c876284fdf4326231ab576218acf19288d8a81e00cc21a4ac020ac04aa081c49"
+
+
 def test_exponent_range_exits_2(capsys, monkeypatch):
     # a^(2^62) leaves the exponent range: an error, never a wrapped
     # polynomial, and raised before [k]_{t,u}! is built

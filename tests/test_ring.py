@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import random
 import subprocess
 import sys
 import threading
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opstats.qnum import q_poly_from_exponent_counts
 from opstats.ring import (
     DEFAULT,
     DEFAULT_NAMES,
@@ -21,6 +23,7 @@ from opstats.ring import (
     format_poly,
     series_from_rational,
 )
+from opstats.stats import enumerated_gf, value_counts
 
 A, X, Y, Q = (DEFAULT.var(v) for v in ("a", "x", "y", "q"))
 ONE, ZERO = DEFAULT.one, DEFAULT.zero
@@ -384,15 +387,19 @@ def _ref_subs_all(p, values):
     return out
 
 
-def _ref_str(p, names):
-    """The text form: ascending total degree, then the exponent of the
-    earliest variable descending."""
+def _ref_order(names):
+    """The canonical order of (exponent tuple, coefficient) items: ascending
+    total degree, then the exponent of the earliest variable descending."""
     def order(item):
         e = item[0] + (0,) * (len(names) - len(item[0]))
         return (sum(e), tuple(-v for v in e))
+    return order
 
+
+def _ref_str(p, names):
+    """The text form, its terms in the canonical order."""
     text = ""
-    for e, c in sorted(p.items(), key=order):
+    for e, c in sorted(p.items(), key=_ref_order(names)):
         body = "".join(f"*{names[i]}" if v == 1 else f"*{names[i]}^{v}"
                        for i, v in enumerate(e) if v)
         text += (" - " if c < 0 else " + ") + f"{abs(c)}{body}"
@@ -479,3 +486,88 @@ def test_packed_kernel_matches_tuple_reference(data):
     ensure_f(16)
     ft = data.draw(_terms(len(DEFAULT_NAMES) + 16))
     same(DEFAULT.poly(ft), ft)
+
+
+# -- the text form at scale, and packed construction ------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_text_form_at_scale_matches_reference(data):
+    # hundreds to thousands of terms over a few slots up to F16, small
+    # exponents (so many terms share a total degree) with some at +-2^40,
+    # coefficients +-1 or past 2^64
+    ensure_f(16)
+    width = len(DEFAULT_NAMES) + 16
+    slots = sorted(data.draw(st.sets(st.integers(0, width - 1), min_size=5, max_size=7)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    size = data.draw(st.integers(300, 2000))
+    ref = {}
+    while len(ref) < size:
+        e = [rng.choice((-(2 ** 40), 2 ** 40)) if rng.random() < 0.02 else rng.randint(-2, 2)
+             for _ in slots]
+        c = rng.choice((1, -1, 2, -7, 2 ** 64 + 3, -(2 ** 70)))
+        ref.update(_place({tuple(e): c}, slots))
+    ref.pop((), None)
+    ref[()] = -1  # a constant term too
+    poly = DEFAULT.poly(ref)
+    assert poly.sorted_terms() == sorted(ref.items(), key=_ref_order(DEFAULT.names))
+    assert str(poly) == _ref_str(ref, DEFAULT.names)
+    assert len({sum(e) for e in ref}) < len(ref) // 4  # many ties of total degree
+
+
+def test_text_form_of_constants():
+    for c in (0, 1, -1, 2 ** 70, -(2 ** 65)):
+        p = DEFAULT.const(c)
+        assert (str(p), p.sorted_terms()) == (str(c), [((), c)] if c else [])
+    assert str(-X) == "-1*x" and str(1 - X) == "1 - 1*x"
+    assert (-X).sorted_terms() == [((0, 1), -1)]
+
+
+# names of up to three variables, and counts over their exponents
+_count_names = st.lists(st.sampled_from(DEFAULT_NAMES), min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_construction_matches_tuple_form(data):
+    names = data.draw(_count_names)
+    exponent = st.integers(-9, 9) | st.sampled_from([-(2 ** 61), 2 ** 61])
+    value = exponent if len(names) == 1 else st.tuples(*[exponent] * len(names))
+    counts = data.draw(st.dictionaries(value, st.integers(-3, 50), max_size=30))
+
+    def tuple_form(names, counts):
+        index = [DEFAULT.index(name) for name in names]
+        terms = {}
+        for v, m in counts.items():
+            key = [0] * (max(index) + 1)
+            for i, e in zip(index, v if len(index) > 1 else (v,)):
+                key[i] = e
+            terms[tuple(key)] = m
+        return DEFAULT.poly(terms)
+
+    got = DEFAULT.from_counts(names, counts)
+    assert got == tuple_form(names, counts) and str(got) == str(tuple_form(names, counts))
+    q_counts = data.draw(st.dictionaries(exponent, st.integers(-3, 50), max_size=30))
+    assert q_poly_from_exponent_counts(q_counts) == tuple_form(["q"], q_counts)
+    # and the polynomials enumerated_gf builds, at kept and swept levels
+    n = data.draw(st.integers(0, 7))
+    k = data.draw(st.integers(0, n))
+    weights = [{"q": "mak-bInv"}, {"x": "inv", "t3": "2*cinv-inv", "y": "bMaj"}]
+    inv_free = data.draw(st.booleans())
+    want = [tuple_form(list(w), c) for w, c in
+            zip(weights, value_counts(n, k, [tuple(w.values()) for w in weights], inv_free))]
+    assert enumerated_gf(n, k, *weights, inv_free=inv_free) == want
+
+
+def test_packed_construction_keeps_the_exponent_range():
+    for counts in ({2 ** 62: 1}, {-(2 ** 62): 1}, {3: 1, 2 ** 62: 2}):
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            q_poly_from_exponent_counts(counts)
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            DEFAULT.from_counts(("x", "t7"), {(1, e): m for e, m in counts.items()})
+    assert (q_poly_from_exponent_counts({2 ** 61: 1, -(2 ** 61): 1, 5: 0})
+            == Q ** (2 ** 61) + Q ** -(2 ** 61))
+    assert DEFAULT.from_counts(("q",), {}) == ZERO
+    with pytest.raises(ValueError, match="repeats"):
+        DEFAULT.from_counts(("x", "x"), {(1, 2): 1})
