@@ -27,7 +27,8 @@ On top of the ring sits :class:`SeriesInA`, the truncated coefficients of a
 power series in the size marker ``a``, each a Laurent polynomial in the
 remaining variables, and
 :func:`series_from_rational`, exact expansion of ``numer/denom`` up to a
-truncation order.
+truncation order, by the one long-division step ``_divide``, which also
+extends a held prefix of the expansion.
 
 All values are immutable after construction; every operation is a pure
 function, so values may be freely shared between threads.  A value holds no
@@ -614,15 +615,22 @@ class SeriesInA:
 
     def __init__(self, coeffs: Iterable[LaurentPoly]):
         coeffs = tuple(coeffs)
-        # _digit(key, idx) != 0, with its layout and shift looked up once
-        idx = DEFAULT.index("a")
-        half, shift = _layout(idx + 1)[0], _DIGIT * idx
+        # ``a`` is slot 0, so a key holds a nonzero power of it exactly when
+        # its low digit is nonzero: one C-level test per key
         for c in coeffs:
-            if any(((e + half) >> shift) & _MASK != _HALF for e in c.terms):
+            if any(map(_MASK.__and__, c.terms)):
                 raise ValueError("series coefficient contains the marker 'a'")
         if not coeffs:
             raise ValueError("a series needs at least the order-0 coefficient")
         self.coeffs = coeffs
+
+    @classmethod
+    def _prefix(cls, coeffs: tuple[LaurentPoly, ...], order: int) -> "SeriesInA":
+        # internal: the series through a^order of coefficients already
+        # checked, a prefix of a checked series, so none is checked again
+        self = object.__new__(cls)
+        self.coeffs = coeffs[:order + 1]
+        return self
 
     @property
     def order(self) -> int:
@@ -655,6 +663,17 @@ def series_from_rational(numer: LaurentPoly, denom: LaurentPoly, order: int) -> 
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    return SeriesInA(_divide(_division(numer, denom), (), order))
+
+
+#: The operands of one long division in ``a``, read by ``_divide``: the
+#: numerator's coefficients by power of a, d0^-1 for the denominator's
+#: constant term d0, and (j, d_j) for each of its powers j >= 1.
+_Division = tuple[tuple[LaurentPoly, ...], LaurentPoly, tuple[tuple[int, LaurentPoly], ...]]
+
+
+def _division(numer: LaurentPoly, denom: LaurentPoly) -> _Division:
+    """The operands of ``numer/denom`` for ``_divide``, checked once."""
     num = numer.split_by("a")
     den = denom.split_by("a")
     if any(d < 0 for d in num) or any(d < 0 for d in den):
@@ -662,19 +681,34 @@ def series_from_rational(numer: LaurentPoly, denom: LaurentPoly, order: int) -> 
     d0 = den.get(0)
     if d0 is None or not d0.is_unit_monomial():
         raise ValueError("denominator constant term is not a unit monomial")
-    # coeffs[m] = d0^-1 num_m - sum over 1 <= j <= m of (d0^-1 d_j) coeffs[m-j]
-    d0_inv = d0.inverse()
-    tail = [(j, d0_inv * dj) for j, dj in den.items() if 1 <= j <= order]
-    coeffs: list[LaurentPoly] = []
-    for m in range(order + 1):
+    zero = DEFAULT.zero
+    return (tuple(num.get(m, zero) for m in range(max(num, default=-1) + 1)), d0.inverse(),
+            tuple((j, den[j]) for j in sorted(den) if j))
+
+
+def _divide(division: _Division, coeffs: tuple[LaurentPoly, ...], order: int
+            ) -> tuple[LaurentPoly, ...]:
+    """``coeffs``, the first coefficients of the quotient of ``division``,
+    extended through a^order by the long-division step
+
+        coeffs[m] = d0^-1 num_m - sum over 1 <= j <= m of (d0^-1 d_j) coeffs[m-j]
+
+    so a held prefix grows without redoing it.  A denominator term past
+    a^order is never multiplied out."""
+    num, d0_inv, den = division
+    tail = [(j, d0_inv * dj) for j, dj in den if j <= order]
+    coeffs = list(coeffs)
+    zero = DEFAULT.zero
+    for m in range(len(coeffs), order + 1):
         coeffs.append(_sum_of_products(chain(
-            [(1, d0_inv, num.get(m, DEFAULT.zero))],
+            [(1, d0_inv, num[m] if m < len(num) else zero)],
             ((-1, dj, coeffs[m - j]) for j, dj in tail if j <= m),
         )))
-    return SeriesInA(coeffs)
+    return tuple(coeffs)
 
 
-# The one registry.  The size marker a comes first; x,y and z,t,u,q are
+# The one registry.  The size marker a comes first (slot 0, as the marker
+# check of ``SeriesInA`` reads it); x,y and z,t,u,q are
 # the specialization variables; p pairs with q for two-parameter analogues;
 # t1..t7 are the seven walk-weight markers.  Generic sequence markers F1,F2,...
 # are registered on demand via ensure_f().

@@ -38,19 +38,31 @@ special case.
 The out-edges of each D_k and each pencil are built once per process and
 shared (``out_edges`` and ``_pencil``, each a bounded ``lru_cache``).  The
 builders of the families read them and stay uncached, so a patched or
-wrapped builder still runs.
+wrapped builder still runs.  The results are held once per process under one
+term budget (``_HELD``, ``HELD_TERMS``): each determinant keyed by its
+matrix's entries, inside ``det``; each closed-form series by (family, k),
+with its division, so a higher order extends the held prefix; each walk
+series by (k, weights), computed afresh at a higher order, since its pruning
+depends on the order.  A lower order reads a prefix of the held series.
+Every bound and argument check runs before the lookup.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .opart import check_desk_bound
 from .qnum import pq_binomial, pq_context, pq_factorial, pq_int, q_context
-from .ring import DEFAULT, LaurentPoly, SeriesInA, _sum_of_products, ensure_f, series_from_rational
+from .ring import (
+    DEFAULT, LaurentPoly, SeriesInA, _divide, _division, _sum_of_products, ensure_f,
+    series_from_rational,
+)
 from .walks import (
     EAST, NORTH, NULL, SOUTH_EAST, Vertex, step_allowed, step_target, vertex_count, vertex_order,
 )
@@ -107,6 +119,80 @@ class SymbolicMatrix:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
 
 
+# -- the held results ------------------------------------------------------------
+
+#: The budget of the held results, in terms.  A held value weighs its
+#: polynomials' terms plus one per polynomial it keeps (each entry of a
+#: determinant's matrix among them); one that weighs more than an eighth of
+#: the budget is computed but not held, so one large determinant (P_5 has
+#: 5 610 terms) cannot evict the small ones that repeat.  At 8 192, so at
+#: most 1 024 a value, the ``query`` mix holds every determinant and ``gf``
+#: series it asks for (6 666 in all), and ``symbolic`` finds 28 of its 29
+#: repeated determinants, det P_4 of ``minor1`` and ``main1`` among them.
+#: Its peak RSS read 33.2 MB without the store, 33.5 MB with it and 34.3 MB
+#: at 16 384, which found all 29 (one pass in one process each, 2-core
+#: Xeon, Python 3.11).
+HELD_TERMS = 8_192
+
+
+def _weight(polys: Iterable[LaurentPoly]) -> int:
+    """The weight of a held value made of ``polys``."""
+    return sum(1 + len(p.terms) for p in polys)
+
+
+class _Held:
+    """The determinants and series computed in this process, kept under one
+    term budget and evicted least recently used first.
+
+    Each entry is a (rank, weight, value) tuple of immutable parts; a value
+    replaces the held one of its key only at a higher rank (a series of a
+    higher order).  Entries are put and evicted under ``lock`` and read
+    without it: a reader gets an entry or None, and marks it recently used
+    by one ``move_to_end``, which only reorders.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries: OrderedDict[tuple, tuple[int, int, object]] = OrderedDict()
+        self.terms = 0
+        self.lock = threading.Lock()
+
+    def get(self, key: tuple) -> tuple[int, int, object] | None:
+        entry = self.entries.get(key)
+        if entry is not None:
+            try:
+                self.entries.move_to_end(key)
+            except KeyError:  # evicted since
+                pass
+        return entry
+
+    def hold(self, key: tuple, value, weight: int, rank: int = 0) -> None:
+        """Hold ``value`` under ``key`` unless it weighs more than an eighth
+        of the budget or a value of at least its rank is held there."""
+        if weight > self.budget // 8:
+            return
+        with self.lock:
+            entries = self.entries
+            old = entries.get(key)
+            if old is not None:
+                if old[0] >= rank:
+                    return
+                self.terms -= old[1]
+            entries[key] = (rank, weight, value)
+            entries.move_to_end(key)
+            self.terms += weight
+            while self.terms > self.budget:
+                self.terms -= entries.popitem(last=False)[1][1]
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.terms = 0
+
+
+_HELD = _Held(HELD_TERMS)
+
+
 def corner(m: SymbolicMatrix) -> SymbolicMatrix:
     """m with its last row and first column removed."""
     return m.minor(m.rows - 1, 0)
@@ -152,11 +238,19 @@ def det(m: SymbolicMatrix) -> LaurentPoly:
     products down to the next branching minor; storing it instead would keep
     every partial product of a triangular pencil's diagonal alive.  The
     tests compare it with ``_det_bareiss``, fraction-free elimination with
-    exact division.  The empty 0x0 determinant is 1.
+    exact division.  The empty 0x0 determinant is 1.  Each determinant is
+    held, keyed by the matrix's entries, so a matrix asked for again, built
+    anew or not, is not expanded again.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    return _det_laplace(m)
+    key = ("det", m.entries)
+    held = _HELD.get(key)
+    if held is not None:
+        return held[2]
+    d = _det_laplace(m)
+    _HELD.hold(key, d, _weight(chain(chain.from_iterable(m.entries), (d,))))
+    return d
 
 
 def _det_laplace(m: SymbolicMatrix) -> LaurentPoly:
@@ -396,11 +490,24 @@ def walk_series(k: int, w: WeightSpec, order: int, force_large: bool = False) ->
     The row vector is pushed along the out-edges one step at a time and kept
     sparse: a vertex (i,j) is dropped once k - i, the East/South-East steps
     it still needs, exceeds the steps left.  Steps sharing a weight (North
-    and East, Null and South-East) share one product.
+    and East, Null and South-East) share one product.  The series is held;
+    a lower order reads its prefix, and a higher one computes it afresh, as
+    the pruning depends on the order.
     """
     check_desk_bound(f"the transfer series at k={k}", "k", k, w.k_bound, force_large)
     if order < 0:
         raise ValueError("order must be nonnegative")
+    key = ("walk", k, w)
+    held = _HELD.get(key)
+    if held is not None and held[0] >= order:
+        return SeriesInA._prefix(held[2], order)
+    series = _walk(k, w, order)
+    _HELD.hold(key, series.coeffs, _weight(series.coeffs), order)
+    return series
+
+
+def _walk(k: int, w: WeightSpec, order: int) -> SeriesInA:
+    """``walk_series`` computed afresh."""
     target = (k, 0)
     moves: dict[Vertex, list[tuple[LaurentPoly, list[Vertex]]]] = {}
     for v, out in out_edges(k, w):
@@ -488,11 +595,28 @@ def closed_series(family: str, k: int, order: int, force_large: bool = False) ->
 
     Below order k every coefficient is 0, since the numerator is a multiple
     of a^k, so the numerator is expanded over 1 and the denominator, which
-    takes most of the time at large k, is not built."""
+    takes most of the time at large k, is not built.  From order k on, the
+    expansion is held with its division, and a later call at a higher order
+    extends it from the held prefix."""
+    _check_closed(family, k, force_large)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    key = ("closed", family, k)
+    held = _HELD.get(key)
+    if held is not None and held[0] >= order:
+        return SeriesInA._prefix(held[2][1], order)
     if order < k:
-        _check_closed(family, k, force_large)
         return series_from_rational(_closed_numerator(family, k), DEFAULT.one, order)
-    return series_from_rational(*closed_pair(family, k, force_large), order)
+    if held is None:
+        division, coeffs = _division(*closed_pair(family, k, force_large)), ()
+    else:
+        division, coeffs = held[2]
+    coeffs = _divide(division, coeffs, order)
+    series = SeriesInA(coeffs)
+    num, d0_inv, den = division
+    _HELD.hold(key, (division, coeffs),
+               _weight(chain(num, (d0_inv,), (dj for _, dj in den), coeffs)), order)
+    return series
 
 
 # -- the matrix families ---------------------------------------------------------

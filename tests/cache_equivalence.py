@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/cache_equivalence.py
 
 Runs each argv of ``CASES`` twice in this one interpreter: the first call
-builds the weighted digraphs, pencils, q-number rows and text forms that
-the process keeps, the second reads them back.  Prints one line per argv
+builds the weighted digraphs, pencils, held determinants and series,
+q-number rows and text forms that the process keeps, the second reads them
+back.  Prints one line per argv
 that does not exit 0, whose exit code or stdout differ between the two
 calls, or whose first call differs from an earlier run of the same argv,
 and a summary line; exits 1 if any does.  It needs neither pytest nor
@@ -21,13 +22,18 @@ import sys
 from opstats import cli, xfer
 
 #: ``det`` of every matrix at n = 3 (P_3^k at k = 1..3), the three transfer
-#: series at k = 3, a table of each q-number family, and q-Stirling tables
-#: at n <= 6, then 12, then 6 again, in both formats: the held rows are
-#: built, widened, and read back from wider rows.
+#: series at k = 3, every ``gf`` family at k = 3 and orders 8, 2, 6, 4 and 9
+#: (a held series read as a prefix, a closed form extended from its held
+#: prefix, a walk series computed afresh at a higher order), a table of
+#: each q-number family, and q-Stirling tables at n <= 6, then 12, then 6
+#: again, in both formats: the held rows are built, widened, and read back
+#: from wider rows.
 CASES = [
     *(["det", name, "--n", "3"] for name in xfer.MATRICES if name != "Pk"),
     *(["det", "Pk", "--n", "3", "--k", str(k)] for k in (1, 2, 3)),
     *(["gf", family, "--k", "3", "--order", "6"] for family in ("Q", "Qxy", "Qz")),
+    *(["gf", family, "--k", "3", "--order", str(order)]
+      for family in ("Q", "Qxy", "Qz", *xfer.CLOSED_FAMILIES) for order in (8, 2, 6, 4, 9)),
     *(["qnum", family, "--n-max", "10"]
       for family in ("binomial", "stirling", "eulerian", "factorial")),
     *(["qnum", "stirling", "--n-max", str(n), "--format", fmt]

@@ -156,6 +156,25 @@ def test_every_desk_bound_refuses_in_one_form(capsys):
     assert "exceeds its desk bound n <= 10; pass --force-large" in done.stderr
 
 
+def test_a_held_value_never_skips_a_refusal(capsys, monkeypatch):
+    # a series computed past a desk bound with --force-large stays held, and
+    # the same call without the flag is still refused, with the one message
+    def refused(argv, message):
+        assert run(capsys, "gf", *argv, "--force-large")[0] == 0, argv
+        assert run(capsys, "gf", *argv) == (2, "", f"error: {message}; pass --force-large\n"), argv
+
+    xfer._HELD.clear()
+    refused(["Qz", "--k", "6", "--order", "2"],
+            "the transfer series at k=6 exceeds its desk bound k <= 5")
+    assert ("walk", 6, xfer.WeightSpec.ztu()) in xfer._HELD.entries
+    refused(["f", "--k", "17"], "the closed form f at k=17 exceeds its desk bound k <= 16")
+    # a closed form held from order k on: f at k = 3 past a lowered bound
+    monkeypatch.setattr(xfer, "CLOSED_K_BOUND", 2)
+    refused(["f", "--k", "3", "--order", "4"],
+            "the closed form f at k=3 exceeds its desk bound k <= 2")
+    assert ("closed", "f", 3) in xfer._HELD.entries
+
+
 def _enum_reference(n, k, inv_free, fmt):
     """The stdout of ``enum``, built from the partition objects."""
     stream = enumerate_p(n, k) if inv_free else enumerate_op(n, k)
@@ -1198,6 +1217,7 @@ def test_one_pass_parse_matches_argparse(argv):
 def test_cold_and_warm_calls_print_the_same():
     xfer.out_edges.cache_clear()
     xfer._pencil.cache_clear()
+    xfer._HELD.clear()
     assert cache_equivalence.differences(cache_equivalence.CASES) == []
 
 

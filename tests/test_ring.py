@@ -230,6 +230,13 @@ def test_series_marker_excluded_from_coeffs():
     with pytest.raises(ValueError, match="marker"):
         SeriesInA([DEFAULT.monomial(1, x=-1, y=-1, a=-1)])
     assert SeriesInA([DEFAULT.monomial(1, x=-1, y=-1)]).order == 0
+    # the check reads the low digit of each key, slot 0, which is a's
+    assert DEFAULT.index("a") == 0
+    for e in (1, -1, 2, -2, 2 ** 61, -(2 ** 61)):
+        for others in ({}, {"x": -1}, {"t7": 2 ** 61}, {"q": -(2 ** 61), "y": 1}):
+            with pytest.raises(ValueError, match="^series coefficient contains the marker 'a'$"):
+                SeriesInA([ONE, X + DEFAULT.monomial(1, a=e, **others)])
+            assert SeriesInA([DEFAULT.monomial(1, **others)]).order == 0
 
 
 def test_ensure_f():

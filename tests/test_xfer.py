@@ -1,6 +1,9 @@
 """Transfer matrices, symbolic determinants, closed forms, verifiers."""
 
 import math
+import random
+import sys
+import threading
 
 import pytest
 
@@ -14,6 +17,7 @@ from opstats.xfer import (
     SymbolicMatrix,
     WeightSpec,
     _det_bareiss,
+    _det_laplace,
     adjacency,
     build_n,
     build_ndot,
@@ -195,6 +199,7 @@ def test_laplace_expands_the_heaviest_sparsest_line(monkeypatch, generic, bound)
         return sum_of_products(products)
 
     monkeypatch.setattr(xfer, "_sum_of_products", counted)
+    xfer._HELD.clear()  # a held determinant would be read, not expanded
     spec = WeightSpec.seven_variable() if generic else WeightSpec.xytu()
     d = det(corner(transfer_matrix(4, spec)))
     assert pairs < bound, pairs
@@ -208,6 +213,7 @@ def test_det_memo_keeps_only_branching_minors():
     import tracemalloc
 
     m = build_n(6)
+    xfer._HELD.clear()
     tracemalloc.start()
     try:
         d = det(m)
@@ -471,3 +477,115 @@ def test_eigen_worked_example():
 def test_arc_sizes():
     assert [vertex_count(n) for n in range(5)] == [1, 3, 6, 10, 15]
     assert build_p(2).rows == vertex_count(2) - 1
+
+
+# -- the held results -------------------------------------------------------------
+
+#: Every series of ``gf`` as a function of (k, order).
+SERIES = {
+    **{name: (lambda k, order, w=w: walk_series(k, w, order))
+       for name, w in (("Q", WeightSpec.seven_variable()), ("Qxy", WeightSpec.xytu()),
+                       ("Qz", WeightSpec.ztu()))},
+    **{family: (lambda k, order, family=family: closed_series(family, k, order))
+       for family in xfer.CLOSED_FAMILIES},
+}
+
+
+def test_held_series_equal_cold_ones():
+    # every family at k <= 3, each order 0..9 cold, then asked in shuffled
+    # sequences: a held series is sliced, a closed form extended from its
+    # held prefix and a walk series recomputed, and each equals the cold one
+    rng = random.Random(30)
+    for name, series in SERIES.items():
+        for k in range(4):
+            cold = {}
+            for order in range(10):
+                xfer._HELD.clear()
+                cold[order] = series(k, order)
+            for _ in range(3):
+                xfer._HELD.clear()
+                for order in rng.sample(range(10), 6):
+                    got = series(k, order)
+                    assert got == cold[order] and got.order == order, (name, k, order)
+    assert xfer._HELD.terms <= xfer.HELD_TERMS
+    # a closed form grows from the held prefix: its coefficients are kept,
+    # and with them the text each has rendered
+    xfer._HELD.clear()
+    low, high = closed_series("phi", 3, 5), closed_series("phi", 3, 9)
+    assert all(a is b for a, b in zip(low.coeffs, high.coeffs))
+
+
+def test_held_determinants_equal_cold_ones():
+    xfer._HELD.clear()
+    for name, n, k in _every_matrix(3):
+        m = xfer.MATRICES[name](n, k)
+        first = det(m)
+        assert det(m) is first, (name, n, k)  # held, and read back
+        assert first == _det_laplace(m) == _det_bareiss(m), (name, n, k)
+    held = xfer._HELD
+    assert held.terms == sum(weight for _, weight, _ in held.entries.values()) <= held.budget
+
+
+def test_held_store_keeps_its_budget_and_evicts_the_oldest():
+    held = xfer._Held(64)
+    for i in range(40):
+        held.hold(i, str(i), 1 + i % 8)
+        assert held.terms == sum(w for _, w, _ in held.entries.values()) <= 64
+    held.clear()
+    held.hold("large", "x", 9)  # more than an eighth of the budget
+    assert held.get("large") is None and held.terms == 0
+    for key in "abcdefgh":
+        held.hold(key, key, 8)
+    assert held.terms == 64
+    assert held.get("a") == (0, 8, "a")  # read: now the most recently used
+    held.hold("i", "i", 8)
+    assert list(held.entries) == [*"cdefgh", "a", "i"]  # b, the oldest, went
+    # a series of a higher order replaces the held one, a lower one does not
+    held.hold("c", "longer", 8, rank=1)
+    assert list(held.entries)[-1] == "c"  # and is the most recently used
+    held.hold("c", "shorter", 8, rank=0)
+    assert held.get("c") == (1, 8, "longer") and held.terms == 64
+
+
+def test_held_results_are_filled_safely_by_racing_threads(monkeypatch):
+    # a store small enough that the threads also race to evict
+    monkeypatch.setattr(xfer, "_HELD", xfer._Held(1024))
+    matrices = [xfer.MATRICES[name](n, k) for name, n, k in _every_matrix(2)]
+    want_dets = [_det_laplace(m) for m in matrices]
+    families = ("g", "varphi")
+    want = {(family, order): series_from_rational(*closed_pair(family, 3), order)
+            for family in families for order in range(10)}
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(40):
+            xfer._HELD.clear()
+            start = threading.Barrier(8)
+            errors = []
+
+            def work(i):
+                start.wait(timeout=10)
+                try:
+                    # all at once the same determinant and the same series,
+                    # then each thread in an order of its own
+                    assert det(matrices[-1]) == want_dets[-1]
+                    assert closed_series("g", 3, 9) == want["g", 9]
+                    rng = random.Random(trial * 8 + i)
+                    for family, order in rng.sample(sorted(want), len(want)):
+                        assert closed_series(family, 3, order) == want[family, order]
+                    for j in rng.sample(range(len(matrices)), len(matrices)):
+                        assert det(matrices[j]) == want_dets[j]
+                except Exception as exc:  # collected and asserted below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            held = xfer._HELD
+            assert held.terms == sum(weight for _, weight, _ in held.entries.values()) <= 1024
+    finally:
+        sys.setswitchinterval(old)
