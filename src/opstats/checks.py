@@ -487,9 +487,10 @@ SWEEP_BOUND = 9
 #: partition sweeps:
 #:   zz 0.5-0.8 s at n = 20 and 0.6-0.9 s at 21 (the bound is kept so that
 #:   exit codes stay as they were);  path-counts 0.9 s at 11 and 4.2 s at
-#:   12;  bij 1.5 s at 7 and 19 s at 8;
+#:   12;  bij 1.8-2.2 s at 7 and 20-22 s at 8 (3 runs each);
 #:   eulerian, its permutations' own bound qnum.EULERIAN_DESK_BOUND (4.5 s
-#:   at 9);  main1 2.3 s at 5 (at 6 it needs P_7, 57 s a determinant);  key
+#:   at 9);  main1 0.8-0.9 s at 5 and 12.0-12.6 s and 170 MB at 6, whose
+#:   determinants are of P_6-sized blocks of one P_7 (3 runs each);  key
 #:   3.3 s at 15 and 4.8 s at 16;  eigen 3.0 s at 12 and 5.5 s at 13;  the
 #:   determinant checks, the n of xfer.DET_IDENTITIES at which their
 #:   determinants reach xfer.DET_BOUNDS.

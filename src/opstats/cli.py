@@ -338,19 +338,135 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+#: The action kinds that ``_read`` models, each with the nargs it takes.
+_MODELLED = {(argparse._StoreAction, None), (argparse._StoreAction, "+"),
+             (argparse._StoreTrueAction, 0)}
+
+
+@functools.cache
+def _plans() -> dict[str, tuple | None]:
+    """Each command's plan for ``_read`` by name, read once off its parser."""
+    return {name: _plan(command) for name, command in _parsers()[1].items()}
+
+
+def _plan(command: argparse.ArgumentParser) -> tuple | None:
+    """What ``_read`` needs of ``command``, read off the actions it declares:
+    its options by exact string, each (dest, nargs, type, choices, const); its
+    positionals in order, each likewise; the namespace's defaults in the order
+    argparse sets them, ``command`` first and a string default passed through
+    its type as argparse does; and the dests of its required options.  None if
+    ``command`` declares what the plan does not model: an action kind or nargs
+    outside ``_MODELLED`` (help aside), a "+" option or a "+" list beside
+    another positional, a dest used twice, a suppressed default, a deprecated
+    action or a mutually exclusive group."""
+    options, positionals, defaults, required = {}, [], {"command": None}, []
+    for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue  # -h and --help are argparse's
+        if ((type(action), action.nargs) not in _MODELLED or action.dest in defaults
+                or action.default == argparse.SUPPRESS or getattr(action, "deprecated", False)):
+            return None
+        spec = (action.dest, action.nargs, action.type, action.choices, action.const)
+        if action.option_strings:
+            options.update(dict.fromkeys(action.option_strings, spec))
+        else:
+            positionals.append(spec)
+        default = action.default
+        if isinstance(default, str) and action.type is not None:
+            default = action.type(default)
+        defaults[action.dest] = default
+        if action.required and action.option_strings:
+            required.append(action.dest)
+    for dest, default in command._defaults.items():
+        defaults.setdefault(dest, default)
+    if (command._mutually_exclusive_groups
+            or any(spec[1] == "+" for spec in options.values())
+            or len(positionals) > 1 and any(spec[1] == "+" for spec in positionals)):
+        return None
+    return options, tuple(positionals), defaults, frozenset(required)
+
+
+def _value(word: str, convert, choices):
+    """``word`` as argparse stores it: through the action's type, then checked
+    against its choices (ValueError for a value outside them)."""
+    value = word if convert is None else convert(word)
+    if choices is not None and value not in choices:
+        raise ValueError(word)
+    return value
+
+
+def _read(name: str, words: list[str]) -> argparse.Namespace | None:
+    """The namespace that command ``name``'s parser gives for ``words``, read
+    off the command's plan without an argparse pass, or None where the reader
+    declines.  It reads exact option strings, flags, ``--opt value`` with a
+    value not starting with "-" (a repeated option keeps its last value), and
+    the positionals, one word each or a "+" list as one run of adjacent words;
+    each value passes its action's own type and choices, and every required
+    option must be given.  It declines anything else: help, "--", "--opt=value",
+    an abbreviation, a value starting with "-", a missing, unconvertible or
+    unlisted value, a missing, extra or split positional word.  argparse then
+    parses the argv, so every usage text, error and exit code is argparse's."""
+    plan = _plans()[name]
+    if plan is None:
+        return None
+    options, positionals, defaults, required = plan
+    given, loose = {}, []
+    i, end = 0, len(words)
+    try:
+        while i < end:
+            word = words[i]
+            i += 1
+            if word[:1] != "-":
+                loose.append(i - 1)
+                continue
+            option = options.get(word)
+            if option is None:
+                return None
+            dest, nargs, convert, choices, const = option
+            if nargs == 0:
+                given[dest] = const
+                continue
+            if i == end or words[i][:1] == "-":
+                return None  # no value, or one that argparse may read as an option
+            given[dest] = _value(words[i], convert, choices)
+            i += 1
+        if positionals and positionals[0][1] == "+":
+            if not loose or loose[-1] - loose[0] != len(loose) - 1:
+                return None
+            dest, _, convert, choices, _ = positionals[0]
+            given[dest] = [_value(words[j], convert, choices) for j in loose]
+        elif len(loose) != len(positionals):
+            return None
+        else:
+            for (dest, _, convert, choices, _), j in zip(positionals, loose):
+                given[dest] = _value(words[j], convert, choices)
+    except (TypeError, ValueError):
+        return None
+    if not given.keys() >= required:
+        return None
+    args = argparse.Namespace()  # filled through its __dict__; Namespace(**kw) sets them one by one
+    vars(args).update(defaults, command=name)
+    vars(args).update(given)
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` in one argparse pass.  The top-level
-    parser hands everything after a leading command name to that command's
-    parser, so such an argv goes straight to it; any other argv (empty, help,
-    an option or an unknown word first) takes the top-level parser, which
-    prints the help or the usage error."""
+    """``build_parser().parse_args(argv)``, with at most one argparse pass.
+    The top-level parser hands everything after a leading command name to
+    that command's parser, so such an argv is read by ``_read`` off the
+    command's plan, or, where the reader declines, parsed by the command's
+    parser alone; any other argv (empty, help, an option or an unknown word
+    first) takes the top-level parser, which prints the help or the usage
+    error."""
     parser, commands = _parsers()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _read(argv[0], argv[1:])
+    if args is None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
 
 

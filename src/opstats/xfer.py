@@ -237,10 +237,10 @@ def det(m: SymbolicMatrix) -> LaurentPoly:
     if it branches, so a repeat visit recomputes at most its chain of such
     products down to the next branching minor; storing it instead would keep
     every partial product of a triangular pencil's diagonal alive.  The
-    tests compare it with ``_det_bareiss``, fraction-free elimination with
-    exact division.  The empty 0x0 determinant is 1.  Each determinant is
-    held, keyed by the matrix's entries, so a matrix asked for again, built
-    anew or not, is not expanded again.
+    tests compare it with fraction-free elimination with exact division
+    (``_det_bareiss`` in ``tests/test_xfer.py``).  The empty 0x0 determinant
+    is 1.  Each determinant is held, keyed by the matrix's entries, so a
+    matrix asked for again, built anew or not, is not expanded again.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -321,33 +321,6 @@ def _det_laplace(m: SymbolicMatrix) -> LaurentPoly:
     result = rec(tuple(range(n)), tuple(range(n)))
     memo.clear()  # rec refers to itself, so the memo would wait for the cyclic GC
     return result
-
-
-def _det_bareiss(m: SymbolicMatrix) -> LaurentPoly:
-    n = m.rows
-    if n == 0:
-        return DEFAULT.one
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = DEFAULT.one
-    for piv in range(n - 1):
-        if a[piv][piv].is_zero():
-            for r in range(piv + 1, n):
-                if not a[r][piv].is_zero():
-                    a[piv], a[r] = a[r], a[piv]
-                    sign = -sign
-                    break
-            else:
-                return DEFAULT.zero
-        pivot = a[piv][piv]
-        for r in range(piv + 1, n):
-            for c in range(piv + 1, n):
-                num = a[r][c] * pivot - a[r][piv] * a[piv][c]
-                a[r][c] = num.divexact(prev)
-            a[r][piv] = DEFAULT.zero
-        prev = pivot
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
 
 
 # -- weighted adjacency of D_k --------------------------------------------------
@@ -667,8 +640,8 @@ MATRICES: dict[str, Callable[..., SymbolicMatrix]] = {
 #: at without ``--force-large``, the largest whose ``det`` takes a few seconds
 #: on a 2-core Xeon (Python 3.11, whole process, the range of 3 to 9 runs):
 #: M (and Axy, the same matrix) 2.4-4.2 s at n = 8 and 30 s at 9; A 1.6-2.1 s
-#: at 6 and 23 s at 7; P 1.5-1.9 s at 6 and 27 s at 7; Pk up to 0.4 s at 5
-#: and 5.0 s at 6; ndot 1.3-1.4 s at 8 and 6.0 s at 9; N and Az, triangular,
+#: at 6 and 23 s at 7; P 1.5-1.9 s at 6 and 15.5-19.8 s and 495 MB at 7; Pk
+#: up to 0.4 s at 5 and 5.0 s at 6; ndot 1.3-1.4 s at 8 and 6.0 s at 9; N and Az, triangular,
 #: 1.8-3.1 s at 13, 4.9 s at 14 and 14.5 s at 16.  Peak RSS of the whole process at the
 #: bound: M 49 MB, A 70, P 75, Pk 29, ndot 54, N 37 and Az 36 MB.
 DET_BOUNDS = {"M": 8, "N": 13, "P": 6, "Pk": 5, "ndot": 8, "A": 6, "Axy": 8, "Az": 13}

@@ -1,12 +1,15 @@
-"""``cli.main``'s one-pass parse against argparse's own nested parse.
+"""``cli.main``'s parse, by the plain reader or one argparse pass, against
+argparse's own nested parse.
 
     PYTHONPATH=src python tests/parse_equivalence.py
 
-Parses every argv of ``FIXED_CASES`` and 3 000 seeded random argvs,
-built from the commands, options and values of the CLI, both through
-``cli._parse`` and through ``build_parser().parse_args``, and compares the
-exit code, stdout, stderr and namespace (``vars``) of the two.  Prints one
-line per difference and a summary line; exits 1 if any argv differs.  It
+Parses every argv of ``FIXED_CASES``, 3 000 seeded random argvs, built
+from the commands, options and values of the CLI, and 3 000 seeded argvs
+built from each command's own declared actions, most of them well formed,
+both through ``cli._parse`` and through ``build_parser().parse_args``, and
+compares the exit code, stdout, stderr and namespace (``vars``) of the two;
+each namespace must be an ``argparse.Namespace``.  Prints one line per
+difference and a summary line; exits 1 if any argv differs.  It
 needs neither pytest nor hypothesis, so it runs under any Python the
 package supports.
 """
@@ -20,15 +23,25 @@ import platform
 import random
 import sys
 
-from opstats.cli import _parse, build_parser
+from opstats.cli import _parse, _parsers, build_parser
 
-#: Argvs that do not start with a command, or that reach argparse's corners:
-#: help, ``--``, case, abbreviation, ``=`` values and words left over.
+#: Argvs that do not start with a command, that reach argparse's corners
+#: (help, ``--``, case, abbreviation, ``=`` values and words left over), or
+#: that the plain reader must decline or read exactly as argparse does: a
+#: value starting with "-", a repeated option or flag, a positional after the
+#: options, a split "+" list, a missing, unconvertible or unlisted value, an
+#: empty positional, and README's expression that starts with "-".
 FIXED_CASES = [
     [], ["-h"], ["--help"], ["nosuch"], ["STATS", "1"], ["stats"], ["stats", "-h"],
     ["--", "stats", "1"], ["stats", "--", "1"], ["stats", "1", "2"],
     ["stats", "1,2,3", "--format", "records"], ["dist", "--n=3", "--k=2", "--stat=mak"],
     ["qnum", "stirling", "--n-m", "3"], ["-x", "stats", "1"], ["enum", "--n", "3", "extra"],
+    ["enum", "--n", "-1"], ["dist", "--n", "3", "--n", "4", "--k", "1", "--stat", "inv"],
+    ["enum", "--n", "3", "--inv-free", "--inv-free", "--k", "2"], ["det", "--n", "2", "M"],
+    ["verify", "thm25", "--n-max", "3", "prop22"], ["gf", "Q", "--k"], ["enum", "--n", "x"],
+    ["qnum", "stirling", "--format", "xml"], ["stats", ""], ["bij", "--inverse", "--xi", "1"],
+    ["dist", "--n", "3", "--k", "2", "--stat", "-inv+cinv"],
+    ["dist", "--n", "3", "--k", "2", "--stat=-inv+cinv"],
 ]
 
 COMMANDS = ["qnum", "enum", "stats", "dist", "bij", "gf", "det", "verify", "conjecture"]
@@ -45,9 +58,12 @@ def outcome(parse, argv: list[str]) -> tuple:
     namespace, code = None, 0
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            namespace = vars(parse(list(argv)))
+            args = parse(list(argv))
         except SystemExit as exc:
             code = exc.code
+        else:
+            assert isinstance(args, argparse.Namespace), (argv, args)
+            namespace = vars(args)
     return code, out.getvalue(), err.getvalue(), namespace
 
 
@@ -66,6 +82,34 @@ def random_cases(seed: int, count: int) -> list[list[str]]:
     return cases
 
 
+def well_formed_cases(seed: int, count: int) -> list[list[str]]:
+    """``count`` argvs, each a command with its own options (each given 0-2
+    times, a value from its choices, a number or ``VALUES``) and positionals,
+    in random order.  Most are well formed, so that the plain reader reads
+    them; some miss an option, take a bad value, or split, drop or add a
+    positional word."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        name = rng.choice(COMMANDS)
+        chunks = []
+        for action in _parsers()[1][name]._actions:
+            if "-h" in action.option_strings:
+                continue
+            pool = ([*action.choices, "nosuch"] if action.choices
+                    else ["0", "2", "3", "x"] if action.type is int else VALUES)
+            if action.option_strings:
+                for _ in range(rng.choice([0, 1, 1, 1, 2])):
+                    value = [] if action.nargs == 0 else [rng.choice(pool)]
+                    chunks.append([action.option_strings[0], *value])
+            else:
+                words = [rng.choice(pool) for _ in range(rng.choice([0, 1, 1, 1, 2]))]
+                chunks += [[word] for word in words] if rng.random() < 0.2 else [words]
+        rng.shuffle(chunks)
+        cases.append([name] + [word for chunk in chunks for word in chunk])
+    return cases
+
+
 def differences(cases) -> list[tuple[list[str], tuple, tuple]]:
     """The argvs whose two parses differ, each with both outcomes."""
     found = []
@@ -77,7 +121,7 @@ def differences(cases) -> list[tuple[list[str], tuple, tuple]]:
 
 
 def main() -> int:
-    cases = FIXED_CASES + random_cases(1, 3000)
+    cases = FIXED_CASES + random_cases(1, 3000) + well_formed_cases(2, 3000)
     found = differences(cases)
     for argv, one_pass, two_pass in found:
         print(f"{argv!r}:\n  one pass {one_pass!r}\n  nested   {two_pass!r}")

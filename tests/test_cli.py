@@ -1204,7 +1204,8 @@ def test_cli_exit_code_contract(argv):
 
 
 def test_one_pass_parse_matches_argparse_on_fixed_and_random_argvs():
-    cases = parse_equivalence.FIXED_CASES + parse_equivalence.random_cases(1, 300)
+    cases = (parse_equivalence.FIXED_CASES + parse_equivalence.random_cases(1, 300)
+             + parse_equivalence.well_formed_cases(2, 300))
     assert parse_equivalence.differences(cases) == []
 
 
@@ -1229,7 +1230,18 @@ ONE_VALID_CALL_EACH = [
 ]
 
 
-def test_each_call_makes_one_argparse_pass(capsys, monkeypatch):
+#: Irregular spellings that the plain reader declines, each parsed by its
+#: command's parser alone: "=" values, an abbreviation and "--".
+ONE_PASS_EACH = [
+    ["dist", "--n=3", "--k=2", "--stat=mak"], ["qnum", "stirling", "--n-m", "3"],
+    ["stats", "--", "1,2"],
+]
+
+
+def test_each_call_makes_at_most_one_argparse_pass(capsys, monkeypatch):
+    # a well-formed call is read off its command's plan with no argparse
+    # pass; a spelling the reader declines takes one pass of its command's
+    # parser, never the top-level parser's nested one
     progs = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -1242,4 +1254,37 @@ def test_each_call_makes_one_argparse_pass(capsys, monkeypatch):
     for argv in ONE_VALID_CALL_EACH:
         progs.clear()
         assert main(argv) == 0, argv
+        assert progs == [], argv
+    for argv in ONE_PASS_EACH:
+        progs.clear()
+        assert main(argv) == 0, argv
         assert progs == [f"opstats {argv[0]}"], argv
+
+
+def test_each_command_plan_models_every_action_it_declares():
+    for name, command in cli._parsers()[1].items():
+        plan = cli._plans()[name]
+        assert plan is not None, name
+        options, positionals, defaults, required = plan
+        declared = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        assert set(options) == {s for a in declared for s in a.option_strings}, name
+        assert [spec[0] for spec in positionals] == [a.dest for a in declared
+                                                     if not a.option_strings], name
+        assert list(defaults) == ["command", *(a.dest for a in declared), "fn"], name
+        assert required == {a.dest for a in declared if a.required and a.option_strings}, name
+    # each call gets a namespace and a list of checks of its own
+    first, second = (cli._parse(["verify", "zz", "key"]) for _ in range(2))
+    assert first == second and first is not second and first.checks is not second.checks
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("--n", {"action": "append"}), ("--n", {"action": "count"}), ("--n", {"nargs": "?"}),
+    ("--n", {"nargs": 2}), ("--n", {"nargs": "+"}), ("--n", {"default": argparse.SUPPRESS}),
+    ("--n", {"dest": "command"}), ("--n", {"dest": "family"}), ("checks", {"nargs": "+"}),
+])
+def test_a_command_declaring_what_the_plan_does_not_model_has_no_plan(name, kwargs):
+    command = argparse.ArgumentParser()
+    command.add_argument("family")
+    assert cli._plan(command) is not None
+    command.add_argument(name, **kwargs)
+    assert cli._plan(command) is None

@@ -16,7 +16,6 @@ from opstats.walks import vertex_count
 from opstats.xfer import (
     SymbolicMatrix,
     WeightSpec,
-    _det_bareiss,
     _det_laplace,
     adjacency,
     build_n,
@@ -37,6 +36,35 @@ REG = DEFAULT
 A, X, Y, T, U, Z, Q = (REG.var(v) for v in "axytuzq")
 ONE, ZERO = REG.one, REG.zero
 TU = T + U  # [2]_{t,u}
+
+
+def _det_bareiss(m: SymbolicMatrix):
+    """det m by fraction-free (Bareiss) elimination with exact division: the
+    independent cross-check of ``det``'s Laplace expansion."""
+    n = m.rows
+    if n == 0:
+        return DEFAULT.one
+    a = [list(row) for row in m.entries]
+    sign = 1
+    prev = DEFAULT.one
+    for piv in range(n - 1):
+        if a[piv][piv].is_zero():
+            for r in range(piv + 1, n):
+                if not a[r][piv].is_zero():
+                    a[piv], a[r] = a[r], a[piv]
+                    sign = -sign
+                    break
+            else:
+                return DEFAULT.zero
+        pivot = a[piv][piv]
+        for r in range(piv + 1, n):
+            for c in range(piv + 1, n):
+                num = a[r][c] * pivot - a[r][piv] * a[piv][c]
+                a[r][c] = num.divexact(prev)
+            a[r][piv] = DEFAULT.zero
+        prev = pivot
+    d = a[n - 1][n - 1]
+    return -d if sign < 0 else d
 
 
 def grid(rows):
