@@ -74,9 +74,26 @@ PROGRESS_INTERVAL = 1_000_000
 CHUNK_LINES = 10_000
 
 
+def _enum_lines(nodes, n: int, fmt: str):
+    """``enum``'s stdout lines, one per text node of ``opart.iter_text``."""
+    if fmt == "records":
+        return (json.dumps({"n": n, "k": len(node), "partition": "/".join(node)})
+                for node in nodes)
+    return map("/".join, nodes)
+
+
+@functools.lru_cache(maxsize=None)
+def _enum_text(n: int, k: int | None, inv_free: bool, fmt: str) -> str:
+    """The stdout of ``enum`` for a level with n <= ``stats.KEEP_N``, grown
+    once per process and held as one string (every table level together is
+    about 0.13 MB)."""
+    lines = list(_enum_lines(opart.iter_text(n, k, inv_free), n, fmt))
+    return "\n".join(lines) + "\n" if lines else ""
+
+
 def _enum_cmd(args) -> int:
     n = args.n
-    opart.check_range(n, args.k)
+    opart.check_range(n, args.k, args.inv_free)
     if args.count_only:
         ks = [args.k] if args.k is not None else list(range(0, n + 1))
         total = 0
@@ -93,12 +110,12 @@ def _enum_cmd(args) -> int:
         if args.k is None and args.format != "records":
             print(f"total\t{total}")
         return 0
+    # the checks of iter_text run here, on every call, before a held level is read
     nodes = opart.iter_text(n, args.k, args.inv_free, args.force_large)
-    if args.format == "records":
-        lines = (json.dumps({"n": n, "k": len(node), "partition": "/".join(node)})
-                 for node in nodes)
+    if n <= stats.KEEP_N:
+        lines = iter(_enum_text(n, args.k, args.inv_free, args.format).splitlines())
     else:
-        lines = map("/".join, nodes)
+        lines = _enum_lines(nodes, n, args.format)
     write = sys.stdout.write
     emitted = 0
     while True:

@@ -205,10 +205,13 @@ def iter_blocks_p(n: int, k: int) -> Iterator[Blocks]:
     return grow(n, k, (), _singleton, _append, inv_free=True)
 
 
-def check_range(n: int, k: int | None = None) -> None:
-    """Reject n < 0 and a block count outside 0..n (k None: every k)."""
+def check_range(n: int, k: int | None = None, inv_free: bool = False) -> None:
+    """Reject n < 0 and a block count outside 0..n (k None: every k), then
+    the inversion-free partitions without k."""
     if n < 0 or (k is not None and not 0 <= k <= n):
         raise ValueError(f"no ordered partitions for n={n}, k={k}")
+    if inv_free and k is None:
+        raise ValueError("the inversion-free enumeration needs k (CLI: --inv-free needs --k)")
 
 
 def enumerate_op(n: int, k: int | None = None, force_large: bool = False
@@ -233,9 +236,7 @@ def iter_text(n: int, k: int | None = None, inv_free: bool = False,
     ``inv_free``) or ``enumerate_op(n, k)`` yields, in the same order, as the
     tuple of its block texts: ``"/".join`` of one is ``format_partition`` of
     the partition, and its length is k.  The checks run on the call."""
-    check_range(n, k)
-    if inv_free and k is None:
-        raise ValueError("the inversion-free enumeration needs k (CLI: --inv-free needs --k)")
+    check_range(n, k, inv_free)
     check_desk_bound(f"enumeration at n={n}", "n", n, DESK_BOUND, force_large)
     if k is None:
         return grow_all(n, (), _singleton_text, _append_text)

@@ -4,8 +4,8 @@
 
 Runs each argv of ``CASES`` twice in this one interpreter: the first call
 builds the weighted digraphs, pencils, held determinants and series,
-q-number rows and text forms that the process keeps, the second reads them
-back.  Prints one line per argv
+q-number rows, text forms and ``enum`` levels that the process keeps, the
+second reads them back.  Prints one line per argv
 that does not exit 0, whose exit code or stdout differ between the two
 calls, or whose first call differs from an earlier run of the same argv,
 and a summary line; exits 1 if any does.  It needs neither pytest nor
@@ -27,7 +27,9 @@ from opstats import cli, xfer
 #: prefix, a walk series computed afresh at a higher order), a table of
 #: each q-number family, and q-Stirling tables at n <= 6, then 12, then 6
 #: again, in both formats: the held rows are built, widened, and read back
-#: from wider rows.
+#: from wider rows.  Then ``enum`` at every n <= 6 (``stats.KEEP_N``, the
+#: levels whose text is held), without and with each ``--k``, with
+#: ``--inv-free`` at each ``--k``, in both formats.
 CASES = [
     *(["det", name, "--n", "3"] for name in xfer.MATRICES if name != "Pk"),
     *(["det", "Pk", "--n", "3", "--k", str(k)] for k in (1, 2, 3)),
@@ -38,6 +40,10 @@ CASES = [
       for family in ("binomial", "stirling", "eulerian", "factorial")),
     *(["qnum", "stirling", "--n-max", str(n), "--format", fmt]
       for fmt in ("table", "records") for n in (6, 12, 6)),
+    *(["enum", "--n", str(n), "--format", fmt, *k, *inv_free]
+      for fmt in ("table", "records") for n in range(7)
+      for k in [[], *(["--k", str(j)] for j in range(n + 1))]
+      for inv_free in ([], ["--inv-free"]) if k or not inv_free),
 ]
 
 

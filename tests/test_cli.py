@@ -15,6 +15,8 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -108,11 +110,13 @@ def test_enum_and_counts(capsys):
 
 
 def test_enum_count_only_range(capsys):
-    for argv in (["--n", "-1"], ["--n", "3", "--k", "5"]):
+    for argv, message in ((["--n", "-1"], "no ordered partitions"),
+                          (["--n", "3", "--k", "5"], "no ordered partitions"),
+                          (["--n", "3", "--inv-free"], "--inv-free needs --k")):
         for extra in (["--count-only"], []):
             code, out, err = run(capsys, "enum", *argv, *extra)
             assert code == 2 and out == "", argv + extra
-            assert "no ordered partitions" in err
+            assert message in err
 
 
 def test_enum_count_only_deep_rows(capsys):
@@ -207,6 +211,90 @@ def test_enum_stdout_bytes(capsys, monkeypatch):
     assert want[0, 0, True, "records"] == '{"n": 0, "k": 0, "partition": ""}\n'
     assert all(want[n, 0, inv_free, fmt] == ""
                for n in range(1, 7) for inv_free in (False, True) for fmt in ("table", "records"))
+
+
+def test_enum_holds_each_small_level_once(capsys):
+    # the cases of test_enum_stdout_bytes, each cold (hold cleared) then warm
+    cases = [(n, k, inv_free, fmt)
+             for n in range(7) for fmt in ("table", "records")
+             for k in [None, *range(n + 1)] for inv_free in (False, True)
+             if not (inv_free and k is None)]
+
+    def argv(n, k, inv_free, fmt):
+        return ["enum", "--n", str(n), "--format", fmt,
+                *([] if k is None else ["--k", str(k)]), *(["--inv-free"] if inv_free else [])]
+
+    for case in cases:
+        cli._enum_text.cache_clear()
+        cold = run(capsys, *argv(*case))
+        assert cold[0] == 0 and run(capsys, *argv(*case)) == cold, case
+    # none for --count-only, one per level asked for with n <= KEEP_N, none past it
+    cli._enum_text.cache_clear()
+    for case in cases:
+        assert run(capsys, *argv(*case), "--count-only")[0] == 0, case
+    assert cli._enum_text.cache_info().currsize == 0
+    for case in cases + cases:
+        run(capsys, *argv(*case))
+    assert cli._enum_text.cache_info().currsize == len(cases)
+    assert stats.KEEP_N == 6 and run(capsys, "enum", "--n", "7")[0] == 0
+    assert cli._enum_text.cache_info().currsize == len(cases)
+    # a filled hold refuses what it always refused, before any lookup
+    for words, message in (("--n 3 --inv-free", "--inv-free needs --k"),
+                           ("--n 3 --k 4", "no ordered partitions for n=3, k=4"),
+                           ("--n -1", "no ordered partitions for n=-1")):
+        code, out, err = run(capsys, "enum", *words.split())
+        assert (code, out) == (2, "") and message in err, words
+    assert cli._enum_text.cache_info().currsize == len(cases)
+
+
+def test_enum_hold_stays_small():
+    # every table level with n <= KEEP_N, held as text
+    cli._enum_text.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(stats.KEEP_N + 1):
+            for k in [None, *range(n + 1)]:
+                for inv_free in (False,) if k is None else (False, True):
+                    cli._enum_text(n, k, inv_free, "table")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 200_000
+
+
+def test_enum_hold_is_filled_safely_by_racing_threads():
+    keys = [(n, k, inv_free, "table") for n in range(6)
+            for k in [None, *range(n + 1)] for inv_free in (False, True)
+            if not (inv_free and k is None)]
+    cli._enum_text.cache_clear()
+    want = [cli._enum_text(*key) for key in keys]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cli._enum_text.cache_clear()
+        start = threading.Barrier(8)
+        results, errors = [], []
+
+        def work(i):
+            start.wait(timeout=10)
+            try:
+                order = keys[::-1] if i % 2 else keys
+                got = {key: cli._enum_text(*key) for key in order}
+                results.append([got[key] for key in keys])
+            except Exception as exc:  # collected and asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 8 and all(r == want for r in results)
+        assert cli._enum_text.cache_info().currsize == len(keys)
+    finally:
+        sys.setswitchinterval(old)
 
 
 class _Writes(io.StringIO):
@@ -1216,6 +1304,7 @@ def test_one_pass_parse_matches_argparse(argv):
 
 
 def test_cold_and_warm_calls_print_the_same():
+    cli._enum_text.cache_clear()
     xfer.out_edges.cache_clear()
     xfer._pencil.cache_clear()
     xfer._HELD.clear()
