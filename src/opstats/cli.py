@@ -9,6 +9,10 @@ ended (whatever was written is no result).
 Identical invocations produce byte-identical output: polynomial terms are
 serialized in canonical order and all enumerations run in a fixed order.
 Progress/diagnostics go to stderr, results to stdout.
+
+Each command is declared once, in ``COMMANDS``.  A well-formed call is read
+off the plan read from it; argparse's parsers, built from it only for help, a
+spelling the plain reader declines or an error, give every usage and error.
 """
 
 from __future__ import annotations
@@ -218,16 +222,8 @@ def _emit_results(results, fmt: str) -> int:
     ok = True
     for r in results:
         if fmt == "records":
-            print(
-                json.dumps(
-                    {
-                        "check": r.check,
-                        "instance": r.instance,
-                        "ok": r.ok,
-                        "detail": r.detail,
-                    }
-                )
-            )
+            print(json.dumps({"check": r.check, "instance": r.instance, "ok": r.ok,
+                              "detail": r.detail}))
         else:
             print(r.line())
         ok = ok and r.ok
@@ -258,26 +254,62 @@ def _conjecture_cmd(args) -> int:
     ok = True
     for r in results:
         if args.format == "records":
-            print(
-                json.dumps(
-                    {
-                        "check": r.check,
-                        "instance": r.instance,
-                        "status": "MATCH" if r.ok else "MISMATCH",
-                        "empirical": True,
-                    }
-                )
-            )
+            print(json.dumps({"check": r.check, "instance": r.instance,
+                              "status": "MATCH" if r.ok else "MISMATCH", "empirical": True}))
         else:
             print(("MATCH    " if r.ok else "MISMATCH ") + r.instance)
         ok = ok and r.ok
     return 0 if ok else 1
 
 
+#: ``--force-large`` and ``--format`` as most commands declare them.
+_FORCE_LARGE = ("--force-large", {"action": "store_true"})
+_FORMAT = ("--format", {"choices": ["table", "records"], "default": "table"})
+
+#: Every command by name: (its function, its help line, its arguments), each
+#: argument the (name, keywords) of one ``add_argument`` call.  argparse's
+#: parsers and each command's plan for ``_read`` are built from this alone.
+COMMANDS = {
+    "qnum": (_qnum_cmd, "print q-number tables", (
+        ("family", {"choices": ["stirling", "eulerian", "binomial", "factorial"]}),
+        ("--n-max", {"type": int, "default": 6}), _FORCE_LARGE, _FORMAT)),
+    "enum": (_enum_cmd, "enumerate ordered partitions", (
+        ("--n", {"type": int, "required": True}), ("--k", {"type": int}),
+        ("--inv-free", {"action": "store_true",
+                        "help": "only inversion-free (canonically ordered) partitions"}),
+        ("--count-only", {"action": "store_true"}), _FORCE_LARGE, _FORMAT)),
+    "stats": (_stats_cmd, "coordinate/composite statistics of one partition", (
+        ("partition", {"help": "machine format, e.g. 6,8/5/1,4,7/3,9/2"}),)),
+    "dist": (_dist_cmd, "distribution polynomial of a statistic", (
+        ("--n", {"type": int, "required": True}), ("--k", {"type": int, "required": True}),
+        ("--stat", {"required": True, "help": "e.g. mak+bInv or cinvLSB+inv-cinv"}),
+        _FORCE_LARGE)),
+    "bij": (_bij_cmd, "the walk/partition bijection, either way", (
+        ("--forward", {"metavar": "STEPS", "help": "step letters N,E,S,O; needs --xi"}),
+        ("--xi", {"help": "comma-separated choice sequence"}),
+        ("--inverse", {"metavar": "PARTITION"}))),
+    "gf": (_gf_cmd, "generating-function series, one a^n per line", (
+        ("family", {"choices": list(GF_FAMILIES)}), ("--k", {"type": int, "required": True}),
+        ("--order", {"type": int, "default": 8}), _FORCE_LARGE)),
+    "det": (_det_cmd, "symbolic determinant of a named matrix", (
+        ("matrix", {"choices": list(xfer.MATRICES)}), ("--n", {"type": int, "required": True}),
+        ("--k", {"type": int, "help": "the column of P_n^k; Pk only"}), _FORCE_LARGE)),
+    "verify": (_verify_cmd, "run named verification suites", (
+        ("checks", {"nargs": "+", "metavar": "CHECK",
+                    "help": "e.g. thm25 zz minor1 main1 key eigen conj, or all"}),
+        ("--n-max", {"type": int, "help": "override the suite's default bound"}),
+        ("--force-large", {"action": "store_true", "help": "run past a check's desk bound"}),
+        _FORMAT)),
+    "conjecture": (_conjecture_cmd, "EMPIRICAL bMaj-statistic report", (
+        ("--n-max", {"type": int, "default": 8}), _FORCE_LARGE, _FORMAT)),
+}
+
+
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and each command's own parser by name, built on
-    first use and shared by later calls."""
+    """The argument parser and each command's own parser by name, built from
+    ``COMMANDS`` when a call first needs one (help, a spelling that ``_read``
+    declines, an error) and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="opstats",
         description="Exact statistics on ordered set partitions and their "
@@ -285,68 +317,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-
-    def command(name, fn, **kwargs):
-        p = commands[name] = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = command("qnum", _qnum_cmd, help="print q-number tables")
-    p.add_argument("family", choices=["stirling", "eulerian", "binomial", "factorial"])
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--force-large", action="store_true")
-    p.add_argument("--format", choices=["table", "records"], default="table")
-
-    p = command("enum", _enum_cmd, help="enumerate ordered partitions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--inv-free", action="store_true",
-                   help="only inversion-free (canonically ordered) partitions")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--force-large", action="store_true")
-    p.add_argument("--format", choices=["table", "records"], default="table")
-
-    p = command("stats", _stats_cmd, help="coordinate/composite statistics of one partition")
-    p.add_argument("partition", help="machine format, e.g. 6,8/5/1,4,7/3,9/2")
-
-    p = command("dist", _dist_cmd, help="distribution polynomial of a statistic")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--stat", required=True, help="e.g. mak+bInv or cinvLSB+inv-cinv")
-    p.add_argument("--force-large", action="store_true")
-
-    p = command("bij", _bij_cmd, help="the walk/partition bijection, either way")
-    p.add_argument("--forward", metavar="STEPS",
-                   help="step letters N,E,S,O; needs --xi")
-    p.add_argument("--xi", help="comma-separated choice sequence")
-    p.add_argument("--inverse", metavar="PARTITION")
-
-    p = command("gf", _gf_cmd, help="generating-function series, one a^n per line")
-    p.add_argument("family", choices=list(GF_FAMILIES))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--force-large", action="store_true")
-
-    p = command("det", _det_cmd, help="symbolic determinant of a named matrix")
-    p.add_argument("matrix", choices=list(xfer.MATRICES))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="the column of P_n^k; Pk only")
-    p.add_argument("--force-large", action="store_true")
-
-    p = command("verify", _verify_cmd, help="run named verification suites")
-    p.add_argument("checks", nargs="+", metavar="CHECK",
-                   help="e.g. thm25 zz minor1 main1 key eigen conj, or all")
-    p.add_argument("--n-max", type=int, default=None,
-                   help="override the suite's default bound")
-    p.add_argument("--force-large", action="store_true",
-                   help="run past a check's desk bound")
-    p.add_argument("--format", choices=["table", "records"], default="table")
-
-    p = command("conjecture", _conjecture_cmd, help="EMPIRICAL bMaj-statistic report")
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--force-large", action="store_true")
-    p.add_argument("--format", choices=["table", "records"], default="table")
-
+    for name, (fn, help_line, arguments) in COMMANDS.items():
+        command = commands[name] = sub.add_parser(name, help=help_line)
+        command.set_defaults(fn=fn)
+        for argument, keywords in arguments:
+            command.add_argument(argument, **keywords)
     return parser, commands
 
 
@@ -355,52 +330,46 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
-#: The action kinds that ``_read`` models, each with the nargs it takes.
-_MODELLED = {(argparse._StoreAction, None), (argparse._StoreAction, "+"),
-             (argparse._StoreTrueAction, 0)}
+#: The ``add_argument`` keywords that ``_plan`` models, the last two for help alone.
+_KEYWORDS = {"action", "nargs", "type", "choices", "default", "required", "help", "metavar"}
 
 
-@functools.cache
-def _plans() -> dict[str, tuple | None]:
-    """Each command's plan for ``_read`` by name, read once off its parser."""
-    return {name: _plan(command) for name, command in _parsers()[1].items()}
-
-
-def _plan(command: argparse.ArgumentParser) -> tuple | None:
-    """What ``_read`` needs of ``command``, read off the actions it declares:
-    its options by exact string, each (dest, nargs, type, choices, const); its
-    positionals in order, each likewise; the namespace's defaults in the order
-    argparse sets them, ``command`` first and a string default passed through
-    its type as argparse does; and the dests of its required options.  None if
-    ``command`` declares what the plan does not model: an action kind or nargs
-    outside ``_MODELLED`` (help aside), a "+" option or a "+" list beside
-    another positional, a dest used twice, a suppressed default, a deprecated
-    action or a mutually exclusive group."""
+def _plan(name: str) -> tuple:
+    """What ``_read`` needs of command ``name``, read off its row of ``COMMANDS``:
+    its options by string and its positionals in order, each (dest, nargs,
+    type, choices, const), a ``store_true`` flag with nargs 0, const True and
+    default False; the namespace's defaults in argparse's order, ``command``
+    first and ``fn`` last; the dests of its required options.  ValueError,
+    rather than a misread, for another keyword or action, a nargs but "+" on
+    the only positional, a dest used twice, or a string default that argparse
+    would convert or that is none of the choices."""
+    fn, _, arguments = COMMANDS[name]
+    lone = sum(argument[0] != "-" for argument, _ in arguments) == 1
     options, positionals, defaults, required = {}, [], {"command": None}, []
-    for action in command._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue  # -h and --help are argparse's
-        if ((type(action), action.nargs) not in _MODELLED or action.dest in defaults
-                or action.default == argparse.SUPPRESS or getattr(action, "deprecated", False)):
-            return None
-        spec = (action.dest, action.nargs, action.type, action.choices, action.const)
-        if action.option_strings:
-            options.update(dict.fromkeys(action.option_strings, spec))
+    for argument, keywords in arguments:
+        option, flag = argument[0] == "-", keywords.get("action") == "store_true"
+        dest = argument.lstrip("-").replace("-", "_") if option else argument
+        nargs = 0 if flag else keywords.get("nargs")
+        default = keywords.get("default", False if flag else None)
+        if (keywords.keys() - _KEYWORDS or keywords.get("action", "store_true") != "store_true"
+                or nargs not in (0, None) and (nargs, option, lone) != ("+", False, True)
+                or dest in (*defaults, "fn") or isinstance(default, str)
+                and ("type" in keywords or default not in keywords.get("choices", ()))):
+            raise ValueError(f"opstats {name}: the plan does not model {argument} {keywords}")
+        spec = (dest, nargs, keywords.get("type"), keywords.get("choices"), flag or None)
+        if option:
+            options[argument] = spec
         else:
             positionals.append(spec)
-        default = action.default
-        if isinstance(default, str) and action.type is not None:
-            default = action.type(default)
-        defaults[action.dest] = default
-        if action.required and action.option_strings:
-            required.append(action.dest)
-    for dest, default in command._defaults.items():
-        defaults.setdefault(dest, default)
-    if (command._mutually_exclusive_groups
-            or any(spec[1] == "+" for spec in options.values())
-            or len(positionals) > 1 and any(spec[1] == "+" for spec in positionals)):
-        return None
+        defaults[dest] = default
+        if keywords.get("required"):
+            required.append(dest)
+    defaults["fn"] = fn
     return options, tuple(positionals), defaults, frozenset(required)
+
+
+#: Each command's plan by name, read once off ``COMMANDS``.
+_PLANS = {name: _plan(name) for name in COMMANDS}
 
 
 def _value(word: str, convert, choices):
@@ -418,15 +387,12 @@ def _read(name: str, words: list[str]) -> argparse.Namespace | None:
     declines.  It reads exact option strings, flags, ``--opt value`` with a
     value not starting with "-" (a repeated option keeps its last value), and
     the positionals, one word each or a "+" list as one run of adjacent words;
-    each value passes its action's own type and choices, and every required
+    each value passes its argument's own type and choices, and every required
     option must be given.  It declines anything else: help, "--", "--opt=value",
     an abbreviation, a value starting with "-", a missing, unconvertible or
     unlisted value, a missing, extra or split positional word.  argparse then
     parses the argv, so every usage text, error and exit code is argparse's."""
-    plan = _plans()[name]
-    if plan is None:
-        return None
-    options, positionals, defaults, required = plan
+    options, positionals, defaults, required = _PLANS[name]
     given, loose = {}, []
     i, end = 0, len(words)
     try:
@@ -469,19 +435,17 @@ def _read(name: str, words: list[str]) -> argparse.Namespace | None:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with at most one argparse pass.
-    The top-level parser hands everything after a leading command name to
-    that command's parser, so such an argv is read by ``_read`` off the
-    command's plan, or, where the reader declines, parsed by the command's
-    parser alone; any other argv (empty, help, an option or an unknown word
-    first) takes the top-level parser, which prints the help or the usage
-    error."""
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _read(argv[0], argv[1:])
+    An argv that starts with a command name is read by ``_read`` off the
+    command's plan, with no parser built, or, where the reader declines,
+    parsed by that command's parser alone; any other argv takes the
+    top-level parser, which prints the help or the usage error."""
+    name = argv[0] if argv else None
+    if name not in COMMANDS:
+        return build_parser().parse_args(argv)
+    args = _read(name, argv[1:])
     if args is None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        parser, commands = _parsers()
+        args, extras = commands[name].parse_known_args(argv[1:], argparse.Namespace(command=name))
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args

@@ -5,13 +5,13 @@ argparse's own nested parse.
 
 Parses every argv of ``FIXED_CASES``, 3 000 seeded random argvs, built
 from the commands, options and values of the CLI, and 3 000 seeded argvs
-built from each command's own declared actions, most of them well formed,
-both through ``cli._parse`` and through ``build_parser().parse_args``, and
-compares the exit code, stdout, stderr and namespace (``vars``) of the two;
-each namespace must be an ``argparse.Namespace``.  Prints one line per
-difference and a summary line; exits 1 if any argv differs.  It
-needs neither pytest nor hypothesis, so it runs under any Python the
-package supports.
+built from each command's own arguments in ``cli.COMMANDS``, most of them
+well formed, both through ``cli._parse`` and through
+``build_parser().parse_args``, and compares the exit code, stdout, stderr
+and namespace (``vars``) of the two; each namespace must be an
+``argparse.Namespace``.  Prints one line per difference and a summary line;
+exits 1 if any argv differs.  It needs neither pytest nor hypothesis, so it
+runs under any Python the package supports.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import platform
 import random
 import sys
 
-from opstats.cli import _parse, _parsers, build_parser
+from opstats import cli
+from opstats.cli import _parse, build_parser
 
 #: Argvs that do not start with a command, that reach argparse's corners
 #: (help, ``--``, case, abbreviation, ``=`` values and words left over), or
@@ -44,7 +45,7 @@ FIXED_CASES = [
     ["dist", "--n", "3", "--k", "2", "--stat=-inv+cinv"],
 ]
 
-COMMANDS = ["qnum", "enum", "stats", "dist", "bij", "gf", "det", "verify", "conjecture"]
+COMMANDS = list(cli.COMMANDS)
 OPTIONS = ["--n", "--k", "--n-max", "--format", "--stat", "--xi", "--forward", "--inverse",
            "--force-large", "--count-only", "--inv-free", "--order", "--n-m", "--he",
            "-h", "--help", "--", "-x", "--n=3", "--k=", "--format=records"]
@@ -93,15 +94,13 @@ def well_formed_cases(seed: int, count: int) -> list[list[str]]:
     for _ in range(count):
         name = rng.choice(COMMANDS)
         chunks = []
-        for action in _parsers()[1][name]._actions:
-            if "-h" in action.option_strings:
-                continue
-            pool = ([*action.choices, "nosuch"] if action.choices
-                    else ["0", "2", "3", "x"] if action.type is int else VALUES)
-            if action.option_strings:
+        for argument, keywords in cli.COMMANDS[name][2]:
+            pool = ([*keywords["choices"], "nosuch"] if "choices" in keywords
+                    else ["0", "2", "3", "x"] if keywords.get("type") is int else VALUES)
+            if argument.startswith("-"):
                 for _ in range(rng.choice([0, 1, 1, 1, 2])):
-                    value = [] if action.nargs == 0 else [rng.choice(pool)]
-                    chunks.append([action.option_strings[0], *value])
+                    flag = keywords.get("action") == "store_true"
+                    chunks.append([argument, *([] if flag else [rng.choice(pool)])])
             else:
                 words = [rng.choice(pool) for _ in range(rng.choice([0, 1, 1, 1, 2]))]
                 chunks += [[word] for word in words] if rng.random() < 0.2 else [words]

@@ -124,12 +124,6 @@ def test_enum_count_only_deep_rows(capsys):
     assert (code, out) == (0, "1\t1\n")
 
 
-def test_enum_bound_exit_code(capsys):
-    code, _, err = run(capsys, "enum", "--n", "11")
-    assert code == 2
-    assert "force-large" in err
-
-
 #: One argv per bounded command, ending at the bounded value, with its bound.
 CLI_BOUNDS = [
     (["enum", "--n"], 10),
@@ -493,13 +487,6 @@ def test_gf_transfer_bounds_exit_2(capsys, monkeypatch):
         assert err.startswith("error: ")
         if argv[2] == "-1":
             assert "k must be nonnegative" in err, argv
-
-
-def test_gf_bound_errors_name_the_flag(capsys):
-    for argv in (["f", "--k", "17"], ["Q", "--k", "5"]):
-        code, out, err = run(capsys, "gf", *argv, "--order", "0")
-        assert (code, out) == (2, ""), argv
-        assert "--force-large" in err, argv
 
 
 def test_gf_closed_forms_bound_exit_2(capsys, monkeypatch):
@@ -1145,7 +1132,7 @@ def test_all_contract_check_names_exist():
 
 #: Public functions that nothing in the package calls, kept as the reference
 #: definitions that tests compare the program's routes with.
-REFERENCE_DEFINITIONS = {"opart.classify", "opart.trace", "cli.build_parser"}
+REFERENCE_DEFINITIONS = {"opart.classify", "opart.trace"}
 
 
 def uncalled_functions(trees: dict[str, ast.Module]) -> list[str]:
@@ -1339,7 +1326,7 @@ def test_each_call_makes_at_most_one_argparse_pass(capsys, monkeypatch):
         return parse_known_args(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-    assert sorted(argv[0] for argv in ONE_VALID_CALL_EACH) == sorted(cli._parsers()[1])
+    assert sorted(argv[0] for argv in ONE_VALID_CALL_EACH) == sorted(cli.COMMANDS)
     for argv in ONE_VALID_CALL_EACH:
         progs.clear()
         assert main(argv) == 0, argv
@@ -1351,16 +1338,20 @@ def test_each_call_makes_at_most_one_argparse_pass(capsys, monkeypatch):
 
 
 def test_each_command_plan_models_every_action_it_declares():
+    # the plans read off COMMANDS agree with the parsers argparse builds from it
+    assert list(cli._PLANS) == list(cli._parsers()[1]) == list(cli.COMMANDS)
     for name, command in cli._parsers()[1].items():
-        plan = cli._plans()[name]
-        assert plan is not None, name
-        options, positionals, defaults, required = plan
+        options, positionals, defaults, required = cli._PLANS[name]
         declared = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
         assert set(options) == {s for a in declared for s in a.option_strings}, name
         assert [spec[0] for spec in positionals] == [a.dest for a in declared
                                                      if not a.option_strings], name
         assert list(defaults) == ["command", *(a.dest for a in declared), "fn"], name
         assert required == {a.dest for a in declared if a.required and a.option_strings}, name
+        specs = {a.dest: (a.dest, a.nargs, a.type, a.choices, a.const) for a in declared}
+        assert {spec[0]: spec for spec in [*options.values(), *positionals]} == specs, name
+        assert defaults == {"command": None, **{a.dest: a.default for a in declared},
+                            "fn": command.get_default("fn")}, name
     # each call gets a namespace and a list of checks of its own
     first, second = (cli._parse(["verify", "zz", "key"]) for _ in range(2))
     assert first == second and first is not second and first.checks is not second.checks
@@ -1371,9 +1362,25 @@ def test_each_command_plan_models_every_action_it_declares():
     ("--n", {"nargs": 2}), ("--n", {"nargs": "+"}), ("--n", {"default": argparse.SUPPRESS}),
     ("--n", {"dest": "command"}), ("--n", {"dest": "family"}), ("checks", {"nargs": "+"}),
 ])
-def test_a_command_declaring_what_the_plan_does_not_model_has_no_plan(name, kwargs):
-    command = argparse.ArgumentParser()
-    command.add_argument("family")
-    assert cli._plan(command) is not None
-    command.add_argument(name, **kwargs)
-    assert cli._plan(command) is None
+def test_a_command_declaring_what_the_plan_does_not_model_has_no_plan(name, kwargs, monkeypatch):
+    # _plan refuses the declaration at import, rather than misread it
+    monkeypatch.setitem(cli.COMMANDS, "probe", (None, "", (("family", {}),)))
+    assert cli._plan("probe")[1] == (("family", None, None, None, None),)
+    monkeypatch.setitem(cli.COMMANDS, "probe", (None, "", (("family", {}), (name, kwargs))))
+    with pytest.raises(ValueError, match="the plan does not model"):
+        cli._plan("probe")
+
+
+def test_a_well_formed_call_builds_no_parser(capsys):
+    # argparse's parsers are built only for help, a declined spelling or an error
+    cli._parsers.cache_clear()
+    for argv in ONE_VALID_CALL_EACH:
+        assert main(argv) == 0, argv
+        assert cli._parsers.cache_info().currsize == 0, argv
+    assert main(["dist", "--n=3", "--k=2", "--stat=mak"]) == 0
+    assert cli._parsers.cache_info()[1:] == (1, None, 1)  # misses, maxsize, currsize
+    cli._parsers.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--help"])
+    assert exc.value.code == 0 and "usage: opstats stats" in capsys.readouterr().out
+    assert cli._parsers.cache_info()[1:] == (1, None, 1)

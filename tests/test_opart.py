@@ -133,7 +133,7 @@ def test_iter_text_checks_on_the_call():
                                                        "4", "3", "2", "1")
 
 
-SEVEN, XYTU = WeightSpec.seven_variable(), WeightSpec.xytu()
+SEVEN, XYTU, ZTU = WeightSpec.seven_variable(), WeightSpec.xytu(), WeightSpec.ztu()
 
 #: Each bounded library call as a function of (value, force_large), with the
 #: name its bound goes by, the bound, and whether it is cheap forced past it.
@@ -144,6 +144,7 @@ LIBRARY_BOUNDS = {
     "iter_text": (lambda v, f: next(iter_text(v, force_large=f)), "n", 10, True),
     "distribution": (lambda v, f: distribution(v, 1, "inv", force_large=f), "n", 10, True),
     "q_gf_transfer": (lambda v, f: q_gf_transfer(v, SEVEN, 0, force_large=f), "k", 4, False),
+    "q_gf_transfer ztu": (lambda v, f: q_gf_transfer(v, ZTU, 0, force_large=f), "k", 5, False),
     "walk_series Q": (lambda v, f: walk_series(v, SEVEN, 0, force_large=f), "k", 4, True),
     "walk_series Qxy": (lambda v, f: walk_series(v, XYTU, 0, force_large=f), "k", 5, True),
     "closed_pair": (lambda v, f: closed_pair("g", v, force_large=f), "k", 16, True),

@@ -371,13 +371,6 @@ def test_transfer_series_k4_matches_monomials():
         assert s.coefficient(n) == want
 
 
-def test_transfer_bound():
-    with pytest.raises(BoundExceeded):
-        q_gf_transfer(5, WeightSpec.seven_variable(), 2)
-    with pytest.raises(BoundExceeded):
-        q_gf_transfer(6, WeightSpec.ztu(), 2)
-
-
 #: Each weight spec with its symbolic desk bound on k.
 SPECS = (
     (WeightSpec.seven_variable(), xfer.GENERIC_K_BOUND),
