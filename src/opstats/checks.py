@@ -489,11 +489,11 @@ SWEEP_BOUND = 9
 #:   exit codes stay as they were);  path-counts 0.9 s at 11 and 4.2 s at
 #:   12;  bij 1.8-2.2 s at 7 and 20-22 s at 8 (3 runs each);
 #:   eulerian, its permutations' own bound qnum.EULERIAN_DESK_BOUND (4.5 s
-#:   at 9);  main1 0.8-0.9 s at 5 and 12.0-12.6 s and 170 MB at 6, whose
-#:   determinants are of P_6-sized blocks of one P_7 (3 runs each);  key
-#:   3.3 s at 15 and 4.8 s at 16;  eigen 3.0 s at 12 and 5.5 s at 13;  the
-#:   determinant checks, the n of xfer.DET_IDENTITIES at which their
-#:   determinants reach xfer.DET_BOUNDS.
+#:   at 9);  main1 0.53-0.55 s and 37 MB at 5 and 6.5-8.2 s and 163 MB
+#:   at 6, whose determinants are of P_6-sized blocks of one P_7 (3 runs
+#:   each, whole process, peak RSS);  key 3.3 s at 15 and 4.8 s at 16;
+#:   eigen 3.0 s at 12 and 5.5 s at 13;  the determinant checks, the n of
+#:   xfer.DET_IDENTITIES at which their determinants reach xfer.DET_BOUNDS.
 CHECKS = {
     "zz": Check(check_zz, n_bound=20),
     "thm25": Check(audit=True, n_bound=SWEEP_BOUND),

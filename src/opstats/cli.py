@@ -117,21 +117,49 @@ def _enum_cmd(args) -> int:
     # the checks of iter_text run here, on every call, before a held level is read
     nodes = opart.iter_text(n, args.k, args.inv_free, args.force_large)
     if n <= stats.KEEP_N:
-        lines = iter(_enum_text(n, args.k, args.inv_free, args.format).splitlines())
+        chunks = _held_chunks(_enum_text(n, args.k, args.inv_free, args.format))
     else:
-        lines = _enum_lines(nodes, n, args.format)
+        chunks = _joined_chunks(_enum_lines(nodes, n, args.format))
     write = sys.stdout.write
     emitted = 0
-    while True:
-        # a chunk ends at every multiple of PROGRESS_INTERVAL, where a note goes out
-        size = min(CHUNK_LINES, PROGRESS_INTERVAL - emitted % PROGRESS_INTERVAL)
-        chunk = list(itertools.islice(lines, size))
-        if not chunk:
-            return 0
-        write("\n".join(chunk) + "\n")
-        emitted += len(chunk)
+    for chunk, count in chunks:
+        write(chunk)
+        emitted += count
         if emitted % PROGRESS_INTERVAL == 0:
             print(f"... {emitted} partitions", file=sys.stderr)
+    return 0
+
+
+def _chunk_size(emitted: int) -> int:
+    """The lines of ``enum``'s next chunk after ``emitted``: at most
+    CHUNK_LINES, and a chunk ends at every multiple of PROGRESS_INTERVAL,
+    where a note goes out."""
+    return min(CHUNK_LINES, PROGRESS_INTERVAL - emitted % PROGRESS_INTERVAL)
+
+
+def _joined_chunks(lines):
+    """(text, line count) of each chunk of ``lines``, joined a chunk at a time."""
+    emitted = 0
+    while chunk := list(itertools.islice(lines, _chunk_size(emitted))):
+        emitted += len(chunk)
+        yield "\n".join(chunk) + "\n", len(chunk)
+
+
+def _held_chunks(text: str):
+    """(text, line count) of each chunk of a held level's text, cut at the
+    offset past each chunk's last line; the rest goes out whole once it fits
+    one chunk, as every held level does at the default sizes."""
+    emitted, start, left = 0, 0, text.count("\n")
+    while left:
+        size = _chunk_size(emitted)
+        if size >= left:
+            yield text[start:], left
+            return
+        end = start
+        for _ in range(size):
+            end = text.index("\n", end) + 1
+        yield text[start:end], size
+        emitted, start, left = emitted + size, end, left - size
 
 
 def _stats_cmd(args) -> int:

@@ -127,11 +127,12 @@ class SymbolicMatrix:
 #: the budget is computed but not held, so one large determinant (P_5 has
 #: 5 610 terms) cannot evict the small ones that repeat.  At 8 192, so at
 #: most 1 024 a value, the ``query`` mix holds every determinant and ``gf``
-#: series it asks for (6 666 in all), and ``symbolic`` finds 28 of its 29
-#: repeated determinants, det P_4 of ``minor1`` and ``main1`` among them.
+#: series it asks for (6 666 in all), and ``symbolic`` finds 22 of its 24
+#: repeated determinants, the det P_(n-1) that ``main1`` reads after
+#: ``minor1`` among them.
 #: Its peak RSS read 33.2 MB without the store, 33.5 MB with it and 34.3 MB
-#: at 16 384, which found all 29 (one pass in one process each, 2-core
-#: Xeon, Python 3.11).
+#: at 16 384, which found every repeat (one pass in one process each, 2-core
+#: Xeon, Python 3.11, when ``main1`` still took each determinant whole).
 HELD_TERMS = 8_192
 
 
@@ -752,6 +753,24 @@ def verify_det(name: str, n: int) -> bool:
     return det(corner(m) if identity.corner else m) == identity.product(n)
 
 
+def _dets_along_last_column(m: SymbolicMatrix, size: int, lasts: Sequence[int]) -> list[LaurentPoly]:
+    """det ``_leading(m, size, c)`` for each c in ``lasts``.
+
+    The blocks share all but their last column, so each determinant is one
+    Laplace step along it, sum_r e_r C_r, over the cofactors C_r =
+    (-1)^(r+size-1) det(the first size-1 columns without row r).  Each C_r
+    is one ``det``, with its own memo, computed once and only for the rows
+    where some column of ``lasts`` is nonzero.
+    """
+    rows = m.entries[:size]
+    cofactors = [
+        ((-1) ** (r + size - 1), rows[r],
+         det(SymbolicMatrix([row[:size - 1] for i, row in enumerate(rows) if i != r])))
+        for r in range(size) if any(rows[r][c].terms for c in lasts)
+    ]
+    return [_sum_of_products((sign, row[c], cof) for sign, row, cof in cofactors) for c in lasts]
+
+
 def verify_main1(n: int) -> bool:
     """The P-family ratio identities, verified in cleared form:
 
@@ -764,9 +783,10 @@ def verify_main1(n: int) -> bool:
       det P_n^(n+2) = 0
 
     P_{n-1}, P_n and every P_n^k are read out of one P_{n+1}: P_{n-1} and
-    P_n are its top-left blocks (P_0 is the 0x0 matrix).  Clearing by
-    x^(n(n-1)/2) keeps everything inside the Laurent ring even though the
-    stated ratio has a negative x-exponent for small k.
+    P_n are its top-left blocks (P_0 is the 0x0 matrix), and P_n and the
+    P_n^k differ only in their last column (``_dets_along_last_column``).
+    Clearing by x^(n(n-1)/2) keeps everything inside the Laurent ring even
+    though the stated ratio has a negative x-exponent for small k.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -774,7 +794,8 @@ def verify_main1(n: int) -> bool:
     tu, xy = pq_context("t", "u"), pq_context("x", "y")
     p_next = build_p(n + 1)
     size = vertex_count(n) - 1
-    det_p = det(_leading(p_next, size))
+    # P_n's last column, then those of P_n^1 .. P_n^(n+2)
+    det_p, *dets_p_k = _dets_along_last_column(p_next, size, range(size - 1, size + n + 2))
     step = (
         _sign(n - 1)
         * a
@@ -784,12 +805,8 @@ def verify_main1(n: int) -> bool:
     )
     if det_p != step * det(_leading(p_next, vertex_count(n - 1) - 1)):
         return False
-
-    def det_p_k(k):
-        return det(_leading(p_next, size, size + k - 1))
-
     for k in range(1, n + 1):
-        lhs = det_p_k(k) * x ** (n * (n - 1) // 2)
+        lhs = dets_p_k[k - 1] * x ** (n * (n - 1) // 2)
         rhs = (
             det_p
             * a
@@ -800,9 +817,9 @@ def verify_main1(n: int) -> bool:
         )
         if lhs != rhs:
             return False
-    if det_p_k(n + 1) != a * y * pq_int(n + 1, tu) * pq_int(n, xy) * det_p:
+    if dets_p_k[n] != a * y * pq_int(n + 1, tu) * pq_int(n, xy) * det_p:
         return False
-    return det_p_k(n + 2).is_zero()
+    return dets_p_k[n + 1].is_zero()
 
 
 def verify_lemma_key(n: int, m: int) -> bool:

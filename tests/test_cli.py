@@ -316,6 +316,16 @@ def test_enum_progress_and_chunks(capsys, monkeypatch):
         code, out, "".join(f"... {i} partitions\n" for i in range(1000, 5000, 1000)))
 
 
+def test_enum_cuts_held_text_where_it_would_join_lines(monkeypatch):
+    text = cli._enum_text(5, None, False, "table")
+    for chunk, interval in ((10_000, 1_000_000), (7, 100), (3, 3), (1, 5), (13, 26)):
+        monkeypatch.setattr(cli, "CHUNK_LINES", chunk)
+        monkeypatch.setattr(cli, "PROGRESS_INTERVAL", interval)
+        for held in (text, ""):
+            assert list(cli._held_chunks(held)) == list(
+                cli._joined_chunks(iter(held.splitlines()))), (chunk, interval)
+
+
 def test_dist(capsys):
     code, out, _ = run(capsys, "dist", "--n", "3", "--k", "2", "--stat", "mak+bInv")
     assert code == 0

@@ -283,6 +283,36 @@ def test_main1_builds_one_p_next(monkeypatch):
         assert calls == [n + 1], n
 
 
+def test_main1_expands_its_family_along_the_last_column():
+    for n in range(1, 5):
+        xfer._HELD.clear()
+        p_next = build_p(n + 1)
+        size = vertex_count(n) - 1
+        lasts = range(size - 1, size + n + 2)  # P_n, then P_n^1 .. P_n^(n+2)
+        got = xfer._dets_along_last_column(p_next, size, lasts)
+        for c, d in zip(lasts, got):
+            m = xfer._leading(p_next, size, c)
+            assert d == _det_laplace(m), (n, c)
+            # elimination's entries grow too large at n = 4: 95 s for its 7 matrices
+            assert n > 3 or d == _det_bareiss(m), (n, c)
+
+
+def test_main1_computes_each_cofactor_once(monkeypatch):
+    seen = []
+    monkeypatch.setattr(xfer, "det", lambda m: seen.append(m.entries) or det(m))
+    for n in range(1, 5):
+        xfer._HELD.clear()
+        seen.clear()
+        assert xfer.verify_main1(n)
+        size = vertex_count(n) - 1
+        rows = build_p(n + 1).entries[:size]
+        nonzero = sum(any(e.terms for e in row[size - 1:size + n + 2]) for row in rows)
+        # one det per cofactor of a row the family's last columns reach, and
+        # det P_(n-1); each a different matrix, so none is computed twice
+        assert len(seen) == len(set(seen)) == nonzero + 1, n
+        assert sum(len(m) == size - 1 for m in seen) == nonzero, n
+
+
 def _every_matrix(n_max):
     """(name, n, k) of every MATRICES entry at n <= n_max, Pk at every k."""
     for name in xfer.MATRICES:
