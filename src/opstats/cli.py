@@ -11,8 +11,9 @@ serialized in canonical order and all enumerations run in a fixed order.
 Progress/diagnostics go to stderr, results to stdout.
 
 Each command is declared once, in ``COMMANDS``.  A well-formed call is read
-off the plan read from it; argparse's parsers, built from it only for help, a
-spelling the plain reader declines or an error, give every usage and error.
+off the plan read from it; any other argv goes to argparse's parser
+(``build_parser``, built from the same table only when a call needs it),
+which gives every help text, usage and error.
 """
 
 from __future__ import annotations
@@ -114,11 +115,13 @@ def _enum_cmd(args) -> int:
         if args.k is None and args.format != "records":
             print(f"total\t{total}")
         return 0
-    # the checks of iter_text run here, on every call, before a held level is read
-    nodes = opart.iter_text(n, args.k, args.inv_free, args.force_large)
-    if n <= stats.KEEP_N:
-        chunks = _held_chunks(_enum_text(n, args.k, args.inv_free, args.format))
+    if n <= stats.KEEP_N:  # below opart.DESK_BOUND: the range check is all a held level needs
+        text = _enum_text(n, args.k, args.inv_free, args.format)
+        lines = text.count("\n")
+        chunks = ([(text, lines)] if 0 < lines <= _chunk_size(0)
+                  else _joined_chunks(iter(text.splitlines())))
     else:
+        nodes = opart.iter_text(n, args.k, args.inv_free, args.force_large)
         chunks = _joined_chunks(_enum_lines(nodes, n, args.format))
     write = sys.stdout.write
     emitted = 0
@@ -143,23 +146,6 @@ def _joined_chunks(lines):
     while chunk := list(itertools.islice(lines, _chunk_size(emitted))):
         emitted += len(chunk)
         yield "\n".join(chunk) + "\n", len(chunk)
-
-
-def _held_chunks(text: str):
-    """(text, line count) of each chunk of a held level's text, cut at the
-    offset past each chunk's last line; the rest goes out whole once it fits
-    one chunk, as every held level does at the default sizes."""
-    emitted, start, left = 0, 0, text.count("\n")
-    while left:
-        size = _chunk_size(emitted)
-        if size >= left:
-            yield text[start:], left
-            return
-        end = start
-        for _ in range(size):
-            end = text.index("\n", end) + 1
-        yield text[start:end], size
-        emitted, start, left = emitted + size, end, left - size
 
 
 def _stats_cmd(args) -> int:
@@ -334,28 +320,22 @@ COMMANDS = {
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and each command's own parser by name, built from
-    ``COMMANDS`` when a call first needs one (help, a spelling that ``_read``
-    declines, an error) and shared by later calls."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built from ``COMMANDS`` when a call first needs it
+    (help, a spelling that ``_read`` declines, an error) and shared by later
+    calls."""
     parser = argparse.ArgumentParser(
         prog="opstats",
         description="Exact statistics on ordered set partitions and their "
         "transfer-matrix identities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, (fn, help_line, arguments) in COMMANDS.items():
-        command = commands[name] = sub.add_parser(name, help=help_line)
+        command = sub.add_parser(name, help=help_line)
         command.set_defaults(fn=fn)
         for argument, keywords in arguments:
             command.add_argument(argument, **keywords)
-    return parser, commands
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
-    return _parsers()[0]
+    return parser
 
 
 #: The ``add_argument`` keywords that ``_plan`` models, the last two for help alone.
@@ -462,21 +442,12 @@ def _read(name: str, words: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with at most one argparse pass.
-    An argv that starts with a command name is read by ``_read`` off the
-    command's plan, with no parser built, or, where the reader declines,
-    parsed by that command's parser alone; any other argv takes the
-    top-level parser, which prints the help or the usage error."""
-    name = argv[0] if argv else None
-    if name not in COMMANDS:
-        return build_parser().parse_args(argv)
-    args = _read(name, argv[1:])
-    if args is None:
-        parser, commands = _parsers()
-        args, extras = commands[name].parse_known_args(argv[1:], argparse.Namespace(command=name))
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    """``build_parser().parse_args(argv)``: an argv that starts with a command
+    name is read by ``_read`` off the command's plan, with no parser built;
+    any argv the reader declines, or that starts with no command name, is
+    parsed by argparse, which prints the help or the usage error."""
+    args = _read(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -263,7 +263,6 @@ def check_zz_identity(n: int, k: int) -> ZZResult:
     return ZZResult(lhs == rhs, lhs, rhs)
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Integer Stirling numbers of the second kind (independent of q_stirling),
     filled row by row like it."""

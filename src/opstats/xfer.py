@@ -41,10 +41,9 @@ builders of the families read them and stay uncached, so a patched or
 wrapped builder still runs.  The results are held once per process under one
 term budget (``_HELD``, ``HELD_TERMS``): each determinant keyed by its
 matrix's entries, inside ``det``; each closed-form series by (family, k),
-with its division, so a higher order extends the held prefix; each walk
-series by (k, weights), computed afresh at a higher order, since its pruning
-depends on the order.  A lower order reads a prefix of the held series.
-Every bound and argument check runs before the lookup.
+with its division, so a higher order extends the held prefix and a lower
+one reads it.  The walk series is computed on every call.  Every bound and
+argument check runs before the lookup.
 """
 
 from __future__ import annotations
@@ -126,10 +125,10 @@ class SymbolicMatrix:
 #: determinant's matrix among them); one that weighs more than an eighth of
 #: the budget is computed but not held, so one large determinant (P_5 has
 #: 5 610 terms) cannot evict the small ones that repeat.  At 8 192, so at
-#: most 1 024 a value, the ``query`` mix holds every determinant and ``gf``
-#: series it asks for (6 666 in all), and ``symbolic`` finds 22 of its 24
-#: repeated determinants, the det P_(n-1) that ``main1`` reads after
-#: ``minor1`` among them.
+#: most 1 024 a value, one pass of the ``query`` mix holds every determinant
+#: and closed-form series it asks for (40 values, 5 220 terms in all), and
+#: ``symbolic`` finds 22 of its 24 repeated determinants, the det P_(n-1)
+#: that ``main1`` reads after ``minor1`` among them.
 #: Its peak RSS read 33.2 MB without the store, 33.5 MB with it and 34.3 MB
 #: at 16 384, which found every repeat (one pass in one process each, 2-core
 #: Xeon, Python 3.11, when ``main1`` still took each determinant whole).
@@ -464,24 +463,14 @@ def walk_series(k: int, w: WeightSpec, order: int, force_large: bool = False) ->
     The row vector is pushed along the out-edges one step at a time and kept
     sparse: a vertex (i,j) is dropped once k - i, the East/South-East steps
     it still needs, exceeds the steps left.  Steps sharing a weight (North
-    and East, Null and South-East) share one product.  The series is held;
-    a lower order reads its prefix, and a higher one computes it afresh, as
-    the pruning depends on the order.
+    and East, Null and South-East) share one product.  The series is
+    computed on every call: its pruning depends on the order, and holding
+    it saved no measurable time (the repeats a ``query`` pass makes are all
+    at low orders).
     """
     check_desk_bound(f"the transfer series at k={k}", "k", k, w.k_bound, force_large)
     if order < 0:
         raise ValueError("order must be nonnegative")
-    key = ("walk", k, w)
-    held = _HELD.get(key)
-    if held is not None and held[0] >= order:
-        return SeriesInA._prefix(held[2], order)
-    series = _walk(k, w, order)
-    _HELD.hold(key, series.coeffs, _weight(series.coeffs), order)
-    return series
-
-
-def _walk(k: int, w: WeightSpec, order: int) -> SeriesInA:
-    """``walk_series`` computed afresh."""
     target = (k, 0)
     moves: dict[Vertex, list[tuple[LaurentPoly, list[Vertex]]]] = {}
     for v, out in out_edges(k, w):

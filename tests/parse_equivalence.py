@@ -1,5 +1,5 @@
-"""``cli.main``'s parse, by the plain reader or one argparse pass, against
-argparse's own nested parse.
+"""``cli.main``'s parse, by the plain reader or, where it declines, by
+argparse, against argparse's own parse.
 
     PYTHONPATH=src python tests/parse_equivalence.py
 
@@ -68,7 +68,7 @@ def outcome(parse, argv: list[str]) -> tuple:
     return code, out.getvalue(), err.getvalue(), namespace
 
 
-def nested(argv: list[str]) -> argparse.Namespace:
+def argparse_only(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
@@ -113,17 +113,17 @@ def differences(cases) -> list[tuple[list[str], tuple, tuple]]:
     """The argvs whose two parses differ, each with both outcomes."""
     found = []
     for argv in cases:
-        one_pass, two_pass = outcome(_parse, argv), outcome(nested, argv)
-        if one_pass != two_pass:
-            found.append((argv, one_pass, two_pass))
+        read, parsed = outcome(_parse, argv), outcome(argparse_only, argv)
+        if read != parsed:
+            found.append((argv, read, parsed))
     return found
 
 
 def main() -> int:
     cases = FIXED_CASES + random_cases(1, 3000) + well_formed_cases(2, 3000)
     found = differences(cases)
-    for argv, one_pass, two_pass in found:
-        print(f"{argv!r}:\n  one pass {one_pass!r}\n  nested   {two_pass!r}")
+    for argv, read, parsed in found:
+        print(f"{argv!r}:\n  _parse   {read!r}\n  argparse {parsed!r}")
     print(f"Python {platform.python_version()}: {len(found)} differences "
           f"over {len(cases)} argvs")
     return 1 if found else 0

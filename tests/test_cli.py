@@ -164,7 +164,6 @@ def test_a_held_value_never_skips_a_refusal(capsys, monkeypatch):
     xfer._HELD.clear()
     refused(["Qz", "--k", "6", "--order", "2"],
             "the transfer series at k=6 exceeds its desk bound k <= 5")
-    assert ("walk", 6, xfer.WeightSpec.ztu()) in xfer._HELD.entries
     refused(["f", "--k", "17"], "the closed form f at k=17 exceeds its desk bound k <= 16")
     # a closed form held from order k on: f at k = 3 past a lowered bound
     monkeypatch.setattr(xfer, "CLOSED_K_BOUND", 2)
@@ -316,14 +315,31 @@ def test_enum_progress_and_chunks(capsys, monkeypatch):
         code, out, "".join(f"... {i} partitions\n" for i in range(1000, 5000, 1000)))
 
 
-def test_enum_cuts_held_text_where_it_would_join_lines(monkeypatch):
-    text = cli._enum_text(5, None, False, "table")
+def _enum_writes(capsys, argv):
+    """(the line count of each stdout write, stderr, stdout) of one ``enum`` call."""
+    writes = _Writes()
+    with contextlib.redirect_stdout(writes):
+        assert main(argv) == 0, argv
+    return writes.lines, capsys.readouterr().err, writes.getvalue()
+
+
+def test_enum_writes_a_held_level_as_it_streams_it(capsys, monkeypatch):
+    # under each chunk size and progress interval, a held level, cold then
+    # warm, goes out in the same writes, notes and bytes as the same level
+    # streamed (KEEP_N below every n); the empty level k = 0 writes nothing
+    levels = [[], *(["--k", str(k)] for k in range(6)), ["--format", "records"]]
     for chunk, interval in ((10_000, 1_000_000), (7, 100), (3, 3), (1, 5), (13, 26)):
         monkeypatch.setattr(cli, "CHUNK_LINES", chunk)
         monkeypatch.setattr(cli, "PROGRESS_INTERVAL", interval)
-        for held in (text, ""):
-            assert list(cli._held_chunks(held)) == list(
-                cli._joined_chunks(iter(held.splitlines()))), (chunk, interval)
+        for words in levels:
+            argv = ["enum", "--n", "5", *words]
+            with monkeypatch.context() as patched:
+                patched.setattr(stats, "KEEP_N", -1)
+                streamed = _enum_writes(capsys, argv)
+            cli._enum_text.cache_clear()
+            cold = _enum_writes(capsys, argv)
+            assert cold == streamed == _enum_writes(capsys, argv), (chunk, interval, words)
+        assert _enum_writes(capsys, ["enum", "--n", "5", "--k", "0"]) == ([], "", "")
 
 
 def test_dist(capsys):
@@ -1316,18 +1332,18 @@ ONE_VALID_CALL_EACH = [
 ]
 
 
-#: Irregular spellings that the plain reader declines, each parsed by its
-#: command's parser alone: "=" values, an abbreviation and "--".
-ONE_PASS_EACH = [
+#: Irregular spellings that the plain reader declines, each parsed by
+#: argparse: "=" values, an abbreviation and "--".
+DECLINED_EACH = [
     ["dist", "--n=3", "--k=2", "--stat=mak"], ["qnum", "stirling", "--n-m", "3"],
     ["stats", "--", "1,2"],
 ]
 
 
-def test_each_call_makes_at_most_one_argparse_pass(capsys, monkeypatch):
+def test_only_a_declined_call_takes_an_argparse_pass(capsys, monkeypatch):
     # a well-formed call is read off its command's plan with no argparse
-    # pass; a spelling the reader declines takes one pass of its command's
-    # parser, never the top-level parser's nested one
+    # pass; a spelling the reader declines takes argparse's own parse,
+    # the top-level parser's pass and its command parser's within it
     progs = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -1341,16 +1357,18 @@ def test_each_call_makes_at_most_one_argparse_pass(capsys, monkeypatch):
         progs.clear()
         assert main(argv) == 0, argv
         assert progs == [], argv
-    for argv in ONE_PASS_EACH:
+    for argv in DECLINED_EACH:
         progs.clear()
         assert main(argv) == 0, argv
-        assert progs == [f"opstats {argv[0]}"], argv
+        assert progs == ["opstats", f"opstats {argv[0]}"], argv
 
 
 def test_each_command_plan_models_every_action_it_declares():
     # the plans read off COMMANDS agree with the parsers argparse builds from it
-    assert list(cli._PLANS) == list(cli._parsers()[1]) == list(cli.COMMANDS)
-    for name, command in cli._parsers()[1].items():
+    parsers = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(cli._PLANS) == list(parsers) == list(cli.COMMANDS)
+    for name, command in parsers.items():
         options, positionals, defaults, required = cli._PLANS[name]
         declared = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
         assert set(options) == {s for a in declared for s in a.option_strings}, name
@@ -1382,15 +1400,15 @@ def test_a_command_declaring_what_the_plan_does_not_model_has_no_plan(name, kwar
 
 
 def test_a_well_formed_call_builds_no_parser(capsys):
-    # argparse's parsers are built only for help, a declined spelling or an error
-    cli._parsers.cache_clear()
+    # argparse's parser is built only for help, a declined spelling or an error
+    cli.build_parser.cache_clear()
     for argv in ONE_VALID_CALL_EACH:
         assert main(argv) == 0, argv
-        assert cli._parsers.cache_info().currsize == 0, argv
+        assert cli.build_parser.cache_info().currsize == 0, argv
     assert main(["dist", "--n=3", "--k=2", "--stat=mak"]) == 0
-    assert cli._parsers.cache_info()[1:] == (1, None, 1)  # misses, maxsize, currsize
-    cli._parsers.cache_clear()
+    assert cli.build_parser.cache_info()[1:] == (1, None, 1)  # misses, maxsize, currsize
+    cli.build_parser.cache_clear()
     with pytest.raises(SystemExit) as exc:
         main(["stats", "--help"])
     assert exc.value.code == 0 and "usage: opstats stats" in capsys.readouterr().out
-    assert cli._parsers.cache_info()[1:] == (1, None, 1)
+    assert cli.build_parser.cache_info()[1:] == (1, None, 1)
